@@ -12,19 +12,14 @@ from .decompose import (
     DecomposedTransaction,
     TxKind,
     VolumeComponents,
-    classify_transaction,
     decompose_ledger,
-    decompose_transaction,
-    gross_flows,
 )
 from .events import (
     FillEvent,
-    LedgerWindow,
     MarketSpec,
     Transaction,
     group_transactions,
     load_market_config,
-    parse_fill_record,
     read_fills,
     write_fills,
 )
@@ -42,9 +37,6 @@ from .metrics import (
     MarketMeasures,
     SideTotals,
     aggregate_components,
-    exchange_equivalent_volume,
-    gross_activity,
-    net_inflow,
     side_measures,
 )
 from .microstructure import (

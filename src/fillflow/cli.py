@@ -12,7 +12,6 @@ transaction count exceeded the threshold.
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
 import json
@@ -32,6 +31,7 @@ from .events import (
     read_fills,
     write_fills,
     write_market_config,
+    write_table,
 )
 from .fetch import fetch_event_logs
 from .metrics import aggregate_components, side_measures
@@ -130,17 +130,6 @@ def _out_dir(path: str) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _write_table(path: Path, fieldnames: list[str], rows: list[dict], fmt: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if fmt == "csv":
-            writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
-        else:
-            for row in rows:
-                fh.write(json.dumps(row) + "\n")
 
 
 def _fmt_float(value) -> str:
@@ -260,14 +249,12 @@ def decompose(inputs, markets_path, start, end, fmt, max_anomalies, out):
 
     out_dir = _out_dir(out)
     target = out_dir / ("decomposed.csv" if fmt == "csv" else "decomposed.jsonl")
-    write_decomposed(target, rows, "csv" if fmt == "csv" else "jsonl")
+    write_decomposed(target, rows, fmt)
     if anomalies:
-        with open(out_dir / "quarantine.jsonl", "w", encoding="utf-8") as fh:
-            for a in anomalies:
-                fh.write(json.dumps({
-                    "block": a.block, "txIndex": a.tx_index, "timestamp": a.timestamp,
-                    "market": a.market, "reason": a.reason,
-                }) + "\n")
+        write_table(out_dir / "quarantine.jsonl",
+                    ["block", "txIndex", "timestamp", "market", "reason"],
+                    [{"block": a.block, "txIndex": a.tx_index, "timestamp": a.timestamp,
+                      "market": a.market, "reason": a.reason} for a in anomalies], "jsonl")
     _write_manifest(out_dir, "decompose",
                     {"format": fmt, "from": start, "to": end,
                      "maxAnomalies": max_anomalies},
@@ -321,7 +308,7 @@ def metrics(inputs, market, side, partition, start, end, dense, fmt, out):
 
     out_dir = _out_dir(out)
     target = out_dir / ("metrics.csv" if fmt == "csv" else "metrics.jsonl")
-    _write_table(target, fieldnames, rows, fmt if fmt == "csv" else "jsonl")
+    write_table(target, fieldnames, rows, fmt)
     _write_manifest(out_dir, "metrics",
                     {"market": market, "side": side, "partition": partition,
                      "from": start, "to": end, "dense": dense, "format": fmt},
@@ -376,8 +363,8 @@ def deviation(inputs, markets_path, market, grid_step, max_staleness, start, end
     } for p in points]
     out_dir = _out_dir(out)
     target = out_dir / ("deviation.csv" if fmt == "csv" else "deviation.jsonl")
-    _write_table(target, ["timestamp", "delta", "pYes", "pNo", "yesStaleness", "noStaleness"],
-                 rows, fmt if fmt == "csv" else "jsonl")
+    write_table(target, ["timestamp", "delta", "pYes", "pNo", "yesStaleness", "noStaleness"],
+                rows, fmt)
     _write_manifest(out_dir, "deviation",
                     {"market": market, "gridStep": grid_step,
                      "maxStaleness": max_staleness, "from": start, "to": end,
@@ -428,13 +415,12 @@ def disagreement(inputs, market_a, first_democrat, second_democrat, splice_day, 
                 "democratF": micro_to_usd(b_by_day[day]),
             })
     suffix = "csv" if fmt == "csv" else "jsonl"
-    _write_table(out_dir / f"inflows.{suffix}",
-                 ["day", f"{market_a}F", "democratF"], inflow_rows,
-                 fmt if fmt == "csv" else "jsonl")
+    write_table(out_dir / f"inflows.{suffix}",
+                ["day", f"{market_a}F", "democratF"], inflow_rows, fmt)
     corr_rows = [{"day": format_date(day), "correlation": _fmt_float(value)}
                  for day, value in correlation]
-    _write_table(out_dir / f"correlation.{suffix}",
-                 ["day", "correlation"], corr_rows, fmt if fmt == "csv" else "jsonl")
+    write_table(out_dir / f"correlation.{suffix}",
+                ["day", "correlation"], corr_rows, fmt)
     _write_manifest(out_dir, "disagreement",
                     {"marketA": market_a, "firstDemocrat": first_democrat,
                      "secondDemocrat": second_democrat, "spliceDay": splice_day,
@@ -496,8 +482,8 @@ def lambda_(inputs, markets_path, market, side, window_hours, step_days, weight,
         "avgVolume": _fmt_float(volume_by_date.get(e.date)),
     } for e in estimates]
     out_dir = _out_dir(out)
-    _write_table(out_dir / "lambda.csv", ["date", "lambda", "se", "n", "avgVolume"],
-                 rows, "csv")
+    write_table(out_dir / "lambda.csv", ["date", "lambda", "se", "n", "avgVolume"],
+                rows, "csv")
 
     paired = [(e.value, volume_by_date[e.date]) for e in estimates
               if e.value is not None and e.date in volume_by_date]
@@ -583,9 +569,9 @@ def traders_cmd(inputs, markets_path, quarter, start, end, by, exclude_addresses
     out_dir = _out_dir(out)
     hourly = hourly_active_traders(window, start, end, markets, exclude,
                                    per_market=per_market)
-    _write_table(out_dir / "hourly.csv", ["hour", "meanActiveTraders"],
-                 [{"hour": h, "meanActiveTraders": _fmt_float(v)}
-                  for h, v in enumerate(hourly)], "csv")
+    write_table(out_dir / "hourly.csv", ["hour", "meanActiveTraders"],
+                [{"hour": h, "meanActiveTraders": _fmt_float(v)}
+                 for h, v in enumerate(hourly)], "csv")
 
     try:
         top = top_decile_traders(window, markets, by, exclude)
@@ -595,17 +581,17 @@ def traders_cmd(inputs, markets_path, quarter, start, end, by, exclude_addresses
     (out_dir / "top_decile.txt").write_text("".join(a + "\n" for a in top), encoding="utf-8")
 
     cells, marginals, candidate_cells = participation_sets(window, markets, exclude)
-    _write_table(out_dir / "participation.csv",
-                 ["bitmask", "markets", "count", "sharePct"],
-                 [{"bitmask": cell_bitmask(c.markets, markets),
-                   "markets": "|".join(sorted(c.markets)), "count": c.count,
-                   "sharePct": _fmt_float(c.share)} for c in cells], "csv")
-    _write_table(out_dir / "marginals.csv", ["market", "sharePct"],
-                 [{"market": name, "sharePct": _fmt_float(pct)}
-                  for name, pct in marginals.items()], "csv")
-    _write_table(out_dir / "candidate_overlap.csv", ["candidates", "count", "sharePct"],
-                 [{"candidates": "|".join(sorted(c.markets)), "count": c.count,
-                   "sharePct": _fmt_float(c.share)} for c in candidate_cells], "csv")
+    write_table(out_dir / "participation.csv",
+                ["bitmask", "markets", "count", "sharePct"],
+                [{"bitmask": cell_bitmask(c.markets, markets),
+                  "markets": "|".join(sorted(c.markets)), "count": c.count,
+                  "sharePct": _fmt_float(c.share)} for c in cells], "csv")
+    write_table(out_dir / "marginals.csv", ["market", "sharePct"],
+                [{"market": name, "sharePct": _fmt_float(pct)}
+                 for name, pct in marginals.items()], "csv")
+    write_table(out_dir / "candidate_overlap.csv", ["candidates", "count", "sharePct"],
+                [{"candidates": "|".join(sorted(c.markets)), "count": c.count,
+                  "sharePct": _fmt_float(c.share)} for c in candidate_cells], "csv")
 
     _write_manifest(out_dir, "traders",
                     {"quarter": quarter, "from": start, "to": end, "by": by,

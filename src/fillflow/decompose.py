@@ -21,15 +21,13 @@ DecompositionAnomalyError instead of guessing.
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .errors import DecompositionAnomalyError, WrongMarketError
-from .events import MarketSpec, Transaction, market_for_token
+from .errors import DecompositionAnomalyError, ParseError
+from .events import COLLATERAL_ID, MarketSpec, Transaction, read_table, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -55,21 +53,6 @@ class VolumeComponents:
     buy_vol: int = 0
     sell_vol: int = 0
 
-    def check(self) -> None:
-        """Assert the decomposition invariants (used by tests and fuzzing)."""
-        parts = (self.yes_trade, self.no_trade, self.yes_mint,
-                 self.no_mint, self.yes_burn, self.no_burn)
-        assert all(p >= 0 for p in parts), f"negative component in {self}"
-        assert self.yes_trade == 0 or self.no_trade == 0, "trade volume on both tokens"
-        assert self.yes_trade + self.no_trade == min(self.buy_vol, self.sell_vol)
-        mint = self.yes_mint + self.no_mint
-        burn = self.yes_burn + self.no_burn
-        assert self.buy_vol - self.sell_vol == mint - burn, "conservation violated"
-        if self.buy_vol >= self.sell_vol:
-            assert burn == 0
-        if self.buy_vol <= self.sell_vol:
-            assert mint == 0
-
 
 @dataclass(frozen=True)
 class DecomposedTransaction:
@@ -79,6 +62,27 @@ class DecomposedTransaction:
     market: str
     kind: TxKind
     components: VolumeComponents
+
+    def check(self) -> None:
+        """Raise DecompositionAnomalyError unless the decomposition invariants hold."""
+        c = self.components
+        mint = c.yes_mint + c.no_mint
+        burn = c.yes_burn + c.no_burn
+        if min(c.yes_trade, c.no_trade, c.yes_mint, c.no_mint, c.yes_burn, c.no_burn) < 0:
+            problem = "negative component"
+        elif c.yes_trade and c.no_trade:
+            problem = "trade volume on both tokens"
+        elif c.yes_trade + c.no_trade != min(c.buy_vol, c.sell_vol):
+            problem = "trade volume differs from the smaller gross flow"
+        elif c.buy_vol - c.sell_vol != mint - burn:
+            problem = "conservation violated"
+        elif burn and c.buy_vol >= c.sell_vol:
+            problem = "burn volume without a sell surplus"
+        elif mint and c.buy_vol <= c.sell_vol:
+            problem = "mint volume without a buy surplus"
+        else:
+            return
+        raise DecompositionAnomalyError(f"{problem} in {c}", self.block, self.tx_index)
 
 
 @dataclass(frozen=True)
@@ -90,94 +94,49 @@ class AnomalyRecord:
     reason: str
 
 
-def _usdc_sums(fills) -> tuple[dict[str, int], dict[str, int]]:
-    """Per-token collateral sums: (buy-side by token bought, sell-side by token sold)."""
-    buy: dict[str, int] = {}
-    sell: dict[str, int] = {}
-    for fill in fills:
-        if fill.is_buy:
-            buy[fill.taker_asset_id] = buy.get(fill.taker_asset_id, 0) + fill.maker_amount
-        else:
-            sell[fill.maker_asset_id] = sell.get(fill.maker_asset_id, 0) + fill.taker_amount
-    return buy, sell
+def _decompose_slice(
+    tx: Transaction, market: MarketSpec, buy: dict[str, int], sell: dict[str, int],
+) -> DecomposedTransaction:
+    """Kind and six components of one market's slice of a transaction.
 
-
-def gross_flows(tx) -> tuple[int, int]:
-    """The two gross collateral flows (buy_vol, sell_vol).
-
-    Accepts a Transaction or any iterable of fills; a transaction left with
-    no fills after market filtering has (0, 0) flows.
-    """
-    fills = tx.fills if isinstance(tx, Transaction) else tx
-    buy, sell = _usdc_sums(fills)
-    return sum(buy.values()), sum(sell.values())
-
-
-def _check_market(tx: Transaction, market: MarketSpec) -> None:
-    foreign = tx.token_ids() - set(market.token_ids)
-    if foreign:
-        raise WrongMarketError(
-            f"tx {tx.key} references token ids outside market {market.candidate!r}: "
-            f"{sorted(foreign)}"
-        )
-
-
-def classify_transaction(tx: Transaction, market: MarketSpec) -> TxKind:
-    """Classify by gross-flow comparison and distinct asset ids.
-
-    A buy surplus is minting; it is mixed when the maker side carries more
-    than one distinct asset id (collateral plus an exchanged token). A sell
-    surplus mirrors this on the taker side.
-    """
-    _check_market(tx, market)
-    buy_vol, sell_vol = gross_flows(tx.fills)
-    if buy_vol == sell_vol:
-        return TxKind.PURE_EXCHANGE
-    if buy_vol > sell_vol:
-        maker_ids = {f.maker_asset_id for f in tx.fills}
-        return TxKind.MIXED_MINT if len(maker_ids) > 1 else TxKind.SHARE_MINTING
-    taker_ids = {f.taker_asset_id for f in tx.fills}
-    return TxKind.MIXED_BURN if len(taker_ids) > 1 else TxKind.SHARE_BURNING
-
-
-def decompose_transaction(tx: Transaction, market: MarketSpec) -> VolumeComponents:
-    """Decompose one transaction into the six volume components.
-
+    ``buy`` maps each token bought in the slice to the collateral paid for
+    it, ``sell`` each token sold to the collateral received. Equal gross
+    flows are a pure exchange; a buy surplus is minting, mixed when the
+    slice also sells; a sell surplus is burning, mixed when it also buys.
     The exchange volume min(buy_vol, sell_vol) is attributed to a single
     token: the exchange-leg token of a mixed transaction (the token on the
     smaller side), else the bought token. When the choice is ambiguous the
     lexicographically smallest token id is used, which only happens on
     equal-flow transactions spanning both tokens (flagged in logs).
     """
-    kind = classify_transaction(tx, market)
-    buy, sell = _usdc_sums(tx.fills)
-    buy_vol, sell_vol = sum(buy.values()), sum(sell.values())
-    trade_vol = min(buy_vol, sell_vol)
-
     if len(buy) > 1 and len(sell) > 1:
         raise DecompositionAnomalyError(
             "simultaneous mint and burn (both sides span multiple tokens)",
             tx.block, tx.tx_index,
         )
-
+    buy_vol, sell_vol = sum(buy.values()), sum(sell.values())
+    trade_vol = min(buy_vol, sell_vol)
     trade: dict[str, int] = {}
     mint: dict[str, int] = {}
     burn: dict[str, int] = {}
 
-    if kind is TxKind.PURE_EXCHANGE:
+    if buy_vol == sell_vol:
+        kind = TxKind.PURE_EXCHANGE
         if trade_vol:
             if len(buy) > 1:
                 logger.warning(
                     "equal-flow tx %s spans tokens %s; attributing exchange volume "
                     "to the lexicographically smallest id", tx.key, sorted(buy))
             trade[min(buy)] = trade_vol
-    elif kind in (TxKind.SHARE_MINTING, TxKind.MIXED_MINT):
+    elif buy_vol > sell_vol:
+        kind = TxKind.MIXED_MINT if sell else TxKind.SHARE_MINTING
         mint = dict(buy)
         if trade_vol:
             leg = min(sell)  # the exchanged token: the one sold for collateral
             trade[leg] = trade_vol
             mint[leg] = mint.get(leg, 0) - trade_vol
     else:
+        kind = TxKind.MIXED_BURN if buy else TxKind.SHARE_BURNING
         burn = dict(sell)
         if trade_vol:
             leg = min(buy)  # the exchanged token: the one bought with collateral
@@ -192,47 +151,58 @@ def decompose_transaction(tx: Transaction, market: MarketSpec) -> VolumeComponen
                 )
 
     yes, no = market.yes_token_id, market.no_token_id
-    components = VolumeComponents(
-        yes_trade=trade.get(yes, 0),
-        no_trade=trade.get(no, 0),
-        yes_mint=mint.get(yes, 0),
-        no_mint=mint.get(no, 0),
-        yes_burn=burn.get(yes, 0),
-        no_burn=burn.get(no, 0),
-        buy_vol=buy_vol,
-        sell_vol=sell_vol,
+    row = DecomposedTransaction(
+        block=tx.block,
+        tx_index=tx.tx_index,
+        timestamp=tx.timestamp,
+        market=market.candidate,
+        kind=kind,
+        components=VolumeComponents(
+            yes_trade=trade.get(yes, 0),
+            no_trade=trade.get(no, 0),
+            yes_mint=mint.get(yes, 0),
+            no_mint=mint.get(no, 0),
+            yes_burn=burn.get(yes, 0),
+            no_burn=burn.get(no, 0),
+            buy_vol=buy_vol,
+            sell_vol=sell_vol,
+        ),
     )
-    components.check()
-    return components
-
-
-def restrict_to_market(tx: Transaction, market: MarketSpec) -> Transaction | None:
-    """Drop fills of other markets; None when nothing remains."""
-    kept = tuple(f for f in tx.fills if f.token_id in market.token_ids)
-    if not kept:
-        return None
-    if len(kept) == len(tx.fills):
-        return tx
-    return Transaction(block=tx.block, tx_index=tx.tx_index, timestamp=tx.timestamp, fills=kept)
+    row.check()
+    return row
 
 
 def decompose_ledger(
     transactions: Iterable[Transaction],
     markets: Sequence[MarketSpec],
 ) -> tuple[list[DecomposedTransaction], list[AnomalyRecord]]:
-    """Decompose a ledger market by market.
+    """Decompose a ledger in one pass over each transaction's fills.
 
-    Transactions touching several markets are split per complementary token
-    pair before decomposition. A transaction either decomposes cleanly (one
-    output row per touched market) or is quarantined whole: fills on
-    unconfigured token ids and shapes outside the taxonomy yield one
-    anomaly record and no rows, so quarantined plus decomposed transaction
-    counts always equal the input count.
+    Each fill's collateral is summed per token into the slice of the
+    token's market; every touched market then yields one row, in market
+    configuration order. A transaction either decomposes cleanly or is
+    quarantined whole: fills on unconfigured token ids and shapes outside
+    the taxonomy yield one anomaly record (naming the first configured
+    market whose slice fails) and no rows, so quarantined plus decomposed
+    transaction counts always equal the input count.
     """
+    market_of = {token: i for i, market in enumerate(markets) for token in market.token_ids}
     decomposed: list[DecomposedTransaction] = []
     anomalies: list[AnomalyRecord] = []
     for tx in transactions:
-        unknown = {t for t in tx.token_ids() if market_for_token(markets, t) is None}
+        slices: dict[int, tuple[dict[str, int], dict[str, int]]] = {}
+        unknown: set[str] = set()
+        for fill in tx.fills:
+            if fill.maker_asset_id == COLLATERAL_ID:
+                token, usdc, side = fill.taker_asset_id, fill.maker_amount, 0
+            else:
+                token, usdc, side = fill.maker_asset_id, fill.taker_amount, 1
+            i = market_of.get(token)
+            if i is None:
+                unknown.add(token)
+                continue
+            sums = slices.setdefault(i, ({}, {}))[side]
+            sums[token] = sums.get(token, 0) + usdc
         if unknown:
             anomalies.append(AnomalyRecord(
                 tx.block, tx.tx_index, tx.timestamp, "",
@@ -240,29 +210,14 @@ def decompose_ledger(
             ))
             continue
         rows: list[DecomposedTransaction] = []
-        anomaly: AnomalyRecord | None = None
-        for market in markets:
-            part = restrict_to_market(tx, market)
-            if part is None:
-                continue
+        for i in sorted(slices):
             try:
-                kind = classify_transaction(part, market)
-                components = decompose_transaction(part, market)
+                rows.append(_decompose_slice(tx, markets[i], *slices[i]))
             except DecompositionAnomalyError as exc:
-                anomaly = AnomalyRecord(
-                    tx.block, tx.tx_index, tx.timestamp, market.candidate, str(exc)
-                )
+                anomalies.append(AnomalyRecord(
+                    tx.block, tx.tx_index, tx.timestamp, markets[i].candidate, str(exc)
+                ))
                 break
-            rows.append(DecomposedTransaction(
-                block=tx.block,
-                tx_index=tx.tx_index,
-                timestamp=tx.timestamp,
-                market=market.candidate,
-                kind=kind,
-                components=components,
-            ))
-        if anomaly is not None:
-            anomalies.append(anomaly)
         else:
             decomposed.extend(rows)
     return decomposed, anomalies
@@ -316,29 +271,17 @@ def decomposed_from_record(record: dict) -> DecomposedTransaction:
 
 
 def write_decomposed(path, rows: Iterable[DecomposedTransaction], fmt: str = "csv") -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if fmt == "csv":
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(DECOMPOSED_FIELDS)
-            for row in rows:
-                record = decomposed_to_record(row)
-                writer.writerow([record[c] for c in DECOMPOSED_FIELDS])
-        else:
-            for row in rows:
-                fh.write(json.dumps(decomposed_to_record(row)) + "\n")
+    write_table(path, DECOMPOSED_FIELDS, (decomposed_to_record(row) for row in rows), fmt)
 
 
-def read_decomposed(path, fmt: str | None = None) -> list[DecomposedTransaction]:
-    path = str(path)
-    if fmt is None:
-        fmt = "csv" if path.endswith(".csv") else "jsonl"
+def read_decomposed(path) -> list[DecomposedTransaction]:
+    """Read a decomposed table (CSV, or JSONL); errors name the file line."""
     rows: list[DecomposedTransaction] = []
-    with open(path, encoding="utf-8") as fh:
-        if fmt == "csv":
-            for record in csv.DictReader(fh):
-                rows.append(decomposed_from_record(record))
-        else:
-            for line in fh:
-                if line.strip():
-                    rows.append(decomposed_from_record(json.loads(line)))
+    for line_no, record in read_table(path, DECOMPOSED_FIELDS):
+        try:
+            rows.append(decomposed_from_record(record))
+        except KeyError as exc:
+            raise ParseError(f"missing field {exc.args[0]!r}", line_no) from exc
+        except (TypeError, ValueError) as exc:
+            raise ParseError(str(exc), line_no) from exc
     return rows

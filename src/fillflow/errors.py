@@ -29,10 +29,6 @@ class ConfigError(FillflowError):
     """Market or scenario configuration is invalid."""
 
 
-class WrongMarketError(FillflowError):
-    """A transaction references token ids outside the market under analysis."""
-
-
 class DecompositionAnomalyError(FillflowError):
     """Transaction shape falls outside the trade taxonomy.
 

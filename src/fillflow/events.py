@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError, DuplicateEventError, ParseError, SchemaError
 from .units import parse_utc
@@ -73,7 +73,7 @@ class FillEvent:
             )
         for name in ("maker_asset_id", "taker_asset_id"):
             token = getattr(self, name)
-            if not token.isdigit():
+            if not (token.isascii() and token.isdigit()):
                 raise SchemaError(f"{name} must be a decimal string, got {token!r}")
 
     @property
@@ -130,9 +130,6 @@ class Transaction:
     def key(self) -> tuple[int, int]:
         return (self.block, self.tx_index)
 
-    def token_ids(self) -> set[str]:
-        return {f.token_id for f in self.fills}
-
 
 @dataclass(frozen=True)
 class MarketSpec:
@@ -169,43 +166,17 @@ class MarketSpec:
         raise KeyError(f"token {token_id} not in market {self.candidate!r}")
 
 
-@dataclass(frozen=True)
-class LedgerWindow:
-    """Transactions ordered by (block, txIndex), timestamps in [start, end)."""
-
-    transactions: tuple[Transaction, ...]
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if self.end <= self.start:
-            raise SchemaError("window end must be after start")
-        prev = None
-        for tx in self.transactions:
-            if not self.start <= tx.timestamp < self.end:
-                raise SchemaError(
-                    f"tx {tx.key} at {tx.timestamp} outside window [{self.start}, {self.end})"
-                )
-            if prev is not None and tx.key <= prev:
-                raise SchemaError(f"transactions out of order at {tx.key}")
-            prev = tx.key
-
-
-def clip_window(transactions: Sequence[Transaction], start: int, end: int) -> LedgerWindow:
-    """Restrict an ordered transaction list to [start, end)."""
-    kept = tuple(tx for tx in transactions if start <= tx.timestamp < end)
-    return LedgerWindow(kept, start, end)
-
-
 def _to_amount(value, field: str) -> int:
-    # Amounts arrive as integer strings (token amounts exceed 64-bit range
-    # is fine for Python ints); ints are accepted, floats are not.
-    if isinstance(value, bool):
-        raise ValueError(f"{field}: not an integer: {value!r}")
-    if isinstance(value, int):
+    # Amounts arrive as integer strings (token amounts may exceed 64 bits,
+    # which Python ints carry exactly); ints are accepted, floats are not,
+    # and strings must be ASCII digits with an optional leading minus.
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str) and value.strip().lstrip("-").isdigit():
-        return int(value.strip())
+    if isinstance(value, str):
+        text = value.strip()
+        digits = text[1:] if text.startswith("-") else text
+        if digits.isascii() and digits.isdigit():
+            return int(text)
     raise ValueError(f"{field}: not an integer: {value!r}")
 
 
@@ -218,6 +189,7 @@ def fill_from_record(
 
     ``timestamp`` may be omitted when a block->time sidecar mapping is
     supplied; one timestamp per block is the unit of time assignment.
+    Errors name ``line_no`` when it is given.
     """
     try:
         block = _to_amount(record["block"], "block")
@@ -242,86 +214,73 @@ def fill_from_record(
         raise ParseError(f"missing field {exc.args[0]!r}", line_no) from exc
     except ValueError as exc:
         raise ParseError(str(exc), line_no) from exc
+    except SchemaError as exc:
+        if line_no is None:
+            raise
+        raise SchemaError(f"line {line_no}: {exc}") from exc
 
 
-def parse_fill_record(
-    line: str,
-    fmt: str = "jsonl",
-    line_no: int | None = None,
-    columns: Sequence[str] = FILL_FIELDS,
-    block_times: Mapping[int, int] | None = None,
-) -> FillEvent:
-    """Parse one text line in the declared format into a FillEvent.
+def read_table(path, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, record) from a ``.csv`` file or, for any other suffix, JSONL.
 
-    CSV lines follow ``columns`` (canonical order by default; file readers
-    pass the header they saw). Malformed lines raise ParseError with the
-    line number; fills where both or neither asset id is collateral raise
-    SchemaError.
+    A CSV file starts with a header naming every ``required`` column, and
+    each row has exactly as many values as the header; a JSONL line is one
+    JSON object. Blank lines are skipped; violations raise ParseError with
+    the line number.
     """
-    if fmt == "jsonl":
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", line_no) from exc
-        if not isinstance(record, dict):
-            raise ParseError("record is not an object", line_no)
-    elif fmt == "csv":
-        row = next(csv.reader([line]))
-        if len(row) != len(columns):
-            raise ParseError(
-                f"expected {len(columns)} columns, got {len(row)}", line_no
-            )
-        record = dict(zip(columns, row))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    return fill_from_record(record, line_no, block_times)
-
-
-def read_fills(
-    path,
-    fmt: str | None = None,
-    block_times: Mapping[int, int] | None = None,
-) -> list[FillEvent]:
-    """Read a ledger shard (JSONL, or CSV with a header row)."""
-    path = str(path)
-    if fmt is None:
-        fmt = "csv" if path.endswith(".csv") else "jsonl"
-    fills: list[FillEvent] = []
     with open(path, encoding="utf-8") as fh:
-        if fmt == "csv":
+        if str(path).endswith(".csv"):
             reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                return fills
-            missing = [c for c in FILL_FIELDS if c not in header and c != "timestamp"]
+            header = next(reader, None)
+            if header is None:
+                return
+            missing = [c for c in required if c not in header]
             if missing:
                 raise ParseError(f"CSV header missing columns: {missing}", 1)
-            for line_no, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
-                record = dict(zip(header, row))
-                fills.append(fill_from_record(record, line_no, block_times))
+                if len(row) != len(header):
+                    raise ParseError(
+                        f"expected {len(header)} columns, got {len(row)}", reader.line_num)
+                yield reader.line_num, dict(zip(header, row))
         else:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                fills.append(parse_fill_record(line, "jsonl", line_no, block_times=block_times))
-    return fills
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"invalid JSON: {exc}", line_no) from exc
+                if not isinstance(record, dict):
+                    raise ParseError("record is not an object", line_no)
+                yield line_no, record
+
+
+def write_table(path, fields: Sequence[str], records: Iterable[Mapping], fmt: str) -> None:
+    """Write records as CSV with a ``fields`` header when ``fmt`` is "csv", else as JSONL."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if fmt == "csv":
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(fields)
+            writer.writerows([record[f] for f in fields] for record in records)
+        else:
+            fh.writelines(json.dumps(record) + "\n" for record in records)
+
+
+# CSV ledgers may leave timestamps to a block->time sidecar.
+_REQUIRED_FILL_FIELDS = tuple(f for f in FILL_FIELDS if f != "timestamp")
+
+
+def read_fills(path, block_times: Mapping[int, int] | None = None) -> list[FillEvent]:
+    """Read a ledger shard (JSONL, or CSV with a header row)."""
+    return [fill_from_record(record, line_no, block_times)
+            for line_no, record in read_table(path, _REQUIRED_FILL_FIELDS)]
 
 
 def write_fills(path, fills: Iterable[FillEvent], fmt: str = "jsonl") -> None:
     """Write fills in the canonical wire schema (round-trips bit-exactly)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if fmt == "csv":
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(FILL_FIELDS)
-            for fill in fills:
-                record = fill.to_record()
-                writer.writerow([record[c] for c in FILL_FIELDS])
-        else:
-            for fill in fills:
-                fh.write(json.dumps(fill.to_record()) + "\n")
+    write_table(path, FILL_FIELDS, (fill.to_record() for fill in fills), fmt)
 
 
 def load_block_times(path) -> dict[int, int]:
@@ -421,10 +380,3 @@ def write_market_config(path, markets: Sequence[MarketSpec]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-
-
-def market_for_token(markets: Sequence[MarketSpec], token_id: str) -> MarketSpec | None:
-    for market in markets:
-        if token_id in market.token_ids:
-            return market
-    return None

@@ -20,8 +20,6 @@ from typing import Iterable, Sequence
 from .decompose import DecomposedTransaction
 from .units import interval_floor, interval_range
 
-SIDES = ("yes", "no")
-
 
 @dataclass(frozen=True)
 class SideTotals:
@@ -65,18 +63,6 @@ def side_measures(totals: SideTotals) -> MarketMeasures:
     v_e = totals.trade + min(totals.mint, totals.burn)
     f = totals.mint - totals.burn
     return MarketMeasures(v_e=v_e, f=f, v_g=v_e + abs(f))
-
-
-def exchange_equivalent_volume(totals: IntervalTotals) -> dict[str, int]:
-    return {s: side_measures(totals.side(s)).v_e for s in SIDES}
-
-
-def net_inflow(totals: IntervalTotals) -> dict[str, int]:
-    return {s: side_measures(totals.side(s)).f for s in SIDES}
-
-
-def gross_activity(totals: IntervalTotals) -> dict[str, int]:
-    return {s: side_measures(totals.side(s)).v_g for s in SIDES}
 
 
 def aggregate_components(
@@ -134,13 +120,17 @@ def merge_totals(intervals: Sequence[IntervalTotals]) -> IntervalTotals:
     """Union of intervals as a single aggregate (exact integer addition)."""
     if not intervals:
         raise ValueError("nothing to merge")
-    yes = no = SideTotals()
+    yes_trade = yes_mint = yes_burn = no_trade = no_mint = no_burn = 0
     for it in intervals:
-        yes = yes + it.yes
-        no = no + it.no
+        yes_trade += it.yes.trade
+        yes_mint += it.yes.mint
+        yes_burn += it.yes.burn
+        no_trade += it.no.trade
+        no_mint += it.no.mint
+        no_burn += it.no.burn
     return IntervalTotals(
         start=min(it.start for it in intervals),
         partition=intervals[0].partition,
-        yes=yes,
-        no=no,
+        yes=SideTotals(yes_trade, yes_mint, yes_burn),
+        no=SideTotals(no_trade, no_mint, no_burn),
     )

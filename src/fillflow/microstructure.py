@@ -47,10 +47,6 @@ class SignedTrade:
     def flow_micro(self) -> int:
         return self.direction * self.usdc_micro
 
-    @property
-    def size_musd(self) -> float:
-        return self.usdc_micro / MUSD_MICRO
-
 
 @dataclass(frozen=True)
 class HourBar:
@@ -67,10 +63,6 @@ class HourBar:
     flow_micro: int
     trade_count: int
     carried_forward: bool
-
-    @property
-    def flow_musd(self) -> float:
-        return self.flow_micro / MUSD_MICRO
 
 
 @dataclass(frozen=True)
@@ -199,12 +191,6 @@ def bar_log_odds(bars: Sequence[HourBar], eps: float = DEFAULT_CLAMP_EPS) -> tup
             clamped += 1
         thetas.append(log_odds(p, eps))
     return thetas, clamped
-
-
-def delta_log_odds(bars: Sequence[HourBar], eps: float = DEFAULT_CLAMP_EPS) -> list[float]:
-    """First differences of bar log-odds (length len(bars) - 1)."""
-    thetas, _ = bar_log_odds(bars, eps)
-    return [b - a for a, b in zip(thetas, thetas[1:])]
 
 
 def kyle_lambda(d_thetas: Sequence[float], flows: Sequence[float]) -> tuple[float, float] | None:

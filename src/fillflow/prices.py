@@ -53,10 +53,6 @@ class PricePoint:
         """USD per share (micro units cancel)."""
         return Fraction(self.usdc_micro, self.share_micro)
 
-    @property
-    def size_shares(self) -> Fraction:
-        return Fraction(self.share_micro, 10**6)
-
 
 @dataclass(frozen=True)
 class DeviationPoint:
@@ -81,9 +77,6 @@ class InflowSeries:
         for prev, cur in zip(self.days, self.days[1:]):
             if cur - prev != DAY:
                 raise DataError("inflow series must be dense and day-aligned")
-
-    def usd(self) -> list[float]:
-        return [v / 10**6 for v in self.values]
 
 
 def build_price_series(transactions: Iterable[Transaction], token_id: str) -> list[PricePoint]:

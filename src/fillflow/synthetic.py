@@ -272,15 +272,16 @@ class _Generator:
                 if party != self.exchange_address:
                     parties.add(party)
                     self.trader_markets.setdefault(party, set()).add(label)
-        components.check()
-        self.truth.append(DecomposedTransaction(
+        row = DecomposedTransaction(
             block=block,
             tx_index=tx_index,
             timestamp=ts,
             market=market.candidate,
             kind=kind,
             components=components,
-        ))
+        )
+        row.check()
+        self.truth.append(row)
         key = (day_floor(ts), (ts % DAY) // 3600)
         self.hourly_participants.setdefault(key, set()).update(parties)
 

@@ -22,8 +22,6 @@ from .units import DAY, day_floor
 class MarketActivity:
     trade_count: int = 0
     usd_volume: int = 0  # micro-USDC
-    first_seen: int | None = None
-    last_seen: int | None = None
 
 
 @dataclass
@@ -98,10 +96,6 @@ def collect_trader_activity(
                 market_activity = activity.per_market.setdefault(label, MarketActivity())
                 market_activity.trade_count += 1
                 market_activity.usd_volume += fill.usdc_amount
-                if market_activity.first_seen is None or tx.timestamp < market_activity.first_seen:
-                    market_activity.first_seen = tx.timestamp
-                if market_activity.last_seen is None or tx.timestamp > market_activity.last_seen:
-                    market_activity.last_seen = tx.timestamp
     return traders
 
 

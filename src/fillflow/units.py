@@ -27,11 +27,6 @@ def micro_to_usd(amount: int) -> str:
     return f"{sign}{amount // MICRO}.{amount % MICRO:06d}"
 
 
-def micro_to_musd(amount: int) -> float:
-    """Micro-USDC to million USD (statistics layer only)."""
-    return amount / 10**12
-
-
 def parse_utc(value: str | int | float) -> int:
     """Parse an ISO-8601 UTC instant (or epoch seconds) to epoch seconds.
 

@@ -351,3 +351,52 @@ class TestIngestCommand:
         from fillflow.events import read_fills
         assert read_fills(out / "fills.csv") == sorted(
             example_fills, key=lambda f: f.key)
+
+
+DECOMPOSED_HEADER = ("block,txIndex,timestamp,market,kind,buyVol,sellVol,"
+                     "yesTradeVol,noTradeVol,yesMintVol,noMintVol,yesBurnVol,noBurnVol")
+DECOMPOSED_ROW = "51953200,180,1709640000,Trump,pure_exchange,5,5,0,5,0,0,0,0"
+
+
+class TestMalformedTables:
+    @pytest.mark.parametrize("header, bad_row, message", [
+        (DECOMPOSED_HEADER.rsplit(",", 1)[0], DECOMPOSED_ROW.rsplit(",", 1)[0],
+         "line 1: CSV header missing columns: ['noBurnVol']"),
+        (DECOMPOSED_HEADER, DECOMPOSED_ROW.replace(",5,5,", ",5x,5,"),
+         "line 3: invalid literal for int() with base 10: '5x'"),
+        (DECOMPOSED_HEADER, DECOMPOSED_ROW.replace("pure_exchange", "bogus"),
+         "line 3: 'bogus' is not a valid TxKind"),
+        (DECOMPOSED_HEADER, DECOMPOSED_ROW.rsplit(",", 1)[0],
+         "line 3: expected 13 columns, got 12"),
+        (DECOMPOSED_HEADER, DECOMPOSED_ROW + ",0",
+         "line 3: expected 13 columns, got 14"),
+    ], ids=["missing-column", "non-integer", "unknown-kind", "short-row", "extra-value"])
+    def test_decomposed_table_exits_3_naming_line(self, runner, tmp_path, header, bad_row,
+                                                  message):
+        table = tmp_path / "decomposed.csv"
+        table.write_text(f"{header}\n{DECOMPOSED_ROW}\n{bad_row}\n")
+        result = runner.invoke(main, ["metrics", "--input", str(table), "--market", "Trump",
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3
+        assert message in result.output
+
+    def test_fill_row_with_extra_value_exits_3(self, runner, tmp_path, example_fills):
+        shard = tmp_path / "shard.csv"
+        write_fills(shard, example_fills, "csv")
+        lines = shard.read_text().splitlines()
+        lines[2] += ",EXTRA"
+        shard.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["ingest", "--input", str(shard),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3
+        assert "line 3: expected 10 columns, got 11" in result.output
+
+    def test_decomposed_jsonl_null_value_exits_3(self, runner, tmp_path):
+        record = dict(zip(DECOMPOSED_HEADER.split(","), DECOMPOSED_ROW.split(",")))
+        record["noTradeVol"] = None
+        table = tmp_path / "decomposed.jsonl"
+        table.write_text(json.dumps(record) + "\n")
+        result = runner.invoke(main, ["metrics", "--input", str(table), "--market", "Trump",
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3
+        assert "line 1: " in result.output

@@ -1,21 +1,20 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
 from fillflow.decompose import (
+    DecomposedTransaction,
     TxKind,
     VolumeComponents,
-    classify_transaction,
     decompose_ledger,
-    decompose_transaction,
     decomposed_from_record,
     decomposed_to_record,
-    gross_flows,
     read_decomposed,
-    restrict_to_market,
     write_decomposed,
 )
-from fillflow.errors import DecompositionAnomalyError, WrongMarketError
+from fillflow.errors import DecompositionAnomalyError
 from fillflow.events import FillEvent, Transaction, group_transactions
 from fillflow.fixtures import expected_decompositions
 
@@ -36,38 +35,58 @@ def sell_fill(token, shares, usdc, log_index=0, block=1, tx_index=0, ts=17096400
                      token, "0", shares, usdc, ts)
 
 
+def only_row(tx, markets):
+    rows, anomalies = decompose_ledger([tx], markets)
+    assert not anomalies and len(rows) == 1
+    return rows[0]
+
+
+def only_anomaly(tx, markets):
+    rows, anomalies = decompose_ledger([tx], markets)
+    assert not rows and len(anomalies) == 1
+    return anomalies[0]
+
+
 @pytest.fixture
 def trump(markets):
     return markets[0]
 
 
+@pytest.fixture
+def fixture_rows(example_transactions, markets):
+    rows, anomalies = decompose_ledger(example_transactions, markets)
+    assert not anomalies
+    return {(r.block, r.tx_index): r for r in rows}
+
+
 class TestGrossFlows:
-    def test_simple_trade_flows(self, example_transactions):
-        tx = next(t for t in example_transactions if t.key == (51953200, 180))
-        assert gross_flows(tx) == (123_900_000, 123_900_000)
+    def test_simple_trade_flows(self, fixture_rows):
+        c = fixture_rows[(51953200, 180)].components
+        assert (c.buy_vol, c.sell_vol) == (123_900_000, 123_900_000)
 
-    def test_minting_flows(self, example_transactions):
-        tx = next(t for t in example_transactions if t.key == (54432034, 44))
-        assert gross_flows(tx) == (6_000_000_000, 0)
+    def test_minting_flows(self, fixture_rows):
+        c = fixture_rows[(54432034, 44)].components
+        assert (c.buy_vol, c.sell_vol) == (6_000_000_000, 0)
 
-    def test_no_fills_after_filtering(self):
-        assert gross_flows([]) == (0, 0)
+    def test_no_fills_after_filtering(self, trump):
+        # zero-amount fills leave (0, 0) flows: a pure exchange of nothing
+        row = only_row(tx_of([buy_fill(trump.yes_token_id, 0, 0)]), [trump])
+        assert row.kind is TxKind.PURE_EXCHANGE
+        assert row.components == VolumeComponents()
 
 
 class TestClassification:
-    def test_fixture_kinds(self, example_transactions, markets):
-        expected = expected_decompositions()
-        for tx in example_transactions:
-            market_name, kind, _ = expected[tx.key]
-            market = next(m for m in markets if m.candidate == market_name)
-            assert classify_transaction(tx, market) is kind
+    def test_fixture_kinds(self, fixture_rows):
+        for key, (market_name, kind, _) in expected_decompositions().items():
+            assert fixture_rows[key].market == market_name
+            assert fixture_rows[key].kind is kind
 
     def test_equal_flows_single_token(self, trump):
         tx = tx_of([
             buy_fill(trump.no_token_id, 59 * USD, 100 * USD, 0),
             sell_fill(trump.no_token_id, 100 * USD, 59 * USD, 1),
         ])
-        assert classify_transaction(tx, trump) is TxKind.PURE_EXCHANGE
+        assert only_row(tx, [trump]).kind is TxKind.PURE_EXCHANGE
 
     def test_burn_mixedness_uses_taker_side(self, trump):
         # mirror of the mixed-mint example: taker sells, one leg bought back
@@ -76,21 +95,13 @@ class TestClassification:
             buy_fill(trump.yes_token_id, 84_000_000, 200_000_000, 1),
             sell_fill(trump.no_token_id, 38_095_237, 22_095_238, 2),
         ])
-        assert classify_transaction(tx, trump) is TxKind.MIXED_BURN
-
-    def test_foreign_token_rejected(self, trump):
-        tx = tx_of([buy_fill("123456", 10, 10)])
-        with pytest.raises(WrongMarketError):
-            classify_transaction(tx, trump)
+        assert only_row(tx, [trump]).kind is TxKind.MIXED_BURN
 
 
 class TestDecomposition:
-    def test_fixture_components_exact(self, example_transactions, markets):
-        expected = expected_decompositions()
-        for tx in example_transactions:
-            market_name, _, components = expected[tx.key]
-            market = next(m for m in markets if m.candidate == market_name)
-            assert decompose_transaction(tx, market) == components
+    def test_fixture_components_exact(self, fixture_rows):
+        for key, (_, _, components) in expected_decompositions().items():
+            assert fixture_rows[key].components == components
 
     def test_mixed_burn_mirror(self, trump):
         tx = tx_of([
@@ -98,8 +109,7 @@ class TestDecomposition:
             buy_fill(trump.yes_token_id, 84_000_000, 200_000_000, 1),
             sell_fill(trump.no_token_id, 38_095_237, 22_095_238, 2),
         ])
-        got = decompose_transaction(tx, trump)
-        assert got == VolumeComponents(
+        assert only_row(tx, [trump]).components == VolumeComponents(
             yes_trade=84_000_000, yes_burn=15_999_999, no_burn=22_095_238,
             buy_vol=84_000_000, sell_vol=122_095_237,
         )
@@ -111,8 +121,7 @@ class TestDecomposition:
             sell_fill(trump.yes_token_id, 30 * USD, 15 * USD, 2),
             sell_fill(trump.no_token_id, 30 * USD, 15 * USD, 3),
         ])
-        with pytest.raises(DecompositionAnomalyError, match="simultaneous"):
-            decompose_transaction(tx, trump)
+        assert "simultaneous" in only_anomaly(tx, [trump]).reason
 
     def test_negative_component_rejected(self, trump):
         # surplus buys of NO only, but the exchanged leg is YES: the formula
@@ -121,36 +130,64 @@ class TestDecomposition:
             buy_fill(trump.no_token_id, 50 * USD, 100 * USD, 0),
             sell_fill(trump.yes_token_id, 20 * USD, 10 * USD, 1),
         ])
-        with pytest.raises(DecompositionAnomalyError, match="negative"):
-            decompose_transaction(tx, trump)
+        assert "negative" in only_anomaly(tx, [trump]).reason
 
     def test_anomaly_carries_coordinates(self, trump):
         tx = tx_of([
             buy_fill(trump.no_token_id, 50 * USD, 100 * USD, 0, block=77, tx_index=8),
             sell_fill(trump.yes_token_id, 20 * USD, 10 * USD, 1, block=77, tx_index=8),
         ])
-        with pytest.raises(DecompositionAnomalyError) as err:
-            decompose_transaction(tx, trump)
-        assert err.value.block == 77 and err.value.tx_index == 8
+        anomaly = only_anomaly(tx, [trump])
+        assert (anomaly.block, anomaly.tx_index, anomaly.market) == (77, 8, "Trump")
+        assert anomaly.reason.startswith("tx (77, 8): ")
 
     def test_fill_order_invariance(self, small_ledger, markets):
         rng = random.Random(5)
         txs = group_transactions(small_ledger.fills)
         for tx in rng.sample(txs, 100):
-            market = next(m for m in markets if tx.token_ids() <= set(m.token_ids))
-            baseline = decompose_transaction(tx, market)
+            baseline = decompose_ledger([tx], markets)
             shuffled = list(tx.fills)
             rng.shuffle(shuffled)
             permuted = Transaction(tx.block, tx.tx_index, tx.timestamp, tuple(shuffled))
-            assert decompose_transaction(permuted, market) == baseline
+            assert decompose_ledger([permuted], markets) == baseline
 
 
 class TestInvariants:
     def test_generator_fuzz_conservation(self, small_ledger):
         for row in small_ledger.truth:
+            row.check()
             c = row.components
-            c.check()
             assert c.yes_trade + c.no_trade == min(c.buy_vol, c.sell_vol)
+
+    @pytest.mark.parametrize("components, problem", [
+        (VolumeComponents(yes_trade=-1), "negative component"),
+        (VolumeComponents(yes_trade=1, no_trade=1, buy_vol=2, sell_vol=2),
+         "trade volume on both tokens"),
+        (VolumeComponents(yes_mint=5, buy_vol=4), "conservation violated"),
+        (VolumeComponents(yes_mint=1, yes_burn=1), "burn volume without a sell surplus"),
+        (VolumeComponents(yes_mint=1, yes_burn=3, sell_vol=2),
+         "mint volume without a buy surplus"),
+    ])
+    def test_check_raises_with_coordinates(self, components, problem):
+        row = DecomposedTransaction(7, 3, 0, "Trump", TxKind.SHARE_MINTING, components)
+        with pytest.raises(DecompositionAnomalyError, match=problem) as err:
+            row.check()
+        assert (err.value.block, err.value.tx_index) == (7, 3)
+
+    def test_check_survives_optimize_flag(self):
+        code = (
+            "from fillflow.decompose import DecomposedTransaction, TxKind, VolumeComponents\n"
+            "from fillflow.errors import DecompositionAnomalyError\n"
+            "row = DecomposedTransaction(7, 3, 0, 'Trump', TxKind.PURE_EXCHANGE,\n"
+            "                            VolumeComponents(yes_trade=-1))\n"
+            "try:\n"
+            "    row.check()\n"
+            "except DecompositionAnomalyError as exc:\n"
+            "    print(exc)\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.startswith("tx (7, 3): negative component")
 
     def test_ledger_matches_ground_truth(self, small_ledger, markets):
         txs = group_transactions(small_ledger.fills)
@@ -163,26 +200,38 @@ class TestLedgerHandling:
     def test_multi_market_transaction_split(self, markets):
         trump, biden = markets[0], markets[1]
         fills = [
-            buy_fill(trump.no_token_id, 59 * USD, 100 * USD, 0),
-            sell_fill(trump.no_token_id, 100 * USD, 59 * USD, 1),
-            buy_fill(biden.yes_token_id, 34 * USD, 100 * USD, 2),
-            buy_fill(biden.no_token_id, 66 * USD, 100 * USD, 3),
+            buy_fill(biden.yes_token_id, 34 * USD, 100 * USD, 0),
+            buy_fill(biden.no_token_id, 66 * USD, 100 * USD, 1),
+            buy_fill(trump.no_token_id, 59 * USD, 100 * USD, 2),
+            sell_fill(trump.no_token_id, 100 * USD, 59 * USD, 3),
         ]
         tx = tx_of(fills)
         rows, anomalies = decompose_ledger([tx], markets)
         assert not anomalies
-        assert {r.market for r in rows} == {"Trump", "Biden"}
-        trump_row = next(r for r in rows if r.market == "Trump")
+        # one row per touched market, in market-config order
+        assert [r.market for r in rows] == ["Trump", "Biden"]
+        trump_row, biden_row = rows
         assert trump_row.kind is TxKind.PURE_EXCHANGE
         assert trump_row.components.no_trade == 59 * USD
-        biden_row = next(r for r in rows if r.market == "Biden")
         assert biden_row.kind is TxKind.SHARE_MINTING
         assert biden_row.components.yes_mint == 34 * USD
 
     def test_restrict_to_market(self, markets, example_transactions):
         tx = example_transactions[0]
-        assert restrict_to_market(tx, markets[0]) is tx
-        assert restrict_to_market(tx, markets[1]) is None
+        # untouched markets yield no row and do not change the touched one
+        assert decompose_ledger([tx], markets) == decompose_ledger([tx], markets[:1])
+        assert [r.market for r in decompose_ledger([tx], markets)[0]] == ["Trump"]
+
+    def test_quarantine_names_first_failing_market(self, markets):
+        trump, biden = markets[0], markets[1]
+        good_trump = [buy_fill(trump.no_token_id, 59 * USD, 100 * USD, 0),
+                      sell_fill(trump.no_token_id, 100 * USD, 59 * USD, 1)]
+        bad_biden = [buy_fill(biden.no_token_id, 50 * USD, 100 * USD, 2),
+                     sell_fill(biden.yes_token_id, 20 * USD, 10 * USD, 3)]
+        bad_trump = [buy_fill(trump.no_token_id, 50 * USD, 100 * USD, 4),
+                     sell_fill(trump.yes_token_id, 20 * USD, 10 * USD, 5)]
+        assert only_anomaly(tx_of(good_trump + bad_biden), markets).market == "Biden"
+        assert only_anomaly(tx_of(bad_biden + bad_trump), markets).market == "Trump"
 
     def test_unknown_token_quarantined(self, markets, trump):
         good = tx_of([buy_fill(trump.no_token_id, 59 * USD, 100 * USD, 0,

@@ -12,11 +12,8 @@ from fillflow.errors import (
 from fillflow.events import (
     FILL_FIELDS,
     FillEvent,
-    LedgerWindow,
-    clip_window,
     group_transactions,
     load_market_config,
-    parse_fill_record,
     read_fills,
     write_fills,
     write_market_config,
@@ -32,10 +29,38 @@ def make_fill(block=1, tx_index=0, log_index=0, buy=True, usdc=590_000, shares=1
     return FillEvent(block, tx_index, log_index, "0xaa", "0xbb", TOKEN, "0", shares, usdc, ts)
 
 
+HEADER = ",".join(FILL_FIELDS)
+
+
+def read_csv_line(tmp_path, line, header=HEADER, block_times=None):
+    path = tmp_path / "fills.csv"
+    path.write_text(f"{header}\n{line}\n", encoding="utf-8")
+    return read_fills(path, block_times=block_times)
+
+
+def read_json_lines(tmp_path, *records, block_times=None):
+    path = tmp_path / "fills.jsonl"
+    path.write_text("".join(r if isinstance(r, str) else json.dumps(r) + "\n"
+                            for r in records), encoding="utf-8")
+    return read_fills(path, block_times=block_times)
+
+
+def wire_record(**changes):
+    record = {
+        "block": 54432034, "txIndex": 44, "logIndex": 101,
+        "maker": "0x351", "taker": "0xC5d",
+        "makerAssetId": "0", "takerAssetId": TOKEN,
+        "makerAmountFilled": "6000000000", "takerAmountFilled": "6000000000",
+        "timestamp": 1714557600,
+    }
+    record.update(changes)
+    return record
+
+
 class TestParsing:
-    def test_csv_row_canonical_order(self):
+    def test_csv_row_canonical_order(self, tmp_path):
         line = f"51953200,180,826,0x9d8,0xC5d,0,{TOKEN},123900000,210000000,1709640000"
-        fill = parse_fill_record(line, "csv")
+        fill, = read_csv_line(tmp_path, line)
         assert fill.maker_amount == 123_900_000
         assert fill.taker_amount == 210_000_000
         assert fill.is_buy
@@ -43,51 +68,67 @@ class TestParsing:
         assert fill.usdc_amount == 123_900_000
         assert fill.share_amount == 210_000_000
 
-    def test_jsonl_string_amounts_become_exact_integers(self):
-        record = {
-            "block": 54432034, "txIndex": 44, "logIndex": 101,
-            "maker": "0x351", "taker": "0xC5d",
-            "makerAssetId": "0", "takerAssetId": TOKEN,
-            "makerAmountFilled": "6000000000", "takerAmountFilled": "6000000000",
-            "timestamp": 1714557600,
-        }
-        fill = parse_fill_record(json.dumps(record), "jsonl")
+    def test_jsonl_string_amounts_become_exact_integers(self, tmp_path):
+        fill, = read_json_lines(tmp_path, wire_record())
         # independent text-to-integer check
         assert fill.maker_amount == int("6000000000") == 6_000_000_000
         assert isinstance(fill.maker_amount, int)
 
-    def test_both_asset_ids_collateral_rejected(self):
-        line = "1,0,0,0xaa,0xbb,0,0,100,100,1"
-        with pytest.raises(SchemaError, match="both"):
-            parse_fill_record(line, "csv")
+    def test_both_asset_ids_collateral_rejected(self, tmp_path):
+        with pytest.raises(SchemaError, match="line 2: both"):
+            read_csv_line(tmp_path, "1,0,0,0xaa,0xbb,0,0,100,100,1")
 
     def test_neither_asset_id_collateral_rejected(self):
         with pytest.raises(SchemaError, match="neither"):
             make_fill().__class__(1, 0, 0, "0xaa", "0xbb", TOKEN, TOKEN, 1, 1, 1)
 
-    def test_malformed_line_reports_line_number(self):
-        with pytest.raises(ParseError, match="line 7"):
-            parse_fill_record("{not json", "jsonl", line_no=7)
+    def test_malformed_line_reports_line_number(self, tmp_path):
+        lines = [json.dumps(wire_record(logIndex=i)) + "\n" for i in range(6)]
+        with pytest.raises(ParseError, match="line 7: invalid JSON"):
+            read_json_lines(tmp_path, *lines, "{not json\n")
+        with pytest.raises(ParseError, match="line 2: record is not an object"):
+            read_json_lines(tmp_path, lines[0], "[1, 2]\n")
 
-    def test_malformed_amount_rejected(self):
-        line = f"1,0,0,0xaa,0xbb,0,{TOKEN},12.5,100,1"
-        with pytest.raises(ParseError, match="makerAmountFilled"):
-            parse_fill_record(line, "csv", line_no=3)
+    def test_malformed_amount_rejected(self, tmp_path):
+        with pytest.raises(ParseError, match="line 2: makerAmountFilled"):
+            read_csv_line(tmp_path, f"1,0,0,0xaa,0xbb,0,{TOKEN},12.5,100,1")
+
+    @pytest.mark.parametrize("line", [
+        f"1,0,0,0xaa,0xbb,0,{TOKEN},100,100,1,EXTRA",
+        f"1,0,0,0xaa,0xbb,0,{TOKEN},100,100",
+    ], ids=["extra-value", "short-row"])
+    def test_csv_column_count_enforced(self, tmp_path, line):
+        with pytest.raises(ParseError, match="line 2: expected 10 columns"):
+            read_csv_line(tmp_path, line)
+
+    @pytest.mark.parametrize("field, value", [
+        ("makerAmountFilled", "\u0661\u0660"),  # Arabic-Indic digits one, zero
+        ("takerAmountFilled", "\u00b2"),
+        ("block", "-"),
+        ("logIndex", "1_0"),
+    ])
+    def test_only_ascii_integers_accepted(self, tmp_path, field, value):
+        with pytest.raises(ParseError, match=f"line 1: {field}: not an integer"):
+            read_json_lines(tmp_path, wire_record(**{field: value}))
+
+    def test_token_id_must_be_ascii_digits(self, tmp_path):
+        with pytest.raises(SchemaError, match="line 1: taker_asset_id"):
+            read_json_lines(tmp_path, wire_record(takerAssetId="\u00b2"))
 
     def test_negative_amount_rejected(self):
         with pytest.raises(SchemaError):
             make_fill(usdc=-5)
 
-    def test_timestamp_from_block_sidecar(self):
-        record = {
-            "block": 9, "txIndex": 0, "logIndex": 0, "maker": "a", "taker": "b",
-            "makerAssetId": "0", "takerAssetId": TOKEN,
-            "makerAmountFilled": "1", "takerAmountFilled": "1",
-        }
-        fill = parse_fill_record(json.dumps(record), "jsonl", block_times={9: 555})
+    def test_timestamp_from_block_sidecar(self, tmp_path):
+        record = wire_record(block=9)
+        del record["timestamp"]
+        fill, = read_json_lines(tmp_path, record, block_times={9: 555})
         assert fill.timestamp == 555
-        with pytest.raises(ParseError, match="timestamp"):
-            parse_fill_record(json.dumps(record), "jsonl")
+        with pytest.raises(ParseError, match="line 1: missing timestamp"):
+            read_json_lines(tmp_path, record)
+        header = HEADER.replace(",timestamp", "")
+        fill, = read_csv_line(tmp_path, f"9,0,0,a,b,0,{TOKEN},1,1", header, {9: 555})
+        assert fill.timestamp == 555
 
 
 class TestRoundTrip:
@@ -198,19 +239,3 @@ class TestMarketConfig:
         with pytest.raises(ConfigError):
             load_market_config(path)
 
-
-class TestWindow:
-    def test_clip_keeps_in_range(self, example_transactions):
-        start = example_transactions[0].timestamp
-        end = example_transactions[-1].timestamp  # exclusive: drops the last tx
-        window = clip_window(example_transactions, start, end)
-        assert len(window.transactions) == len(example_transactions) - 1
-
-    def test_out_of_window_timestamp_rejected(self, example_transactions):
-        with pytest.raises(SchemaError, match="outside window"):
-            LedgerWindow(tuple(example_transactions), 0, example_transactions[0].timestamp)
-
-    def test_order_enforced(self, example_transactions):
-        txs = (example_transactions[1], example_transactions[0])
-        with pytest.raises(SchemaError, match="out of order"):
-            LedgerWindow(txs, 0, 2**40)

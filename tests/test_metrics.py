@@ -8,10 +8,7 @@ from fillflow.metrics import (
     IntervalTotals,
     SideTotals,
     aggregate_components,
-    exchange_equivalent_volume,
-    gross_activity,
     merge_totals,
-    net_inflow,
     side_measures,
 )
 from fillflow.units import DAY, parse_utc
@@ -36,20 +33,21 @@ def totals(trade=0, mint=0, burn=0):
 class TestMeasures:
     def test_exchange_equivalent_volume(self):
         t = totals(trade=5 * USD, mint=3 * USD, burn=1 * USD)
-        assert exchange_equivalent_volume(t) == {"yes": 6 * USD, "no": 0}
+        assert side_measures(t.yes).v_e == 6 * USD
+        assert side_measures(t.no).v_e == 0
 
     def test_v_e_reduces_to_trade_without_issuance(self):
         t = totals(trade=7 * USD)
-        assert exchange_equivalent_volume(t)["yes"] == 7 * USD
+        assert side_measures(t.yes).v_e == 7 * USD
 
     def test_net_inflow_signs(self):
-        assert net_inflow(totals(mint=10 * USD, burn=4 * USD))["yes"] == 6 * USD
-        assert net_inflow(totals(burn=7 * USD))["yes"] == -7 * USD
+        assert side_measures(totals(mint=10 * USD, burn=4 * USD).yes).f == 6 * USD
+        assert side_measures(totals(burn=7 * USD).yes).f == -7 * USD
 
     def test_gross_activity_identity(self):
         t = totals(trade=5 * USD, mint=3 * USD, burn=1 * USD)
-        assert gross_activity(t)["yes"] == 8 * USD
         m = side_measures(t.yes)
+        assert m.v_g == 8 * USD
         assert m.v_g == m.v_e + abs(m.f)
 
     def test_all_zero(self):

@@ -3,13 +3,13 @@ import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fillflow.errors import DataError
 from fillflow.microstructure import (
     HourBar,
     bar_log_odds,
-    delta_log_odds,
     hourly_bars,
     inverse_log_odds,
     kyle_lambda,
@@ -237,7 +237,7 @@ class TestRollingLambda:
         bars, flows = self.make_bars(0.25, 24 * 31 + 1)
         estimates = rolling_kyle_lambda(bars, 720, 1)
 
-        d_theta = delta_log_odds(bars)
+        d_theta = np.diff(bar_log_odds(bars)[0])
         pairs = list(zip(d_theta, flows[1:]))
         date = estimates[0].date
         lo = (date - 720 * HOUR - bars[0].start) // HOUR

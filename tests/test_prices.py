@@ -45,7 +45,7 @@ class TestPriceSeries:
         simple = next(p for p in points if p.block == 51953200)
         assert simple.price == Fraction(59, 100)
         # the aggregate buy fill nets the two partial sells: 210 shares, not 420
-        assert simple.size_shares == 210
+        assert simple.share_micro == 210 * 10**6
 
     def test_minting_leg_price(self, example_transactions, markets):
         biden = markets[1]
