@@ -53,6 +53,7 @@ from .prices import (
 from .synthetic import generate_synthetic_ledger, load_scenario
 from .traders import (
     cell_bitmask,
+    collect_trader_activity,
     hourly_active_traders,
     participation_sets,
     top_decile_traders,
@@ -573,14 +574,15 @@ def traders_cmd(inputs, markets_path, quarter, start, end, by, exclude_addresses
                 [{"hour": h, "meanActiveTraders": _fmt_float(v)}
                  for h, v in enumerate(hourly)], "csv")
 
+    activity = collect_trader_activity(window, markets, exclude)
     try:
-        top = top_decile_traders(window, markets, by, exclude)
+        top = top_decile_traders(activity, by)
     except DataError as exc:
         top = []
         click.echo(f"warning: {exc}", err=True)
     (out_dir / "top_decile.txt").write_text("".join(a + "\n" for a in top), encoding="utf-8")
 
-    cells, marginals, candidate_cells = participation_sets(window, markets, exclude)
+    cells, marginals, candidate_cells = participation_sets(activity)
     write_table(out_dir / "participation.csv",
                 ["bitmask", "markets", "count", "sharePct"],
                 [{"bitmask": cell_bitmask(c.markets, markets),

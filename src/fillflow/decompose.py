@@ -27,7 +27,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import DecompositionAnomalyError, ParseError
-from .events import COLLATERAL_ID, MarketSpec, Transaction, read_table, write_table
+from .events import COLLATERAL_ID, MarketSpec, Transaction, _to_amount, read_table, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -251,21 +251,22 @@ def decomposed_to_record(row: DecomposedTransaction) -> dict[str, str | int]:
 
 
 def decomposed_from_record(record: dict) -> DecomposedTransaction:
+    """Build a row from a decoded record; integers must be ASCII digits."""
     return DecomposedTransaction(
-        block=int(record["block"]),
-        tx_index=int(record["txIndex"]),
-        timestamp=int(record["timestamp"]),
+        block=_to_amount(record["block"], "block"),
+        tx_index=_to_amount(record["txIndex"], "txIndex"),
+        timestamp=_to_amount(record["timestamp"], "timestamp"),
         market=str(record["market"]),
         kind=TxKind(record["kind"]),
         components=VolumeComponents(
-            yes_trade=int(record["yesTradeVol"]),
-            no_trade=int(record["noTradeVol"]),
-            yes_mint=int(record["yesMintVol"]),
-            no_mint=int(record["noMintVol"]),
-            yes_burn=int(record["yesBurnVol"]),
-            no_burn=int(record["noBurnVol"]),
-            buy_vol=int(record["buyVol"]),
-            sell_vol=int(record["sellVol"]),
+            yes_trade=_to_amount(record["yesTradeVol"], "yesTradeVol"),
+            no_trade=_to_amount(record["noTradeVol"], "noTradeVol"),
+            yes_mint=_to_amount(record["yesMintVol"], "yesMintVol"),
+            no_mint=_to_amount(record["noMintVol"], "noMintVol"),
+            yes_burn=_to_amount(record["yesBurnVol"], "yesBurnVol"),
+            no_burn=_to_amount(record["noBurnVol"], "noBurnVol"),
+            buy_vol=_to_amount(record["buyVol"], "buyVol"),
+            sell_vol=_to_amount(record["sellVol"], "sellVol"),
         ),
     )
 
@@ -275,13 +276,19 @@ def write_decomposed(path, rows: Iterable[DecomposedTransaction], fmt: str = "cs
 
 
 def read_decomposed(path) -> list[DecomposedTransaction]:
-    """Read a decomposed table (CSV, or JSONL); errors name the file line."""
+    """Read a decomposed table (CSV, or JSONL).
+
+    Every row must satisfy the decomposition invariants (``check``); a
+    malformed or inconsistent row raises ParseError naming its file line.
+    """
     rows: list[DecomposedTransaction] = []
     for line_no, record in read_table(path, DECOMPOSED_FIELDS):
         try:
-            rows.append(decomposed_from_record(record))
+            row = decomposed_from_record(record)
+            row.check()
         except KeyError as exc:
             raise ParseError(f"missing field {exc.args[0]!r}", line_no) from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, DecompositionAnomalyError) as exc:
             raise ParseError(str(exc), line_no) from exc
+        rows.append(row)
     return rows

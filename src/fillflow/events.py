@@ -15,7 +15,9 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import groupby
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DuplicateEventError, ParseError, SchemaError
 from .units import parse_utc
@@ -37,15 +39,8 @@ FILL_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class FillEvent:
-    """One OrderFilled record.
-
-    ``maker_amount`` is in micro-USDC when ``maker_asset_id`` is "0", else
-    micro-shares; symmetrically for the taker side. Exactly one of the two
-    asset ids must be the collateral id.
-    """
-
+# A NamedTuple class cannot define __new__, so FillEvent validates in a subclass.
+class _FillFields(NamedTuple):
     block: int
     tx_index: int
     log_index: int
@@ -57,24 +52,53 @@ class FillEvent:
     taker_amount: int
     timestamp: int
 
-    def __post_init__(self):
-        for name in ("block", "tx_index", "log_index", "maker_amount", "taker_amount"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise SchemaError(f"{name} must be a non-negative integer, got {value!r}")
-        maker_is_cash = self.maker_asset_id == COLLATERAL_ID
-        taker_is_cash = self.taker_asset_id == COLLATERAL_ID
-        if maker_is_cash == taker_is_cash:
+
+_INTEGER_FIELDS = ("block", "tx_index", "log_index", "maker_amount", "taker_amount")
+
+
+def _check_integers(values: tuple) -> None:
+    for name, value in zip(_INTEGER_FIELDS, values):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise SchemaError(f"{name} must be a non-negative integer, got {value!r}")
+
+
+class FillEvent(_FillFields):
+    """One OrderFilled record, an immutable named tuple.
+
+    ``maker_amount`` is in micro-USDC when ``maker_asset_id`` is "0", else
+    micro-shares; symmetrically for the taker side. Exactly one of the two
+    asset ids must be the collateral id. Construction validates every field
+    the decomposition relies on and raises SchemaError otherwise.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, block, tx_index, log_index, maker, taker, maker_asset_id,
+                taker_asset_id, maker_amount, taker_amount, timestamp):
+        integers = (block, tx_index, log_index, maker_amount, taker_amount)
+        for value in integers:
+            if type(value) is not int or value < 0:
+                _check_integers(integers)  # names the bad field; int subclasses pass
+                break
+        maker_is_cash = maker_asset_id == COLLATERAL_ID
+        if maker_is_cash == (taker_asset_id == COLLATERAL_ID):
             which = "both" if maker_is_cash else "neither"
             raise SchemaError(
                 f"{which} asset ids are collateral in fill "
-                f"({self.block}, {self.tx_index}, {self.log_index}); "
+                f"({block}, {tx_index}, {log_index}); "
                 "every fill must exchange collateral against one outcome token"
             )
-        for name in ("maker_asset_id", "taker_asset_id"):
-            token = getattr(self, name)
-            if not (token.isascii() and token.isdigit()):
-                raise SchemaError(f"{name} must be a decimal string, got {token!r}")
+        if not (maker_asset_id.isascii() and maker_asset_id.isdigit()):
+            raise SchemaError(f"maker_asset_id must be a decimal string, got {maker_asset_id!r}")
+        if not (taker_asset_id.isascii() and taker_asset_id.isdigit()):
+            raise SchemaError(f"taker_asset_id must be a decimal string, got {taker_asset_id!r}")
+        return tuple.__new__(cls, (block, tx_index, log_index, maker, taker, maker_asset_id,
+                                   taker_asset_id, maker_amount, taker_amount, timestamp))
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``, which must validate too.
+        return cls(*iterable)
 
     @property
     def key(self) -> tuple[int, int, int]:
@@ -170,6 +194,11 @@ def _to_amount(value, field: str) -> int:
     # Amounts arrive as integer strings (token amounts may exceed 64 bits,
     # which Python ints carry exactly); ints are accepted, floats are not,
     # and strings must be ASCII digits with an optional leading minus.
+    # Plain ints and plain digit strings, the common cases, are tested first.
+    if type(value) is int:
+        return value
+    if type(value) is str and value.isascii() and value.isdigit():
+        return int(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
@@ -290,33 +319,35 @@ def load_block_times(path) -> dict[int, int]:
     return {int(block): parse_utc(ts) for block, ts in raw.items()}
 
 
+_COORDINATES = attrgetter("block", "tx_index", "log_index")
+_TRANSACTION = attrgetter("block", "tx_index")
+
+
 def group_transactions(fills: Iterable[FillEvent]) -> list[Transaction]:
     """Partition fills into transactions keyed by (block, txIndex).
 
     Within each transaction fills are ordered by logIndex; transactions are
     ordered by (block, txIndex). The partition is permutation-invariant and
     loses or duplicates nothing. Exact duplicate coordinates are rejected:
-    fill streams are assumed pre-deduplicated.
+    fill streams are assumed pre-deduplicated. Duplicates are reported
+    before conflicting timestamps, wherever either occurs in the ledger.
     """
-    groups: dict[tuple[int, int], list[FillEvent]] = {}
-    seen: set[tuple[int, int, int]] = set()
-    for fill in fills:
-        if fill.key in seen:
-            raise DuplicateEventError(f"duplicate fill coordinates {fill.key}")
-        seen.add(fill.key)
-        groups.setdefault((fill.block, fill.tx_index), []).append(fill)
-
-    transactions = []
-    for (block, tx_index), group in sorted(groups.items()):
-        group.sort(key=lambda f: f.log_index)
-        timestamps = {f.timestamp for f in group}
-        if len(timestamps) > 1:
-            raise SchemaError(
-                f"transaction ({block}, {tx_index}) has conflicting timestamps {sorted(timestamps)}"
-            )
-        transactions.append(
-            Transaction(block=block, tx_index=tx_index, timestamp=group[0].timestamp, fills=tuple(group))
-        )
+    ordered = sorted(fills, key=_COORDINATES)
+    transactions: list[Transaction] = []
+    conflict: SchemaError | None = None
+    for (block, tx_index), run in groupby(ordered, _TRANSACTION):
+        group = tuple(run)
+        timestamp = group[0].timestamp
+        for prev, fill in zip(group, group[1:]):
+            if fill.log_index == prev.log_index:
+                raise DuplicateEventError(f"duplicate fill coordinates {fill.key}")
+            if fill.timestamp != timestamp and conflict is None:
+                timestamps = sorted({f.timestamp for f in group})
+                conflict = SchemaError(f"transaction ({block}, {tx_index}) "
+                                       f"has conflicting timestamps {timestamps}")
+        transactions.append(Transaction(block, tx_index, timestamp, group))
+    if conflict is not None:
+        raise conflict
     return transactions
 
 

@@ -7,7 +7,9 @@ means the same thing at 0.1 as at 0.5, and regress hourly log-odds changes
 on net flow over a trailing window to get the price-impact coefficient.
 
 Signed flow is kept in integer micro-USDC until the regression layer, so
-bar construction is exact; log-odds and least squares are float.
+bar construction is exact; log-odds and least squares are float. numpy is
+imported inside the three least-squares functions only, so commands that
+never estimate price impact start without it.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .errors import DataError
 from .prices import PricePoint
@@ -199,6 +199,8 @@ def kyle_lambda(d_thetas: Sequence[float], flows: Sequence[float]) -> tuple[floa
     Returns (lambda_hat, stderr), or None for a degenerate window where
     every flow is zero. lambda_hat = sum(Q * dtheta) / sum(Q^2).
     """
+    import numpy as np
+
     if len(d_thetas) != len(flows):
         raise DataError("mismatched window lengths")
     n = len(flows)
@@ -228,6 +230,8 @@ def rolling_kyle_lambda(
     T. Dates without a full trailing window are withheld entirely;
     zero-flow windows yield a None estimate.
     """
+    import numpy as np
+
     if window_hours < 2:
         raise ValueError("window must cover at least 2 hours")
     for prev, cur in zip(bars, bars[1:]):
@@ -284,6 +288,8 @@ def lambda_volume_regression(
     intercept with t-statistics, R-squared (uncentered when there is no
     intercept), adjusted R-squared, and N.
     """
+    import numpy as np
+
     n = len(lambdas)
     if n != len(volumes):
         raise DataError("series must be date-aligned with equal length")

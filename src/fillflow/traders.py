@@ -145,20 +145,15 @@ def hourly_active_traders(
     return means
 
 
-def top_decile_traders(
-    transactions: Iterable[Transaction],
-    markets: Sequence[MarketSpec],
-    by: str = "volume",
-    exclude: Iterable[str] = (),
-) -> list[str]:
+def top_decile_traders(traders: Mapping[str, TraderActivity], by: str = "volume") -> list[str]:
     """The ceil(0.1 * n) highest-ranked traders by frequency or volume.
 
+    ``traders`` is the activity map of ``collect_trader_activity``.
     Boundary ties resolve by lexicographic address order so the selection
     is deterministic.
     """
     if by not in ("volume", "frequency"):
         raise ValueError(f"unknown ranking {by!r}")
-    traders = collect_trader_activity(transactions, markets, exclude)
     if len(traders) < 10:
         raise DataError(f"top-decile ranking needs >= 10 active traders, found {len(traders)}")
     metric = (lambda t: t.usd_volume) if by == "volume" else (lambda t: t.trade_count)
@@ -168,11 +163,15 @@ def top_decile_traders(
 
 
 def participation_sets(
-    transactions: Iterable[Transaction],
-    markets: Sequence[MarketSpec],
+    traders: Mapping[str, TraderActivity] | Iterable[Transaction],
+    markets: Sequence[MarketSpec] = (),
     exclude: Iterable[str] = (),
 ) -> tuple[list[ParticipationCell], dict[str, float], list[ParticipationCell]]:
     """Exact-subset participation decomposition across token markets.
+
+    ``traders`` is the activity map of ``collect_trader_activity``; given
+    transactions instead, their activity over ``markets`` (minus
+    ``exclude``) is collected first.
 
     Returns (cells, marginals, candidate_cells): cells partition the trader
     universe by the exact set of token markets touched; marginals give the
@@ -180,7 +179,8 @@ def participation_sets(
     the cells containing it); candidate_cells aggregate YES and NO per
     candidate for the cross-candidate overlap view.
     """
-    traders = collect_trader_activity(transactions, markets, exclude)
+    if not isinstance(traders, Mapping):
+        traders = collect_trader_activity(traders, markets, exclude)
     total = len(traders)
     if total == 0:
         return [], {}, []

@@ -363,14 +363,21 @@ class TestMalformedTables:
         (DECOMPOSED_HEADER.rsplit(",", 1)[0], DECOMPOSED_ROW.rsplit(",", 1)[0],
          "line 1: CSV header missing columns: ['noBurnVol']"),
         (DECOMPOSED_HEADER, DECOMPOSED_ROW.replace(",5,5,", ",5x,5,"),
-         "line 3: invalid literal for int() with base 10: '5x'"),
+         "line 3: buyVol: not an integer: '5x'"),
+        (DECOMPOSED_HEADER, DECOMPOSED_ROW.replace(",5,5,0,", ",5,5,-5,"),
+         "line 3: tx (51953200, 180): negative component"),
+        (DECOMPOSED_HEADER, DECOMPOSED_ROW.replace(",5,5,", ",1_0,5,"),
+         "line 3: buyVol: not an integer: '1_0'"),
+        (DECOMPOSED_HEADER, DECOMPOSED_ROW.replace(",5,5,", ",5,\u0661\u0660,"),
+         "line 3: sellVol: not an integer: '\u0661\u0660'"),
         (DECOMPOSED_HEADER, DECOMPOSED_ROW.replace("pure_exchange", "bogus"),
          "line 3: 'bogus' is not a valid TxKind"),
         (DECOMPOSED_HEADER, DECOMPOSED_ROW.rsplit(",", 1)[0],
          "line 3: expected 13 columns, got 12"),
         (DECOMPOSED_HEADER, DECOMPOSED_ROW + ",0",
          "line 3: expected 13 columns, got 14"),
-    ], ids=["missing-column", "non-integer", "unknown-kind", "short-row", "extra-value"])
+    ], ids=["missing-column", "non-integer", "negative-component", "underscore-digits",
+            "non-ascii-digits", "unknown-kind", "short-row", "extra-value"])
     def test_decomposed_table_exits_3_naming_line(self, runner, tmp_path, header, bad_row,
                                                   message):
         table = tmp_path / "decomposed.csv"

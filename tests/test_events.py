@@ -1,5 +1,8 @@
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,7 @@ from fillflow.errors import (
 from fillflow.events import (
     FILL_FIELDS,
     FillEvent,
+    Transaction,
     group_transactions,
     load_market_config,
     read_fills,
@@ -201,6 +205,134 @@ class TestGrouping:
         fills = [make_fill(log_index=0, ts=10), make_fill(log_index=1, ts=11)]
         with pytest.raises(SchemaError, match="timestamps"):
             group_transactions(fills)
+
+
+def reference_group_transactions(fills):
+    """The dict-and-set grouping that the sort-once scan replaced, kept as an oracle."""
+    groups = {}
+    seen = set()
+    for fill in fills:
+        if fill.key in seen:
+            raise DuplicateEventError(f"duplicate fill coordinates {fill.key}")
+        seen.add(fill.key)
+        groups.setdefault((fill.block, fill.tx_index), []).append(fill)
+    transactions = []
+    for (block, tx_index), group in sorted(groups.items()):
+        group.sort(key=lambda f: f.log_index)
+        timestamps = {f.timestamp for f in group}
+        if len(timestamps) > 1:
+            raise SchemaError(f"transaction ({block}, {tx_index}) "
+                              f"has conflicting timestamps {sorted(timestamps)}")
+        transactions.append(Transaction(block, tx_index, group[0].timestamp, tuple(group)))
+    return transactions
+
+
+class TestGroupingAgainstReference:
+    def test_shuffled_generator_ledger_matches_reference(self, small_ledger):
+        fills = small_ledger.fills[:]
+        random.Random(2024).shuffle(fills)
+        grouped = group_transactions(fills)
+        assert grouped == reference_group_transactions(fills)
+        assert len(grouped) == len(small_ledger.truth)
+
+    def test_duplicate_raises_like_reference(self):
+        fills = [make_fill(block=2), make_fill(block=1), make_fill(block=2, buy=False)]
+        for group in (group_transactions, reference_group_transactions):
+            with pytest.raises(DuplicateEventError, match=r"\(2, 0, 0\)"):
+                group(fills)
+
+    def test_conflicting_timestamps_raise_like_reference(self):
+        fills = [make_fill(log_index=2, ts=12), make_fill(log_index=0, ts=10),
+                 make_fill(log_index=1, ts=11)]
+        with pytest.raises(SchemaError) as new:
+            group_transactions(fills)
+        with pytest.raises(SchemaError) as old:
+            reference_group_transactions(fills)
+        assert str(new.value) == str(old.value)
+        assert "conflicting timestamps [10, 11, 12]" in str(new.value)
+
+    @pytest.mark.parametrize("conflict_block", [1, 9], ids=["conflict-first", "duplicate-first"])
+    def test_duplicate_reported_before_timestamp_conflict(self, conflict_block):
+        fills = [make_fill(block=conflict_block, log_index=0, ts=10),
+                 make_fill(block=conflict_block, log_index=1, ts=11),
+                 make_fill(block=5), make_fill(block=5, buy=False)]
+        for group in (group_transactions, reference_group_transactions):
+            with pytest.raises(DuplicateEventError):
+                group(fills)
+
+    def test_input_list_left_unmodified(self, small_ledger):
+        fills = small_ledger.fills[::-1]
+        before = fills[:]
+        group_transactions(fills)
+        assert fills == before
+
+
+class TestFillEventContract:
+    ARGS = (7, 3, 1, "0xaa", "0xbb", "0", TOKEN, 590_000, 1_000_000, 1709640000)
+
+    def test_negative_amount_rejected(self):
+        with pytest.raises(SchemaError, match="maker_amount must be a non-negative integer"):
+            FillEvent(7, 3, 1, "0xaa", "0xbb", "0", TOKEN, -1, 1_000_000, 1709640000)
+
+    def test_bool_block_rejected(self):
+        with pytest.raises(SchemaError, match="block must be a non-negative integer, got True"):
+            FillEvent(True, 3, 1, "0xaa", "0xbb", "0", TOKEN, 590_000, 1_000_000, 1709640000)
+
+    @pytest.mark.parametrize("maker_asset, taker_asset, which", [
+        ("0", "0", "both"), (TOKEN, TOKEN, "neither"),
+    ], ids=["both", "neither"])
+    def test_exactly_one_collateral_id(self, maker_asset, taker_asset, which):
+        with pytest.raises(SchemaError, match=f"{which} asset ids are collateral in fill "
+                                              r"\(7, 3, 1\)"):
+            FillEvent(7, 3, 1, "0xaa", "0xbb", maker_asset, taker_asset, 1, 1, 1709640000)
+
+    def test_non_ascii_token_id_rejected(self):
+        with pytest.raises(SchemaError, match="taker_asset_id must be a decimal string"):
+            FillEvent(7, 3, 1, "0xaa", "0xbb", "0", "\u0661\u0660", 1, 1, 1709640000)
+
+    def test_int_subclass_amount_accepted(self):
+        class Amount(int):
+            pass
+
+        fill = FillEvent(7, 3, 1, "0xaa", "0xbb", "0", TOKEN, Amount(5), 1, 1709640000)
+        assert fill.maker_amount == 5
+
+    def test_immutable(self):
+        fill = FillEvent(*self.ARGS)
+        with pytest.raises(AttributeError):
+            fill.block = 8
+        with pytest.raises(AttributeError):
+            fill.note = "x"
+
+    def test_replace_validates(self):
+        fill = FillEvent(*self.ARGS)
+        assert fill._replace(log_index=2).key == (7, 3, 2)
+        with pytest.raises(SchemaError, match="taker_amount"):
+            fill._replace(taker_amount=-1)
+
+    def test_keyword_construction_equals_positional(self):
+        # the synthetic generator builds fills by keyword
+        by_keyword = FillEvent(
+            block=7, tx_index=3, log_index=1, maker="0xaa", taker="0xbb",
+            maker_asset_id="0", taker_asset_id=TOKEN, maker_amount=590_000,
+            taker_amount=1_000_000, timestamp=1709640000,
+        )
+        positional = FillEvent(*self.ARGS)
+        assert by_keyword == positional
+        assert type(by_keyword) is type(positional) is FillEvent
+        assert hash(by_keyword) == hash(positional)
+        assert (by_keyword.key, by_keyword.is_buy, by_keyword.token_id,
+                by_keyword.usdc_amount, by_keyword.share_amount) == (
+            (7, 3, 1), True, TOKEN, 590_000, 1_000_000)
+
+
+def test_cli_import_does_not_load_numpy():
+    # numpy serves only the price-impact least squares; loading it at import
+    # would slow every other command's start-up.
+    src = Path(__file__).resolve().parents[1] / "src"
+    subprocess.run(
+        [sys.executable, "-c", "import fillflow.cli, sys; assert 'numpy' not in sys.modules"],
+        env={"PYTHONPATH": str(src)}, check=True)
 
 
 class TestMarketConfig:

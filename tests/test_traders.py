@@ -31,6 +31,10 @@ def ledger_of(entries, markets):
     return group_transactions(fills)
 
 
+def activity_of(transactions, markets):
+    return collect_trader_activity(transactions, markets, exclude=[EXCHANGE_ADDRESS])
+
+
 class TestHourlyProfile:
     def test_single_daily_trader(self, markets):
         entries = [(d, 14, "0xabc", 0, "yes", USD) for d in range(10)]
@@ -84,8 +88,7 @@ class TestTopDecile:
     def test_distinct_volumes_select_largest(self, markets):
         entries = [(0, 1, f"0x{i:03d}", 0, "yes", (i + 1) * USD) for i in range(100)]
         txs = ledger_of(entries, markets)
-        top = top_decile_traders(txs, markets, by="volume",
-                                 exclude=[EXCHANGE_ADDRESS])
+        top = top_decile_traders(activity_of(txs, markets), by="volume")
         assert len(top) == 10
         assert set(top) == {f"0x{i:03d}" for i in range(90, 100)}
 
@@ -93,8 +96,7 @@ class TestTopDecile:
         # 20 traders, all equal volume: the decile keeps the 2 smallest addresses
         entries = [(0, 1, f"0x{i:02d}", 0, "yes", USD) for i in range(20)]
         txs = ledger_of(entries, markets)
-        top = top_decile_traders(txs, markets, by="volume",
-                                 exclude=[EXCHANGE_ADDRESS])
+        top = top_decile_traders(activity_of(txs, markets), by="volume")
         assert top == ["0x00", "0x01"]
 
     def test_frequency_and_volume_rankings_differ(self, markets):
@@ -105,11 +107,9 @@ class TestTopDecile:
             entries.append((0, 2 + i % 20, "0xgnat", 0, "yes", USD))
         for i in range(10):
             entries.append((1, i, f"0xmid{i}", 0, "yes", 5 * USD))
-        txs = ledger_of(entries, markets)
-        by_volume = top_decile_traders(txs, markets, by="volume",
-                                       exclude=[EXCHANGE_ADDRESS])
-        by_frequency = top_decile_traders(txs, markets, by="frequency",
-                                          exclude=[EXCHANGE_ADDRESS])
+        activity = activity_of(ledger_of(entries, markets), markets)
+        by_volume = top_decile_traders(activity, by="volume")
+        by_frequency = top_decile_traders(activity, by="frequency")
         assert "0xwhale" in by_volume
         assert "0xgnat" in by_frequency
         assert by_volume != by_frequency
@@ -117,14 +117,13 @@ class TestTopDecile:
     def test_too_few_traders_rejected(self, markets):
         entries = [(0, 1, f"0x{i}", 0, "yes", USD) for i in range(5)]
         with pytest.raises(DataError, match=">= 10"):
-            top_decile_traders(ledger_of(entries, markets), markets)
+            top_decile_traders(activity_of(ledger_of(entries, markets), markets))
 
 
 class TestParticipation:
     def test_single_trader_single_market(self, markets):
         txs = ledger_of([(0, 1, "0xabc", 1, "no", USD)], markets)
-        cells, marginals, candidate_cells = participation_sets(
-            txs, markets, exclude=[EXCHANGE_ADDRESS])
+        cells, marginals, candidate_cells = participation_sets(activity_of(txs, markets))
         assert len(cells) == 1
         assert cells[0].markets == frozenset({"Biden NO"})
         assert cells[0].share == pytest.approx(100.0)
@@ -133,8 +132,8 @@ class TestParticipation:
 
     def test_cells_partition_and_marginals_sum(self, small_ledger):
         txs = group_transactions(small_ledger.fills)
-        cells, marginals, candidate_cells = participation_sets(
-            txs, small_ledger.markets, exclude=[small_ledger.exchange_address])
+        cells, marginals, candidate_cells = participation_sets(collect_trader_activity(
+            txs, small_ledger.markets, exclude=[small_ledger.exchange_address]))
         total = len(small_ledger.trader_markets)
         assert sum(c.count for c in cells) == total
         assert sum(c.share for c in cells) == pytest.approx(100.0, abs=0.1)
@@ -145,8 +144,8 @@ class TestParticipation:
 
     def test_matches_generator_membership_oracle(self, small_ledger):
         txs = group_transactions(small_ledger.fills)
-        cells, _, _ = participation_sets(txs, small_ledger.markets,
-                                         exclude=[small_ledger.exchange_address])
+        cells, _, _ = participation_sets(collect_trader_activity(
+            txs, small_ledger.markets, exclude=[small_ledger.exchange_address]))
         expected: dict[frozenset, int] = {}
         for labels in small_ledger.trader_markets.values():
             key = frozenset(labels)
@@ -160,8 +159,7 @@ class TestParticipation:
             (0, 3, "0xb", 0, "yes", USD),
         ]
         txs = ledger_of(entries, markets)
-        _, _, candidate_cells = participation_sets(txs, markets,
-                                                   exclude=[EXCHANGE_ADDRESS])
+        _, _, candidate_cells = participation_sets(activity_of(txs, markets))
         assert len(candidate_cells) == 1
         assert candidate_cells[0].markets == frozenset({"Trump"})
         assert candidate_cells[0].count == 2
