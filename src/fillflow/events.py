@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
+from sys import intern
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DuplicateEventError, ParseError, SchemaError
@@ -218,6 +220,7 @@ def fill_from_record(
 
     ``timestamp`` may be omitted when a block->time sidecar mapping is
     supplied; one timestamp per block is the unit of time assignment.
+    Addresses and asset ids are interned, so equal strings share one object.
     Errors name ``line_no`` when it is given.
     """
     try:
@@ -231,10 +234,10 @@ def fill_from_record(
             block=block,
             tx_index=_to_amount(record["txIndex"], "txIndex"),
             log_index=_to_amount(record["logIndex"], "logIndex"),
-            maker=str(record["maker"]),
-            taker=str(record["taker"]),
-            maker_asset_id=str(record["makerAssetId"]).strip(),
-            taker_asset_id=str(record["takerAssetId"]).strip(),
+            maker=intern(str(record["maker"])),
+            taker=intern(str(record["taker"])),
+            maker_asset_id=intern(str(record["makerAssetId"]).strip()),
+            taker_asset_id=intern(str(record["takerAssetId"]).strip()),
             maker_amount=_to_amount(record["makerAmountFilled"], "makerAmountFilled"),
             taker_amount=_to_amount(record["takerAmountFilled"], "takerAmountFilled"),
             timestamp=_to_amount(timestamp, "timestamp"),
@@ -275,15 +278,21 @@ def read_table(path, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
                 yield reader.line_num, dict(zip(header, row))
         else:
             for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"invalid JSON: {exc}", line_no) from exc
-                if not isinstance(record, dict):
-                    raise ParseError("record is not an object", line_no)
-                yield line_no, record
+                if line.strip():
+                    yield line_no, _json_record(line, line_no)
+
+
+def _json_record(line: str, line_no: int) -> dict:
+    """Decode one non-blank JSONL line, which must hold one JSON object."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}", line_no) from exc
+    except (ValueError, RecursionError) as exc:  # an integer past the digit limit; deep nesting
+        raise ParseError(str(exc), line_no) from exc
+    if not isinstance(record, dict):
+        raise ParseError("record is not an object", line_no)
+    return record
 
 
 def write_table(path, fields: Sequence[str], records: Iterable[Mapping], fmt: str) -> None:
@@ -301,10 +310,48 @@ def write_table(path, fields: Sequence[str], records: Iterable[Mapping], fmt: st
 _REQUIRED_FILL_FIELDS = tuple(f for f in FILL_FIELDS if f != "timestamp")
 
 
+# One fill line exactly as ``write_fills`` writes it: ``json.dumps`` separators,
+# keys in FILL_FIELDS order, bare JSON integers (no sign, fraction, exponent or
+# leading zero), strings with no escape or control character, and amounts and
+# asset ids as ASCII digit strings. json.loads decodes every matching line to
+# the captured values, in FillEvent field order.
+_CANONICAL_FILL = re.compile(
+    r'\{"block": (0|[1-9][0-9]*), "txIndex": (0|[1-9][0-9]*), '
+    r'"logIndex": (0|[1-9][0-9]*), "maker": "([^"\\\x00-\x1f]*)", '
+    r'"taker": "([^"\\\x00-\x1f]*)", "makerAssetId": "([0-9]+)", '
+    r'"takerAssetId": "([0-9]+)", "makerAmountFilled": "([0-9]+)", '
+    r'"takerAmountFilled": "([0-9]+)", "timestamp": (0|[1-9][0-9]*)\}\n?')
+
+
 def read_fills(path, block_times: Mapping[int, int] | None = None) -> list[FillEvent]:
-    """Read a ledger shard (JSONL, or CSV with a header row)."""
-    return [fill_from_record(record, line_no, block_times)
-            for line_no, record in read_table(path, _REQUIRED_FILL_FIELDS)]
+    """Read a ledger shard (JSONL, or CSV with a header row).
+
+    JSONL lines in the layout ``write_fills`` emits are read by one regex
+    match; any other line is decoded as JSON, with the same result or error.
+    Addresses and asset ids are interned on every path.
+    """
+    if str(path).endswith(".csv"):
+        return [fill_from_record(record, line_no, block_times)
+                for line_no, record in read_table(path, _REQUIRED_FILL_FIELDS)]
+    canonical = _CANONICAL_FILL.fullmatch
+    fills: list[FillEvent] = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            match = canonical(line)
+            if match is not None:
+                block, tx_index, log_index, maker, taker, maker_asset_id, taker_asset_id, \
+                    maker_amount, taker_amount, timestamp = match.groups()
+                try:
+                    fills.append(FillEvent(
+                        int(block), int(tx_index), int(log_index), intern(maker), intern(taker),
+                        intern(maker_asset_id), intern(taker_asset_id), int(maker_amount),
+                        int(taker_amount), int(timestamp)))
+                    continue
+                except (ValueError, SchemaError):
+                    pass  # the general path below raises the error, naming the line
+            if line.strip():
+                fills.append(fill_from_record(_json_record(line, line_no), line_no, block_times))
+    return fills
 
 
 def write_fills(path, fills: Iterable[FillEvent], fmt: str = "jsonl") -> None:
@@ -313,10 +360,29 @@ def write_fills(path, fills: Iterable[FillEvent], fmt: str = "jsonl") -> None:
 
 
 def load_block_times(path) -> dict[int, int]:
-    """Block->timestamp sidecar: JSON object of block number to UTC seconds."""
+    """Block->timestamp sidecar: JSON object of block number to UTC seconds.
+
+    Keys must be ASCII decimal block numbers and values UTC instants that
+    ``parse_utc`` accepts; anything else raises ParseError naming the key.
+    """
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return {int(block): parse_utc(ts) for block, ts in raw.items()}
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"block-times sidecar: invalid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ParseError(f"block-times sidecar must be a JSON object, got {type(raw).__name__}")
+    times: dict[int, int] = {}
+    for block, ts in raw.items():
+        try:
+            if not (block.isascii() and block.isdigit()):
+                raise ValueError("not a decimal block number")
+            if not isinstance(ts, (str, int, float)):
+                raise ValueError(f"not a timestamp: {ts!r}")
+            times[int(block)] = parse_utc(ts)
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(f"block-times key {block!r}: {exc}") from exc
+    return times
 
 
 _COORDINATES = attrgetter("block", "tx_index", "log_index")

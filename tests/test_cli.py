@@ -341,6 +341,27 @@ class TestIngestCommand:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("sidecar, message", [
+        ('{"x1": 1709640000}', "block-times key 'x1': not a decimal block number"),
+        ('{"50000141": "yesterday"}', "block-times key '50000141': Invalid isoformat"),
+        ("[1, 2]", "block-times sidecar must be a JSON object, got list"),
+        ('{"\u0661\u0660": 1709640000}', "not a decimal block number"),
+        ('{" 5 ": 1709640000}', "block-times key ' 5 ': not a decimal block number"),
+        ('{"1_0": 1709640000}', "block-times key '1_0': not a decimal block number"),
+        ('{"5": null}', "block-times key '5': not a timestamp: None"),
+    ], ids=["non-integer-key", "bad-time", "list", "non-ascii-digit-key", "spaced-key",
+            "underscore-key", "null-time"])
+    def test_malformed_block_times_exits_3(self, runner, tmp_path, example_fills, sidecar,
+                                           message):
+        shard = tmp_path / "shard.jsonl"
+        write_fills(shard, example_fills)
+        times = tmp_path / "block_times.json"
+        times.write_text(sidecar, encoding="utf-8")
+        result = runner.invoke(main, ["ingest", "--input", str(shard), "--block-times",
+                                      str(times), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3, result.output
+        assert message in result.output
+
     def test_csv_output_round_trips(self, runner, tmp_path, example_fills):
         shard = tmp_path / "shard.jsonl"
         write_fills(shard, example_fills)
@@ -397,6 +418,34 @@ class TestMalformedTables:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 3
         assert "line 3: expected 10 columns, got 11" in result.output
+
+    @pytest.mark.parametrize("bad_line, message", [
+        (None, "line 2: Exceeds the limit"),
+        ("[" * 100_000 + "\n", "line 2: maximum recursion depth exceeded"),
+    ], ids=["integer-past-digit-limit", "deep-nesting"])
+    def test_undecodable_fill_line_exits_3(self, runner, fixture_dir, tmp_path, example_fills,
+                                           bad_line, message):
+        ledger = tmp_path / "fills.jsonl"
+        write_fills(ledger, example_fills)
+        lines = ledger.read_text().splitlines(keepends=True)
+        lines[1] = bad_line or lines[1].replace(f'"block": {example_fills[1].block}',
+                                                '"block": ' + "9" * 5000)
+        ledger.write_text("".join(lines))
+        result = runner.invoke(main, ["decompose", "--input", str(ledger),
+                                      "--markets", str(fixture_dir / "markets.json"),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3, result.output
+        assert message in result.output
+
+    def test_decomposed_jsonl_integer_past_digit_limit_exits_3(self, runner, tmp_path):
+        record = dict(zip(DECOMPOSED_HEADER.split(","), DECOMPOSED_ROW.split(",")))
+        table = tmp_path / "decomposed.jsonl"
+        table.write_text(json.dumps(record).replace('"buyVol": "5"', '"buyVol": ' + "9" * 5000)
+                         + "\n")
+        result = runner.invoke(main, ["metrics", "--input", str(table), "--market", "Trump",
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3, result.output
+        assert "line 1: Exceeds the limit" in result.output
 
     def test_decomposed_jsonl_null_value_exits_3(self, runner, tmp_path):
         record = dict(zip(DECOMPOSED_HEADER.split(","), DECOMPOSED_ROW.split(",")))

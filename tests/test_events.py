@@ -13,12 +13,15 @@ from fillflow.errors import (
     SchemaError,
 )
 from fillflow.events import (
+    _CANONICAL_FILL,
     FILL_FIELDS,
     FillEvent,
     Transaction,
+    fill_from_record,
     group_transactions,
     load_market_config,
     read_fills,
+    read_table,
     write_fills,
     write_market_config,
 )
@@ -155,6 +158,118 @@ class TestRoundTrip:
 
     def test_record_keys_are_canonical(self, example_fills):
         assert tuple(example_fills[0].to_record()) == FILL_FIELDS
+
+
+def reference_read_fills(path):
+    """The general per-line reader: every line decoded as JSON, then checked."""
+    return [fill_from_record(record, line_no) for line_no, record in read_table(path, FILL_FIELDS)]
+
+
+def outcome(read, path):
+    try:
+        return read(path)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+class _IntLiteral(str):
+    """The source text of a JSON integer, kept whole (no digit limit)."""
+
+
+BARE_INTEGER_FIELDS = {"block", "txIndex", "logIndex", "timestamp"}
+BASE_LINE = json.dumps(wire_record()) + "\n"
+HUGE = "9" * 5000
+
+
+def assert_rejected_or_reference_values(line):
+    match = _CANONICAL_FILL.fullmatch(line)
+    if match is None:
+        return
+    decoded = json.loads(line, parse_int=_IntLiteral)
+    assert tuple(decoded) == FILL_FIELDS
+    assert match.groups() == tuple(decoded.values())
+    assert [isinstance(v, _IntLiteral) for v in decoded.values()] == [
+        f in BARE_INTEGER_FIELDS for f in FILL_FIELDS]
+
+
+def file_lines(path):
+    """The lines as ``read_fills`` iterates them."""
+    with open(path, encoding="utf-8") as fh:
+        return list(fh)
+
+
+def mutate(old, new):
+    assert old in BASE_LINE
+    return BASE_LINE.replace(old, new, 1)
+
+
+class TestCanonicalFastPath:
+    def test_writer_output_takes_fast_path(self, tmp_path, example_fills, small_ledger):
+        # A change to FILL_FIELDS order or the writer's separators would send
+        # every line down the slow path without changing any result.
+        for fills in (example_fills, small_ledger.fills):
+            path = tmp_path / "fills.jsonl"
+            write_fills(path, fills)
+            lines = file_lines(path)
+            assert len(lines) == len(fills)
+            assert all(_CANONICAL_FILL.fullmatch(line) for line in lines)
+
+    def test_generator_ledger_matches_reference(self, tmp_path, small_ledger):
+        path = tmp_path / "fills.jsonl"
+        write_fills(path, small_ledger.fills)
+        for line in file_lines(path):
+            assert_rejected_or_reference_values(line)
+        assert read_fills(path) == reference_read_fills(path) == small_ledger.fills
+
+    @pytest.mark.parametrize("mutant", [
+        mutate('"txIndex": 44', '"txIndex": 044'),
+        mutate('"logIndex": 101', '"logIndex": -1'),
+        mutate('"timestamp": 1714557600', '"timestamp": -1'),
+        mutate('"block": 54432034', '"block": 1.0'),
+        mutate('"timestamp": 1714557600', '"timestamp": 1e3'),
+        mutate('"block": 54432034', '"block": true'),
+        mutate('"makerAssetId": "0"', '"makerAssetId": "\\u0030"'),
+        mutate('"maker": "0x351"', '"maker": "0x\x01351"'),
+        mutate('"maker": "0x351"', '"maker": "0x\\"351"'),
+        mutate('"maker": "0x351"', '"maker": "0x\u00e9351"'),
+        mutate(f'"takerAssetId": "{TOKEN}"', f'"takerAssetId": "{TOKEN}\u0663"'),
+        mutate(f'"takerAssetId": "{TOKEN}"', '"takerAssetId": "0"'),
+        mutate(f'"takerAssetId": "{TOKEN}"', '"takerAssetId": ""'),
+        mutate('"block": 54432034', f'"block": {HUGE}'),
+        mutate('"makerAmountFilled": "6000000000"', f'"makerAmountFilled": "{HUGE}"'),
+        mutate('"block": 54432034', '"block":  54432034'),
+        mutate('"block": 54432034', '"block" : 54432034'),
+        json.dumps(dict(reversed(wire_record().items()))) + "\n",
+        mutate("}", ', "block": 7}'),
+        mutate("}", "}x"),
+        mutate("}", "} "),
+        BASE_LINE.rstrip("\n"),
+        "\n  \n" + BASE_LINE + "\n",
+        mutate('"maker": "0x351"', '"maker": ""'),
+    ], ids=["leading-zero", "negative-log-index", "negative-timestamp", "fraction",
+            "exponent", "bool", "escaped-collateral-id", "control-char-in-maker",
+            "escaped-quote-in-maker", "non-ascii-maker", "non-ascii-digit-token-id",
+            "both-collateral", "empty-token-id", "huge-integer", "huge-amount",
+            "extra-space", "space-before-colon", "reordered-keys", "duplicated-key",
+            "trailing-x", "trailing-space", "no-final-newline", "blank-lines",
+            "empty-maker"])
+    def test_near_canonical_mutant_matches_reference(self, tmp_path, mutant):
+        path = tmp_path / "fills.jsonl"
+        path.write_text(BASE_LINE + mutant, encoding="utf-8")
+        for line in file_lines(path):
+            assert_rejected_or_reference_values(line)
+        assert outcome(read_fills, path) == outcome(reference_read_fills, path)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_equal_strings_share_one_object(self, tmp_path, small_ledger, fmt):
+        path = tmp_path / f"fills.{fmt}"
+        write_fills(path, small_ledger.fills, fmt)
+        fills = read_fills(path)
+        first: dict[str, str] = {}
+        for fill in fills:
+            for value in (fill.maker, fill.taker, fill.maker_asset_id, fill.taker_asset_id):
+                assert first.setdefault(value, value) is value
+        assert len(first) < len(fills)
 
 
 class TestGrouping:
