@@ -137,13 +137,12 @@ def _fmt_float(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _load_transactions(inputs, markets_path=None, block_times_path=None):
-    block_times = load_block_times(block_times_path) if block_times_path else None
+def _load_transactions(inputs, markets_path):
     fills = []
     for path in inputs:
-        fills.extend(read_fills(path, block_times=block_times))
+        fills.extend(read_fills(path))
     transactions = group_transactions(fills)
-    markets = load_market_config(markets_path) if markets_path else None
+    markets = load_market_config(markets_path)
     return transactions, markets
 
 
@@ -555,7 +554,6 @@ def traders_cmd(inputs, markets_path, quarter, start, end, by, exclude_addresses
                 per_market, out):
     """Hourly activity profile, top-decile traders, and participation cells."""
     transactions, markets = _load_transactions(inputs, markets_path)
-    _check_range(start, end)
     if quarter:
         q_start, q_end = _quarter_bounds(quarter, end)
         start = q_start if start is None else max(start, q_start)
@@ -568,13 +566,12 @@ def traders_cmd(inputs, markets_path, quarter, start, end, by, exclude_addresses
     exclude = _parse_excludes(exclude_addresses)
 
     out_dir = _out_dir(out)
-    hourly = hourly_active_traders(window, start, end, markets, exclude,
-                                   per_market=per_market)
+    activity = collect_trader_activity(window, markets, exclude)
+    hourly = hourly_active_traders(activity, start, end, per_market=per_market)
     write_table(out_dir / "hourly.csv", ["hour", "meanActiveTraders"],
                 [{"hour": h, "meanActiveTraders": _fmt_float(v)}
                  for h, v in enumerate(hourly)], "csv")
 
-    activity = collect_trader_activity(window, markets, exclude)
     try:
         top = top_decile_traders(activity, by)
     except DataError as exc:

@@ -257,29 +257,46 @@ def read_table(path, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
 
     A CSV file starts with a header naming every ``required`` column, and
     each row has exactly as many values as the header; a JSONL line is one
-    JSON object. Blank lines are skipped; violations raise ParseError with
-    the line number.
+    JSON object. Blank lines are skipped; violations, and bytes that are not
+    UTF-8, raise ParseError with the line number.
     """
-    with open(path, encoding="utf-8") as fh:
-        if str(path).endswith(".csv"):
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                return
-            missing = [c for c in required if c not in header]
-            if missing:
-                raise ParseError(f"CSV header missing columns: {missing}", 1)
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise ParseError(
-                        f"expected {len(header)} columns, got {len(row)}", reader.line_num)
-                yield reader.line_num, dict(zip(header, row))
-        else:
-            for line_no, line in enumerate(fh, start=1):
-                if line.strip():
-                    yield line_no, _json_record(line, line_no)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            if str(path).endswith(".csv"):
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header is None:
+                    return
+                missing = [c for c in required if c not in header]
+                if missing:
+                    raise ParseError(f"CSV header missing columns: {missing}", 1)
+                for row in reader:
+                    if not row:
+                        continue
+                    if len(row) != len(header):
+                        raise ParseError(
+                            f"expected {len(header)} columns, got {len(row)}", reader.line_num)
+                    yield reader.line_num, dict(zip(header, row))
+            else:
+                for line_no, line in enumerate(fh, start=1):
+                    if line.strip():
+                        yield line_no, _json_record(line, line_no)
+    except UnicodeDecodeError:
+        raise _utf8_error(path) from None
+
+
+def _utf8_error(path) -> ParseError:
+    """ParseError naming the first line of ``path`` with a byte that is not UTF-8.
+
+    Text files decode ahead of the line being read, so the file is read again
+    with each bad byte b escaped to U+DC00+b, splitting lines as before.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            bad = re.search("[\udc80-\udcff]", line)
+            if bad:
+                return ParseError(f"not valid UTF-8 (byte 0x{ord(bad[0]) - 0xDC00:02x})", line_no)
+    return ParseError("not valid UTF-8")
 
 
 def _json_record(line: str, line_no: int) -> dict:
@@ -335,22 +352,26 @@ def read_fills(path, block_times: Mapping[int, int] | None = None) -> list[FillE
                 for line_no, record in read_table(path, _REQUIRED_FILL_FIELDS)]
     canonical = _CANONICAL_FILL.fullmatch
     fills: list[FillEvent] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            match = canonical(line)
-            if match is not None:
-                block, tx_index, log_index, maker, taker, maker_asset_id, taker_asset_id, \
-                    maker_amount, taker_amount, timestamp = match.groups()
-                try:
-                    fills.append(FillEvent(
-                        int(block), int(tx_index), int(log_index), intern(maker), intern(taker),
-                        intern(maker_asset_id), intern(taker_asset_id), int(maker_amount),
-                        int(taker_amount), int(timestamp)))
-                    continue
-                except (ValueError, SchemaError):
-                    pass  # the general path below raises the error, naming the line
-            if line.strip():
-                fills.append(fill_from_record(_json_record(line, line_no), line_no, block_times))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                match = canonical(line)
+                if match is not None:
+                    block, tx_index, log_index, maker, taker, maker_asset_id, taker_asset_id, \
+                        maker_amount, taker_amount, timestamp = match.groups()
+                    try:
+                        fills.append(FillEvent(
+                            int(block), int(tx_index), int(log_index), intern(maker),
+                            intern(taker), intern(maker_asset_id), intern(taker_asset_id),
+                            int(maker_amount), int(taker_amount), int(timestamp)))
+                        continue
+                    except (ValueError, SchemaError):
+                        pass  # the general path below raises the error, naming the line
+                if line.strip():
+                    fills.append(fill_from_record(_json_record(line, line_no), line_no,
+                                                  block_times))
+    except UnicodeDecodeError:
+        raise _utf8_error(path) from None
     return fills
 
 
@@ -377,10 +398,8 @@ def load_block_times(path) -> dict[int, int]:
         try:
             if not (block.isascii() and block.isdigit()):
                 raise ValueError("not a decimal block number")
-            if not isinstance(ts, (str, int, float)):
-                raise ValueError(f"not a timestamp: {ts!r}")
             times[int(block)] = parse_utc(ts)
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise ParseError(f"block-times key {block!r}: {exc}") from exc
     return times
 
@@ -434,6 +453,8 @@ def markets_from_entries(entries) -> list[MarketSpec]:
             )
         except KeyError as exc:
             raise ConfigError(f"market entry {i}: missing field {exc.args[0]!r}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"market entry {i}: bad launch or resolution: {exc}") from exc
         for token in spec.token_ids:
             if token in claimed:
                 raise ConfigError(
@@ -453,7 +474,7 @@ def load_market_config(path) -> list[MarketSpec]:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also a byte that is not UTF-8
             raise ConfigError(f"invalid market config JSON: {exc}") from exc
     entries = doc.get("markets") if isinstance(doc, dict) else doc
     return markets_from_entries(entries)

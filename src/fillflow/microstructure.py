@@ -76,7 +76,6 @@ class LambdaEstimate:
     date: int
     value: float | None
     stderr: float | None
-    window_hours: int
     n_obs: int
 
 
@@ -258,10 +257,10 @@ def rolling_kyle_lambda(
         window_dt = d_theta[lo - 1: hi - 1]
         fit = kyle_lambda(window_dt, window_q)
         if fit is None:
-            out.append(LambdaEstimate(date, None, None, window_hours, window_hours))
+            out.append(LambdaEstimate(date, None, None, window_hours))
         else:
             lam, se = fit
-            out.append(LambdaEstimate(date, lam, se, window_hours, window_hours))
+            out.append(LambdaEstimate(date, lam, se, window_hours))
         date += step_days * DAY
     return out
 

@@ -108,7 +108,7 @@ def build_price_series(transactions: Iterable[Transaction], token_id: str) -> li
             usdc, shares = buy_usdc, buy_shares
         else:
             usdc, shares = sell_usdc, sell_shares
-        if shares == 0 or not 0 < Fraction(usdc, shares) < 1:
+        if not 0 < usdc < shares:
             skipped += 1
             continue
         points.append(PricePoint(

@@ -15,13 +15,14 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError
 from .events import MarketSpec, Transaction
-from .units import DAY, day_floor
+from .units import DAY, HOUR, day_floor, hour_floor
 
 
 @dataclass
 class MarketActivity:
     trade_count: int = 0
     usd_volume: int = 0  # micro-USDC
+    hours: set[int] = field(default_factory=set)  # UTC hour starts with a fill
 
 
 @dataclass
@@ -45,10 +46,6 @@ class ParticipationCell:
     markets: frozenset[str]
     count: int
     share: float  # percent of all traders
-
-
-def _norm(address: str) -> str:
-    return address.lower()
 
 
 def market_labels(markets: Sequence[MarketSpec]) -> dict[str, str]:
@@ -77,38 +74,41 @@ def collect_trader_activity(
 ) -> dict[str, TraderActivity]:
     """Per-address activity accumulated over fills of the given markets.
 
-    Both counterparties of a fill are credited with its collateral amount;
-    the accumulation is a commutative fold, so shards merge by address.
+    Both counterparties of a fill are credited with its collateral amount
+    and the UTC hour of its transaction; the accumulation is a commutative
+    fold, so shards merge by address.
     """
     labels = market_labels(markets)
-    excluded = {_norm(a) for a in exclude}
+    excluded = {a.lower() for a in exclude}
     traders: dict[str, TraderActivity] = {}
     for tx in transactions:
+        hour = hour_floor(tx.timestamp)
         for fill in tx.fills:
             label = labels.get(fill.token_id)
             if label is None:
                 continue
             for party in (fill.maker, fill.taker):
-                addr = _norm(party)
+                addr = party.lower()
                 if not addr or addr in excluded:
                     continue
                 activity = traders.setdefault(addr, TraderActivity(address=addr))
                 market_activity = activity.per_market.setdefault(label, MarketActivity())
                 market_activity.trade_count += 1
                 market_activity.usd_volume += fill.usdc_amount
+                market_activity.hours.add(hour)
     return traders
 
 
 def hourly_active_traders(
-    transactions: Iterable[Transaction],
+    traders: Mapping[str, TraderActivity],
     start: int,
     end: int,
-    markets: Sequence[MarketSpec],
-    exclude: Iterable[str] = (),
     per_market: bool = False,
 ) -> list[float]:
     """Mean unique active traders per UTC hour-of-day over [start, end).
 
+    ``traders`` is the activity map of ``collect_trader_activity`` over the
+    window's transactions; ``start`` and ``end`` set the number of days.
     For each hour h, the count of distinct addresses active during hour h
     of each day is averaged over all days overlapping the window (days with
     no activity count as zero, so the mean reflects the whole period).
@@ -119,30 +119,16 @@ def hourly_active_traders(
     """
     if end <= start:
         raise DataError("empty window")
-    labels = market_labels(markets)
-    excluded = {_norm(a) for a in exclude}
-    per_day_hour: dict[tuple[int, int], set] = {}
-    for tx in transactions:
-        if not start <= tx.timestamp < end:
-            continue
-        day = day_floor(tx.timestamp)
-        hour = (tx.timestamp % DAY) // 3600
-        for fill in tx.fills:
-            label = labels.get(fill.token_id)
-            if label is None:
-                continue
-            for party in (fill.maker, fill.taker):
-                addr = _norm(party)
-                if addr and addr not in excluded:
-                    key = (addr, label) if per_market else addr
-                    per_day_hour.setdefault((day, hour), set()).add(key)
-
+    totals = [0] * 24
+    for trader in traders.values():
+        hour_sets = [a.hours for a in trader.per_market.values()]
+        if not per_market:
+            hour_sets = [set().union(*hour_sets)]
+        for hours in hour_sets:
+            for hour in hours:
+                totals[hour % DAY // HOUR] += 1
     n_days = len(range(day_floor(start), end, DAY))
-    means = []
-    for hour in range(24):
-        total = sum(len(v) for (d, h), v in per_day_hour.items() if h == hour)
-        means.append(total / n_days)
-    return means
+    return [total / n_days for total in totals]
 
 
 def top_decile_traders(traders: Mapping[str, TraderActivity], by: str = "volume") -> list[str]:

@@ -31,18 +31,21 @@ def parse_utc(value: str | int | float) -> int:
     """Parse an ISO-8601 UTC instant (or epoch seconds) to epoch seconds.
 
     Accepts ``2024-07-21``, ``2024-07-21T17:46:00Z``, an explicit ``+00:00``
-    offset, or a bare integer. Naive datetimes are taken as UTC.
+    offset, or epoch seconds as an int, an integral float or ASCII digits.
+    Naive datetimes are taken as UTC. Anything else, surrounding whitespace
+    included, raises ValueError.
     """
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise ValueError(f"not a timestamp: {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"not a whole number of seconds: {value!r}")
     if isinstance(value, (int, float)):
         return int(value)
-    text = value.strip()
-    if text.isdigit():
-        return int(text)
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
-    dt = datetime.fromisoformat(text)
+    if value.isascii() and value.isdigit():
+        return int(value)
+    if value.endswith(("Z", "z")):
+        value = value[:-1] + "+00:00"
+    dt = datetime.fromisoformat(value)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return int(dt.timestamp())

@@ -86,6 +86,31 @@ class TestDecomposeCommand:
             "--markets", str(bad), "--out", str(out)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("launch", " \u0661\u0667\u0660\u0669"),
+        ("launch", "yesterday"),
+        ("resolution", 1.9),
+    ], ids=["spaced-non-ascii-digits", "not-a-date", "fractional-seconds"])
+    def test_bad_market_time_exits_2(self, runner, fixture_dir, tmp_path, field, value):
+        doc = json.loads((fixture_dir / "markets.json").read_text(encoding="utf-8"))
+        doc["markets"][1][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        result = runner.invoke(main, [
+            "decompose", "--input", str(fixture_dir / "fills.jsonl"),
+            "--markets", str(bad), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "market entry 1: bad launch or resolution" in result.output
+
+    def test_market_config_not_utf8_exits_2(self, runner, fixture_dir, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes((fixture_dir / "markets.json").read_bytes().replace(b"Biden", b"Bid\xe9n"))
+        result = runner.invoke(main, [
+            "decompose", "--input", str(fixture_dir / "fills.jsonl"),
+            "--markets", str(bad), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "invalid market config JSON" in result.output
+
     def test_corrupt_ledger_exits_3(self, runner, fixture_dir, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"block": "not a number"}\n')
@@ -223,6 +248,19 @@ class TestFlagValidation:
             "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("option, value", [
+        ("--from", "\u0661\u0667\u0660\u0669"),
+        ("--from", " 1709640000 "),
+        ("--to", "yesterday"),
+    ], ids=["non-ascii-digits", "spaced-digits", "not-a-date"])
+    def test_bad_date_option_exits_2(self, runner, fixture_dir, tmp_path, option, value):
+        result = runner.invoke(main, [
+            "decompose", "--input", str(fixture_dir / "fills.jsonl"),
+            "--markets", str(fixture_dir / "markets.json"), option, value,
+            "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "Invalid isoformat" in result.output
+
     def test_deviation_staleness_filter(self, runner, fixture_dir, tmp_path):
         loose = tmp_path / "loose"
         tight = tmp_path / "tight"
@@ -349,8 +387,12 @@ class TestIngestCommand:
         ('{" 5 ": 1709640000}', "block-times key ' 5 ': not a decimal block number"),
         ('{"1_0": 1709640000}', "block-times key '1_0': not a decimal block number"),
         ('{"5": null}', "block-times key '5': not a timestamp: None"),
+        ('{"5": 1.9}', "block-times key '5': not a whole number of seconds: 1.9"),
+        ('{"5": " 1709640000 "}', "block-times key '5': Invalid isoformat"),
+        ('{"5": "\u0661\u0667\u0660\u0669"}', "block-times key '5': Invalid isoformat"),
     ], ids=["non-integer-key", "bad-time", "list", "non-ascii-digit-key", "spaced-key",
-            "underscore-key", "null-time"])
+            "underscore-key", "null-time", "fractional-time", "spaced-time",
+            "non-ascii-digit-time"])
     def test_malformed_block_times_exits_3(self, runner, tmp_path, example_fills, sidecar,
                                            message):
         shard = tmp_path / "shard.jsonl"
@@ -397,12 +439,16 @@ class TestMalformedTables:
          "line 3: expected 13 columns, got 12"),
         (DECOMPOSED_HEADER, DECOMPOSED_ROW + ",0",
          "line 3: expected 13 columns, got 14"),
+        # "\udce9" is written as the lone byte 0xE9, which is not UTF-8
+        (DECOMPOSED_HEADER, DECOMPOSED_ROW.replace("Trump", "Trump\udce9"),
+         "line 3: not valid UTF-8 (byte 0xe9)"),
     ], ids=["missing-column", "non-integer", "negative-component", "underscore-digits",
-            "non-ascii-digits", "unknown-kind", "short-row", "extra-value"])
+            "non-ascii-digits", "unknown-kind", "short-row", "extra-value", "non-utf8-byte"])
     def test_decomposed_table_exits_3_naming_line(self, runner, tmp_path, header, bad_row,
                                                   message):
         table = tmp_path / "decomposed.csv"
-        table.write_text(f"{header}\n{DECOMPOSED_ROW}\n{bad_row}\n")
+        table.write_text(f"{header}\n{DECOMPOSED_ROW}\n{bad_row}\n", encoding="utf-8",
+                         errors="surrogateescape")
         result = runner.invoke(main, ["metrics", "--input", str(table), "--market", "Trump",
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 3
@@ -419,10 +465,20 @@ class TestMalformedTables:
         assert result.exit_code == 3
         assert "line 3: expected 10 columns, got 11" in result.output
 
+    def test_fill_csv_shard_not_utf8_exits_3(self, runner, tmp_path, example_fills):
+        shard = tmp_path / "shard.csv"
+        write_fills(shard, example_fills, "csv")
+        shard.write_bytes(shard.read_bytes().replace(b"0x", b"0\xe9", 3))
+        result = runner.invoke(main, ["ingest", "--input", str(shard),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3, result.output
+        assert "line 2: not valid UTF-8 (byte 0xe9)" in result.output
+
     @pytest.mark.parametrize("bad_line, message", [
         (None, "line 2: Exceeds the limit"),
         ("[" * 100_000 + "\n", "line 2: maximum recursion depth exceeded"),
-    ], ids=["integer-past-digit-limit", "deep-nesting"])
+        ('{"block": 1, "maker": "caf\udce9"}\n', "line 2: not valid UTF-8 (byte 0xe9)"),
+    ], ids=["integer-past-digit-limit", "deep-nesting", "non-utf8-byte"])
     def test_undecodable_fill_line_exits_3(self, runner, fixture_dir, tmp_path, example_fills,
                                            bad_line, message):
         ledger = tmp_path / "fills.jsonl"
@@ -430,7 +486,7 @@ class TestMalformedTables:
         lines = ledger.read_text().splitlines(keepends=True)
         lines[1] = bad_line or lines[1].replace(f'"block": {example_fills[1].block}',
                                                 '"block": ' + "9" * 5000)
-        ledger.write_text("".join(lines))
+        ledger.write_text("".join(lines), encoding="utf-8", errors="surrogateescape")
         result = runner.invoke(main, ["decompose", "--input", str(ledger),
                                       "--markets", str(fixture_dir / "markets.json"),
                                       "--out", str(tmp_path / "out")])

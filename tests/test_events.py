@@ -443,10 +443,13 @@ class TestFillEventContract:
 
 def test_cli_import_does_not_load_numpy():
     # numpy serves only the price-impact least squares; loading it at import
-    # would slow every other command's start-up.
+    # would slow every other command's start-up. The package itself re-exports
+    # nothing, so the CLI loads neither the mechanics nor the fixtures module.
     src = Path(__file__).resolve().parents[1] / "src"
     subprocess.run(
-        [sys.executable, "-c", "import fillflow.cli, sys; assert 'numpy' not in sys.modules"],
+        [sys.executable, "-c", "import fillflow.cli, sys; assert 'numpy' not in sys.modules; "
+         "assert 'fillflow.mechanics' not in sys.modules; "
+         "assert 'fillflow.fixtures' not in sys.modules"],
         env={"PYTHONPATH": str(src)}, check=True)
 
 

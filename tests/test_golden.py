@@ -79,6 +79,10 @@ def _artifacts(source, base) -> dict[str, str]:
           "--corr-window-days", "30", *out("disagreement")])
     _run(["traders", "--input", fills, "--markets", markets,
           "--exclude-addresses", EXCHANGE_ADDRESS, *out("traders")])
+    if source == "simulated":
+        _run(["traders", "--input", fills, "--markets", markets,
+              "--exclude-addresses", EXCHANGE_ADDRESS, "--per-market", "--quarter", "2024Q3",
+              *out("traders-per-market-q3")])
     return {
         path.relative_to(base).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(base.rglob("*"))
@@ -204,6 +208,18 @@ GOLDEN = {
             "03a15aa56d99b76ececc761b7e2377247ebff36fd5289c8ea2c27d3fcb77e919",
         "traders/top_decile.txt":
             "9c71a0a1d2010eb05e35c905f0d5b5bcfd1b66d406fb6016ab25f543cd92ad12",
+        "traders-per-market-q3/candidate_overlap.csv":
+            "95df71590eed8223dbe1385567e9dae63e0903fc0e42e929aff7285c34b24055",
+        "traders-per-market-q3/hourly.csv":
+            "e1391b0b65a174f8e2c88f996a2467f52e8d4aa4113a323c53ebbf113c77f338",
+        "traders-per-market-q3/manifest.json":
+            "4424c325ce6afd20570487e17b158b8075d330ef79966126720ed1c51baa2bc9",
+        "traders-per-market-q3/marginals.csv":
+            "39bdaba65b68ea92be35ec4de8490998ac6597d96bd11a497f9ead67fe796421",
+        "traders-per-market-q3/participation.csv":
+            "81728b909f8d6a445c21d6ff9ef0a364f1ba370c8a223f6fa9a08829815d9965",
+        "traders-per-market-q3/top_decile.txt":
+            "da366f21dc26d4c802750310250150d2db19d6317e8e76ceea5a808fb3b491a3",
     },
 }
 

@@ -7,10 +7,11 @@ from fillflow.traders import (
     cell_bitmask,
     collect_trader_activity,
     hourly_active_traders,
+    market_labels,
     participation_sets,
     top_decile_traders,
 )
-from fillflow.units import DAY, parse_utc
+from fillflow.units import DAY, day_floor, parse_utc
 
 START = parse_utc("2024-10-01T00:00:00Z")
 USD = 10**6
@@ -39,33 +40,30 @@ class TestHourlyProfile:
     def test_single_daily_trader(self, markets):
         entries = [(d, 14, "0xabc", 0, "yes", USD) for d in range(10)]
         txs = ledger_of(entries, markets)
-        profile = hourly_active_traders(txs, START, START + 10 * DAY, markets,
-                                        exclude=[EXCHANGE_ADDRESS])
+        profile = hourly_active_traders(activity_of(txs, markets), START, START + 10 * DAY)
         assert profile[14] == pytest.approx(1.0)
         assert sum(profile) == pytest.approx(1.0)
 
     def test_same_trader_twice_in_hour_counted_once(self, markets):
         entries = [(0, 9, "0xabc", 0, "yes", USD), (0, 9, "0xabc", 0, "no", USD)]
         txs = ledger_of(entries, markets)
-        profile = hourly_active_traders(txs, START, START + DAY, markets,
-                                        exclude=[EXCHANGE_ADDRESS])
+        profile = hourly_active_traders(activity_of(txs, markets), START, START + DAY)
         assert profile[9] == pytest.approx(1.0)
 
     def test_exchange_address_excluded(self, markets):
         entries = [(0, 9, "0xabc", 0, "yes", USD)]
         txs = ledger_of(entries, markets)
-        profile = hourly_active_traders(txs, START, START + DAY, markets,
-                                        exclude=[EXCHANGE_ADDRESS, "0xABC"])
+        activity = collect_trader_activity(txs, markets, exclude=[EXCHANGE_ADDRESS, "0xABC"])
+        profile = hourly_active_traders(activity, START, START + DAY)
         assert sum(profile) == 0.0
 
     def test_per_market_mode_counts_per_market(self, markets):
         # one trader active in two token markets in the same hour
         entries = [(0, 9, "0xabc", 0, "yes", USD), (0, 9, "0xabc", 0, "no", USD)]
         txs = ledger_of(entries, markets)
-        combined = hourly_active_traders(txs, START, START + DAY, markets,
-                                         exclude=[EXCHANGE_ADDRESS])
-        split = hourly_active_traders(txs, START, START + DAY, markets,
-                                      exclude=[EXCHANGE_ADDRESS], per_market=True)
+        activity = activity_of(txs, markets)
+        combined = hourly_active_traders(activity, START, START + DAY)
+        split = hourly_active_traders(activity, START, START + DAY, per_market=True)
         assert combined[9] == pytest.approx(1.0)
         assert split[9] == pytest.approx(2.0)
 
@@ -74,14 +72,80 @@ class TestHourlyProfile:
         start -= start % DAY
         end = max(tx.timestamp for tx in group_transactions(small_ledger.fills)) + 1
         txs = group_transactions(small_ledger.fills)
-        got = hourly_active_traders(txs, start, end, small_ledger.markets,
-                                    exclude=[small_ledger.exchange_address])
+        activity = collect_trader_activity(txs, small_ledger.markets,
+                                           exclude=[small_ledger.exchange_address])
+        got = hourly_active_traders(activity, start, end)
         n_days = len(range(start, end, DAY))
         for hour in range(24):
             want = sum(len(addresses)
                        for (day, h), addresses in small_ledger.hourly_participants.items()
                        if h == hour) / n_days
             assert got[hour] == pytest.approx(want, rel=1e-12)
+
+
+def reference_hourly_active_traders(transactions, start, end, markets, exclude=(),
+                                    per_market=False):
+    """The profile as a second walk over the fills, keyed by (day, hour)."""
+    labels = market_labels(markets)
+    excluded = {a.lower() for a in exclude}
+    per_day_hour = {}
+    for tx in transactions:
+        if not start <= tx.timestamp < end:
+            continue
+        day = day_floor(tx.timestamp)
+        hour = (tx.timestamp % DAY) // 3600
+        for fill in tx.fills:
+            label = labels.get(fill.token_id)
+            if label is None:
+                continue
+            for party in (fill.maker, fill.taker):
+                addr = party.lower()
+                if addr and addr not in excluded:
+                    key = (addr, label) if per_market else addr
+                    per_day_hour.setdefault((day, hour), set()).add(key)
+    n_days = len(range(day_floor(start), end, DAY))
+    means = []
+    for hour in range(24):
+        total = sum(len(v) for (d, h), v in per_day_hour.items() if h == hour)
+        means.append(total / n_days)
+    return means
+
+
+def mixed_case(address):
+    return address[:2] + address[2:].upper()
+
+
+class TestHourlyAgainstReference:
+    """The profile read from the activity map equals the two-walk reference exactly."""
+
+    @pytest.mark.parametrize("per_market", [False, True], ids=["per-trader", "per-market"])
+    @pytest.mark.parametrize("window", ["whole", "narrow"])
+    def test_matches_reference(self, small_ledger, per_market, window):
+        txs = group_transactions(small_ledger.fills)
+        start, end = txs[0].timestamp, txs[-1].timestamp + 1
+        if window == "narrow":  # mid-day bounds, clipped as the traders command clips
+            start, end = start + 20 * DAY + 7 * 3600, start + 45 * DAY + 13 * 3600
+        clipped = [tx for tx in txs if start <= tx.timestamp < end]
+        # the exchange, and one trader written in mixed case
+        exclude = [small_ledger.exchange_address, mixed_case(max(small_ledger.trader_markets))]
+        activity = collect_trader_activity(clipped, small_ledger.markets, exclude)
+        got = hourly_active_traders(activity, start, end, per_market=per_market)
+        want = reference_hourly_active_traders(txs, start, end, small_ledger.markets,
+                                               exclude, per_market=per_market)
+        assert got == want
+        assert sum(want) > 0
+
+    def test_mixed_case_exclusion_removes_the_trader(self, small_ledger):
+        txs = group_transactions(small_ledger.fills)
+        start, end = txs[0].timestamp, txs[-1].timestamp + 1
+        base = [small_ledger.exchange_address]
+        trader = mixed_case(max(small_ledger.trader_markets))
+        assert trader != trader.lower()
+        with_trader = hourly_active_traders(
+            collect_trader_activity(txs, small_ledger.markets, base), start, end)
+        without = hourly_active_traders(
+            collect_trader_activity(txs, small_ledger.markets, base + [trader]), start, end)
+        assert sum(without) < sum(with_trader)
 
 
 class TestTopDecile:
