@@ -9,18 +9,24 @@ record is a fill object in the canonical wire schema.
 The requested block range [from_block, to_block) is walked in ``page_size``
 pages. After every completed page the checkpoint file is rewritten with the
 last fully ingested block, so an interrupted run resumes from the next
-block. Transient transport failures are retried with bounded exponential
-backoff before the run fails (checkpoint intact).
+block. Records returned in memory are lost with the run that fetched them,
+so a resumable fetch takes a spool file: each page is appended to it and
+synced before the checkpoint advances, and the checkpoint records the
+spool's length. A resumed run cuts off any page appended after that, so the
+spool holds every page exactly once. Transient transport failures are
+retried with bounded exponential backoff before the run fails (checkpoint
+intact).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .errors import DecodeError, FetchError
+from .errors import ConfigError, DecodeError, FetchError
 
 Transport = Callable[[str, int, int], Sequence[dict]]
 
@@ -47,20 +53,61 @@ def http_transport(endpoint: str, from_block: int, to_block: int) -> list[dict]:
     return result
 
 
-def read_checkpoint(path) -> int | None:
-    """Last fully ingested block, or None when no checkpoint exists."""
+def _checkpoint_doc(path) -> dict | None:
+    """The checkpoint's fields, or None when no checkpoint exists."""
     path = Path(path)
     if not path.exists():
         return None
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return int(doc["lastBlock"])
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # also a byte that is not UTF-8
+            raise ConfigError(f"checkpoint {path}: invalid JSON: {exc}") from exc
+    if not (isinstance(doc, dict) and type(doc.get("lastBlock")) is int
+            and type(doc.get("spoolBytes", 0)) is int):
+        raise ConfigError(f"checkpoint {path}: expected integer lastBlock and spoolBytes")
+    return doc
 
 
-def write_checkpoint(path, last_block: int) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"lastBlock": last_block}, fh)
+def read_checkpoint(path) -> int | None:
+    """Last fully ingested block, or None when no checkpoint exists."""
+    doc = _checkpoint_doc(path)
+    return None if doc is None else doc["lastBlock"]
+
+
+def write_checkpoint(path, last_block: int, spool_bytes: int | None = None) -> None:
+    """Replace the checkpoint; a crash leaves either the old or the new one whole."""
+    doc = {"lastBlock": last_block}
+    if spool_bytes is not None:
+        doc["spoolBytes"] = spool_bytes
+    partial = Path(f"{path}.partial")
+    with open(partial, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
         fh.write("\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(partial, path)
+
+
+def _open_spool(spool_path, checkpoint_path, doc: dict | None):
+    """Open the spool for appending, cut back to the length checkpoint ``doc`` records.
+
+    A fresh run (no checkpoint to resume) starts from an empty spool.
+    """
+    keep = 0
+    if doc is not None:
+        if "spoolBytes" not in doc:
+            raise ConfigError(
+                f"checkpoint {checkpoint_path} records no spool length, so the records "
+                f"up to block {doc['lastBlock']} were not kept; remove it to fetch again")
+        keep = doc["spoolBytes"]
+        size = os.path.getsize(spool_path) if os.path.exists(spool_path) else 0
+        if size < keep:
+            raise ConfigError(f"spool {spool_path} holds {size} bytes, fewer than the "
+                              f"{keep} that checkpoint {checkpoint_path} records")
+    fh = open(spool_path, "ab")  # appends land at the end, also after the cut
+    fh.truncate(keep)
+    return fh
 
 
 def fetch_event_logs(
@@ -73,12 +120,17 @@ def fetch_event_logs(
     max_retries: int = DEFAULT_MAX_RETRIES,
     backoff: float = DEFAULT_BACKOFF,
     sleep: Callable[[float], None] = time.sleep,
+    spool: tuple[str | Path, Callable[[Sequence[dict]], str]] | None = None,
 ) -> list[dict]:
     """Fetch all raw records with blocks in [from_block, to_block).
 
     Resumes after the checkpointed block when a checkpoint file is present.
-    Raises FetchError carrying the last completed block once retries are
-    exhausted; DecodeError on malformed responses.
+    With ``spool`` = (path, encode), each page is appended to the file at
+    path as ``encode(records)``, flushed and synced before the checkpoint
+    advances, and the records are not returned: the spool then holds every
+    record of this run and of the runs it resumes. Raises FetchError
+    carrying the last completed block once retries are exhausted;
+    DecodeError on malformed responses.
     """
     if page_size <= 0:
         raise ValueError("page size must be positive")
@@ -86,36 +138,51 @@ def fetch_event_logs(
 
     last_done: int | None = None
     start = from_block
-    if checkpoint_path is not None:
-        last_done = read_checkpoint(checkpoint_path)
-        if last_done is not None:
-            start = max(start, last_done + 1)
+    doc = None if checkpoint_path is None else _checkpoint_doc(checkpoint_path)
+    if doc is not None:
+        last_done = doc["lastBlock"]
+        start = max(start, last_done + 1)
+    spool_fh = None
+    if spool is not None:
+        spool_path, encode = spool
+        spool_fh = _open_spool(spool_path, checkpoint_path, doc)
 
     records: list[dict] = []
-    page_start = start
-    while page_start < to_block:
-        page_end = min(page_start + page_size - 1, to_block - 1)
-        attempt = 0
-        while True:
-            try:
-                page = transport(endpoint, page_start, page_end)
-                break
-            except DecodeError:
-                raise
-            except Exception as exc:
-                attempt += 1
-                if attempt > max_retries:
-                    raise FetchError(
-                        f"page [{page_start}, {page_end}] failed after "
-                        f"{max_retries} retries: {exc}",
-                        last_block=last_done,
-                    ) from exc
-                sleep(backoff * 2 ** (attempt - 1))
-        if not isinstance(page, (list, tuple)):
-            raise DecodeError(f"transport returned {type(page).__name__}, expected a list")
-        records.extend(page)
-        last_done = page_end
-        if checkpoint_path is not None:
-            write_checkpoint(checkpoint_path, last_done)
-        page_start = page_end + 1
+    try:
+        page_start = start
+        while page_start < to_block:
+            page_end = min(page_start + page_size - 1, to_block - 1)
+            attempt = 0
+            while True:
+                try:
+                    page = transport(endpoint, page_start, page_end)
+                    break
+                except DecodeError:
+                    raise
+                except Exception as exc:
+                    attempt += 1
+                    if attempt > max_retries:
+                        raise FetchError(
+                            f"page [{page_start}, {page_end}] failed after "
+                            f"{max_retries} retries: {exc}",
+                            last_block=last_done,
+                        ) from exc
+                    sleep(backoff * 2 ** (attempt - 1))
+            if not isinstance(page, (list, tuple)):
+                raise DecodeError(f"transport returned {type(page).__name__}, expected a list")
+            spooled = None
+            if spool_fh is None:
+                records.extend(page)
+            else:
+                spool_fh.write(encode(page).encode("utf-8"))
+                spool_fh.flush()
+                os.fsync(spool_fh.fileno())
+                spooled = os.fstat(spool_fh.fileno()).st_size
+            last_done = page_end
+            if checkpoint_path is not None:
+                write_checkpoint(checkpoint_path, last_done, spooled)
+            page_start = page_end + 1
+    finally:
+        if spool_fh is not None:
+            spool_fh.close()
     return records

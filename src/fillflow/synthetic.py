@@ -569,4 +569,6 @@ def load_scenario(path, seed: int | None = None) -> SyntheticScenario:
         )
     except KeyError as exc:
         raise ConfigError(f"scenario missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:  # a time parse_utc rejects; a malformed number
+        raise ConfigError(f"scenario: {exc}") from exc
     return scenario

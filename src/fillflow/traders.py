@@ -91,8 +91,12 @@ def collect_trader_activity(
                 addr = party.lower()
                 if not addr or addr in excluded:
                     continue
-                activity = traders.setdefault(addr, TraderActivity(address=addr))
-                market_activity = activity.per_market.setdefault(label, MarketActivity())
+                activity = traders.get(addr)
+                if activity is None:
+                    activity = traders[addr] = TraderActivity(address=addr)
+                market_activity = activity.per_market.get(label)
+                if market_activity is None:
+                    market_activity = activity.per_market[label] = MarketActivity()
                 market_activity.trade_count += 1
                 market_activity.usd_volume += fill.usdc_amount
                 market_activity.hours.add(hour)

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 import subprocess
@@ -5,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 from fillflow.errors import (
     ConfigError,
@@ -18,6 +20,7 @@ from fillflow.events import (
     FillEvent,
     Transaction,
     fill_from_record,
+    fill_lines,
     group_transactions,
     load_market_config,
     read_fills,
@@ -272,6 +275,129 @@ class TestCanonicalFastPath:
         assert len(first) < len(fills)
 
 
+def reference_line(fill):
+    return json.dumps(fill.to_record()) + "\n"
+
+
+class Loud(int):
+    """An int whose ``str()`` needs JSON escaping; ``json.dumps`` ignores it for bare ints."""
+
+    def __str__(self):
+        return '"\\\u00e9'
+
+    __repr__ = __str__
+
+
+ADVERSARIAL_TEXT = ['"', "\\", "\x00\x01\x1f\n\t", "\x7f", "\u00e9\u6f22\U0001f600", "\ud800",
+                    "", "0x351"]
+
+
+class TestFillLines:
+    def test_generator_ledger_equals_json_dumps(self, tmp_path, small_ledger):
+        expected = [reference_line(fill) for fill in small_ledger.fills]
+        assert list(fill_lines(small_ledger.fills)) == expected
+        path = tmp_path / "fills.jsonl"
+        write_fills(path, small_ledger.fills)
+        assert path.read_bytes() == "".join(expected).encode("utf-8")
+
+    @pytest.mark.parametrize("text", ADVERSARIAL_TEXT,
+                             ids=["quote", "backslash", "control", "del", "non-ascii",
+                                  "lone-surrogate", "empty", "plain"])
+    def test_adversarial_address_equals_json_dumps(self, text):
+        # The second fill repeats the text in the other field, so it is served
+        # from the per-call memo.
+        fills = [make_fill()._replace(maker=text),
+                 make_fill(log_index=1, buy=False)._replace(taker=text)]
+        assert list(fill_lines(fills)) == [reference_line(fill) for fill in fills]
+
+    @pytest.mark.parametrize("field", ["block", "tx_index", "log_index", "maker_amount",
+                                       "taker_amount", "timestamp"])
+    def test_int_subclass_equals_json_dumps(self, field):
+        fill = make_fill()
+        fill = fill._replace(**{field: Loud(getattr(fill, field))})
+        assert list(fill_lines([fill, make_fill(log_index=1)])) == [
+            reference_line(fill), reference_line(make_fill(log_index=1))]
+
+
+CSV_BASE = dict(zip(FILL_FIELDS, ["54432034", "44", "101", "0x351", "0xC5d", "0", TOKEN,
+                                  "6000000000", "6000000000", "1714557600"]))
+
+
+def csv_text(columns=FILL_FIELDS, **changes):
+    """A header of ``columns`` and two rows: the base fill, then it with ``changes``."""
+    second = {**CSV_BASE, "logIndex": "102", **changes}
+    rows = [[CSV_BASE.get(c, "extra") for c in columns],
+            [second.get(c, "extra") for c in columns]]
+    return "\n".join(",".join(row) for row in [list(columns)] + rows) + "\n"
+
+
+def reference_read_csv(path, block_times=None):
+    """``fill_from_record`` over ``read_table``: the general reader of CSV rows."""
+    required = [f for f in FILL_FIELDS if f != "timestamp"]
+    return [fill_from_record(record, line_no, block_times)
+            for line_no, record in read_table(path, required)]
+
+
+NO_TIMESTAMP = tuple(f for f in FILL_FIELDS if f != "timestamp")
+SIDECAR = {54432034: 555}
+
+
+class TestCsvRowsAgainstReference:
+    def test_generator_ledger_matches_reference(self, tmp_path, small_ledger):
+        path = tmp_path / "fills.csv"
+        write_fills(path, small_ledger.fills, "csv")
+        assert read_fills(path) == reference_read_csv(path) == small_ledger.fills
+
+    @pytest.mark.parametrize("text, block_times", [
+        (csv_text(tuple(reversed(FILL_FIELDS))), None),
+        (csv_text(("note",) + FILL_FIELDS + ("memo",)), None),
+        (f"{HEADER},block\n{','.join(CSV_BASE.values())},7\n", None),
+        (csv_text(NO_TIMESTAMP), SIDECAR),
+        (csv_text(NO_TIMESTAMP), None),
+        (csv_text(timestamp=""), SIDECAR),
+        (csv_text(timestamp=""), None),
+        (csv_text(makerAssetId=" 0 ", takerAssetId=f" {TOKEN}"), None),
+        (csv_text(makerAmountFilled="\u0661\u0660"), None),
+        (csv_text(timestamp="\u0661\u0667"), None),
+        (csv_text(logIndex="-1"), None),
+        (csv_text(takerAmountFilled="-1"), None),
+        (csv_text(txIndex="1_0"), None),
+        (csv_text(block=""), None),
+        (csv_text(maker=""), None),
+        (csv_text(makerAmountFilled=""), None),
+        (csv_text(takerAssetId=""), None),
+        (csv_text(txIndex=" 7 "), None),
+        (csv_text(block="9" * 5000), None),
+        (csv_text(takerAssetId="0"), None),
+    ], ids=["reordered", "extra-columns", "repeated-column", "no-timestamp-sidecar",
+            "no-timestamp", "empty-timestamp-sidecar", "empty-timestamp", "spaced-asset-ids",
+            "non-ascii-amount", "non-ascii-timestamp", "negative-log-index",
+            "negative-amount", "underscore", "empty-block", "empty-maker", "empty-amount",
+            "empty-asset-id", "spaced-integer", "huge-integer", "both-collateral"])
+    def test_mutant_matches_reference(self, tmp_path, text, block_times):
+        path = tmp_path / "fills.csv"
+        path.write_text(text, encoding="utf-8")
+        read = functools.partial(read_fills, block_times=block_times)
+        reference = functools.partial(reference_read_csv, block_times=block_times)
+        assert outcome(read, path) == outcome(reference, path)
+
+
+def test_ingest_of_csv_shard_writes_the_jsonl_bytes(tmp_path, small_ledger):
+    from fillflow.cli import main
+
+    written = {}
+    for fmt in ("jsonl", "csv"):
+        shard = tmp_path / f"shard.{fmt}"
+        write_fills(shard, small_ledger.fills[::-1], fmt)
+        result = CliRunner().invoke(main, ["ingest", "--input", str(shard),
+                                           "--out", str(tmp_path / fmt)])
+        assert result.exit_code == 0, result.output
+        written[fmt] = (tmp_path / fmt / "fills.jsonl").read_bytes()
+    assert written["csv"] == written["jsonl"]
+    assert read_fills(tmp_path / "csv" / "fills.jsonl") == sorted(
+        small_ledger.fills, key=lambda f: f.key)
+
+
 class TestGrouping:
     def test_fixture_grouping_sizes(self, example_transactions):
         by_key = {tx.key: len(tx.fills) for tx in example_transactions}
@@ -444,12 +570,15 @@ class TestFillEventContract:
 def test_cli_import_does_not_load_numpy():
     # numpy serves only the price-impact least squares; loading it at import
     # would slow every other command's start-up. The package itself re-exports
-    # nothing, so the CLI loads neither the mechanics nor the fixtures module.
+    # nothing, so the CLI loads neither the mechanics nor the fixtures module,
+    # and each layer module loads only in the commands that call into it.
     src = Path(__file__).resolve().parents[1] / "src"
+    lazy = ["numpy"] + [f"fillflow.{name}" for name in (
+        "mechanics", "fixtures", "fetch", "synthetic", "microstructure", "prices", "traders",
+        "metrics", "decompose")]
     subprocess.run(
-        [sys.executable, "-c", "import fillflow.cli, sys; assert 'numpy' not in sys.modules; "
-         "assert 'fillflow.mechanics' not in sys.modules; "
-         "assert 'fillflow.fixtures' not in sys.modules"],
+        [sys.executable, "-c", "import fillflow.cli, sys; "
+         f"loaded = [m for m in {lazy!r} if m in sys.modules]; assert not loaded, loaded"],
         env={"PYTHONPATH": str(src)}, check=True)
 
 

@@ -1,22 +1,38 @@
-import pytest
+import json
 
-from fillflow.errors import DecodeError, FetchError
+import pytest
+from click.testing import CliRunner
+
+from fillflow import fetch
+from fillflow.cli import main
+from fillflow.errors import ConfigError, DecodeError, FetchError
+from fillflow.events import read_fills
 from fillflow.fetch import fetch_event_logs, read_checkpoint, write_checkpoint
 
 
 class RecordingTransport:
-    def __init__(self, fail_from=None, fail_times=10**9):
+    """Serves one record per block, or the given records by block, failing on request."""
+
+    def __init__(self, fail_from=None, fail_times=10**9, records=None, error=ConnectionError):
         self.calls = []
         self.fail_from = fail_from
         self.fail_times = fail_times
         self.failures = 0
+        self.records = records
+        self.error = error
 
     def __call__(self, endpoint, from_block, to_block):
         self.calls.append((endpoint, from_block, to_block))
         if self.fail_from == from_block and self.failures < self.fail_times:
             self.failures += 1
-            raise ConnectionError("boom")
+            raise self.error("boom")
+        if self.records is not None:
+            return [r for r in self.records if from_block <= r["block"] <= to_block]
         return [{"block": b} for b in range(from_block, to_block + 1)]
+
+
+def json_lines(records):
+    return "".join(json.dumps(r) + "\n" for r in records)
 
 
 class TestPagination:
@@ -61,6 +77,54 @@ class TestCheckpointing:
     def test_no_checkpoint_returns_none(self, tmp_path):
         assert read_checkpoint(tmp_path / "missing.json") is None
 
+    def test_checkpoint_advances_only_past_spooled_pages(self, tmp_path):
+        checkpoint, spool = tmp_path / "checkpoint.json", tmp_path / "spool.jsonl"
+        transport = RecordingTransport(fail_from=100)
+        with pytest.raises(FetchError):
+            fetch_event_logs("http://x", 0, 200, 50, checkpoint_path=checkpoint,
+                             transport=transport, max_retries=0, spool=(spool, json_lines))
+        spooled = [json.loads(line)["block"] for line in spool.read_text().splitlines()]
+        assert spooled == list(range(100))
+        assert json.loads(checkpoint.read_text()) == {
+            "lastBlock": 99, "spoolBytes": spool.stat().st_size}
+
+        records = fetch_event_logs("http://x", 0, 200, 50, checkpoint_path=checkpoint,
+                                   transport=RecordingTransport(), spool=(spool, json_lines))
+        assert records == []
+        spooled = [json.loads(line)["block"] for line in spool.read_text().splitlines()]
+        assert spooled == list(range(200))
+
+    def test_fresh_run_empties_the_spool(self, tmp_path):
+        spool = tmp_path / "spool.jsonl"
+        spool.write_text("stale\n")
+        fetch_event_logs("http://x", 0, 10, 50, transport=RecordingTransport(),
+                         spool=(spool, json_lines))
+        assert spool.read_text() == json_lines({"block": b} for b in range(10))
+
+    def test_checkpoint_without_spool_length_refused(self, tmp_path):
+        checkpoint = tmp_path / "checkpoint.json"
+        write_checkpoint(checkpoint, 49)
+        with pytest.raises(ConfigError, match="records no spool length"):
+            fetch_event_logs("http://x", 0, 200, 50, checkpoint_path=checkpoint,
+                             transport=RecordingTransport(),
+                             spool=(tmp_path / "spool.jsonl", json_lines))
+
+    def test_spool_shorter_than_checkpoint_refused(self, tmp_path):
+        checkpoint, spool = tmp_path / "checkpoint.json", tmp_path / "spool.jsonl"
+        write_checkpoint(checkpoint, 49, 10)
+        spool.write_text("short\n")
+        with pytest.raises(ConfigError, match="holds 6 bytes, fewer than the 10"):
+            fetch_event_logs("http://x", 0, 200, 50, checkpoint_path=checkpoint,
+                             transport=RecordingTransport(), spool=(spool, json_lines))
+
+    @pytest.mark.parametrize("text", ["{not json", "[49]", '{"lastBlock": "49"}',
+                                      '{"lastBlock": 49, "spoolBytes": null}'])
+    def test_malformed_checkpoint_refused(self, tmp_path, text):
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(text)
+        with pytest.raises(ConfigError, match="checkpoint"):
+            read_checkpoint(checkpoint)
+
 
 class TestRetries:
     def test_transient_failure_retried_with_backoff(self):
@@ -97,3 +161,81 @@ class TestRetries:
     def test_bad_page_size(self):
         with pytest.raises(ValueError):
             fetch_event_logs("http://x", 0, 50, 0, transport=RecordingTransport())
+
+
+PAGE = 400_000
+
+
+class TestIngestResume:
+    """``ingest --endpoint --checkpoint`` keeps every fetched fill across interruptions."""
+
+    @pytest.fixture
+    def records(self, small_ledger):
+        return [fill.to_record() for fill in small_ledger.fills]
+
+    def ingest(self, monkeypatch, transport, records, out, checkpoint=None):
+        monkeypatch.setattr(fetch, "http_transport", transport)
+        blocks = [r["block"] for r in records]
+        args = ["ingest", "--endpoint", "http://x", "--from-block", str(min(blocks)),
+                "--to-block", str(max(blocks) + 1), "--page-size", str(PAGE), "--out", str(out)]
+        if checkpoint is not None:
+            args += ["--checkpoint", str(checkpoint)]
+        return CliRunner().invoke(main, args)
+
+    @pytest.fixture
+    def uninterrupted(self, monkeypatch, records, small_ledger, tmp_path):
+        transport = RecordingTransport(records=records)
+        result = self.ingest(monkeypatch, transport, records, tmp_path / "whole")
+        assert result.exit_code == 0, result.output
+        assert len(transport.calls) > 4
+        fills = tmp_path / "whole" / "fills.jsonl"
+        assert read_fills(fills) == sorted(small_ledger.fills, key=lambda f: f.key)
+        return fills.read_bytes(), [call[1] for call in transport.calls]
+
+    def test_interrupted_on_page_k_then_resumed(self, monkeypatch, records, tmp_path,
+                                                uninterrupted):
+        whole, page_starts = uninterrupted
+        out, checkpoint = tmp_path / "out", tmp_path / "checkpoint.json"
+        k = 3
+        interrupted = RecordingTransport(fail_from=page_starts[k], fail_times=1,
+                                         records=records, error=KeyboardInterrupt)
+        result = self.ingest(monkeypatch, interrupted, records, out, checkpoint)
+        assert result.exit_code != 0
+        assert not (out / "fills.jsonl").exists()
+        assert read_checkpoint(checkpoint) == page_starts[k] - 1
+
+        resumed = RecordingTransport(records=records)
+        result = self.ingest(monkeypatch, resumed, records, out, checkpoint)
+        assert result.exit_code == 0, result.output
+        assert [call[1] for call in resumed.calls] == page_starts[k:]
+        assert (out / "fills.jsonl").read_bytes() == whole
+
+    def test_crash_between_spool_append_and_checkpoint(self, monkeypatch, records, tmp_path,
+                                                       uninterrupted):
+        whole, page_starts = uninterrupted
+        out, checkpoint = tmp_path / "out", tmp_path / "checkpoint.json"
+        real_write = fetch.write_checkpoint
+        writes = []
+
+        def crash_on_third_page(*args):
+            writes.append(args)
+            if len(writes) == 3:
+                raise OSError("disk went away")
+            real_write(*args)
+
+        monkeypatch.setattr(fetch, "write_checkpoint", crash_on_third_page)
+        result = self.ingest(monkeypatch, RecordingTransport(records=records), records,
+                             out, checkpoint)
+        assert result.exit_code == 3
+        assert "disk went away" in result.output
+        recorded = json.loads(checkpoint.read_text())
+        assert recorded["lastBlock"] == page_starts[2] - 1
+        # The third page reached the spool, past the length the checkpoint records.
+        assert (out / "fetched.jsonl").stat().st_size > recorded["spoolBytes"]
+
+        monkeypatch.setattr(fetch, "write_checkpoint", real_write)
+        resumed = RecordingTransport(records=records)
+        result = self.ingest(monkeypatch, resumed, records, out, checkpoint)
+        assert result.exit_code == 0, result.output
+        assert [call[1] for call in resumed.calls] == page_starts[2:]
+        assert (out / "fills.jsonl").read_bytes() == whole
