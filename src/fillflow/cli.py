@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import importlib
 import json
 import sys
 from pathlib import Path
@@ -22,6 +21,7 @@ from pathlib import Path
 import click
 
 from . import __version__
+from .decompose import decompose_ledger, read_decomposed, write_decomposed
 from .errors import ConfigError, DataError, FillflowError
 from .events import (
     fill_from_record,
@@ -34,6 +34,31 @@ from .events import (
     write_market_config,
     write_table,
 )
+from .fetch import fetch_event_logs
+from .metrics import aggregate_components, side_measures
+from .microstructure import (
+    hourly_bars,
+    lambda_volume_regression,
+    price_impact_delta_p,
+    rolling_avg_volume,
+    rolling_kyle_lambda,
+    sign_trades,
+)
+from .prices import (
+    arbitrage_deviation,
+    build_price_series,
+    daily_net_inflow,
+    rolling_inflow_correlation,
+    splice_democrat_market,
+)
+from .synthetic import generate_synthetic_ledger, load_scenario
+from .traders import (
+    cell_bitmask,
+    collect_trader_activity,
+    hourly_active_traders,
+    participation_sets,
+    top_decile_traders,
+)
 from .units import (
     DEFAULT_WINDOW_END,
     DEFAULT_WINDOW_START,
@@ -42,45 +67,6 @@ from .units import (
     micro_to_usd,
     parse_utc,
 )
-
-# Layer functions by module. A module is imported only by the commands that
-# call into it (``_load``), so each command pays only for its own imports.
-_LAYERS = {
-    "decompose": ("decompose_ledger", "read_decomposed", "write_decomposed"),
-    "fetch": ("fetch_event_logs",),
-    "metrics": ("aggregate_components", "side_measures"),
-    "microstructure": ("hourly_bars", "lambda_volume_regression", "price_impact_delta_p",
-                       "rolling_avg_volume", "rolling_kyle_lambda", "sign_trades"),
-    "prices": ("arbitrage_deviation", "build_price_series", "daily_net_inflow",
-               "rolling_inflow_correlation", "splice_democrat_market"),
-    "synthetic": ("generate_synthetic_ledger", "load_scenario"),
-    "traders": ("cell_bitmask", "collect_trader_activity", "hourly_active_traders",
-                "participation_sets", "top_decile_traders"),
-}
-_MODULE_OF = {name: module for module, names in _LAYERS.items() for name in names}
-
-
-def _load(*modules: str) -> None:
-    """Bind the layer functions of ``modules`` as globals of this module.
-
-    A name already bound here, such as a wrapper that replaced it, is kept.
-    """
-    namespace = globals()
-    for module in modules:
-        imported = importlib.import_module(f".{module}", __package__)
-        for name in _LAYERS[module]:
-            namespace.setdefault(name, getattr(imported, name))
-
-
-def __getattr__(name: str):
-    # ``fillflow.cli.<layer function>`` resolves before any command has run,
-    # so a caller can replace it with a wrapper (perfbench/traced_cli.py
-    # times each layer that way) that the commands then call.
-    if name not in _MODULE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load(_MODULE_OF[name])
-    return globals()[name]
-
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -232,15 +218,14 @@ def ingest(inputs, endpoint, from_block, to_block, page_size, checkpoint,
         fills.extend(read_fills(path, block_times=block_map))
     out_dir = _out_dir(out)
     if endpoint:
-        _load("fetch")
         spool = out_dir / "fetched.jsonl"
 
         def encode(records):
             return "".join(fill_lines(fill_from_record(r, block_times=block_map)
                                       for r in records))
 
-        fetch_event_logs(endpoint, from_block, to_block, page_size,
-                         checkpoint_path=checkpoint, spool=(spool, encode))
+        fetch_event_logs(endpoint, from_block, to_block, spool, encode, page_size,
+                         checkpoint_path=checkpoint)
         fills.extend(read_fills(spool))
     transactions = group_transactions(fills)
     ordered = [fill for tx in transactions for fill in tx.fills]
@@ -270,7 +255,6 @@ def ingest(inputs, endpoint, from_block, to_block, page_size, checkpoint,
 @guarded
 def decompose(inputs, markets_path, start, end, fmt, max_anomalies, out):
     """Decompose transactions into the six volume components."""
-    _load("decompose")
     transactions, markets = _load_transactions(inputs, markets_path)
     transactions = _clip(transactions, start, end)
     rows, anomalies = decompose_ledger(transactions, markets)
@@ -314,7 +298,6 @@ def decompose(inputs, markets_path, start, end, fmt, max_anomalies, out):
 @guarded
 def metrics(inputs, market, side, partition, start, end, dense, fmt, out):
     """Exchange-equivalent volume, net inflow, and gross activity per interval."""
-    _load("decompose", "metrics")
     _check_range(start, end)
     records = []
     for path in inputs:
@@ -372,7 +355,6 @@ def _interval_label(ts: int, partition: str) -> str:
 @guarded
 def deviation(inputs, markets_path, market, grid_step, max_staleness, start, end, fmt, out):
     """Arbitrage deviation p_yes + p_no - 1 on a carry-forward price grid."""
-    _load("prices")
     transactions, markets = _load_transactions(inputs, markets_path)
     transactions = _clip(transactions, start, end)
     spec = _find_market(markets, market)
@@ -425,7 +407,6 @@ def deviation(inputs, markets_path, market, grid_step, max_staleness, start, end
 def disagreement(inputs, market_a, first_democrat, second_democrat, splice_day, side,
                  corr_window_days, step_days, start, end, fmt, out):
     """Rolling correlation of daily net inflow: one market vs a spliced pair."""
-    _load("decompose", "prices")
     records = []
     for path in inputs:
         records.extend(read_decomposed(path))
@@ -484,7 +465,6 @@ def disagreement(inputs, market_a, first_democrat, second_democrat, splice_day, 
 def lambda_(inputs, markets_path, market, side, window_hours, step_days, weight,
             clamp_eps, vol_window_days, no_intercept, start, end, out):
     """Rolling price-impact estimates and the impact-on-volume regression."""
-    _load("decompose", "metrics", "microstructure", "prices")
     transactions, markets = _load_transactions(inputs, markets_path)
     transactions = _clip(transactions, start, end)
     spec = _find_market(markets, market)
@@ -496,13 +476,7 @@ def lambda_(inputs, markets_path, market, side, window_hours, step_days, weight,
     bars = hourly_bars(sign_trades(points), weight)
     estimates = rolling_kyle_lambda(bars, window_hours, step_days, clamp_eps)
 
-    # Only transactions touching the market give it rows; each is still
-    # decomposed across all its markets and dropped whole if any slice fails.
-    tokens = set(spec.token_ids)
-    touching = [tx for tx in transactions
-                if any(f.maker_asset_id in tokens or f.taker_asset_id in tokens
-                       for f in tx.fills)]
-    decomposed, anomalies = decompose_ledger(touching, markets)
+    decomposed, anomalies = decompose_ledger(transactions, markets)
     if anomalies:
         click.echo(f"warning: {len(anomalies)} anomalous transactions skipped", err=True)
     daily = aggregate_components(decomposed, "day", market=market, dense=True)
@@ -561,7 +535,6 @@ def lambda_(inputs, markets_path, market, side, window_hours, step_days, weight,
 @guarded
 def impact(lam, price, flow, fmt):
     """Convert a price-impact coefficient into a price move."""
-    _load("microstructure")
     if not 0 < price < 1:
         raise ConfigError("--price must be inside (0, 1)")
     delta_p = price_impact_delta_p(lam, price, flow)
@@ -592,7 +565,6 @@ def impact(lam, price, flow, fmt):
 def traders_cmd(inputs, markets_path, quarter, start, end, by, exclude_addresses,
                 per_market, out):
     """Hourly activity profile, top-decile traders, and participation cells."""
-    _load("traders")
     transactions, markets = _load_transactions(inputs, markets_path)
     if quarter:
         q_start, q_end = _quarter_bounds(quarter, end)
@@ -669,7 +641,6 @@ def _quarter_bounds(quarter: str, explicit_end: int | None) -> tuple[int, int]:
 @guarded
 def simulate(scenario_path, seed, out):
     """Generate a synthetic ledger plus its ground-truth sidecar."""
-    _load("decompose", "synthetic")
     scenario = load_scenario(scenario_path, seed=seed)
     ledger = generate_synthetic_ledger(scenario)
 

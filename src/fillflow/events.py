@@ -17,7 +17,7 @@ import json
 import re
 from dataclasses import dataclass
 from itertools import groupby
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from sys import intern
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -263,41 +263,26 @@ def read_table(path, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
     try:
         with open(path, encoding="utf-8") as fh:
             if str(path).endswith(".csv"):
-                header, rows = _csv_rows(fh, required)
-                for line_no, row in rows:
-                    yield line_no, dict(zip(header, row))
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header is None:
+                    return
+                missing = [c for c in required if c not in header]
+                if missing:
+                    raise ParseError(f"CSV header missing columns: {missing}", 1)
+                for row in reader:
+                    if not row:
+                        continue
+                    if len(row) != len(header):
+                        raise ParseError(
+                            f"expected {len(header)} columns, got {len(row)}", reader.line_num)
+                    yield reader.line_num, dict(zip(header, row))
             else:
                 for line_no, line in enumerate(fh, start=1):
                     if line.strip():
                         yield line_no, _json_record(line, line_no)
     except UnicodeDecodeError:
         raise _utf8_error(path) from None
-
-
-def _csv_rows(fh, required: Sequence[str]) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
-    """The header of a CSV file and its non-blank rows as (line number, values).
-
-    The header must name every ``required`` column and each row must have as
-    many values as the header, else ParseError naming the line.
-    """
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    if header is None:
-        return [], iter(())
-    missing = [c for c in required if c not in header]
-    if missing:
-        raise ParseError(f"CSV header missing columns: {missing}", 1)
-
-    def rows():
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} columns, got {len(row)}",
-                                 reader.line_num)
-            yield reader.line_num, row
-
-    return header, rows()
 
 
 def _utf8_error(path) -> ParseError:
@@ -360,13 +345,11 @@ def read_fills(path, block_times: Mapping[int, int] | None = None) -> list[FillE
 
     JSONL lines in the layout ``write_fills`` emits are read by one regex
     match; any other line is decoded as JSON, with the same result or error.
-    CSV rows whose integers are ASCII digits and whose timestamp is present
-    are read by column position; any other row goes through
-    ``fill_from_record``, with the same result or error. Addresses and
-    asset ids are interned on every path.
+    Addresses and asset ids are interned on every path.
     """
     if str(path).endswith(".csv"):
-        return _read_csv_fills(path, block_times)
+        return [fill_from_record(record, line_no, block_times)
+                for line_no, record in read_table(path, _REQUIRED_FILL_FIELDS)]
     canonical = _CANONICAL_FILL.fullmatch
     fills: list[FillEvent] = []
     try:
@@ -387,34 +370,6 @@ def read_fills(path, block_times: Mapping[int, int] | None = None) -> list[FillE
                 if line.strip():
                     fills.append(fill_from_record(_json_record(line, line_no), line_no,
                                                   block_times))
-    except UnicodeDecodeError:
-        raise _utf8_error(path) from None
-    return fills
-
-
-def _read_csv_fills(path, block_times: Mapping[int, int] | None) -> list[FillEvent]:
-    fills: list[FillEvent] = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            header, rows = _csv_rows(fh, _REQUIRED_FILL_FIELDS)
-            # The last column of a repeated name wins, as in dict(zip(header, row)).
-            column = {name: i for i, name in enumerate(header)}
-            pick = itemgetter(*(column[f] for f in FILL_FIELDS)) if "timestamp" in column else None
-            for line_no, row in rows:
-                if pick is not None:
-                    block, tx_index, log_index, maker, taker, maker_asset_id, taker_asset_id, \
-                        maker_amount, taker_amount, timestamp = pick(row)
-                    digits = block + tx_index + log_index + maker_amount + taker_amount + timestamp
-                    if digits.isascii() and digits.isdigit():
-                        try:
-                            fills.append(FillEvent(
-                                int(block), int(tx_index), int(log_index), intern(maker),
-                                intern(taker), intern(maker_asset_id), intern(taker_asset_id),
-                                int(maker_amount), int(taker_amount), int(timestamp)))
-                            continue
-                        except (ValueError, SchemaError):
-                            pass  # an empty value or a spaced asset id: the general path decides
-                fills.append(fill_from_record(dict(zip(header, row)), line_no, block_times))
     except UnicodeDecodeError:
         raise _utf8_error(path) from None
     return fills

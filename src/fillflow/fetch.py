@@ -7,13 +7,11 @@ them. The endpoint speaks a minimal JSON-RPC-style protocol: POST a body
 record is a fill object in the canonical wire schema.
 
 The requested block range [from_block, to_block) is walked in ``page_size``
-pages. After every completed page the checkpoint file is rewritten with the
-last fully ingested block, so an interrupted run resumes from the next
-block. Records returned in memory are lost with the run that fetched them,
-so a resumable fetch takes a spool file: each page is appended to it and
-synced before the checkpoint advances, and the checkpoint records the
-spool's length. A resumed run cuts off any page appended after that, so the
-spool holds every page exactly once. Transient transport failures are
+pages. Each page is appended to a spool file and synced; only then is the
+checkpoint file rewritten with the last fully ingested block and the
+spool's length, so an interrupted run resumes from the next block. A
+resumed run cuts off any page appended after that length, so the spool
+holds every page exactly once. Transient transport failures are
 retried with bounded exponential backoff before the run fails (checkpoint
 intact).
 """
@@ -75,11 +73,9 @@ def read_checkpoint(path) -> int | None:
     return None if doc is None else doc["lastBlock"]
 
 
-def write_checkpoint(path, last_block: int, spool_bytes: int | None = None) -> None:
+def write_checkpoint(path, last_block: int, spool_bytes: int) -> None:
     """Replace the checkpoint; a crash leaves either the old or the new one whole."""
-    doc = {"lastBlock": last_block}
-    if spool_bytes is not None:
-        doc["spoolBytes"] = spool_bytes
+    doc = {"lastBlock": last_block, "spoolBytes": spool_bytes}
     partial = Path(f"{path}.partial")
     with open(partial, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
@@ -114,23 +110,23 @@ def fetch_event_logs(
     endpoint: str,
     from_block: int,
     to_block: int,
+    spool_path,
+    encode: Callable[[Sequence[dict]], str],
     page_size: int = DEFAULT_PAGE_SIZE,
     checkpoint_path=None,
     transport: Transport | None = None,
     max_retries: int = DEFAULT_MAX_RETRIES,
     backoff: float = DEFAULT_BACKOFF,
     sleep: Callable[[float], None] = time.sleep,
-    spool: tuple[str | Path, Callable[[Sequence[dict]], str]] | None = None,
-) -> list[dict]:
-    """Fetch all raw records with blocks in [from_block, to_block).
+) -> None:
+    """Spool all raw records with blocks in [from_block, to_block).
 
+    Each page is appended to the file at ``spool_path`` as
+    ``encode(records)``, flushed and synced before the checkpoint advances,
+    so the spool holds every record of this run and of the runs it resumes.
     Resumes after the checkpointed block when a checkpoint file is present.
-    With ``spool`` = (path, encode), each page is appended to the file at
-    path as ``encode(records)``, flushed and synced before the checkpoint
-    advances, and the records are not returned: the spool then holds every
-    record of this run and of the runs it resumes. Raises FetchError
-    carrying the last completed block once retries are exhausted;
-    DecodeError on malformed responses.
+    Raises FetchError carrying the last completed block once retries are
+    exhausted; DecodeError on malformed responses.
     """
     if page_size <= 0:
         raise ValueError("page size must be positive")
@@ -142,13 +138,7 @@ def fetch_event_logs(
     if doc is not None:
         last_done = doc["lastBlock"]
         start = max(start, last_done + 1)
-    spool_fh = None
-    if spool is not None:
-        spool_path, encode = spool
-        spool_fh = _open_spool(spool_path, checkpoint_path, doc)
-
-    records: list[dict] = []
-    try:
+    with _open_spool(spool_path, checkpoint_path, doc) as spool:
         page_start = start
         while page_start < to_block:
             page_end = min(page_start + page_size - 1, to_block - 1)
@@ -170,19 +160,10 @@ def fetch_event_logs(
                     sleep(backoff * 2 ** (attempt - 1))
             if not isinstance(page, (list, tuple)):
                 raise DecodeError(f"transport returned {type(page).__name__}, expected a list")
-            spooled = None
-            if spool_fh is None:
-                records.extend(page)
-            else:
-                spool_fh.write(encode(page).encode("utf-8"))
-                spool_fh.flush()
-                os.fsync(spool_fh.fileno())
-                spooled = os.fstat(spool_fh.fileno()).st_size
+            spool.write(encode(page).encode("utf-8"))
+            spool.flush()
+            os.fsync(spool.fileno())
             last_done = page_end
             if checkpoint_path is not None:
-                write_checkpoint(checkpoint_path, last_done, spooled)
+                write_checkpoint(checkpoint_path, last_done, os.fstat(spool.fileno()).st_size)
             page_start = page_end + 1
-    finally:
-        if spool_fh is not None:
-            spool_fh.close()
-    return records

@@ -239,71 +239,6 @@ class TestPipeline:
         assert (lam / "lambda_regression.json").exists()
 
 
-class TestLambdaMarketRestriction:
-    def test_artifacts_equal_whole_ledger_decomposition(self, runner, tmp_path, markets,
-                                                        monkeypatch):
-        import fillflow.cli as cli
-        from fillflow.decompose import decompose_ledger
-        from fillflow.events import (
-            FillEvent,
-            group_transactions,
-            read_fills,
-            write_market_config,
-        )
-        from fillflow.synthetic import SyntheticScenario, generate_synthetic_ledger
-        from fillflow.units import parse_utc
-
-        trump, biden = markets[:2]
-        ledger = generate_synthetic_ledger(SyntheticScenario(
-            seed=8, markets=[trump, biden], start=parse_utc("2024-01-10"),
-            end=parse_utc("2024-03-10"), n_transactions=3000))
-        mid = ledger.fills[len(ledger.fills) // 2]
-
-        def fill(tx_index, log_index, token, buy, usdc=5_000_000):
-            if buy:
-                return FillEvent(mid.block, tx_index, log_index, "0xa", "0xb", "0", token,
-                                 usdc, 2 * usdc, mid.timestamp)
-            return FillEvent(mid.block, tx_index, log_index, "0xc", "0xd", token, "0",
-                             2 * usdc, usdc, mid.timestamp)
-
-        def trump_exchange(tx_index):  # decomposes on its own: one pure exchange
-            return [fill(tx_index, 0, trump.yes_token_id, True),
-                    fill(tx_index, 1, trump.yes_token_id, False)]
-
-        def biden_mint_and_burn(tx_index):  # a slice outside the taxonomy
-            return [fill(tx_index, 2 + i, token, buy) for i, (token, buy) in enumerate(
-                (t, b) for t in biden.token_ids for b in (True, False))]
-
-        extra = [*trump_exchange(900), *biden_mint_and_burn(900),  # other slice fails
-                 *trump_exchange(901), fill(901, 2, "31337", True),  # unconfigured token
-                 *biden_mint_and_burn(902)]  # does not touch Trump
-        path = tmp_path / "fills.jsonl"
-        write_fills(path, ledger.fills + extra)
-        markets_path = tmp_path / "markets.json"
-        write_market_config(markets_path, [trump, biden])
-
-        def lambda_run(out):
-            result = runner.invoke(main, [
-                "lambda", "--input", str(path), "--markets", str(markets_path),
-                "--market", "Trump", "--window-hours", "240", "--vol-window-days", "10",
-                "--out", str(out)])
-            assert result.exit_code == 0, result.output
-            files = {name: (out / name).read_bytes()
-                     for name in ("lambda.csv", "lambda_regression.json")}
-            return files, result.stderr
-
-        restricted, warning = lambda_run(tmp_path / "restricted")
-        assert warning == "warning: 2 anomalous transactions skipped\n"
-
-        everything = group_transactions(read_fills(path))
-        monkeypatch.setattr(cli, "decompose_ledger",
-                            lambda transactions, specs: decompose_ledger(everything, specs))
-        whole, warning = lambda_run(tmp_path / "whole")
-        assert warning == "warning: 3 anomalous transactions skipped\n"
-        assert restricted == whole
-        assert len(restricted["lambda.csv"].splitlines()) > 10
-
-
 class TestFlagValidation:
     def test_reversed_date_range_exits_2(self, runner, fixture_dir, tmp_path):
         result = runner.invoke(main, [

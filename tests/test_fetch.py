@@ -35,21 +35,33 @@ def json_lines(records):
     return "".join(json.dumps(r) + "\n" for r in records)
 
 
-class TestPagination:
-    def test_range_100_200_page_50_makes_two_requests(self):
-        transport = RecordingTransport()
-        records = fetch_event_logs("http://x", 100, 200, 50, transport=transport)
-        assert [(a, b) for _, a, b in transport.calls] == [(100, 149), (150, 199)]
-        assert [r["block"] for r in records] == list(range(100, 200))
+def spooled(spool):
+    return [json.loads(line) for line in spool.read_text().splitlines()]
 
-    def test_empty_range_zero_requests(self):
+
+def fetch_blocks(tmp_path, *args, **kwargs):
+    """Blocks of the records ``fetch_event_logs`` spools to a file under tmp_path."""
+    spool = tmp_path / "spool.jsonl"
+    assert fetch_event_logs("http://x", *args[:2], spool, json_lines, *args[2:],
+                            **kwargs) is None
+    return [r["block"] for r in spooled(spool)]
+
+
+class TestPagination:
+    def test_range_100_200_page_50_makes_two_requests(self, tmp_path):
         transport = RecordingTransport()
-        assert fetch_event_logs("http://x", 100, 100, 50, transport=transport) == []
+        blocks = fetch_blocks(tmp_path, 100, 200, 50, transport=transport)
+        assert [(a, b) for _, a, b in transport.calls] == [(100, 149), (150, 199)]
+        assert blocks == list(range(100, 200))
+
+    def test_empty_range_zero_requests(self, tmp_path):
+        transport = RecordingTransport()
+        assert fetch_blocks(tmp_path, 100, 100, 50, transport=transport) == []
         assert transport.calls == []
 
-    def test_ragged_final_page(self):
+    def test_ragged_final_page(self, tmp_path):
         transport = RecordingTransport()
-        fetch_event_logs("http://x", 0, 130, 50, transport=transport)
+        fetch_blocks(tmp_path, 0, 130, 50, transport=transport)
         assert [(a, b) for _, a, b in transport.calls] == [(0, 49), (50, 99), (100, 129)]
 
 
@@ -58,20 +70,21 @@ class TestCheckpointing:
         checkpoint = tmp_path / "checkpoint.json"
         transport = RecordingTransport(fail_from=50)
         with pytest.raises(FetchError) as err:
-            fetch_event_logs("http://x", 0, 200, 50, checkpoint_path=checkpoint,
-                             transport=transport, max_retries=2, sleep=lambda _: None)
+            fetch_blocks(tmp_path, 0, 200, 50, checkpoint_path=checkpoint,
+                         transport=transport, max_retries=2, sleep=lambda _: None)
         assert err.value.last_block == 49
         assert read_checkpoint(checkpoint) == 49
 
     def test_resume_from_checkpoint(self, tmp_path):
-        checkpoint = tmp_path / "checkpoint.json"
-        write_checkpoint(checkpoint, 49)
+        checkpoint, spool = tmp_path / "checkpoint.json", tmp_path / "spool.jsonl"
+        spool.write_text(json_lines({"block": b} for b in range(50)))
+        write_checkpoint(checkpoint, 49, spool.stat().st_size)
         transport = RecordingTransport()
-        records = fetch_event_logs("http://x", 0, 200, 50, checkpoint_path=checkpoint,
-                                   transport=transport)
+        blocks = fetch_blocks(tmp_path, 0, 200, 50, checkpoint_path=checkpoint,
+                              transport=transport)
         assert [(a, b) for _, a, b in transport.calls] == \
             [(50, 99), (100, 149), (150, 199)]
-        assert records[0]["block"] == 50
+        assert blocks == list(range(200))
         assert read_checkpoint(checkpoint) == 199
 
     def test_no_checkpoint_returns_none(self, tmp_path):
@@ -81,41 +94,46 @@ class TestCheckpointing:
         checkpoint, spool = tmp_path / "checkpoint.json", tmp_path / "spool.jsonl"
         transport = RecordingTransport(fail_from=100)
         with pytest.raises(FetchError):
-            fetch_event_logs("http://x", 0, 200, 50, checkpoint_path=checkpoint,
-                             transport=transport, max_retries=0, spool=(spool, json_lines))
-        spooled = [json.loads(line)["block"] for line in spool.read_text().splitlines()]
-        assert spooled == list(range(100))
+            fetch_blocks(tmp_path, 0, 200, 50, checkpoint_path=checkpoint,
+                         transport=transport, max_retries=0)
+        assert [r["block"] for r in spooled(spool)] == list(range(100))
         assert json.loads(checkpoint.read_text()) == {
             "lastBlock": 99, "spoolBytes": spool.stat().st_size}
 
-        records = fetch_event_logs("http://x", 0, 200, 50, checkpoint_path=checkpoint,
-                                   transport=RecordingTransport(), spool=(spool, json_lines))
-        assert records == []
-        spooled = [json.loads(line)["block"] for line in spool.read_text().splitlines()]
-        assert spooled == list(range(200))
+        blocks = fetch_blocks(tmp_path, 0, 200, 50, checkpoint_path=checkpoint,
+                              transport=RecordingTransport())
+        assert blocks == list(range(200))
+
+    def test_resume_cuts_a_page_spooled_past_the_checkpoint(self, tmp_path):
+        checkpoint, spool = tmp_path / "checkpoint.json", tmp_path / "spool.jsonl"
+        spool.write_text(json_lines({"block": b} for b in range(50)))
+        write_checkpoint(checkpoint, 49, spool.stat().st_size)
+        with open(spool, "a") as fh:  # a page that reached the spool, not the checkpoint
+            fh.write(json_lines({"block": b} for b in range(50, 100)))
+        blocks = fetch_blocks(tmp_path, 0, 200, 50, checkpoint_path=checkpoint,
+                              transport=RecordingTransport())
+        assert blocks == list(range(200))
 
     def test_fresh_run_empties_the_spool(self, tmp_path):
         spool = tmp_path / "spool.jsonl"
         spool.write_text("stale\n")
-        fetch_event_logs("http://x", 0, 10, 50, transport=RecordingTransport(),
-                         spool=(spool, json_lines))
+        fetch_blocks(tmp_path, 0, 10, 50, transport=RecordingTransport())
         assert spool.read_text() == json_lines({"block": b} for b in range(10))
 
     def test_checkpoint_without_spool_length_refused(self, tmp_path):
         checkpoint = tmp_path / "checkpoint.json"
-        write_checkpoint(checkpoint, 49)
+        checkpoint.write_text('{"lastBlock": 49}\n')
         with pytest.raises(ConfigError, match="records no spool length"):
-            fetch_event_logs("http://x", 0, 200, 50, checkpoint_path=checkpoint,
-                             transport=RecordingTransport(),
-                             spool=(tmp_path / "spool.jsonl", json_lines))
+            fetch_blocks(tmp_path, 0, 200, 50, checkpoint_path=checkpoint,
+                         transport=RecordingTransport())
 
     def test_spool_shorter_than_checkpoint_refused(self, tmp_path):
         checkpoint, spool = tmp_path / "checkpoint.json", tmp_path / "spool.jsonl"
         write_checkpoint(checkpoint, 49, 10)
         spool.write_text("short\n")
         with pytest.raises(ConfigError, match="holds 6 bytes, fewer than the 10"):
-            fetch_event_logs("http://x", 0, 200, 50, checkpoint_path=checkpoint,
-                             transport=RecordingTransport(), spool=(spool, json_lines))
+            fetch_blocks(tmp_path, 0, 200, 50, checkpoint_path=checkpoint,
+                         transport=RecordingTransport())
 
     @pytest.mark.parametrize("text", ["{not json", "[49]", '{"lastBlock": "49"}',
                                       '{"lastBlock": 49, "spoolBytes": null}'])
@@ -127,21 +145,21 @@ class TestCheckpointing:
 
 
 class TestRetries:
-    def test_transient_failure_retried_with_backoff(self):
+    def test_transient_failure_retried_with_backoff(self, tmp_path):
         sleeps = []
         transport = RecordingTransport(fail_from=0, fail_times=2)
-        records = fetch_event_logs("http://x", 0, 50, 50, transport=transport,
-                                   max_retries=3, backoff=0.5, sleep=sleeps.append)
-        assert len(records) == 50
+        blocks = fetch_blocks(tmp_path, 0, 50, 50, transport=transport,
+                              max_retries=3, backoff=0.5, sleep=sleeps.append)
+        assert len(blocks) == 50
         assert sleeps == [0.5, 1.0]
 
-    def test_retries_exhausted(self):
+    def test_retries_exhausted(self, tmp_path):
         transport = RecordingTransport(fail_from=0)
         with pytest.raises(FetchError, match="after 2 retries"):
-            fetch_event_logs("http://x", 0, 50, 50, transport=transport,
-                             max_retries=2, sleep=lambda _: None)
+            fetch_blocks(tmp_path, 0, 50, 50, transport=transport,
+                         max_retries=2, sleep=lambda _: None)
 
-    def test_decode_error_not_retried(self):
+    def test_decode_error_not_retried(self, tmp_path):
         calls = []
 
         def transport(endpoint, a, b):
@@ -149,18 +167,16 @@ class TestRetries:
             raise DecodeError("bad payload")
 
         with pytest.raises(DecodeError):
-            fetch_event_logs("http://x", 0, 50, 50, transport=transport,
-                             sleep=lambda _: None)
+            fetch_blocks(tmp_path, 0, 50, 50, transport=transport, sleep=lambda _: None)
         assert len(calls) == 1
 
-    def test_non_list_response_rejected(self):
+    def test_non_list_response_rejected(self, tmp_path):
         with pytest.raises(DecodeError, match="expected a list"):
-            fetch_event_logs("http://x", 0, 50, 50,
-                             transport=lambda e, a, b: {"not": "a list"})
+            fetch_blocks(tmp_path, 0, 50, 50, transport=lambda e, a, b: {"not": "a list"})
 
-    def test_bad_page_size(self):
+    def test_bad_page_size(self, tmp_path):
         with pytest.raises(ValueError):
-            fetch_event_logs("http://x", 0, 50, 0, transport=RecordingTransport())
+            fetch_blocks(tmp_path, 0, 50, 0, transport=RecordingTransport())
 
 
 PAGE = 400_000
