@@ -12,7 +12,9 @@ transaction count exceeded the threshold.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 import hashlib
 import json
 import sys
@@ -34,7 +36,6 @@ from .events import (
     write_market_config,
     write_table,
 )
-from .fetch import fetch_event_logs
 from .metrics import aggregate_components, side_measures
 from .microstructure import (
     hourly_bars,
@@ -51,7 +52,6 @@ from .prices import (
     rolling_inflow_correlation,
     splice_democrat_market,
 )
-from .synthetic import generate_synthetic_ledger, load_scenario
 from .traders import (
     cell_bitmask,
     collect_trader_activity,
@@ -138,11 +138,30 @@ def _fmt_float(value) -> str:
     return "" if value is None else repr(float(value))
 
 
+@contextlib.contextmanager
+def _gc_paused():
+    """Run the block with the cyclic GC off, then exempt what it built from later collections.
+
+    A loaded ledger is acyclic tuples, ints and strings: collecting while it
+    loads finds nothing, and after ``gc.freeze`` later collections skip it.
+    The GC's prior state is restored also when the block raises.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+        gc.freeze()
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _load_transactions(inputs, markets_path):
-    fills = []
-    for path in inputs:
-        fills.extend(read_fills(path))
-    transactions = group_transactions(fills)
+    with _gc_paused():
+        fills = []
+        for path in inputs:
+            fills.extend(read_fills(path))
+        transactions = group_transactions(fills)
     markets = load_market_config(markets_path)
     return transactions, markets
 
@@ -197,7 +216,7 @@ def main():
 @click.option("--endpoint", help="Optional log endpoint to fetch from.")
 @click.option("--from-block", type=int, help="Fetch range start (inclusive).")
 @click.option("--to-block", type=int, help="Fetch range end (exclusive).")
-@click.option("--page-size", type=int, default=1000, show_default=True)
+@click.option("--page-size", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--checkpoint", type=click.Path(), help="Checkpoint file for resumable fetch.")
 @click.option("--block-times", type=click.Path(exists=True),
               help="Block->timestamp sidecar JSON for records without timestamps.")
@@ -214,11 +233,13 @@ def ingest(inputs, endpoint, from_block, to_block, page_size, checkpoint,
         raise ConfigError("--endpoint needs --from-block and --to-block")
     block_map = load_block_times(block_times) if block_times else None
     fills = []
-    for path in inputs:
-        fills.extend(read_fills(path, block_times=block_map))
+    with _gc_paused():
+        for path in inputs:
+            fills.extend(read_fills(path, block_times=block_map))
     out_dir = _out_dir(out)
+    spool = out_dir / "fetched.jsonl"
     if endpoint:
-        spool = out_dir / "fetched.jsonl"
+        from .fetch import fetch_event_logs
 
         def encode(records):
             return "".join(fill_lines(fill_from_record(r, block_times=block_map)
@@ -226,8 +247,10 @@ def ingest(inputs, endpoint, from_block, to_block, page_size, checkpoint,
 
         fetch_event_logs(endpoint, from_block, to_block, spool, encode, page_size,
                          checkpoint_path=checkpoint)
-        fills.extend(read_fills(spool))
-    transactions = group_transactions(fills)
+    with _gc_paused():
+        if endpoint:
+            fills.extend(read_fills(spool))
+        transactions = group_transactions(fills)
     ordered = [fill for tx in transactions for fill in tx.fills]
 
     target = out_dir / ("fills.csv" if fmt == "csv" else "fills.jsonl")
@@ -343,7 +366,7 @@ def _interval_label(ts: int, partition: str) -> str:
 @click.option("--input", "inputs", multiple=True, required=True, type=click.Path(exists=True))
 @click.option("--markets", "markets_path", required=True, type=click.Path(exists=True))
 @click.option("--market", required=True)
-@click.option("--grid-step", type=int, default=3600, show_default=True,
+@click.option("--grid-step", type=click.IntRange(min=1), default=3600, show_default=True,
               help="Grid step in seconds.")
 @click.option("--max-staleness", type=int, default=None,
               help="Drop grid points where either leg's last trade is older (seconds).")
@@ -396,8 +419,8 @@ def deviation(inputs, markets_path, market, grid_step, max_staleness, start, end
 @click.option("--second-democrat", default="Harris", show_default=True)
 @click.option("--splice-day", default="2024-07-21", show_default=True)
 @click.option("--side", type=click.Choice(["yes", "no"]), default="yes", show_default=True)
-@click.option("--corr-window-days", type=int, default=90, show_default=True)
-@click.option("--step-days", type=int, default=1, show_default=True)
+@click.option("--corr-window-days", type=click.IntRange(min=2), default=90, show_default=True)
+@click.option("--step-days", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--from", "start", callback=_utc)
 @click.option("--to", "end", callback=_utc)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
@@ -450,12 +473,13 @@ def disagreement(inputs, market_a, first_democrat, second_democrat, splice_day, 
 @click.option("--markets", "markets_path", required=True, type=click.Path(exists=True))
 @click.option("--market", required=True)
 @click.option("--side", type=click.Choice(["yes", "no"]), default="yes", show_default=True)
-@click.option("--window-hours", type=int, default=720, show_default=True)
-@click.option("--step-days", type=int, default=1, show_default=True)
+@click.option("--window-hours", type=click.IntRange(min=2), default=720, show_default=True)
+@click.option("--step-days", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--weight", type=click.Choice(["shares", "usd"]), default="shares",
               show_default=True, help="VWAP weight convention.")
-@click.option("--clamp-eps", type=float, default=1e-6, show_default=True)
-@click.option("--vol-window-days", type=int, default=30, show_default=True)
+@click.option("--clamp-eps", type=click.FloatRange(0, 0.5, min_open=True, max_open=True),
+              default=1e-6, show_default=True)
+@click.option("--vol-window-days", type=click.IntRange(min=1), default=30, show_default=True)
 @click.option("--no-intercept", is_flag=True,
               help="Drop the intercept from the lambda-on-volume regression.")
 @click.option("--from", "start", callback=_utc)
@@ -641,6 +665,8 @@ def _quarter_bounds(quarter: str, explicit_end: int | None) -> tuple[int, int]:
 @guarded
 def simulate(scenario_path, seed, out):
     """Generate a synthetic ledger plus its ground-truth sidecar."""
+    from .synthetic import generate_synthetic_ledger, load_scenario
+
     scenario = load_scenario(scenario_path, seed=seed)
     ledger = generate_synthetic_ledger(scenario)
 

@@ -16,7 +16,6 @@ import csv
 import json
 import re
 from dataclasses import dataclass
-from itertools import groupby
 from operator import attrgetter
 from sys import intern
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -139,18 +138,26 @@ class FillEvent(_FillFields):
         }
 
 
-@dataclass(frozen=True)
-class Transaction:
-    """All fills sharing (block, txIndex), ordered by logIndex."""
-
+class _TransactionFields(NamedTuple):
     block: int
     tx_index: int
     timestamp: int
     fills: tuple[FillEvent, ...]
 
-    def __post_init__(self):
-        if not self.fills:
-            raise SchemaError(f"transaction ({self.block}, {self.tx_index}) has no fills")
+
+class Transaction(_TransactionFields):
+    """All fills sharing (block, txIndex), ordered by logIndex; an immutable named tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, block, tx_index, timestamp, fills):
+        if not fills:
+            raise SchemaError(f"transaction ({block}, {tx_index}) has no fills")
+        return tuple.__new__(cls, (block, tx_index, timestamp, fills))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def key(self) -> tuple[int, int]:
@@ -345,12 +352,16 @@ def read_fills(path, block_times: Mapping[int, int] | None = None) -> list[FillE
 
     JSONL lines in the layout ``write_fills`` emits are read by one regex
     match; any other line is decoded as JSON, with the same result or error.
-    Addresses and asset ids are interned on every path.
+    The match already proves every FillEvent invariant but one, exactly one
+    collateral id, so a matched line is checked for that alone and its fill
+    is built without ``FillEvent``'s own checks. Addresses and asset ids are
+    interned on every path.
     """
     if str(path).endswith(".csv"):
         return [fill_from_record(record, line_no, block_times)
                 for line_no, record in read_table(path, _REQUIRED_FILL_FIELDS)]
     canonical = _CANONICAL_FILL.fullmatch
+    new = tuple.__new__
     fills: list[FillEvent] = []
     try:
         with open(path, encoding="utf-8") as fh:
@@ -359,14 +370,16 @@ def read_fills(path, block_times: Mapping[int, int] | None = None) -> list[FillE
                 if match is not None:
                     block, tx_index, log_index, maker, taker, maker_asset_id, taker_asset_id, \
                         maker_amount, taker_amount, timestamp = match.groups()
-                    try:
-                        fills.append(FillEvent(
-                            int(block), int(tx_index), int(log_index), intern(maker),
-                            intern(taker), intern(maker_asset_id), intern(taker_asset_id),
-                            int(maker_amount), int(taker_amount), int(timestamp)))
-                        continue
-                    except (ValueError, SchemaError):
-                        pass  # the general path below raises the error, naming the line
+                    # A matched line this leaves is rejected below, naming the line.
+                    if (maker_asset_id == COLLATERAL_ID) != (taker_asset_id == COLLATERAL_ID):
+                        try:
+                            fills.append(new(FillEvent, (
+                                int(block), int(tx_index), int(log_index), intern(maker),
+                                intern(taker), intern(maker_asset_id), intern(taker_asset_id),
+                                int(maker_amount), int(taker_amount), int(timestamp))))
+                            continue
+                        except ValueError:  # an integer past the digit limit
+                            pass
                 if line.strip():
                     fills.append(fill_from_record(_json_record(line, line_no), line_no,
                                                   block_times))
@@ -441,7 +454,38 @@ def load_block_times(path) -> dict[int, int]:
 
 
 _COORDINATES = attrgetter("block", "tx_index", "log_index")
-_TRANSACTION = attrgetter("block", "tx_index")
+
+
+def _group_ascending(fills: Iterable[FillEvent]) -> tuple[list[Transaction], int | None] | None:
+    """Group fills that come in strictly ascending coordinate order, in one scan.
+
+    Returns the transactions and the position of the first one whose fills
+    disagree on the timestamp (None when every one agrees), or None at the
+    first fill that does not come after the one before it.
+    """
+    new = tuple.__new__
+    transactions: list[Transaction] = []
+    conflict = None
+    group: list[FillEvent] = []
+    block = tx_index = log_index = timestamp = -1  # coordinates are non-negative
+    for fill in fills:
+        if fill.block == block and fill.tx_index == tx_index:
+            if fill.log_index <= log_index:
+                return None
+            if fill.timestamp != timestamp and conflict is None:
+                conflict = len(transactions)
+        elif fill.block > block or (fill.block == block and fill.tx_index > tx_index):
+            if group:
+                transactions.append(new(Transaction, (block, tx_index, timestamp, tuple(group))))
+            block, tx_index, timestamp = fill.block, fill.tx_index, fill.timestamp
+            group = []
+        else:
+            return None
+        log_index = fill.log_index
+        group.append(fill)
+    if group:
+        transactions.append(new(Transaction, (block, tx_index, timestamp, tuple(group))))
+    return transactions, conflict
 
 
 def group_transactions(fills: Iterable[FillEvent]) -> list[Transaction]:
@@ -452,23 +496,26 @@ def group_transactions(fills: Iterable[FillEvent]) -> list[Transaction]:
     loses or duplicates nothing. Exact duplicate coordinates are rejected:
     fill streams are assumed pre-deduplicated. Duplicates are reported
     before conflicting timestamps, wherever either occurs in the ledger.
+    Fills already in (block, txIndex, logIndex) order, as ``write_fills``
+    leaves an ingested ledger, are grouped in one scan; others are sorted
+    first.
     """
-    ordered = sorted(fills, key=_COORDINATES)
-    transactions: list[Transaction] = []
-    conflict: SchemaError | None = None
-    for (block, tx_index), run in groupby(ordered, _TRANSACTION):
-        group = tuple(run)
-        timestamp = group[0].timestamp
-        for prev, fill in zip(group, group[1:]):
-            if fill.log_index == prev.log_index:
-                raise DuplicateEventError(f"duplicate fill coordinates {fill.key}")
-            if fill.timestamp != timestamp and conflict is None:
-                timestamps = sorted({f.timestamp for f in group})
-                conflict = SchemaError(f"transaction ({block}, {tx_index}) "
-                                       f"has conflicting timestamps {timestamps}")
-        transactions.append(Transaction(block, tx_index, timestamp, group))
+    if not isinstance(fills, (list, tuple)):
+        fills = list(fills)
+    grouped = _group_ascending(fills)
+    if grouped is None:
+        ordered = sorted(fills, key=_COORDINATES)
+        grouped = _group_ascending(ordered)
+        if grouped is None:  # in sorted order, only equal coordinates stop the scan
+            keys = list(map(_COORDINATES, ordered))
+            duplicate = next(key for prev, key in zip(keys, keys[1:]) if key == prev)
+            raise DuplicateEventError(f"duplicate fill coordinates {duplicate}")
+    transactions, conflict = grouped
     if conflict is not None:
-        raise conflict
+        tx = transactions[conflict]
+        timestamps = sorted({fill.timestamp for fill in tx.fills})
+        raise SchemaError(f"transaction ({tx.block}, {tx.tx_index}) "
+                          f"has conflicting timestamps {timestamps}")
     return transactions
 
 

@@ -21,10 +21,11 @@ from __future__ import annotations
 import json
 import os
 import time
+import urllib.request
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .errors import ConfigError, DecodeError, FetchError
+from .errors import ConfigError, DecodeError, FetchError, FillflowError
 
 Transport = Callable[[str, int, int], Sequence[dict]]
 
@@ -34,20 +35,24 @@ DEFAULT_BACKOFF = 0.5
 
 
 def http_transport(endpoint: str, from_block: int, to_block: int) -> list[dict]:
-    """Default transport over HTTP POST (requests)."""
-    import requests
+    """Default transport: POST the JSON request body, wait at most 30 s for the reply.
 
-    response = requests.post(
-        endpoint,
-        json={"method": "getFillEvents",
-              "params": {"fromBlock": from_block, "toBlock": to_block}},
-        timeout=30,
-    )
-    response.raise_for_status()
-    body = response.json()
-    result = body.get("result")
+    An HTTP error status raises ``urllib.error.HTTPError``, which the fetch
+    loop retries; a reply without a ``result`` list raises DecodeError.
+    """
+    body = json.dumps({"method": "getFillEvents",
+                       "params": {"fromBlock": from_block, "toBlock": to_block}})
+    request = urllib.request.Request(endpoint, data=body.encode("utf-8"), method="POST",
+                                     headers={"Content-Type": "application/json"})
+    with urllib.request.urlopen(request, timeout=30) as response:
+        reply = response.read()
+    try:
+        doc = json.loads(reply)
+    except ValueError as exc:  # also a byte that is not UTF-8
+        raise DecodeError(f"endpoint returned invalid JSON: {exc}") from exc
+    result = doc.get("result") if isinstance(doc, dict) else None
     if not isinstance(result, list):
-        raise DecodeError(f"endpoint returned no 'result' list: {body!r}")
+        raise DecodeError(f"endpoint returned no 'result' list: {doc!r}")
     return result
 
 
@@ -106,6 +111,22 @@ def _open_spool(spool_path, checkpoint_path, doc: dict | None):
     return fh
 
 
+def _rejected(page: Sequence[dict], encode: Callable[[Sequence[dict]], str]) -> str:
+    """Name the first record of ``page`` that ``encode`` rejects on its own.
+
+    Returns ``", record (block, txIndex)"``, or "" when no single record is
+    rejected or the rejected one lacks either field.
+    """
+    for record in page:
+        try:
+            encode([record])
+        except FillflowError:
+            if "block" in record and "txIndex" in record:
+                return f", record ({record['block']}, {record['txIndex']})"
+            return ""
+    return ""
+
+
 def fetch_event_logs(
     endpoint: str,
     from_block: int,
@@ -126,7 +147,9 @@ def fetch_event_logs(
     so the spool holds every record of this run and of the runs it resumes.
     Resumes after the checkpointed block when a checkpoint file is present.
     Raises FetchError carrying the last completed block once retries are
-    exhausted; DecodeError on malformed responses.
+    exhausted; DecodeError on malformed responses, and on a page holding a
+    record that ``encode`` rejects with a FillflowError, naming the page's
+    block range. The checkpoint does not advance past a rejected page.
     """
     if page_size <= 0:
         raise ValueError("page size must be positive")
@@ -160,7 +183,15 @@ def fetch_event_logs(
                     sleep(backoff * 2 ** (attempt - 1))
             if not isinstance(page, (list, tuple)):
                 raise DecodeError(f"transport returned {type(page).__name__}, expected a list")
-            spool.write(encode(page).encode("utf-8"))
+            if not all(isinstance(record, dict) for record in page):
+                raise DecodeError(f"page [{page_start}, {page_end}]: a record is not an object",
+                                  last_block=last_done)
+            try:
+                text = encode(page)
+            except FillflowError as exc:
+                raise DecodeError(f"page [{page_start}, {page_end}]{_rejected(page, encode)}: "
+                                  f"{exc}", last_block=last_done) from exc
+            spool.write(text.encode("utf-8"))
             spool.flush()
             os.fsync(spool.fileno())
             last_done = page_end

@@ -530,7 +530,7 @@ def load_scenario(path, seed: int | None = None) -> SyntheticScenario:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also a byte that is not UTF-8
             raise ConfigError(f"invalid scenario JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("scenario must be a JSON object")

@@ -442,6 +442,12 @@ DECOMPOSED_HEADER = ("block,txIndex,timestamp,market,kind,buyVol,sellVol,"
 DECOMPOSED_ROW = "51953200,180,1709640000,Trump,pure_exchange,5,5,0,5,0,0,0,0"
 
 
+# A line in write_fills' exact layout, so only int() finds the amount too long.
+HUGE_AMOUNT_LINE = ('{"block": 1, "txIndex": 0, "logIndex": 0, "maker": "0xa", "taker": "0xb", '
+                    '"makerAssetId": "0", "takerAssetId": "5", "makerAmountFilled": "'
+                    + "9" * 5000 + '", "takerAmountFilled": "1", "timestamp": 1}\n')
+
+
 class TestMalformedTables:
     @pytest.mark.parametrize("header, bad_row, message", [
         (DECOMPOSED_HEADER.rsplit(",", 1)[0], DECOMPOSED_ROW.rsplit(",", 1)[0],
@@ -499,7 +505,9 @@ class TestMalformedTables:
         (None, "line 2: Exceeds the limit"),
         ("[" * 100_000 + "\n", "line 2: maximum recursion depth exceeded"),
         ('{"block": 1, "maker": "caf\udce9"}\n', "line 2: not valid UTF-8 (byte 0xe9)"),
-    ], ids=["integer-past-digit-limit", "deep-nesting", "non-utf8-byte"])
+        (HUGE_AMOUNT_LINE, "line 2: Exceeds the limit"),
+    ], ids=["integer-past-digit-limit", "deep-nesting", "non-utf8-byte",
+            "amount-past-digit-limit"])
     def test_undecodable_fill_line_exits_3(self, runner, fixture_dir, tmp_path, example_fills,
                                            bad_line, message):
         ledger = tmp_path / "fills.jsonl"
@@ -533,3 +541,101 @@ class TestMalformedTables:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 3
         assert "line 1: " in result.output
+
+
+# Every subcommand that reads input, with a {role} placeholder for each input file.
+# impact reads no file and writes no --out; TestImpactCommand covers its bad --price.
+TEMPLATES = {
+    "ingest": ["ingest", "--input", "{fills}", "--block-times", "{block-times}"],
+    "decompose": ["decompose", "--input", "{fills}", "--markets", "{markets}"],
+    "metrics": ["metrics", "--input", "{decomposed}", "--market", "Trump"],
+    "deviation": ["deviation", "--input", "{fills}", "--markets", "{markets}",
+                  "--market", "Trump"],
+    "disagreement": ["disagreement", "--input", "{decomposed}", "--first-democrat", "Biden",
+                     "--second-democrat", "Biden", "--splice-day", "2024-03-01",
+                     "--corr-window-days", "30"],
+    "lambda": ["lambda", "--input", "{fills}", "--markets", "{markets}", "--market", "Trump"],
+    "traders": ["traders", "--input", "{fills}", "--markets", "{markets}",
+                "--exclude-addresses", "@{excludes}"],
+    "simulate": ["simulate", "--scenario", "{scenario}"],
+}
+# Malformed option kind -> option -> value, given to every subcommand that takes the option.
+BAD_OPTIONS = {
+    "bad-date-option": {"--from": "yesterday", "--to": "yesterday"},
+    "bad-number-option": {"--page-size": "0", "--grid-step": "0", "--corr-window-days": "1",
+                          "--step-days": "0", "--window-hours": "1", "--vol-window-days": "0",
+                          "--clamp-eps": "0"},
+}
+
+
+def not_utf8(valid: bytes) -> bytes:
+    first, rest = valid.split(b"\n", 1)
+    return first + b"\n\xe9" + rest
+
+
+# Malformed-input kind -> input role -> the malformed file's bytes, made from the valid file's.
+MALFORMED = {
+    "bad-fill-line": {"fills": lambda valid: valid + b'{"block": "not a number"}\n'},
+    "not-utf8": {role: not_utf8 for role in
+                 ("fills", "decomposed", "markets", "scenario", "block-times", "excludes")},
+    "bad-decomposed-row": {"decomposed": lambda valid: valid + DECOMPOSED_ROW.replace(
+        ",5,5,", ",5x,5,").encode()},
+    "bad-market-config": {"markets": lambda valid: b'{"markets": [{"candidate": "X"}]}'},
+    "bad-date": {"block-times": lambda valid: b'{"5": "yesterday"}'},
+    "bad-scenario": {"scenario": lambda valid: valid.replace(START.encode(), b"yesterday")},
+}
+
+
+def exit_code_cases():
+    for command, template in TEMPLATES.items():
+        yield pytest.param(command, None, None, id=f"{command}-valid")
+        for kind, roles in MALFORMED.items():
+            for role in roles:
+                if "{%s}" % role in "".join(template):
+                    yield pytest.param(command, kind, role, id=f"{command}-{kind}-{role}")
+        options = {opt for param in main.commands[command].params for opt in param.opts}
+        for kind, values in BAD_OPTIONS.items():
+            for option in values:
+                if option in options:
+                    yield pytest.param(command, kind, option, id=f"{command}-{kind}{option}")
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory, markets):
+    base = tmp_path_factory.mktemp("valid")
+    scenario = base / "scenario.json"
+    scenario.write_text(json.dumps({
+        "seed": 17, "start": START, "end": END, "nTransactions": 300,
+        "markets": [{"candidate": m.candidate, "yesTokenId": m.yes_token_id,
+                     "noTokenId": m.no_token_id, "launch": "2024-01-04T23:00:00Z"}
+                    for m in markets[:2]],
+    }, indent=2))
+    runner = CliRunner()
+    for args in (["simulate", "--scenario", str(scenario), "--out", str(base / "sim")],
+                 ["decompose", "--input", str(base / "sim" / "fills.jsonl"), "--markets",
+                  str(base / "sim" / "markets.json"), "--out", str(base / "dec")]):
+        assert run(runner, args).exit_code == 0
+    (base / "block_times.json").write_text('{"5": 1709640000}\n')
+    (base / "excludes.txt").write_text("0xab\n0xcd\n")
+    return {"fills": base / "sim" / "fills.jsonl", "markets": base / "sim" / "markets.json",
+            "decomposed": base / "dec" / "decomposed.csv", "scenario": scenario,
+            "block-times": base / "block_times.json", "excludes": base / "excludes.txt"}
+
+
+@pytest.mark.parametrize("command, kind, role", list(exit_code_cases()))
+def test_malformed_input_exits_2_3_or_4_never_1(runner, tmp_path, valid_inputs, command, kind,
+                                                role):
+    paths = dict(valid_inputs)
+    extra = []
+    if kind in BAD_OPTIONS:
+        extra = [role, BAD_OPTIONS[kind][role]]
+    elif role is not None:
+        paths[role] = tmp_path / f"malformed-{paths[role].name}"
+        paths[role].write_bytes(MALFORMED[kind][role](valid_inputs[role].read_bytes()))
+    args = [arg.format_map({r: str(p) for r, p in paths.items()})
+            for arg in TEMPLATES[command]]
+    result = runner.invoke(main, args + extra + ["--out", str(tmp_path / "out")])
+    if kind is None:
+        assert result.exit_code == 0, result.output
+    else:
+        assert result.exit_code in (2, 3, 4), (result.output, result.exception)

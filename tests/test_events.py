@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import subprocess
@@ -215,6 +216,12 @@ class TestCanonicalFastPath:
             lines = file_lines(path)
             assert len(lines) == len(fills)
             assert all(_CANONICAL_FILL.fullmatch(line) for line in lines)
+            # Fast-path fills skip FillEvent's checks; they must equal checked ones.
+            for fill in read_fills(path):
+                checked = FillEvent(*fill)
+                assert type(fill) is type(checked) is FillEvent
+                assert fill == checked
+                assert list(map(type, fill)) == list(map(type, checked))
 
     def test_generator_ledger_matches_reference(self, tmp_path, small_ledger):
         path = tmp_path / "fills.jsonl"
@@ -261,6 +268,19 @@ class TestCanonicalFastPath:
         for line in file_lines(path):
             assert_rejected_or_reference_values(line)
         assert outcome(read_fills, path) == outcome(reference_read_fills, path)
+
+    @pytest.mark.parametrize("maker_asset, taker_asset, which", [
+        ("0", "0", "both"), (TOKEN, TOKEN, "neither"),
+    ], ids=["both", "neither"])
+    def test_canonical_line_without_one_collateral_id_names_the_line(
+            self, tmp_path, maker_asset, taker_asset, which):
+        line = json.dumps(wire_record(makerAssetId=maker_asset, takerAssetId=taker_asset)) + "\n"
+        assert _CANONICAL_FILL.fullmatch(line)
+        with pytest.raises(SchemaError) as err:
+            read_json_lines(tmp_path, BASE_LINE, line)
+        assert str(err.value) == (
+            f"line 2: {which} asset ids are collateral in fill (54432034, 44, 101); "
+            "every fill must exchange collateral against one outcome token")
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_equal_strings_share_one_object(self, tmp_path, small_ledger, fmt):
@@ -383,6 +403,15 @@ class TestGrouping:
         with pytest.raises(SchemaError, match="timestamps"):
             group_transactions(fills)
 
+    def test_transaction_is_a_checked_named_tuple(self):
+        tx, = group_transactions([make_fill(block=4, tx_index=2)])
+        assert type(tx) is Transaction
+        assert tx == Transaction(*tx) and tx.key == (4, 2)
+        with pytest.raises(SchemaError, match=r"transaction \(4, 2\) has no fills"):
+            Transaction(4, 2, 5, ())
+        with pytest.raises(SchemaError, match="has no fills"):
+            tx._replace(fills=())
+
 
 def reference_group_transactions(fills):
     """The dict-and-set grouping that the sort-once scan replaced, kept as an oracle."""
@@ -404,6 +433,25 @@ def reference_group_transactions(fills):
     return transactions
 
 
+def tx_fills(block, tx_index, logs, ts=1709640000):
+    return [make_fill(block=block, tx_index=tx_index, log_index=log, buy=log % 2 == 0, ts=ts)
+            for log in logs]
+
+
+# Input order as given; each case is also checked sorted and shuffled.
+GROUPING_CASES = {
+    "interleaved": [fill for pair in zip(tx_fills(1, 0, [0, 2, 4]), tx_fills(1, 1, [1, 3, 5]))
+                    for fill in pair] + tx_fills(2, 0, [0]),
+    "descending-log-index": tx_fills(1, 0, [3, 2, 1]) + tx_fills(2, 0, [0]),
+    "duplicate": tx_fills(3, 0, [0, 1]) + tx_fills(1, 0, [0, 1, 1]),
+    "two-duplicates": tx_fills(3, 0, [0, 0]) + tx_fills(1, 0, [2, 2]),
+    "conflicting-timestamps": (tx_fills(5, 0, [0], ts=10) + tx_fills(5, 0, [1], ts=12)
+                               + tx_fills(2, 0, [0], ts=11) + tx_fills(2, 0, [1], ts=13)),
+    "conflict-then-duplicate": (tx_fills(1, 0, [0], ts=10) + tx_fills(1, 0, [1], ts=11)
+                                + tx_fills(9, 0, [4, 4])),
+}
+
+
 class TestGroupingAgainstReference:
     def test_shuffled_generator_ledger_matches_reference(self, small_ledger):
         fills = small_ledger.fills[:]
@@ -411,6 +459,20 @@ class TestGroupingAgainstReference:
         grouped = group_transactions(fills)
         assert grouped == reference_group_transactions(fills)
         assert len(grouped) == len(small_ledger.truth)
+        assert group_transactions(sorted(fills, key=lambda f: f.key)) == grouped
+
+    @pytest.mark.parametrize("case", GROUPING_CASES)
+    def test_sorted_and_shuffled_input_agree(self, case):
+        fills = GROUPING_CASES[case]
+        ordered = sorted(fills, key=lambda f: f.key)
+        expected = outcome(reference_group_transactions, ordered)
+        assert outcome(group_transactions, ordered) == expected
+        assert outcome(group_transactions, fills) == expected
+        rng = random.Random(7)
+        for _ in range(30):
+            shuffled = fills[:]
+            rng.shuffle(shuffled)
+            assert outcome(group_transactions, shuffled) == expected
 
     def test_duplicate_raises_like_reference(self):
         fills = [make_fill(block=2), make_fill(block=1), make_fill(block=2, buy=False)]
@@ -506,13 +568,40 @@ class TestFillEventContract:
 def test_cli_import_does_not_load_numpy():
     # numpy serves only the price-impact least squares; loading it at import
     # would slow every other command's start-up. The package itself re-exports
-    # nothing, so the CLI loads neither the mechanics nor the fixtures module.
+    # nothing, so the CLI loads neither the mechanics nor the fixtures module,
+    # and only simulate and ingest --endpoint import the generator and the fetcher.
     src = Path(__file__).resolve().parents[1] / "src"
     subprocess.run(
         [sys.executable, "-c", "import fillflow.cli, sys; assert 'numpy' not in sys.modules; "
          "assert 'fillflow.mechanics' not in sys.modules; "
-         "assert 'fillflow.fixtures' not in sys.modules"],
+         "assert 'fillflow.fixtures' not in sys.modules; "
+         "assert 'fillflow.synthetic' not in sys.modules; "
+         "assert 'fillflow.fetch' not in sys.modules"],
         env={"PYTHONPATH": str(src)}, check=True)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_ledger_load_restores_gc_state(tmp_path, example_fills, markets, enabled):
+    from fillflow.cli import _load_transactions
+
+    good, bad, config = tmp_path / "good.jsonl", tmp_path / "bad.jsonl", tmp_path / "markets.json"
+    write_fills(good, example_fills[::-1])
+    bad.write_text('{"block": "not a number"}\n')
+    write_market_config(config, markets)
+    prior = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    gc.unfreeze()  # earlier in-process commands may have frozen objects
+    try:
+        transactions, _ = _load_transactions([good], config)
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() > 0
+        assert transactions == group_transactions(example_fills)
+        with pytest.raises(ParseError, match="line 1"):
+            _load_transactions([bad], config)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if prior else gc.disable)()
+        gc.unfreeze()
 
 
 class TestMarketConfig:

@@ -1,4 +1,6 @@
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 from click.testing import CliRunner
@@ -174,6 +176,10 @@ class TestRetries:
         with pytest.raises(DecodeError, match="expected a list"):
             fetch_blocks(tmp_path, 0, 50, 50, transport=lambda e, a, b: {"not": "a list"})
 
+    def test_non_object_record_rejected_naming_page(self, tmp_path):
+        with pytest.raises(DecodeError, match=r"page \[0, 49\]: a record is not an object"):
+            fetch_blocks(tmp_path, 0, 50, 50, transport=lambda e, a, b: [{"block": 1}, 7])
+
     def test_bad_page_size(self, tmp_path):
         with pytest.raises(ValueError):
             fetch_blocks(tmp_path, 0, 50, 0, transport=RecordingTransport())
@@ -255,3 +261,68 @@ class TestIngestResume:
         assert result.exit_code == 0, result.output
         assert [call[1] for call in resumed.calls] == page_starts[2:]
         assert (out / "fills.jsonl").read_bytes() == whole
+
+    def test_rejected_record_names_its_page(self, monkeypatch, records, tmp_path,
+                                            uninterrupted):
+        _, page_starts = uninterrupted
+        bad = next(r for r in records if r["block"] >= page_starts[2])
+        records = [{k: v for k, v in r.items() if k != "maker"} if r is bad else r
+                   for r in records]
+        out, checkpoint = tmp_path / "out", tmp_path / "checkpoint.json"
+        result = self.ingest(monkeypatch, RecordingTransport(records=records), records, out,
+                             checkpoint)
+        assert result.exit_code == 3, result.output
+        page = f"page [{page_starts[2]}, {page_starts[3] - 1}]"
+        assert f"error: {page}, record ({bad['block']}, {bad['txIndex']}): " \
+               "missing field 'maker'" in result.output
+        assert read_checkpoint(checkpoint) == page_starts[2] - 1
+
+
+class _Endpoint(BaseHTTPRequestHandler):
+    """Answers a POST by its path: /good echoes the request, /fail is an HTTP 500."""
+
+    def do_POST(self):
+        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        replies = {"/good": (200, {"result": [request]}), "/fail": (500, {}),
+                   "/empty": (200, {"error": "no such method"})}
+        status, doc = replies[self.path]
+        body = json.dumps(doc).encode()
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def endpoint():
+    server = HTTPServer(("127.0.0.1", 0), _Endpoint)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+class TestHttpTransport:
+    def test_good_page_posts_the_request_body(self, endpoint):
+        assert fetch.http_transport(f"{endpoint}/good", 5, 9) == [
+            {"method": "getFillEvents", "params": {"fromBlock": 5, "toBlock": 9}}]
+
+    def test_http_500_is_retried_then_fails(self, endpoint, tmp_path):
+        sleeps = []
+        with pytest.raises(FetchError, match="after 2 retries: HTTP Error 500") as err:
+            fetch_event_logs(f"{endpoint}/fail", 0, 10, tmp_path / "spool.jsonl", json_lines,
+                             max_retries=2, sleep=sleeps.append)
+        assert not isinstance(err.value, DecodeError)
+        assert len(sleeps) == 2
+
+    def test_reply_without_result_list_raises_decode_error(self, endpoint):
+        with pytest.raises(DecodeError, match="no 'result' list"):
+            fetch.http_transport(f"{endpoint}/empty", 0, 10)
