@@ -241,9 +241,8 @@ def ingest(inputs, endpoint, from_block, to_block, page_size, checkpoint,
     if endpoint:
         from .fetch import fetch_event_logs
 
-        def encode(records):
-            return "".join(fill_lines(fill_from_record(r, block_times=block_map)
-                                      for r in records))
+        def encode(record):
+            return next(fill_lines([fill_from_record(record, block_times=block_map)]))
 
         fetch_event_logs(endpoint, from_block, to_block, spool, encode, page_size,
                          checkpoint_path=checkpoint)
@@ -258,7 +257,7 @@ def ingest(inputs, endpoint, from_block, to_block, page_size, checkpoint,
     _write_manifest(out_dir, "ingest",
                     {"format": fmt, "endpoint": endpoint, "fromBlock": from_block,
                      "toBlock": to_block, "pageSize": page_size},
-                    list(inputs))
+                    list(inputs) + ([block_times] if block_times else []))
     click.echo(f"ingested {len(ordered)} fills in {len(transactions)} transactions -> {target}")
 
 
@@ -430,6 +429,7 @@ def deviation(inputs, markets_path, market, grid_step, max_staleness, start, end
 def disagreement(inputs, market_a, first_democrat, second_democrat, splice_day, side,
                  corr_window_days, step_days, start, end, fmt, out):
     """Rolling correlation of daily net inflow: one market vs a spliced pair."""
+    _check_range(start, end)
     records = []
     for path in inputs:
         records.extend(read_decomposed(path))

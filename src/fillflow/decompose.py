@@ -251,12 +251,12 @@ def decomposed_to_record(row: DecomposedTransaction) -> dict[str, str | int]:
 
 
 def decomposed_from_record(record: dict) -> DecomposedTransaction:
-    """Build a row from a decoded record; integers must be ASCII digits."""
-    return DecomposedTransaction(
+    """Build a row from a decoded record; integers as ``_to_amount`` reads them."""
+    row = DecomposedTransaction(
         block=_to_amount(record["block"], "block"),
         tx_index=_to_amount(record["txIndex"], "txIndex"),
         timestamp=_to_amount(record["timestamp"], "timestamp"),
-        market=str(record["market"]),
+        market=record["market"],
         kind=TxKind(record["kind"]),
         components=VolumeComponents(
             yes_trade=_to_amount(record["yesTradeVol"], "yesTradeVol"),
@@ -269,6 +269,9 @@ def decomposed_from_record(record: dict) -> DecomposedTransaction:
             sell_vol=_to_amount(record["sellVol"], "sellVol"),
         ),
     )
+    if type(row.market) is not str:
+        raise ValueError(f"market: not a string: {row.market!r}")
+    return row
 
 
 def write_decomposed(path, rows: Iterable[DecomposedTransaction], fmt: str = "csv") -> None:

@@ -54,45 +54,51 @@ class _FillFields(NamedTuple):
     timestamp: int
 
 
-_INTEGER_FIELDS = ("block", "tx_index", "log_index", "maker_amount", "taker_amount")
+_INTEGER_FIELDS = ("block", "tx_index", "log_index", "maker_amount", "taker_amount", "timestamp")
 
 
-def _check_integers(values: tuple) -> None:
-    for name, value in zip(_INTEGER_FIELDS, values):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise SchemaError(f"{name} must be a non-negative integer, got {value!r}")
+def _is_decimal(text) -> bool:
+    """True when ``text`` is a string of ASCII digits: a token id, or a collateral id."""
+    return type(text) is str and text.isascii() and text.isdigit()
 
 
 class FillEvent(_FillFields):
     """One OrderFilled record, an immutable named tuple.
 
     ``maker_amount`` is in micro-USDC when ``maker_asset_id`` is "0", else
-    micro-shares; symmetrically for the taker side. Exactly one of the two
-    asset ids must be the collateral id. Construction validates every field
-    the decomposition relies on and raises SchemaError otherwise.
+    micro-shares; symmetrically for the taker side. The six integer fields
+    are plain non-negative ints (no bool or other int subclass), the
+    addresses strings and the asset ids strings of ASCII digits, exactly one
+    of them the collateral id: what one canonical wire line can encode.
+    Construction raises SchemaError otherwise.
     """
 
     __slots__ = ()
 
     def __new__(cls, block, tx_index, log_index, maker, taker, maker_asset_id,
                 taker_asset_id, maker_amount, taker_amount, timestamp):
-        integers = (block, tx_index, log_index, maker_amount, taker_amount)
+        integers = (block, tx_index, log_index, maker_amount, taker_amount, timestamp)
         for value in integers:
             if type(value) is not int or value < 0:
-                _check_integers(integers)  # names the bad field; int subclasses pass
-                break
+                # A bad value is never identical to a good one, so it names its own field.
+                name = next(n for n, v in zip(_INTEGER_FIELDS, integers) if v is value)
+                raise SchemaError(f"{name} must be a non-negative integer, got {value!r}")
+        if type(maker) is not str or type(taker) is not str:
+            name, value = ("maker", maker) if type(maker) is not str else ("taker", taker)
+            raise SchemaError(f"{name} must be a string, got {value!r}")
         maker_is_cash = maker_asset_id == COLLATERAL_ID
-        if maker_is_cash == (taker_asset_id == COLLATERAL_ID):
-            which = "both" if maker_is_cash else "neither"
+        # The collateral id is decimal, so a good fill needs only the other id checked.
+        if maker_is_cash == (taker_asset_id == COLLATERAL_ID) or not _is_decimal(
+                taker_asset_id if maker_is_cash else maker_asset_id):
+            for name, value in (("maker_asset_id", maker_asset_id),
+                                ("taker_asset_id", taker_asset_id)):
+                if not _is_decimal(value):
+                    raise SchemaError(f"{name} must be a decimal string, got {value!r}")
             raise SchemaError(
-                f"{which} asset ids are collateral in fill "
+                f"{'both' if maker_is_cash else 'neither'} asset ids are collateral in fill "
                 f"({block}, {tx_index}, {log_index}); "
                 "every fill must exchange collateral against one outcome token"
             )
-        if not (maker_asset_id.isascii() and maker_asset_id.isdigit()):
-            raise SchemaError(f"maker_asset_id must be a decimal string, got {maker_asset_id!r}")
-        if not (taker_asset_id.isascii() and taker_asset_id.isdigit()):
-            raise SchemaError(f"taker_asset_id must be a decimal string, got {taker_asset_id!r}")
         return tuple.__new__(cls, (block, tx_index, log_index, maker, taker, maker_asset_id,
                                    taker_asset_id, maker_amount, taker_amount, timestamp))
 
@@ -175,6 +181,10 @@ class MarketSpec:
     resolution: int | None = None
 
     def __post_init__(self):
+        for name in ("yes_token_id", "no_token_id"):
+            if not _is_decimal(getattr(self, name)):
+                raise ConfigError(f"market {self.candidate!r}: {name} must be a decimal "
+                                  f"string, got {getattr(self, name)!r}")
         if self.yes_token_id == self.no_token_id:
             raise ConfigError(f"market {self.candidate!r}: YES and NO token ids are equal")
         if COLLATERAL_ID in (self.yes_token_id, self.no_token_id):
@@ -200,21 +210,14 @@ class MarketSpec:
 
 
 def _to_amount(value, field: str) -> int:
-    # Amounts arrive as integer strings (token amounts may exceed 64 bits,
-    # which Python ints carry exactly); ints are accepted, floats are not,
-    # and strings must be ASCII digits with an optional leading minus.
-    # Plain ints and plain digit strings, the common cases, are tested first.
+    # The one integer rule of fills and decomposed tables: a plain int, or ASCII
+    # digits with an optional leading minus (amounts may exceed 64 bits, which
+    # Python ints carry exactly). Plain ints and plain digit strings come first.
     if type(value) is int:
         return value
-    if type(value) is str and value.isascii() and value.isdigit():
+    if type(value) is str and value.isascii() and (
+            value.isdigit() or value[:1] == "-" and value[1:].isdigit()):
         return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        text = value.strip()
-        digits = text[1:] if text.startswith("-") else text
-        if digits.isascii() and digits.isdigit():
-            return int(text)
     raise ValueError(f"{field}: not an integer: {value!r}")
 
 
@@ -227,8 +230,9 @@ def fill_from_record(
 
     ``timestamp`` may be omitted when a block->time sidecar mapping is
     supplied; one timestamp per block is the unit of time assignment.
-    Addresses and asset ids are interned, so equal strings share one object.
-    Errors name ``line_no`` when it is given.
+    Addresses and asset ids are passed as read, interned when all are
+    strings, so equal strings share one object. Errors name ``line_no``
+    when it is given.
     """
     try:
         block = _to_amount(record["block"], "block")
@@ -237,18 +241,15 @@ def fill_from_record(
             timestamp = block_times.get(block)
         if timestamp in (None, ""):
             raise ValueError("missing timestamp (no inline value, no sidecar entry)")
-        return FillEvent(
-            block=block,
-            tx_index=_to_amount(record["txIndex"], "txIndex"),
-            log_index=_to_amount(record["logIndex"], "logIndex"),
-            maker=intern(str(record["maker"])),
-            taker=intern(str(record["taker"])),
-            maker_asset_id=intern(str(record["makerAssetId"]).strip()),
-            taker_asset_id=intern(str(record["takerAssetId"]).strip()),
-            maker_amount=_to_amount(record["makerAmountFilled"], "makerAmountFilled"),
-            taker_amount=_to_amount(record["takerAmountFilled"], "takerAmountFilled"),
-            timestamp=_to_amount(timestamp, "timestamp"),
-        )
+        tx_index = _to_amount(record["txIndex"], "txIndex")
+        log_index = _to_amount(record["logIndex"], "logIndex")
+        texts = (record["maker"], record["taker"], record["makerAssetId"], record["takerAssetId"])
+        if type(texts[0]) is type(texts[1]) is type(texts[2]) is type(texts[3]) is str:
+            texts = map(intern, texts)  # intern() takes only strings; FillEvent names the others
+        return FillEvent(block, tx_index, log_index, *texts,
+                         _to_amount(record["makerAmountFilled"], "makerAmountFilled"),
+                         _to_amount(record["takerAmountFilled"], "takerAmountFilled"),
+                         _to_amount(timestamp, "timestamp"))
     except KeyError as exc:
         raise ParseError(f"missing field {exc.args[0]!r}", line_no) from exc
     except ValueError as exc:
@@ -353,9 +354,11 @@ def read_fills(path, block_times: Mapping[int, int] | None = None) -> list[FillE
     JSONL lines in the layout ``write_fills`` emits are read by one regex
     match; any other line is decoded as JSON, with the same result or error.
     The match already proves every FillEvent invariant but one, exactly one
-    collateral id, so a matched line is checked for that alone and its fill
-    is built without ``FillEvent``'s own checks. Addresses and asset ids are
-    interned on every path.
+    collateral id: six plain non-negative ints, timestamp included, string
+    addresses and ASCII-digit asset ids. So a matched line is checked for
+    that one alone, and its fill is built exactly as ``FillEvent`` would
+    build it, without repeating the other checks. Addresses and asset ids
+    are interned on every path.
     """
     if str(path).endswith(".csv"):
         return [fill_from_record(record, line_no, block_times)
@@ -400,18 +403,13 @@ def fill_lines(fills: Iterable[FillEvent]) -> Iterator[str]:
     """Yield ``json.dumps(fill.to_record()) + "\\n"`` for each fill, formatted directly.
 
     Keys follow FILL_FIELDS with ``json.dumps`` separators, and each distinct
-    address and asset id is encoded once per call. A fill with an integer
-    field that is not a plain int (an int subclass may override ``__str__``)
-    is encoded through ``to_record`` instead.
+    address and asset id is encoded once per call. A FillEvent's integers
+    are plain ints, whose ``str`` is the JSON integer ``json.dumps`` writes.
     """
     strings = _JsonStrings()
     for fill in fills:
         block, tx_index, log_index, maker, taker, maker_asset_id, taker_asset_id, \
             maker_amount, taker_amount, timestamp = fill
-        if not (type(block) is type(tx_index) is type(log_index) is type(maker_amount)
-                is type(taker_amount) is type(timestamp) is int):
-            yield json.dumps(fill.to_record()) + "\n"
-            continue
         yield (f'{{"block": {block}, "txIndex": {tx_index}, "logIndex": {log_index}, '
                f'"maker": {strings[maker]}, "taker": {strings[taker]}, '
                f'"makerAssetId": {strings[maker_asset_id]}, '
@@ -526,11 +524,13 @@ def markets_from_entries(entries) -> list[MarketSpec]:
     markets: list[MarketSpec] = []
     claimed: dict[str, str] = {}
     for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"market entry {i}: not an object")
         try:
             spec = MarketSpec(
                 candidate=str(entry["candidate"]),
-                yes_token_id=str(entry["yesTokenId"]),
-                no_token_id=str(entry["noTokenId"]),
+                yes_token_id=entry["yesTokenId"],
+                no_token_id=entry["noTokenId"],
                 launch=parse_utc(entry["launch"]),
                 resolution=parse_utc(entry["resolution"]) if entry.get("resolution") else None,
             )

@@ -111,28 +111,12 @@ def _open_spool(spool_path, checkpoint_path, doc: dict | None):
     return fh
 
 
-def _rejected(page: Sequence[dict], encode: Callable[[Sequence[dict]], str]) -> str:
-    """Name the first record of ``page`` that ``encode`` rejects on its own.
-
-    Returns ``", record (block, txIndex)"``, or "" when no single record is
-    rejected or the rejected one lacks either field.
-    """
-    for record in page:
-        try:
-            encode([record])
-        except FillflowError:
-            if "block" in record and "txIndex" in record:
-                return f", record ({record['block']}, {record['txIndex']})"
-            return ""
-    return ""
-
-
 def fetch_event_logs(
     endpoint: str,
     from_block: int,
     to_block: int,
     spool_path,
-    encode: Callable[[Sequence[dict]], str],
+    encode: Callable[[dict], str],
     page_size: int = DEFAULT_PAGE_SIZE,
     checkpoint_path=None,
     transport: Transport | None = None,
@@ -142,14 +126,16 @@ def fetch_event_logs(
 ) -> None:
     """Spool all raw records with blocks in [from_block, to_block).
 
-    Each page is appended to the file at ``spool_path`` as
-    ``encode(records)``, flushed and synced before the checkpoint advances,
-    so the spool holds every record of this run and of the runs it resumes.
-    Resumes after the checkpointed block when a checkpoint file is present.
-    Raises FetchError carrying the last completed block once retries are
-    exhausted; DecodeError on malformed responses, and on a page holding a
-    record that ``encode`` rejects with a FillflowError, naming the page's
-    block range. The checkpoint does not advance past a rejected page.
+    Each page is appended to the file at ``spool_path`` as the
+    concatenated ``encode(record)`` of its records, flushed and synced
+    before the checkpoint advances, so the spool holds every record of this
+    run and of the runs it resumes. Resumes after the checkpointed block
+    when a checkpoint file is present. Raises FetchError carrying the last
+    completed block once retries are exhausted; DecodeError on malformed
+    responses, and on a page holding a record that ``encode`` rejects with a
+    FillflowError, naming the page's block range and the record's (block,
+    txIndex) when it has both. The checkpoint does not advance past a
+    rejected page.
     """
     if page_size <= 0:
         raise ValueError("page size must be positive")
@@ -186,12 +172,16 @@ def fetch_event_logs(
             if not all(isinstance(record, dict) for record in page):
                 raise DecodeError(f"page [{page_start}, {page_end}]: a record is not an object",
                                   last_block=last_done)
-            try:
-                text = encode(page)
-            except FillflowError as exc:
-                raise DecodeError(f"page [{page_start}, {page_end}]{_rejected(page, encode)}: "
-                                  f"{exc}", last_block=last_done) from exc
-            spool.write(text.encode("utf-8"))
+            lines = []
+            for record in page:
+                try:
+                    lines.append(encode(record))
+                except FillflowError as exc:
+                    where = (f", record ({record['block']}, {record['txIndex']})"
+                             if "block" in record and "txIndex" in record else "")
+                    raise DecodeError(f"page [{page_start}, {page_end}]{where}: {exc}",
+                                      last_block=last_done) from exc
+            spool.write("".join(lines).encode("utf-8"))
             spool.flush()
             os.fsync(spool.fileno())
             last_done = page_end

@@ -525,6 +525,17 @@ def generate_synthetic_ledger(scenario: SyntheticScenario) -> SyntheticLedger:
     return _Generator(scenario).run()
 
 
+_JSON_TYPES = {"boolean": (bool,), "integer": (int,), "number": (int, float)}
+
+
+def _typed(doc: dict, key: str, kind: str, default=None):
+    """``doc[key]`` (``default`` when given and the key is absent), which must be a JSON ``kind``."""
+    value = doc[key] if default is None else doc.get(key, default)
+    if type(value) not in _JSON_TYPES[kind]:
+        raise ConfigError(f"scenario {key!r} must be a JSON {kind}, got {value!r}")
+    return value
+
+
 def load_scenario(path, seed: int | None = None) -> SyntheticScenario:
     """Read a scenario document (market-config format plus generator keys)."""
     with open(path, encoding="utf-8") as fh:
@@ -537,21 +548,21 @@ def load_scenario(path, seed: int | None = None) -> SyntheticScenario:
     try:
         markets = markets_from_entries(doc["markets"])
         scenario = SyntheticScenario(
-            seed=int(doc["seed"]) if seed is None else seed,
+            seed=_typed(doc, "seed", "integer") if seed is None else seed,
             markets=markets,
             start=parse_utc(doc["start"]),
             end=parse_utc(doc["end"]),
-            n_transactions=int(doc.get("nTransactions", 1000)),
-            n_traders=int(doc.get("nTraders", 40)),
-            directional_share=float(doc.get("directionalShare", 0.5)),
-            market_maker_share=float(doc.get("marketMakerShare", 0.3)),
-            arbitrageur=bool(doc.get("arbitrageur", False)),
+            n_transactions=_typed(doc, "nTransactions", "integer", 1000),
+            n_traders=_typed(doc, "nTraders", "integer", 40),
+            directional_share=float(_typed(doc, "directionalShare", "number", 0.5)),
+            market_maker_share=float(_typed(doc, "marketMakerShare", "number", 0.3)),
+            arbitrageur=_typed(doc, "arbitrageur", "boolean", False),
             whale_schedule=[
                 WhaleEvent(
                     timestamp=parse_utc(w["time"]),
                     market=str(w["market"]),
                     side=str(w["side"]),
-                    usd=int(w["usd"]),
+                    usd=_typed(w, "usd", "integer"),
                 )
                 for w in doc.get("whaleSchedule", [])
             ],
@@ -559,16 +570,16 @@ def load_scenario(path, seed: int | None = None) -> SyntheticScenario:
                 DeviationInjection(
                     timestamp=parse_utc(d["time"]),
                     market=str(d["market"]),
-                    delta_micro=round(float(d["delta"]) * MICRO),
+                    delta_micro=round(float(_typed(d, "delta", "number")) * MICRO),
                 )
                 for d in doc.get("deviationInjections", [])
             ],
             kind_weights=doc.get("kindWeights"),
             hourly_weights=doc.get("hourlyWeights"),
-            mixed_spread_micro=int(doc.get("mixedSpread", 2000)),
+            mixed_spread_micro=_typed(doc, "mixedSpread", "integer", 2000),
         )
     except KeyError as exc:
         raise ConfigError(f"scenario missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:  # a time parse_utc rejects; a malformed number
+    except (TypeError, ValueError, OverflowError) as exc:  # a bad time; an infinite delta
         raise ConfigError(f"scenario: {exc}") from exc
     return scenario

@@ -153,15 +153,11 @@ def top_decile_traders(traders: Mapping[str, TraderActivity], by: str = "volume"
 
 
 def participation_sets(
-    traders: Mapping[str, TraderActivity] | Iterable[Transaction],
-    markets: Sequence[MarketSpec] = (),
-    exclude: Iterable[str] = (),
+    traders: Mapping[str, TraderActivity],
 ) -> tuple[list[ParticipationCell], dict[str, float], list[ParticipationCell]]:
     """Exact-subset participation decomposition across token markets.
 
-    ``traders`` is the activity map of ``collect_trader_activity``; given
-    transactions instead, their activity over ``markets`` (minus
-    ``exclude``) is collected first.
+    ``traders`` is the activity map of ``collect_trader_activity``.
 
     Returns (cells, marginals, candidate_cells): cells partition the trader
     universe by the exact set of token markets touched; marginals give the
@@ -169,8 +165,6 @@ def participation_sets(
     the cells containing it); candidate_cells aggregate YES and NO per
     candidate for the cross-candidate overlap view.
     """
-    if not isinstance(traders, Mapping):
-        traders = collect_trader_activity(traders, markets, exclude)
     total = len(traders)
     if total == 0:
         return [], {}, []

@@ -27,7 +27,7 @@ from fillflow.metrics import aggregate_components, merge_totals, side_measures
 from fillflow.microstructure import inverse_log_odds, kyle_lambda, log_odds, price_impact_delta_p
 from fillflow.prices import InflowSeries, rolling_inflow_correlation
 from fillflow.synthetic import SyntheticScenario, generate_synthetic_ledger
-from fillflow.traders import participation_sets
+from fillflow.traders import collect_trader_activity, participation_sets
 from fillflow.units import DAY, parse_utc
 
 START = parse_utc("2024-01-05T00:00:00Z")
@@ -242,8 +242,8 @@ def test_09_participation_partition():
     for seed in (1, 2, 3):
         ledger = fuzz_ledger(seed=seed, n=4_000)
         transactions = group_transactions(ledger.fills)
-        cells, marginals, candidate_cells = participation_sets(
-            transactions, ledger.markets, exclude=[ledger.exchange_address])
+        cells, marginals, candidate_cells = participation_sets(collect_trader_activity(
+            transactions, ledger.markets, exclude=[ledger.exchange_address]))
         total = len(ledger.trader_markets)
         assert sum(c.count for c in cells) == total  # exact partition
         assert sum(c.share for c in cells) == pytest.approx(100.0, abs=0.1)

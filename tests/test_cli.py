@@ -41,6 +41,11 @@ def scenario_path(tmp_path, markets):
     return path
 
 
+def csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def run(runner, args):
     result = runner.invoke(main, args, catch_exceptions=False)
     return result
@@ -53,7 +58,7 @@ class TestDecomposeCommand:
             "decompose", "--input", str(fixture_dir / "fills.jsonl"),
             "--markets", str(fixture_dir / "markets.json"), "--out", str(out)])
         assert result.exit_code == 0, result.output
-        rows = list(csv.DictReader(open(out / "decomposed.csv")))
+        rows = csv_rows(out / "decomposed.csv")
         assert len(rows) == 4
         by_key = {(int(r["block"]), int(r["txIndex"])): r for r in rows}
         simple = by_key[(51953200, 180)]
@@ -85,6 +90,21 @@ class TestDecomposeCommand:
             "decompose", "--input", str(fixture_dir / "fills.jsonl"),
             "--markets", str(bad), "--out", str(out)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("bad_id", [lambda token: " " + token, lambda token: token + "a",
+                                        int], ids=["padded", "non-digit", "number"])
+    def test_bad_token_id_exits_2(self, runner, fixture_dir, tmp_path, bad_id):
+        doc = json.loads((fixture_dir / "markets.json").read_text(encoding="utf-8"))
+        market = doc["markets"][1]
+        market["noTokenId"] = bad_id(market["noTokenId"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        result = runner.invoke(main, [
+            "decompose", "--input", str(fixture_dir / "fills.jsonl"),
+            "--markets", str(bad), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert (f"market {market['candidate']!r}: no_token_id must be a decimal string, "
+                f"got {market['noTokenId']!r}") in result.output
 
     @pytest.mark.parametrize("field, value", [
         ("launch", " \u0661\u0667\u0660\u0669"),
@@ -166,7 +186,7 @@ class TestPipeline:
             "metrics", "--input", str(dec / "decomposed.csv"),
             "--market", "Trump", "--partition", "month", "--out", str(met)])
         assert result.exit_code == 0, result.output
-        rows = list(csv.DictReader(open(met / "metrics.csv")))
+        rows = csv_rows(met / "metrics.csv")
         assert rows
         for row in rows:
             v_e = float(row["yesVE"])
@@ -187,7 +207,7 @@ class TestPipeline:
             "--markets", str(sim / "markets.json"),
             "--market", "Trump", "--grid-step", "3600", "--out", str(dev)])
         assert result.exit_code == 0, result.output
-        rows = list(csv.DictReader(open(dev / "deviation.csv")))
+        rows = csv_rows(dev / "deviation.csv")
         assert rows and all(abs(float(r["delta"])) < 1 for r in rows)
 
         dis = tmp_path / "dis"
@@ -197,7 +217,7 @@ class TestPipeline:
             "--second-democrat", "Biden", "--splice-day", "2024-03-01",
             "--corr-window-days", "30", "--out", str(dis)])
         assert result.exit_code == 0, result.output
-        corr = list(csv.DictReader(open(dis / "correlation.csv")))
+        corr = csv_rows(dis / "correlation.csv")
         assert corr
 
         meta = json.loads((sim / "simulation.json").read_text())
@@ -207,9 +227,9 @@ class TestPipeline:
             "--markets", str(sim / "markets.json"),
             "--exclude-addresses", meta["exchangeAddress"], "--out", str(tr)])
         assert result.exit_code == 0, result.output
-        hourly = list(csv.DictReader(open(tr / "hourly.csv")))
+        hourly = csv_rows(tr / "hourly.csv")
         assert len(hourly) == 24
-        cells = list(csv.DictReader(open(tr / "participation.csv")))
+        cells = csv_rows(tr / "participation.csv")
         assert sum(float(c["sharePct"]) for c in cells) == pytest.approx(100.0, abs=0.1)
 
     def test_lambda_pipeline(self, runner, tmp_path, markets):
@@ -233,20 +253,25 @@ class TestPipeline:
             "--markets", str(sim / "markets.json"),
             "--market", "Trump", "--side", "yes", "--out", str(lam)])
         assert result.exit_code == 0, result.output
-        rows = list(csv.DictReader(open(lam / "lambda.csv")))
+        rows = csv_rows(lam / "lambda.csv")
         assert rows
         assert set(rows[0]) == {"date", "lambda", "se", "n", "avgVolume"}
         assert (lam / "lambda_regression.json").exists()
 
 
 class TestFlagValidation:
-    def test_reversed_date_range_exits_2(self, runner, fixture_dir, tmp_path):
-        result = runner.invoke(main, [
-            "decompose", "--input", str(fixture_dir / "fills.jsonl"),
-            "--markets", str(fixture_dir / "markets.json"),
-            "--from", "2024-06-01", "--to", "2024-02-01",
-            "--out", str(tmp_path / "out")])
-        assert result.exit_code == 2
+    def test_reversed_date_range_exits_2(self, runner, valid_inputs, tmp_path):
+        paths = {role: str(path) for role, path in valid_inputs.items()}
+        commands = [command for command, template in TEMPLATES.items()
+                    if "--from" in {opt for param in main.commands[command].params
+                                    for opt in param.opts}]
+        assert len(commands) == 6
+        for command in commands:
+            args = [arg.format_map(paths) for arg in TEMPLATES[command]]
+            result = runner.invoke(main, args + ["--from", "2024-06-01", "--to", "2024-02-01",
+                                                 "--out", str(tmp_path / command)])
+            assert result.exit_code == 2, (command, result.output)
+            assert "date range start must be before end" in result.output, command
 
     @pytest.mark.parametrize("option, value", [
         ("--from", "\u0661\u0667\u0660\u0669"),
@@ -270,8 +295,8 @@ class TestFlagValidation:
         assert run(runner, base + ["--out", str(loose)]).exit_code == 0
         assert run(runner, base + ["--max-staleness", "43200",
                                    "--out", str(tight)]).exit_code == 0
-        n_loose = len(list(csv.DictReader(open(loose / "deviation.csv"))))
-        n_tight = len(list(csv.DictReader(open(tight / "deviation.csv"))))
+        n_loose = len(csv_rows(loose / "deviation.csv"))
+        n_tight = len(csv_rows(tight / "deviation.csv"))
         assert 0 < n_tight < n_loose
 
     def test_participation_table_has_bitmask(self, runner, fixture_dir, tmp_path):
@@ -282,7 +307,7 @@ class TestFlagValidation:
             "--exclude-addresses", "0xc5d563a36ae78145c45a50134d48a1215220f80a",
             "--out", str(out)])
         assert result.exit_code == 0, result.output
-        rows = list(csv.DictReader(open(out / "participation.csv")))
+        rows = csv_rows(out / "participation.csv")
         assert rows and all(r["bitmask"].isdigit() for r in rows)
 
 
@@ -391,6 +416,42 @@ class TestIngestCommand:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 3
 
+    def test_block_times_sidecar_is_a_digested_input(self, runner, tmp_path, example_fills):
+        shard = tmp_path / "shard.jsonl"
+        write_fills(shard, example_fills)
+        inputs = []
+        for name, sidecar in (("a", '{"5": 1709640000}'), ("b", '{"5": 1709643600}')):
+            times = tmp_path / name / "block_times.json"
+            times.parent.mkdir()
+            times.write_text(sidecar, encoding="utf-8")
+            out = tmp_path / name / "out"
+            result = run(runner, ["ingest", "--input", str(shard), "--block-times", str(times),
+                                  "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            inputs.append(json.loads((out / "manifest.json").read_text())["inputs"])
+        assert set(inputs[0]) == set(inputs[1]) == {"shard.jsonl", "block_times.json"}
+        assert inputs[0]["shard.jsonl"] == inputs[1]["shard.jsonl"]
+        assert inputs[0]["block_times.json"] != inputs[1]["block_times.json"]
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("maker", None, "maker must be a string, got None"),
+        ("maker", 351, "maker must be a string, got 351"),
+        ("maker", {"a": 1}, "maker must be a string, got {'a': 1}"),
+        ("takerAssetId", 0, "taker_asset_id must be a decimal string, got 0"),
+    ], ids=["null-maker", "number-maker", "object-maker", "number-asset-id"])
+    def test_non_string_field_exits_3_naming_line(self, runner, tmp_path, example_fills,
+                                                  field, value, message):
+        shard = tmp_path / "shard.jsonl"
+        write_fills(shard, example_fills[:2])
+        lines = shard.read_text().splitlines(keepends=True)
+        record = json.loads(lines[1])
+        record[field] = value
+        shard.write_text(lines[0] + json.dumps(record) + "\n")
+        result = runner.invoke(main, ["ingest", "--input", str(shard),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3, result.output
+        assert f"line 2: {message}" in result.output
+
     def test_nothing_to_ingest_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["ingest", "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
@@ -460,6 +521,8 @@ class TestMalformedTables:
          "line 3: buyVol: not an integer: '1_0'"),
         (DECOMPOSED_HEADER, DECOMPOSED_ROW.replace(",5,5,", ",5,\u0661\u0660,"),
          "line 3: sellVol: not an integer: '\u0661\u0660'"),
+        (DECOMPOSED_HEADER, DECOMPOSED_ROW.replace(",5,5,", ", 5 ,5,"),
+         "line 3: buyVol: not an integer: ' 5 '"),
         (DECOMPOSED_HEADER, DECOMPOSED_ROW.replace("pure_exchange", "bogus"),
          "line 3: 'bogus' is not a valid TxKind"),
         (DECOMPOSED_HEADER, DECOMPOSED_ROW.rsplit(",", 1)[0],
@@ -470,7 +533,7 @@ class TestMalformedTables:
         (DECOMPOSED_HEADER, DECOMPOSED_ROW.replace("Trump", "Trump\udce9"),
          "line 3: not valid UTF-8 (byte 0xe9)"),
     ], ids=["missing-column", "non-integer", "negative-component", "underscore-digits",
-            "non-ascii-digits", "unknown-kind", "short-row", "extra-value", "non-utf8-byte"])
+            "non-ascii-digits", "padded-integer", "unknown-kind", "short-row", "extra-value", "non-utf8-byte"])
     def test_decomposed_table_exits_3_naming_line(self, runner, tmp_path, header, bad_row,
                                                   message):
         table = tmp_path / "decomposed.csv"
@@ -532,6 +595,16 @@ class TestMalformedTables:
         assert result.exit_code == 3, result.output
         assert "line 1: Exceeds the limit" in result.output
 
+    def test_decomposed_jsonl_market_not_a_string_exits_3(self, runner, tmp_path):
+        record = dict(zip(DECOMPOSED_HEADER.split(","), DECOMPOSED_ROW.split(",")))
+        record["market"] = 5
+        table = tmp_path / "decomposed.jsonl"
+        table.write_text(json.dumps(record) + "\n")
+        result = runner.invoke(main, ["metrics", "--input", str(table), "--market", "5",
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3, result.output
+        assert "line 1: market: not a string: 5" in result.output
+
     def test_decomposed_jsonl_null_value_exits_3(self, runner, tmp_path):
         record = dict(zip(DECOMPOSED_HEADER.split(","), DECOMPOSED_ROW.split(",")))
         record["noTradeVol"] = None
@@ -574,15 +647,27 @@ def not_utf8(valid: bytes) -> bytes:
 
 
 # Malformed-input kind -> input role -> the malformed file's bytes, made from the valid file's.
+def null_maker(valid: bytes) -> bytes:
+    record = json.loads(valid.split(b"\n", 1)[0])
+    record["maker"], record["txIndex"] = None, 10**6  # a new transaction, not a duplicate
+    return valid + json.dumps(record).encode() + b"\n"
+
+
 MALFORMED = {
     "bad-fill-line": {"fills": lambda valid: valid + b'{"block": "not a number"}\n'},
+    "null-maker": {"fills": null_maker},
     "not-utf8": {role: not_utf8 for role in
                  ("fills", "decomposed", "markets", "scenario", "block-times", "excludes")},
     "bad-decomposed-row": {"decomposed": lambda valid: valid + DECOMPOSED_ROW.replace(
         ",5,5,", ",5x,5,").encode()},
     "bad-market-config": {"markets": lambda valid: b'{"markets": [{"candidate": "X"}]}'},
+    "market-entry-not-object": {"markets": lambda valid: b'{"markets": [5]}'},
+    "padded-token-id": {"markets": lambda valid: valid.replace(b'"yesTokenId": "',
+                                                               b'"yesTokenId": " ', 1)},
     "bad-date": {"block-times": lambda valid: b'{"5": "yesterday"}'},
     "bad-scenario": {"scenario": lambda valid: valid.replace(START.encode(), b"yesterday")},
+    "fractional-count": {"scenario": lambda valid: valid.replace(b'"nTransactions": 300',
+                                                                 b'"nTransactions": 50.9')},
 }
 
 

@@ -33,8 +33,12 @@ class RecordingTransport:
         return [{"block": b} for b in range(from_block, to_block + 1)]
 
 
+def json_line(record):
+    return json.dumps(record) + "\n"
+
+
 def json_lines(records):
-    return "".join(json.dumps(r) + "\n" for r in records)
+    return "".join(map(json_line, records))
 
 
 def spooled(spool):
@@ -44,7 +48,7 @@ def spooled(spool):
 def fetch_blocks(tmp_path, *args, **kwargs):
     """Blocks of the records ``fetch_event_logs`` spools to a file under tmp_path."""
     spool = tmp_path / "spool.jsonl"
-    assert fetch_event_logs("http://x", *args[:2], spool, json_lines, *args[2:],
+    assert fetch_event_logs("http://x", *args[:2], spool, json_line, *args[2:],
                             **kwargs) is None
     return [r["block"] for r in spooled(spool)]
 
@@ -318,7 +322,7 @@ class TestHttpTransport:
     def test_http_500_is_retried_then_fails(self, endpoint, tmp_path):
         sleeps = []
         with pytest.raises(FetchError, match="after 2 retries: HTTP Error 500") as err:
-            fetch_event_logs(f"{endpoint}/fail", 0, 10, tmp_path / "spool.jsonl", json_lines,
+            fetch_event_logs(f"{endpoint}/fail", 0, 10, tmp_path / "spool.jsonl", json_line,
                              max_retries=2, sleep=sleeps.append)
         assert not isinstance(err.value, DecodeError)
         assert len(sleeps) == 2

@@ -137,24 +137,28 @@ class TestScriptedBehaviour:
         assert hours == {14}
 
 
+def scenario_doc(markets):
+    return {
+        "seed": 3,
+        "markets": [{
+            "candidate": m.candidate, "yesTokenId": m.yes_token_id,
+            "noTokenId": m.no_token_id, "launch": "2024-01-04T23:00:00Z",
+        } for m in markets[:2]],
+        "start": "2024-02-01T00:00:00Z",
+        "end": "2024-04-01T00:00:00Z",
+        "nTransactions": 25,
+        "arbitrageur": True,
+        "whaleSchedule": [
+            {"time": "2024-03-01T12:00:00Z", "market": "Trump", "side": "yes",
+             "usd": 50000}],
+        "deviationInjections": [
+            {"time": "2024-02-20T00:00:00Z", "market": "Trump", "delta": 0.05}],
+    }
+
+
 class TestScenarioFile:
     def test_round_trip(self, tmp_path, markets):
-        doc = {
-            "seed": 3,
-            "markets": [{
-                "candidate": m.candidate, "yesTokenId": m.yes_token_id,
-                "noTokenId": m.no_token_id, "launch": "2024-01-04T23:00:00Z",
-            } for m in markets[:2]],
-            "start": "2024-02-01T00:00:00Z",
-            "end": "2024-04-01T00:00:00Z",
-            "nTransactions": 25,
-            "arbitrageur": True,
-            "whaleSchedule": [
-                {"time": "2024-03-01T12:00:00Z", "market": "Trump", "side": "yes",
-                 "usd": 50000}],
-            "deviationInjections": [
-                {"time": "2024-02-20T00:00:00Z", "market": "Trump", "delta": 0.05}],
-        }
+        doc = scenario_doc(markets)
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
         loaded = load_scenario(path)
@@ -163,6 +167,35 @@ class TestScenarioFile:
         assert loaded.deviation_injections[0].delta_micro == 50_000
         assert load_scenario(path, seed=11).seed == 11
         generate_synthetic_ledger(loaded)  # must be runnable
+
+    @pytest.mark.parametrize("where, value, message", [
+        (["arbitrageur"], "false", "'arbitrageur' must be a JSON boolean, got 'false'"),
+        (["arbitrageur"], 1, "'arbitrageur' must be a JSON boolean, got 1"),
+        (["seed"], "3", "'seed' must be a JSON integer, got '3'"),
+        (["nTransactions"], 50.9, "'nTransactions' must be a JSON integer, got 50.9"),
+        (["nTraders"], True, "'nTraders' must be a JSON integer, got True"),
+        (["mixedSpread"], 2000.0, "'mixedSpread' must be a JSON integer, got 2000.0"),
+        (["whaleSchedule", 0, "usd"], "50000", "'usd' must be a JSON integer, got '50000'"),
+        (["directionalShare"], True, "'directionalShare' must be a JSON number, got True"),
+        (["marketMakerShare"], "0.3", "'marketMakerShare' must be a JSON number, got '0.3'"),
+        (["deviationInjections", 0, "delta"], False, "'delta' must be a JSON number, got False"),
+        (["deviationInjections", 0, "delta"], float("inf"),
+         "cannot convert float infinity to integer"),
+    ], ids=["string-arbitrageur", "number-arbitrageur", "string-seed", "fractional-count",
+            "bool-count", "float-spread", "string-usd", "bool-share", "string-share",
+            "bool-delta", "infinite-delta"])
+    def test_wrong_json_type_rejected_naming_the_key(self, tmp_path, markets, where, value,
+                                                     message):
+        doc = scenario_doc(markets)
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as err:
+            load_scenario(path)
+        assert message in str(err.value)
 
     def test_missing_fields_rejected(self, tmp_path):
         path = tmp_path / "scenario.json"
