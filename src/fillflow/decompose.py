@@ -27,7 +27,8 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import DecompositionAnomalyError, ParseError
-from .events import COLLATERAL_ID, MarketSpec, Transaction, _to_amount, read_table, write_table
+from .events import (COLLATERAL_ID, MarketSpec, Transaction, _to_amount, market_slots,
+                     read_table, write_table)
 
 logger = logging.getLogger(__name__)
 
@@ -186,7 +187,7 @@ def decompose_ledger(
     market whose slice fails) and no rows, so quarantined plus decomposed
     transaction counts always equal the input count.
     """
-    market_of = {token: i for i, market in enumerate(markets) for token in market.token_ids}
+    slots = market_slots(markets)
     decomposed: list[DecomposedTransaction] = []
     anomalies: list[AnomalyRecord] = []
     for tx in transactions:
@@ -197,11 +198,11 @@ def decompose_ledger(
                 token, usdc, side = fill.taker_asset_id, fill.maker_amount, 0
             else:
                 token, usdc, side = fill.maker_asset_id, fill.taker_amount, 1
-            i = market_of.get(token)
-            if i is None:
+            slot = slots.get(token)
+            if slot is None:
                 unknown.add(token)
                 continue
-            sums = slices.setdefault(i, ({}, {}))[side]
+            sums = slices.setdefault(slot >> 1, ({}, {}))[side]
             sums[token] = sums.get(token, 0) + usdc
         if unknown:
             anomalies.append(AnomalyRecord(
@@ -271,6 +272,9 @@ def decomposed_from_record(record: dict) -> DecomposedTransaction:
     )
     if type(row.market) is not str:
         raise ValueError(f"market: not a string: {row.market!r}")
+    if min(row.block, row.tx_index, row.timestamp) < 0:
+        raise ValueError(f"block, txIndex and timestamp must be non-negative, got "
+                         f"{row.block}, {row.tx_index}, {row.timestamp}")
     return row
 
 

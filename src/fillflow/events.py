@@ -181,6 +181,8 @@ class MarketSpec:
     resolution: int | None = None
 
     def __post_init__(self):
+        if type(self.candidate) is not str or not self.candidate:
+            raise ConfigError(f"candidate must be a non-empty string, got {self.candidate!r}")
         for name in ("yes_token_id", "no_token_id"):
             if not _is_decimal(getattr(self, name)):
                 raise ConfigError(f"market {self.candidate!r}: {name} must be a decimal "
@@ -189,24 +191,6 @@ class MarketSpec:
             raise ConfigError(f"market {self.candidate!r}: YES and NO token ids are equal")
         if COLLATERAL_ID in (self.yes_token_id, self.no_token_id):
             raise ConfigError(f"market {self.candidate!r}: token id clashes with collateral id")
-
-    @property
-    def token_ids(self) -> tuple[str, str]:
-        return (self.yes_token_id, self.no_token_id)
-
-    def side_of(self, token_id: str) -> str:
-        if token_id == self.yes_token_id:
-            return "yes"
-        if token_id == self.no_token_id:
-            return "no"
-        raise KeyError(f"token {token_id} not in market {self.candidate!r}")
-
-    def complement(self, token_id: str) -> str:
-        if token_id == self.yes_token_id:
-            return self.no_token_id
-        if token_id == self.no_token_id:
-            return self.yes_token_id
-        raise KeyError(f"token {token_id} not in market {self.candidate!r}")
 
 
 def _to_amount(value, field: str) -> int:
@@ -517,18 +501,38 @@ def group_transactions(fills: Iterable[FillEvent]) -> list[Transaction]:
     return transactions
 
 
+def market_slots(markets: Sequence[MarketSpec]) -> dict[str, int]:
+    """The token index: token id -> 2i for the YES token of ``markets[i]``, 2i + 1 for its NO.
+
+    ``slot >> 1`` is the market, ``slot & 1`` the side (0 YES, 1 NO) and the slot
+    the token's participation bit. Raises ConfigError when a token id or a
+    candidate belongs to two markets.
+    """
+    slots: dict[str, int] = {}
+    named: dict[str, int] = {}
+    for i, market in enumerate(markets):
+        if named.setdefault(market.candidate, i) != i:
+            raise ConfigError(f"candidate {market.candidate!r} names markets "
+                              f"{named[market.candidate]} and {i}")
+        for slot, token in enumerate((market.yes_token_id, market.no_token_id), 2 * i):
+            if slots.setdefault(token, slot) != slot:
+                owner = markets[slots[token] >> 1].candidate
+                raise ConfigError(
+                    f"token id {token} claimed by both {owner!r} and {market.candidate!r}")
+    return slots
+
+
 def markets_from_entries(entries) -> list[MarketSpec]:
     """Build validated MarketSpecs from decoded config entries."""
     if not isinstance(entries, list):
         raise ConfigError("market config must contain a 'markets' list")
     markets: list[MarketSpec] = []
-    claimed: dict[str, str] = {}
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ConfigError(f"market entry {i}: not an object")
         try:
             spec = MarketSpec(
-                candidate=str(entry["candidate"]),
+                candidate=entry["candidate"],
                 yes_token_id=entry["yesTokenId"],
                 no_token_id=entry["noTokenId"],
                 launch=parse_utc(entry["launch"]),
@@ -538,13 +542,8 @@ def markets_from_entries(entries) -> list[MarketSpec]:
             raise ConfigError(f"market entry {i}: missing field {exc.args[0]!r}") from exc
         except ValueError as exc:
             raise ConfigError(f"market entry {i}: bad launch or resolution: {exc}") from exc
-        for token in spec.token_ids:
-            if token in claimed:
-                raise ConfigError(
-                    f"token id {token} claimed by both {claimed[token]!r} and {spec.candidate!r}"
-                )
-            claimed[token] = spec.candidate
         markets.append(spec)
+    market_slots(markets)
     return markets
 
 

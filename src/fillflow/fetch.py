@@ -44,8 +44,12 @@ def http_transport(endpoint: str, from_block: int, to_block: int) -> list[dict]:
                        "params": {"fromBlock": from_block, "toBlock": to_block}})
     request = urllib.request.Request(endpoint, data=body.encode("utf-8"), method="POST",
                                      headers={"Content-Type": "application/json"})
-    with urllib.request.urlopen(request, timeout=30) as response:
-        reply = response.read()
+    try:
+        with urllib.request.urlopen(request, timeout=30) as response:
+            reply = response.read()
+    except urllib.request.HTTPError as exc:
+        exc.close()  # the error holds the reply's open socket; the fetch loop may retry
+        raise
     try:
         doc = json.loads(reply)
     except ValueError as exc:  # also a byte that is not UTF-8
@@ -131,11 +135,11 @@ def fetch_event_logs(
     before the checkpoint advances, so the spool holds every record of this
     run and of the runs it resumes. Resumes after the checkpointed block
     when a checkpoint file is present. Raises FetchError carrying the last
-    completed block once retries are exhausted; DecodeError on malformed
-    responses, and on a page holding a record that ``encode`` rejects with a
-    FillflowError, naming the page's block range and the record's (block,
-    txIndex) when it has both. The checkpoint does not advance past a
-    rejected page.
+    completed block once retries are exhausted; DecodeError, carrying it
+    too and naming the page's block range, on a malformed response and on a
+    page holding a record that ``encode`` rejects with a FillflowError (then
+    also naming the record's (block, txIndex) when it has both). The
+    checkpoint does not advance past a rejected page.
     """
     if page_size <= 0:
         raise ValueError("page size must be positive")
@@ -151,27 +155,25 @@ def fetch_event_logs(
         page_start = start
         while page_start < to_block:
             page_end = min(page_start + page_size - 1, to_block - 1)
+            span = f"page [{page_start}, {page_end}]"
             attempt = 0
             while True:
                 try:
                     page = transport(endpoint, page_start, page_end)
                     break
-                except DecodeError:
-                    raise
+                except DecodeError as exc:
+                    raise DecodeError(f"{span}: {exc}", last_block=last_done) from exc
                 except Exception as exc:
                     attempt += 1
                     if attempt > max_retries:
-                        raise FetchError(
-                            f"page [{page_start}, {page_end}] failed after "
-                            f"{max_retries} retries: {exc}",
-                            last_block=last_done,
-                        ) from exc
+                        raise FetchError(f"{span} failed after {max_retries} retries: {exc}",
+                                         last_block=last_done) from exc
                     sleep(backoff * 2 ** (attempt - 1))
             if not isinstance(page, (list, tuple)):
-                raise DecodeError(f"transport returned {type(page).__name__}, expected a list")
+                raise DecodeError(f"{span}: transport returned {type(page).__name__}, "
+                                  "expected a list", last_block=last_done)
             if not all(isinstance(record, dict) for record in page):
-                raise DecodeError(f"page [{page_start}, {page_end}]: a record is not an object",
-                                  last_block=last_done)
+                raise DecodeError(f"{span}: a record is not an object", last_block=last_done)
             lines = []
             for record in page:
                 try:
@@ -179,8 +181,7 @@ def fetch_event_logs(
                 except FillflowError as exc:
                     where = (f", record ({record['block']}, {record['txIndex']})"
                              if "block" in record and "txIndex" in record else "")
-                    raise DecodeError(f"page [{page_start}, {page_end}]{where}: {exc}",
-                                      last_block=last_done) from exc
+                    raise DecodeError(f"{span}{where}: {exc}", last_block=last_done) from exc
             spool.write("".join(lines).encode("utf-8"))
             spool.flush()
             os.fsync(spool.fileno())

@@ -254,6 +254,8 @@ def rolling_inflow_correlation(
     """
     if window_days < 2 or step_days < 1:
         raise ValueError("window must be >= 2 days and step >= 1 day")
+    if not (series_a.days and series_b.days):
+        raise DataError("an inflow series is empty: its market has no rows in range")
     lo = max(series_a.days[0], series_b.days[0])
     hi = min(series_a.days[-1], series_b.days[-1])
     if hi - lo < (window_days - 1) * DAY:

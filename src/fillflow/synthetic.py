@@ -26,10 +26,10 @@ from random import Random
 
 from .decompose import DecomposedTransaction, TxKind, VolumeComponents
 from .errors import ConfigError
-from .events import FillEvent, MarketSpec, markets_from_entries
+from .events import COLLATERAL_ID, FillEvent, MarketSpec, markets_from_entries
+from .traders import market_labels
 from .units import DAY, MICRO, day_floor, parse_utc
 
-COLLATERAL = "0"
 BLOCK_SECONDS = 2  # settlement chain block cadence; timestamps sit on this grid
 
 PRICE_LO = 60_000
@@ -98,6 +98,9 @@ class SyntheticScenario:
         for event in self.whale_schedule:
             if event.side not in ("yes", "no"):
                 raise ConfigError(f"whale event side must be yes/no, got {event.side!r}")
+        for event in (*self.whale_schedule, *self.deviation_injections):
+            if event.market not in [m.candidate for m in self.markets]:
+                raise ConfigError(f"{type(event).__name__} names unknown market {event.market!r}")
         if self.kind_weights:
             unknown = set(self.kind_weights) - set(KINDS)
             if unknown:
@@ -145,6 +148,7 @@ class _Generator:
         self.scenario = scenario
         self.rng = Random(scenario.seed)
         self.markets = {m.candidate: m for m in scenario.markets}
+        self.labels = market_labels(scenario.markets)
         self.exchange_address = self._address("c5d")
         self.prices = {m.candidate: self.rng.randint(250_000, 750_000) for m in scenario.markets}
         self.deviations = {m.candidate: 0 for m in scenario.markets}
@@ -266,8 +270,7 @@ class _Generator:
                 taker_amount=t_amount,
                 timestamp=ts,
             ))
-            token = t_asset if m_asset == COLLATERAL else m_asset
-            label = f"{market.candidate} {market.side_of(token).upper()}"
+            label = self.labels[t_asset if m_asset == COLLATERAL_ID else m_asset]
             for party in (maker, taker):
                 if party != self.exchange_address:
                     parties.add(party)
@@ -311,12 +314,12 @@ class _Generator:
         buyer = buyer or self._pick_directional(market.candidate, side)
         token = self._token(market, side)
         usdc = shares * price
-        specs = [(buyer, self.exchange_address, COLLATERAL, token, usdc, shares * MICRO)]
+        specs = [(buyer, self.exchange_address, COLLATERAL_ID, token, usdc, shares * MICRO)]
         lots = self._split_quantity(shares, self.rng.randint(1, 3))
         pool = list(sellers) if sellers else None
         for lot in lots:
             seller = self.rng.choice(pool) if pool else self._pick_liquidity()
-            specs.append((seller, buyer, token, COLLATERAL, lot * MICRO, lot * price))
+            specs.append((seller, buyer, token, COLLATERAL_ID, lot * MICRO, lot * price))
         self._emit(ts, market, TxKind.PURE_EXCHANGE, specs,
                    self._sided(market, side, trade=usdc, buy=usdc, sell=usdc))
 
@@ -332,7 +335,7 @@ class _Generator:
         for leg, price in (("yes", p_yes), ("no", MICRO - p_yes)):
             token = self._token(market, leg)
             for lot in self._split_quantity(shares, self.rng.randint(1, 2)):
-                specs.append((buyers[leg], self.exchange_address, COLLATERAL, token,
+                specs.append((buyers[leg], self.exchange_address, COLLATERAL_ID, token,
                               lot * price, lot * MICRO))
         self._emit(ts, market, TxKind.SHARE_MINTING, specs, VolumeComponents(
             yes_mint=shares * p_yes,
@@ -348,7 +351,7 @@ class _Generator:
             token = self._token(market, leg)
             seller = self._pick_liquidity()
             for lot in self._split_quantity(shares, self.rng.randint(1, 2)):
-                specs.append((seller, self.exchange_address, token, COLLATERAL,
+                specs.append((seller, self.exchange_address, token, COLLATERAL_ID,
                               lot * MICRO, lot * price))
         self._emit(ts, market, TxKind.SHARE_BURNING, specs, VolumeComponents(
             yes_burn=shares * p_yes,
@@ -363,15 +366,15 @@ class _Generator:
         spread = self.rng.randint(0, min(self.scenario.mixed_spread_micro, p - 1))
         p_sell = p - spread
         token = self._token(market, side)
-        complement = market.complement(token)
+        complement = self._token(market, "no" if side == "yes" else "yes")
         taker = self._pick_directional(market.candidate, side)
         maker = self._pick_liquidity()
         counter = self._pick_directional(market.candidate, "no" if side == "yes" else "yes")
         total = exchanged + minted
         specs = [
-            (taker, self.exchange_address, COLLATERAL, token, total * p, total * MICRO),
-            (maker, taker, token, COLLATERAL, exchanged * MICRO, exchanged * p_sell),
-            (counter, self.exchange_address, COLLATERAL, complement,
+            (taker, self.exchange_address, COLLATERAL_ID, token, total * p, total * MICRO),
+            (maker, taker, token, COLLATERAL_ID, exchanged * MICRO, exchanged * p_sell),
+            (counter, self.exchange_address, COLLATERAL_ID, complement,
              minted * (MICRO - p), minted * MICRO),
         ]
         trade = exchanged * p_sell
@@ -396,14 +399,14 @@ class _Generator:
         spread = self.rng.randint(0, max(0, max_spread))
         p_buy = p + spread
         token = self._token(market, side)
-        complement = market.complement(token)
+        complement = self._token(market, "no" if side == "yes" else "yes")
         taker = self._pick_liquidity()
         buyer = self._pick_directional(market.candidate, side)
         counter = self._pick_liquidity()
         specs = [
-            (taker, self.exchange_address, token, COLLATERAL, total * MICRO, total * p),
-            (buyer, taker, COLLATERAL, token, exchanged * p_buy, exchanged * MICRO),
-            (counter, self.exchange_address, complement, COLLATERAL,
+            (taker, self.exchange_address, token, COLLATERAL_ID, total * MICRO, total * p),
+            (buyer, taker, COLLATERAL_ID, token, exchanged * p_buy, exchanged * MICRO),
+            (counter, self.exchange_address, complement, COLLATERAL_ID,
              burned * MICRO, burned * (MICRO - p)),
         ]
         trade = exchanged * p_buy
@@ -418,14 +421,12 @@ class _Generator:
         ))
 
     def _build_whale(self, event: WhaleEvent) -> None:
-        market = self.markets.get(event.market)
-        if market is None:
-            raise ConfigError(f"whale event references unknown market {event.market!r}")
         ts = self._grid(event.timestamp)
         price = self._base_price(event.market, event.side)
         shares = max(1, event.usd * MICRO // price)
         whale = self._address("f1a")
-        self._build_minting(ts, market, side_buyer=whale, shares=shares, side=event.side)
+        self._build_minting(ts, self.markets[event.market], side_buyer=whale, shares=shares,
+                            side=event.side)
 
     def _run_arbitrage(self, ts: int, market: MarketSpec) -> None:
         """Walk the deviation toward zero with the documented sequences."""
@@ -481,8 +482,6 @@ class _Generator:
         for ts, _, action, payload in plan:
             if action == "inject":
                 market_name, delta = payload
-                if market_name not in self.markets:
-                    raise ConfigError(f"injection references unknown market {market_name!r}")
                 self.deviations[market_name] = delta
                 continue
             if action == "whale":
@@ -560,8 +559,8 @@ def load_scenario(path, seed: int | None = None) -> SyntheticScenario:
             whale_schedule=[
                 WhaleEvent(
                     timestamp=parse_utc(w["time"]),
-                    market=str(w["market"]),
-                    side=str(w["side"]),
+                    market=w["market"],
+                    side=w["side"],
                     usd=_typed(w, "usd", "integer"),
                 )
                 for w in doc.get("whaleSchedule", [])
@@ -569,7 +568,7 @@ def load_scenario(path, seed: int | None = None) -> SyntheticScenario:
             deviation_injections=[
                 DeviationInjection(
                     timestamp=parse_utc(d["time"]),
-                    market=str(d["market"]),
+                    market=d["market"],
                     delta_micro=round(float(_typed(d, "delta", "number")) * MICRO),
                 )
                 for d in doc.get("deviationInjections", [])

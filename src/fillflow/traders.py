@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError
-from .events import MarketSpec, Transaction
+from .events import MarketSpec, Transaction, market_slots
 from .units import DAY, HOUR, day_floor, hour_floor
 
 
@@ -49,22 +49,16 @@ class ParticipationCell:
 
 
 def market_labels(markets: Sequence[MarketSpec]) -> dict[str, str]:
-    """token id -> "<candidate> <SIDE>" label for the six token markets."""
-    labels: dict[str, str] = {}
-    for market in markets:
-        labels[market.yes_token_id] = f"{market.candidate} YES"
-        labels[market.no_token_id] = f"{market.candidate} NO"
-    return labels
+    """token id -> "<candidate> <SIDE>" label, read off the token's slot."""
+    return {token: f"{markets[slot >> 1].candidate} {('YES', 'NO')[slot & 1]}"
+            for token, slot in market_slots(markets).items()}
 
 
 def cell_bitmask(cell: frozenset[str], markets: Sequence[MarketSpec]) -> int:
-    """Subset-cell bitmask: bit 2i = market i YES, bit 2i+1 = market i NO."""
-    ordered = [label for m in markets
-               for label in (f"{m.candidate} YES", f"{m.candidate} NO")]
-    mask = 0
-    for label in cell:
-        mask |= 1 << ordered.index(label)
-    return mask
+    """Subset-cell bitmask: each label sets its token's slot bit (2i = market i YES, 2i+1 NO)."""
+    slots = market_slots(markets)
+    bits = {label: slots[token] for token, label in market_labels(markets).items()}
+    return sum(1 << bits[label] for label in cell)
 
 
 def collect_trader_activity(

@@ -1,9 +1,15 @@
 import csv
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import fillflow
 from fillflow.cli import main
 from fillflow.decompose import read_decomposed
 from fillflow.events import write_fills
@@ -22,6 +28,16 @@ def runner():
 def fixture_dir(tmp_path):
     write_fixture(tmp_path / "fixture")
     return tmp_path / "fixture"
+
+
+@pytest.fixture
+def fixture_table(runner, fixture_dir, tmp_path):
+    """The fixture ledger's decomposed table."""
+    result = runner.invoke(main, ["decompose", "--input", str(fixture_dir / "fills.jsonl"),
+                                  "--markets", str(fixture_dir / "markets.json"),
+                                  "--out", str(tmp_path / "dec")])
+    assert result.exit_code == 0, result.output
+    return tmp_path / "dec" / "decomposed.csv"
 
 
 @pytest.fixture
@@ -310,6 +326,54 @@ class TestFlagValidation:
         rows = csv_rows(out / "participation.csv")
         assert rows and all(r["bitmask"].isdigit() for r in rows)
 
+    @pytest.mark.parametrize("command", ["deviation", "lambda"])
+    def test_unknown_market_exits_2_listing_candidates(self, runner, fixture_dir, tmp_path,
+                                                       command):
+        result = runner.invoke(main, [
+            command, "--input", str(fixture_dir / "fills.jsonl"),
+            "--markets", str(fixture_dir / "markets.json"), "--market", "Nobody",
+            "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert ("market 'Nobody' not in the configuration (Trump, Biden, Harris)"
+                in result.output)
+
+    def test_metrics_month_dense_keeps_empty_months(self, runner, fixture_table, tmp_path):
+        out = tmp_path / "met"
+        result = run(runner, ["metrics", "--input", str(fixture_table),
+                              "--market", "Trump", "--partition", "month", "--dense",
+                              "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        rows = csv_rows(out / "metrics.csv")
+        assert [r["interval"] for r in rows] == ["2024-03", "2024-04", "2024-05", "2024-06"]
+        assert all(float(value) == 0 for key, value in rows[1].items() if key != "interval")
+        assert float(rows[0]["combinedVG"]) > 0 and float(rows[2]["combinedVG"]) > 0
+
+    @pytest.mark.parametrize("quarter", ["2024Q5", "Q4"])
+    def test_bad_quarter_exits_2(self, runner, fixture_dir, tmp_path, quarter):
+        result = runner.invoke(main, [
+            "traders", "--input", str(fixture_dir / "fills.jsonl"),
+            "--markets", str(fixture_dir / "markets.json"), "--quarter", quarter,
+            "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert f"bad quarter {quarter!r}" in result.output
+
+    def test_quarter_capped_at_sample_end(self, runner, fixture_dir, tmp_path):
+        out = tmp_path / "out"
+        result = run(runner, [
+            "traders", "--input", str(fixture_dir / "fills.jsonl"),
+            "--markets", str(fixture_dir / "markets.json"), "--quarter", "2024Q4",
+            "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        params = json.loads((out / "manifest.json").read_text())["params"]
+        assert params["from"] == 1727740800  # 2024-10-01T00:00:00Z
+        assert params["to"] == 1730875560  # 2024-11-06T06:46:00Z, the sample end
+
+    def test_disagreement_market_without_rows_exits_3(self, runner, fixture_table, tmp_path):
+        result = runner.invoke(main, ["disagreement", "--input", str(fixture_table),
+                                      "--market-a", "Nobody", "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert "an inflow series is empty" in result.output
+
 
 class TestInputErrorsExit2:
     def test_scenario_time_not_utc_exits_2(self, runner, scenario_path, tmp_path):
@@ -320,6 +384,16 @@ class TestInputErrorsExit2:
                                       "--out", str(tmp_path / "sim")])
         assert result.exit_code == 2, result.output
         assert "scenario: Invalid isoformat string: 'yesterday'" in result.output
+
+    def test_scenario_whale_market_number_exits_2(self, runner, scenario_path, tmp_path):
+        doc = json.loads(scenario_path.read_text())
+        doc["markets"][0]["candidate"] = "7"
+        doc["whaleSchedule"] = [{"time": START, "market": 7, "side": "yes", "usd": 1000}]
+        scenario_path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["simulate", "--scenario", str(scenario_path),
+                                      "--out", str(tmp_path / "sim")])
+        assert result.exit_code == 2, result.output
+        assert "WhaleEvent names unknown market 7" in result.output
 
     def test_exclude_file_not_utf8_exits_2(self, runner, fixture_dir, tmp_path):
         excludes = tmp_path / "excludes.txt"
@@ -532,8 +606,11 @@ class TestMalformedTables:
         # "\udce9" is written as the lone byte 0xE9, which is not UTF-8
         (DECOMPOSED_HEADER, DECOMPOSED_ROW.replace("Trump", "Trump\udce9"),
          "line 3: not valid UTF-8 (byte 0xe9)"),
+        (DECOMPOSED_HEADER, "-7,-1,-86400,Trump,pure_exchange,5,5,0,5,0,0,0,0",
+         "line 3: block, txIndex and timestamp must be non-negative, got -7, -1, -86400"),
     ], ids=["missing-column", "non-integer", "negative-component", "underscore-digits",
-            "non-ascii-digits", "padded-integer", "unknown-kind", "short-row", "extra-value", "non-utf8-byte"])
+            "non-ascii-digits", "padded-integer", "unknown-kind", "short-row", "extra-value", "non-utf8-byte",
+            "negative-coordinates"])
     def test_decomposed_table_exits_3_naming_line(self, runner, tmp_path, header, bad_row,
                                                   message):
         table = tmp_path / "decomposed.csv"
@@ -664,6 +741,12 @@ MALFORMED = {
     "market-entry-not-object": {"markets": lambda valid: b'{"markets": [5]}'},
     "padded-token-id": {"markets": lambda valid: valid.replace(b'"yesTokenId": "',
                                                                b'"yesTokenId": " ', 1)},
+    "duplicate-candidate": {role: lambda valid: valid.replace(b'"candidate": "Biden"',
+                                                              b'"candidate": "Trump"')
+                            for role in ("markets", "scenario")},
+    "number-candidate": {role: lambda valid: valid.replace(b'"candidate": "Trump"',
+                                                           b'"candidate": 7')
+                         for role in ("markets", "scenario")},
     "bad-date": {"block-times": lambda valid: b'{"5": "yesterday"}'},
     "bad-scenario": {"scenario": lambda valid: valid.replace(START.encode(), b"yesterday")},
     "fractional-count": {"scenario": lambda valid: valid.replace(b'"nTransactions": 300',
@@ -707,9 +790,8 @@ def valid_inputs(tmp_path_factory, markets):
             "block-times": base / "block_times.json", "excludes": base / "excludes.txt"}
 
 
-@pytest.mark.parametrize("command, kind, role", list(exit_code_cases()))
-def test_malformed_input_exits_2_3_or_4_never_1(runner, tmp_path, valid_inputs, command, kind,
-                                                role):
+def invoke_malformed(runner, tmp_path, valid_inputs, command, kind, role):
+    """Run ``command`` on the valid inputs, with ``role`` malformed as ``kind`` says."""
     paths = dict(valid_inputs)
     extra = []
     if kind in BAD_OPTIONS:
@@ -719,8 +801,49 @@ def test_malformed_input_exits_2_3_or_4_never_1(runner, tmp_path, valid_inputs, 
         paths[role].write_bytes(MALFORMED[kind][role](valid_inputs[role].read_bytes()))
     args = [arg.format_map({r: str(p) for r, p in paths.items()})
             for arg in TEMPLATES[command]]
-    result = runner.invoke(main, args + extra + ["--out", str(tmp_path / "out")])
+    return runner.invoke(main, args + extra + ["--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("command", ["decompose", "deviation", "lambda", "traders", "simulate"])
+@pytest.mark.parametrize("kind, message", [
+    ("duplicate-candidate", "candidate 'Trump' names markets 0 and 1"),
+    ("number-candidate", "candidate must be a non-empty string, got 7"),
+])
+def test_market_candidate_clash_or_type_exits_2(runner, tmp_path, valid_inputs, command, kind,
+                                                message):
+    role = "scenario" if command == "simulate" else "markets"
+    result = invoke_malformed(runner, tmp_path, valid_inputs, command, kind, role)
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+
+
+@pytest.mark.parametrize("command, kind, role", list(exit_code_cases()))
+def test_malformed_input_exits_2_3_or_4_never_1(runner, tmp_path, valid_inputs, command, kind,
+                                                role):
+    result = invoke_malformed(runner, tmp_path, valid_inputs, command, kind, role)
     if kind is None:
         assert result.exit_code == 0, result.output
     else:
         assert result.exit_code in (2, 3, 4), (result.output, result.exception)
+
+
+# SHA-256 of the fixture's decomposed.csv, as tests/test_golden.py pins it.
+FIXTURE_DECOMPOSED_SHA256 = "3647853e572892bcdb7c5b549c1999722acd57770e6143603c25bb454e2d1757"
+
+
+def test_readme_pipeline_runs_as_modules(tmp_path):
+    """The README pipeline through ``python -m``, the way the benchmark runs every command."""
+    src = str(Path(fillflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for args in (["fillflow.fixtures", "work"],
+                 ["fillflow.cli", "decompose", "--input", "work/fills.jsonl",
+                  "--markets", "work/markets.json", "--out", "work/dec"],
+                 ["fillflow.cli", "metrics", "--input", "work/dec/decomposed.csv",
+                  "--market", "Trump", "--partition", "month", "--out", "work/met"]):
+        done = subprocess.run([sys.executable, "-m", *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (args, done.stderr)
+    digest = hashlib.sha256((tmp_path / "work/dec/decomposed.csv").read_bytes()).hexdigest()
+    assert digest == FIXTURE_DECOMPOSED_SHA256
+    assert (tmp_path / "work/met/metrics.csv").read_text().startswith("interval,")

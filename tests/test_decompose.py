@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from fillflow.decompose import (
     read_decomposed,
     write_decomposed,
 )
-from fillflow.errors import DecompositionAnomalyError
+from fillflow.errors import ConfigError, DecompositionAnomalyError
 from fillflow.events import FillEvent, Transaction, group_transactions
 from fillflow.fixtures import expected_decompositions
 
@@ -244,6 +245,11 @@ class TestLedgerHandling:
         assert "unconfigured" in anomalies[0].reason
         # quarantined + decomposed = input transactions
         assert len(anomalies) + len({(r.block, r.tx_index) for r in rows}) == 2
+
+    def test_two_markets_with_one_name_rejected(self, markets, example_transactions):
+        twins = [markets[0], dataclasses.replace(markets[1], candidate=markets[0].candidate)]
+        with pytest.raises(ConfigError, match="candidate 'Trump' names markets 0 and 1"):
+            decompose_ledger(example_transactions, twins)
 
     def test_decomposed_round_trip(self, tmp_path, small_ledger):
         for fmt, name in (("csv", "rows.csv"), ("jsonl", "rows.jsonl")):

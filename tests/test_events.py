@@ -23,6 +23,7 @@ from fillflow.events import (
     fill_lines,
     group_transactions,
     load_market_config,
+    market_slots,
     read_fills,
     read_table,
     write_fills,
@@ -631,6 +632,35 @@ class TestMarketConfig:
         path = tmp_path / "markets.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="claimed by both"):
+            load_market_config(path)
+
+    def test_market_slots_give_market_and_side(self, markets):
+        slots = market_slots(markets)
+        assert len(slots) == 6
+        for i, market in enumerate(markets):
+            assert slots[market.yes_token_id] == 2 * i
+            assert slots[market.no_token_id] == 2 * i + 1
+
+    def test_duplicate_candidate_rejected(self, tmp_path):
+        doc = {"markets": [
+            {"candidate": "A", "yesTokenId": "11", "noTokenId": "12",
+             "launch": "2024-01-04T23:00:00Z"},
+            {"candidate": "A", "yesTokenId": "13", "noTokenId": "14",
+             "launch": "2024-01-04T23:00:00Z"},
+        ]}
+        path = tmp_path / "markets.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="candidate 'A' names markets 0 and 1"):
+            load_market_config(path)
+
+    @pytest.mark.parametrize("candidate", [7, "", None, ["A"]],
+                             ids=["number", "empty", "null", "list"])
+    def test_candidate_must_be_a_non_empty_string(self, tmp_path, candidate):
+        doc = {"markets": [{"candidate": candidate, "yesTokenId": "11", "noTokenId": "12",
+                            "launch": "2024-01-04T23:00:00Z"}]}
+        path = tmp_path / "markets.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="candidate must be a non-empty string"):
             load_market_config(path)
 
     def test_missing_no_token_rejected(self, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import threading
+import urllib.error
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -78,6 +79,25 @@ class TestCheckpointing:
         with pytest.raises(FetchError) as err:
             fetch_blocks(tmp_path, 0, 200, 50, checkpoint_path=checkpoint,
                          transport=transport, max_retries=2, sleep=lambda _: None)
+        assert err.value.last_block == 49
+        assert read_checkpoint(checkpoint) == 49
+
+    @pytest.mark.parametrize("second_page, message", [
+        (DecodeError("bad payload"), r"page \[50, 99\]: bad payload"),
+        ({"not": "a list"}, r"page \[50, 99\]: transport returned dict, expected a list"),
+    ], ids=["transport-decode-error", "non-list-page"])
+    def test_decode_error_on_page_two_carries_last_block(self, tmp_path, second_page,
+                                                         message):
+        def transport(endpoint, a, b):
+            if a == 0:
+                return [{"block": block} for block in range(a, b + 1)]
+            if isinstance(second_page, Exception):
+                raise second_page
+            return second_page
+
+        checkpoint = tmp_path / "checkpoint.json"
+        with pytest.raises(DecodeError, match=message) as err:
+            fetch_blocks(tmp_path, 0, 100, 50, checkpoint_path=checkpoint, transport=transport)
         assert err.value.last_block == 49
         assert read_checkpoint(checkpoint) == 49
 
@@ -326,6 +346,11 @@ class TestHttpTransport:
                              max_retries=2, sleep=sleeps.append)
         assert not isinstance(err.value, DecodeError)
         assert len(sleeps) == 2
+
+    def test_http_error_reply_is_closed_before_the_retry(self, endpoint):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            fetch.http_transport(f"{endpoint}/fail", 0, 10)
+        assert err.value.fp.closed
 
     def test_reply_without_result_list_raises_decode_error(self, endpoint):
         with pytest.raises(DecodeError, match="no 'result' list"):

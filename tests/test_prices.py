@@ -188,6 +188,10 @@ class TestRollingCorrelation:
         with pytest.raises(DataError):
             rolling_inflow_correlation(series([1, 2]), series([1, 2]), 90, 1)
 
+    def test_empty_series_rejected(self):
+        with pytest.raises(DataError, match="an inflow series is empty"):
+            rolling_inflow_correlation(series([]), series([1, 2, 3]), 2, 1)
+
     def test_white_noise_mean_near_zero(self):
         rng = random.Random(23)
         n = 10_000

@@ -211,3 +211,23 @@ class TestScenarioFile:
         with pytest.raises(ConfigError, match="side"):
             scenario(markets, whale_schedule=[
                 WhaleEvent(START, "Trump", "maybe", 10)])
+
+    @pytest.mark.parametrize("events", [
+        {"whale_schedule": [WhaleEvent(START, "Nobody", "yes", 10)]},
+        {"deviation_injections": [DeviationInjection(START, "Nobody", 1000)]},
+    ], ids=["whale", "injection"])
+    def test_unknown_event_market_rejected_on_construction(self, markets, events):
+        with pytest.raises(ConfigError, match="names unknown market 'Nobody'"):
+            scenario(markets, **events)
+
+    @pytest.mark.parametrize("key", ["whaleSchedule", "deviationInjections"])
+    def test_event_market_is_not_coerced_to_a_string(self, tmp_path, markets, key):
+        doc = scenario_doc(markets)
+        doc["markets"][0]["candidate"] = "7"
+        for event in doc["whaleSchedule"] + doc["deviationInjections"]:
+            event["market"] = "7"
+        doc[key][0]["market"] = 7
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="names unknown market 7"):
+            load_scenario(path)

@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from fillflow.errors import DataError
+from fillflow.errors import ConfigError, DataError
 from fillflow.events import FillEvent, group_transactions
 from fillflow.fixtures import EXCHANGE_ADDRESS
 from fillflow.traders import (
@@ -259,3 +261,8 @@ class TestActivityCollection:
         ]
         activity = collect_trader_activity(group_transactions(fills), markets)
         assert activity["0xabc"].trade_count == 2
+
+    def test_two_markets_with_one_name_rejected(self, markets, example_transactions):
+        twins = [markets[0], dataclasses.replace(markets[1], candidate=markets[0].candidate)]
+        with pytest.raises(ConfigError, match="candidate 'Trump' names markets 0 and 1"):
+            collect_trader_activity(example_transactions, twins)
