@@ -61,7 +61,6 @@ from .traders import (
 )
 from .units import (
     DEFAULT_WINDOW_END,
-    DEFAULT_WINDOW_START,
     format_date,
     format_utc,
     micro_to_usd,
@@ -324,6 +323,10 @@ def metrics(inputs, market, side, partition, start, end, dense, fmt, out):
     records = []
     for path in inputs:
         records.extend(read_decomposed(path))
+    present = {r.market for r in records}
+    if market not in present:
+        raise DataError(f"market {market!r} has no rows in the decomposed table "
+                        f"(markets present: {', '.join(sorted(present)) or 'none'})")
     totals = aggregate_components(records, partition, market=market,
                                   dense=dense, start=start, end=end)
     sides = ["yes", "no", "combined"] if side == "all" else [side]
@@ -594,10 +597,13 @@ def traders_cmd(inputs, markets_path, quarter, start, end, by, exclude_addresses
         q_start, q_end = _quarter_bounds(quarter, end)
         start = q_start if start is None else max(start, q_start)
         end = q_end if end is None else min(end, q_end)
+    if (start is None or end is None) and not transactions:
+        raise DataError("the ledger has no transactions to take the window bounds from; "
+                        "give --from and --to, or --quarter")
     if start is None:
-        start = min((tx.timestamp for tx in transactions), default=parse_utc(DEFAULT_WINDOW_START))
+        start = min(tx.timestamp for tx in transactions)
     if end is None:
-        end = max((tx.timestamp for tx in transactions), default=0) + 1
+        end = max(tx.timestamp for tx in transactions) + 1
     window = _clip(transactions, start, end)
     exclude = _parse_excludes(exclude_addresses)
 

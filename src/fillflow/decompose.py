@@ -22,9 +22,9 @@ DecompositionAnomalyError instead of guessing.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DecompositionAnomalyError, ParseError
 from .events import (COLLATERAL_ID, MarketSpec, Transaction, _to_amount, market_slots,
@@ -41,8 +41,7 @@ class TxKind(str, Enum):
     MIXED_BURN = "mixed_burn"
 
 
-@dataclass(frozen=True)
-class VolumeComponents:
+class VolumeComponents(NamedTuple):
     """Per-transaction volume split, all in micro-USDC integers."""
 
     yes_trade: int = 0
@@ -55,8 +54,7 @@ class VolumeComponents:
     sell_vol: int = 0
 
 
-@dataclass(frozen=True)
-class DecomposedTransaction:
+class DecomposedTransaction(NamedTuple):
     block: int
     tx_index: int
     timestamp: int
@@ -67,27 +65,27 @@ class DecomposedTransaction:
     def check(self) -> None:
         """Raise DecompositionAnomalyError unless the decomposition invariants hold."""
         c = self.components
-        mint = c.yes_mint + c.no_mint
-        burn = c.yes_burn + c.no_burn
-        if min(c.yes_trade, c.no_trade, c.yes_mint, c.no_mint, c.yes_burn, c.no_burn) < 0:
+        yes_trade, no_trade, yes_mint, no_mint, yes_burn, no_burn, buy_vol, sell_vol = c
+        mint = yes_mint + no_mint
+        burn = yes_burn + no_burn
+        if min(yes_trade, no_trade, yes_mint, no_mint, yes_burn, no_burn) < 0:
             problem = "negative component"
-        elif c.yes_trade and c.no_trade:
+        elif yes_trade and no_trade:
             problem = "trade volume on both tokens"
-        elif c.yes_trade + c.no_trade != min(c.buy_vol, c.sell_vol):
+        elif yes_trade + no_trade != min(buy_vol, sell_vol):
             problem = "trade volume differs from the smaller gross flow"
-        elif c.buy_vol - c.sell_vol != mint - burn:
+        elif buy_vol - sell_vol != mint - burn:
             problem = "conservation violated"
-        elif burn and c.buy_vol >= c.sell_vol:
+        elif burn and buy_vol >= sell_vol:
             problem = "burn volume without a sell surplus"
-        elif mint and c.buy_vol <= c.sell_vol:
+        elif mint and buy_vol <= sell_vol:
             problem = "mint volume without a buy surplus"
         else:
             return
         raise DecompositionAnomalyError(f"{problem} in {c}", self.block, self.tx_index)
 
 
-@dataclass(frozen=True)
-class AnomalyRecord:
+class AnomalyRecord(NamedTuple):
     block: int
     tx_index: int
     timestamp: int
@@ -193,11 +191,12 @@ def decompose_ledger(
     for tx in transactions:
         slices: dict[int, tuple[dict[str, int], dict[str, int]]] = {}
         unknown: set[str] = set()
-        for fill in tx.fills:
-            if fill.maker_asset_id == COLLATERAL_ID:
-                token, usdc, side = fill.taker_asset_id, fill.maker_amount, 0
+        for _, _, _, _, _, maker_asset_id, taker_asset_id, maker_amount, taker_amount, _ \
+                in tx.fills:
+            if maker_asset_id == COLLATERAL_ID:
+                token, usdc, side = taker_asset_id, maker_amount, 0
             else:
-                token, usdc, side = fill.maker_asset_id, fill.taker_amount, 1
+                token, usdc, side = maker_asset_id, taker_amount, 1
             slot = slots.get(token)
             if slot is None:
                 unknown.add(token)
@@ -282,16 +281,39 @@ def write_decomposed(path, rows: Iterable[DecomposedTransaction], fmt: str = "cs
     write_table(path, DECOMPOSED_FIELDS, (decomposed_to_record(row) for row in rows), fmt)
 
 
+_KINDS = {kind.value: kind for kind in TxKind}
+# The integer cells in DecomposedTransaction order: block, txIndex, timestamp,
+# then the components in VolumeComponents order.
+_INTEGER_CELLS = itemgetter("block", "txIndex", "timestamp", "yesTradeVol", "noTradeVol",
+                            "yesMintVol", "noMintVol", "yesBurnVol", "noBurnVol",
+                            "buyVol", "sellVol")
+
+
 def read_decomposed(path) -> list[DecomposedTransaction]:
     """Read a decomposed table (CSV, or JSONL).
 
     Every row must satisfy the decomposition invariants (``check``); a
     malformed or inconsistent row raises ParseError naming its file line.
+    A canonical row (non-empty ASCII-digit integer cells, a known kind, a
+    string market) is built directly; any other row goes through
+    ``decomposed_from_record``, which gives the same row or the error.
     """
+    new = tuple.__new__
     rows: list[DecomposedTransaction] = []
     for line_no, record in read_table(path, DECOMPOSED_FIELDS):
         try:
-            row = decomposed_from_record(record)
+            try:
+                cells = _INTEGER_CELLS(record)
+                digits = "".join(cells)
+                kind = _KINDS[record["kind"]]
+                market = record["market"]
+                if not (digits.isascii() and digits.isdigit() and type(market) is str):
+                    raise ValueError  # an empty cell fails in int() below
+                block, tx_index, timestamp, *components = map(int, cells)
+                row = new(DecomposedTransaction, (block, tx_index, timestamp, market, kind,
+                                                  new(VolumeComponents, components)))
+            except (KeyError, TypeError, ValueError):  # not canonical: the general path
+                row = decomposed_from_record(record)
             row.check()
         except KeyError as exc:
             raise ParseError(f"missing field {exc.args[0]!r}", line_no) from exc

@@ -14,16 +14,14 @@ transaction components (all exact integer micro-USDC):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .decompose import DecomposedTransaction
 from .units import interval_floor, interval_range
 
 
-@dataclass(frozen=True)
-class SideTotals:
-    """Summed components of one token side over one interval."""
+class SideTotals(NamedTuple):
+    """Summed components of one token side over one interval; ``+`` adds elementwise."""
 
     trade: int = 0
     mint: int = 0
@@ -33,8 +31,7 @@ class SideTotals:
         return SideTotals(self.trade + other.trade, self.mint + other.mint, self.burn + other.burn)
 
 
-@dataclass(frozen=True)
-class IntervalTotals:
+class IntervalTotals(NamedTuple):
     start: int
     partition: str
     yes: SideTotals
@@ -50,8 +47,7 @@ class IntervalTotals:
         raise ValueError(f"unknown side {side!r}")
 
 
-@dataclass(frozen=True)
-class MarketMeasures:
+class MarketMeasures(NamedTuple):
     """The three measures for one token side; v_g == v_e + |f| exactly."""
 
     v_e: int

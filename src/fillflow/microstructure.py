@@ -15,9 +15,8 @@ never estimate price impact start without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DataError
 from .prices import PricePoint
@@ -28,8 +27,7 @@ DEFAULT_WINDOW_HOURS = 720
 DEFAULT_CLAMP_EPS = 1e-6
 
 
-@dataclass(frozen=True)
-class SignedTrade:
+class SignedTrade(NamedTuple):
     """A trade with tick-rule direction; flow = direction * size.
 
     ``direction`` is +1/-1, or 0 for the leading trades before the first
@@ -48,8 +46,7 @@ class SignedTrade:
         return self.direction * self.usdc_micro
 
 
-@dataclass(frozen=True)
-class HourBar:
+class HourBar(NamedTuple):
     """One hour of trading: VWAP price and net signed order flow.
 
     Hours without trades carry the previous VWAP forward with zero flow
@@ -65,8 +62,7 @@ class HourBar:
     carried_forward: bool
 
 
-@dataclass(frozen=True)
-class LambdaEstimate:
+class LambdaEstimate(NamedTuple):
     """Price impact for one estimation date, from the trailing window.
 
     ``value`` is in log-odds per million USD of net flow; None when every
@@ -79,8 +75,7 @@ class LambdaEstimate:
     n_obs: int
 
 
-@dataclass(frozen=True)
-class RegressionResult:
+class RegressionResult(NamedTuple):
     slope: float
     intercept: float | None
     t_slope: float

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .decompose import DecomposedTransaction
 from .errors import DataError
-from .events import Transaction
+from .events import COLLATERAL_ID, Transaction
 from .metrics import aggregate_components, side_measures
 from .units import DAY, day_floor, parse_utc
 
@@ -27,26 +26,35 @@ logger = logging.getLogger(__name__)
 DEFAULT_SPLICE_DAY = "2024-07-21"
 
 
-@dataclass(frozen=True)
-class PricePoint:
-    """One transaction-level trade price for a token.
-
-    Outcome shares resolve to 0 or 1, so a tradable price lies strictly
-    inside (0, 1): 0 < usdc_micro < share_micro.
-    """
-
+# A NamedTuple class cannot define __new__, so the checked records validate in a subclass.
+class _PricePointFields(NamedTuple):
     timestamp: int
     block: int
     tx_index: int
     usdc_micro: int
     share_micro: int
 
-    def __post_init__(self):
-        if self.share_micro <= 0:
+
+class PricePoint(_PricePointFields):
+    """One transaction-level trade price for a token; an immutable named tuple.
+
+    Outcome shares resolve to 0 or 1, so a tradable price lies strictly
+    inside (0, 1): 0 < usdc_micro < share_micro.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, timestamp, block, tx_index, usdc_micro, share_micro):
+        if share_micro <= 0:
             raise DataError("price point needs a positive share quantity")
-        if not 0 < self.usdc_micro < self.share_micro:
-            raise DataError(
-                f"price {self.usdc_micro}/{self.share_micro} outside (0, 1)")
+        if not 0 < usdc_micro < share_micro:
+            raise DataError(f"price {usdc_micro}/{share_micro} outside (0, 1)")
+        return tuple.__new__(cls, (timestamp, block, tx_index, usdc_micro, share_micro))
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``, which must validate too.
+        return cls(*iterable)
 
     @property
     def price(self) -> Fraction:
@@ -54,8 +62,7 @@ class PricePoint:
         return Fraction(self.usdc_micro, self.share_micro)
 
 
-@dataclass(frozen=True)
-class DeviationPoint:
+class DeviationPoint(NamedTuple):
     timestamp: int
     delta: float
     p_yes: float
@@ -64,19 +71,27 @@ class DeviationPoint:
     no_staleness: int
 
 
-@dataclass(frozen=True)
-class InflowSeries:
-    """Dense day-aligned net-inflow series, values in micro-USDC."""
-
+class _InflowSeriesFields(NamedTuple):
     days: tuple[int, ...]
     values: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.days) != len(self.values):
+
+class InflowSeries(_InflowSeriesFields):
+    """Dense day-aligned net-inflow series, values in micro-USDC."""
+
+    __slots__ = ()
+
+    def __new__(cls, days, values):
+        if len(days) != len(values):
             raise DataError("days and values differ in length")
-        for prev, cur in zip(self.days, self.days[1:]):
+        for prev, cur in zip(days, days[1:]):
             if cur - prev != DAY:
                 raise DataError("inflow series must be dense and day-aligned")
+        return tuple.__new__(cls, (days, values))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def build_price_series(transactions: Iterable[Transaction], token_id: str) -> list[PricePoint]:
@@ -93,15 +108,15 @@ def build_price_series(transactions: Iterable[Transaction], token_id: str) -> li
     skipped = 0
     for tx in transactions:
         buy_usdc = buy_shares = sell_usdc = sell_shares = 0
-        for fill in tx.fills:
-            if fill.token_id != token_id:
-                continue
-            if fill.is_buy:
-                buy_usdc += fill.usdc_amount
-                buy_shares += fill.share_amount
-            else:
-                sell_usdc += fill.usdc_amount
-                sell_shares += fill.share_amount
+        for _, _, _, _, _, maker_asset_id, taker_asset_id, maker_amount, taker_amount, _ \
+                in tx.fills:
+            if maker_asset_id == COLLATERAL_ID:
+                if taker_asset_id == token_id:
+                    buy_usdc += maker_amount
+                    buy_shares += taker_amount
+            elif maker_asset_id == token_id:
+                sell_usdc += taker_amount
+                sell_shares += maker_amount
         if buy_shares == 0 and sell_shares == 0:
             continue
         if buy_shares >= sell_shares:
@@ -145,23 +160,21 @@ def arbitrage_deviation(
 
     out: list[DeviationPoint] = []
     i = j = 0
+    legs = None
     t = start
     while t <= end:
         while i + 1 < len(yes_series) and yes_series[i + 1].timestamp <= t:
             i += 1
         while j + 1 < len(no_series) and no_series[j + 1].timestamp <= t:
             j += 1
-        p_yes = yes_series[i].price
-        p_no = no_series[j].price
-        delta = p_yes + p_no - 1  # exact rational; float only at the boundary
-        out.append(DeviationPoint(
-            timestamp=t,
-            delta=float(delta),
-            p_yes=float(p_yes),
-            p_no=float(p_no),
-            yes_staleness=t - yes_series[i].timestamp,
-            no_staleness=t - no_series[j].timestamp,
-        ))
+        if legs != (i, j):  # the prices change only with a leg's trade
+            legs = (i, j)
+            p_yes = yes_series[i].price
+            p_no = no_series[j].price
+            # exact rational; float only at the boundary
+            floats = float(p_yes + p_no - 1), float(p_yes), float(p_no)
+        out.append(DeviationPoint(t, *floats, t - yes_series[i].timestamp,
+                                  t - no_series[j].timestamp))
         t += grid_step
     return out
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError
-from .events import MarketSpec, Transaction, market_slots
+from .events import COLLATERAL_ID, MarketSpec, Transaction, market_slots
 from .units import DAY, HOUR, day_floor, hour_floor
 
 
@@ -74,16 +74,25 @@ def collect_trader_activity(
     """
     labels = market_labels(markets)
     excluded = {a.lower() for a in exclude}
+    # raw address -> its lowercase form, or "" when it is empty or excluded
+    parties: dict[str, str] = {}
     traders: dict[str, TraderActivity] = {}
     for tx in transactions:
         hour = hour_floor(tx.timestamp)
-        for fill in tx.fills:
-            label = labels.get(fill.token_id)
+        for _, _, _, maker, taker, maker_asset_id, taker_asset_id, maker_amount, taker_amount, _ \
+                in tx.fills:
+            if maker_asset_id == COLLATERAL_ID:
+                label, usdc = labels.get(taker_asset_id), maker_amount
+            else:
+                label, usdc = labels.get(maker_asset_id), taker_amount
             if label is None:
                 continue
-            for party in (fill.maker, fill.taker):
-                addr = party.lower()
-                if not addr or addr in excluded:
+            for party in (maker, taker):
+                addr = parties.get(party)
+                if addr is None:
+                    addr = party.lower()
+                    addr = parties[party] = "" if addr in excluded else addr
+                if not addr:
                     continue
                 activity = traders.get(addr)
                 if activity is None:
@@ -92,7 +101,7 @@ def collect_trader_activity(
                 if market_activity is None:
                     market_activity = activity.per_market[label] = MarketActivity()
                 market_activity.trade_count += 1
-                market_activity.usd_volume += fill.usdc_amount
+                market_activity.usd_volume += usdc
                 market_activity.hours.add(hour)
     return traders
 

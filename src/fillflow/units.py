@@ -14,9 +14,7 @@ MICRO = 10**6
 HOUR = 3600
 DAY = 86400
 
-# Analysis window defaults: market launch through the first network call of
-# the election outcome (both UTC).
-DEFAULT_WINDOW_START = "2024-01-05T00:00:00Z"
+# Analysis window end default: the first network call of the election outcome (UTC).
 DEFAULT_WINDOW_END = "2024-11-06T06:46:00Z"
 
 

@@ -374,6 +374,35 @@ class TestFlagValidation:
         assert result.exit_code == 3, (result.output, result.exception)
         assert "an inflow series is empty" in result.output
 
+    def test_metrics_market_without_rows_exits_3(self, runner, fixture_table, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["metrics", "--input", str(fixture_table),
+                                      "--market", "Nobody", "--dense", "--out", str(out)])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert ("market 'Nobody' has no rows in the decomposed table "
+                "(markets present: Biden, Trump)") in result.output
+        assert not (out / "metrics.csv").exists()
+
+    def test_metrics_market_without_rows_in_window_exits_0(self, runner, fixture_table,
+                                                           tmp_path):
+        out = tmp_path / "out"
+        result = run(runner, ["metrics", "--input", str(fixture_table), "--market", "Trump",
+                              "--from", "2020-01-01", "--to", "2020-02-01", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert csv_rows(out / "metrics.csv") == []
+
+    @pytest.mark.parametrize("window", [[], ["--from", "2024-02-01"], ["--to", "2024-02-01"]],
+                             ids=["no-window", "from-only", "to-only"])
+    def test_traders_on_ledger_without_transactions_exits_3(self, runner, fixture_dir,
+                                                            tmp_path, window):
+        ledger = tmp_path / "fills.jsonl"
+        ledger.write_text("", encoding="utf-8")
+        result = runner.invoke(main, ["traders", "--input", str(ledger),
+                                      "--markets", str(fixture_dir / "markets.json"),
+                                      *window, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert "the ledger has no transactions to take the window bounds from" in result.output
+
 
 class TestInputErrorsExit2:
     def test_scenario_time_not_utc_exits_2(self, runner, scenario_path, tmp_path):

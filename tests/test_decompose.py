@@ -1,11 +1,15 @@
 import dataclasses
+import json
 import random
 import subprocess
 import sys
 
 import pytest
 
+from fillflow import decompose
 from fillflow.decompose import (
+    DECOMPOSED_FIELDS,
+    AnomalyRecord,
     DecomposedTransaction,
     TxKind,
     VolumeComponents,
@@ -15,9 +19,12 @@ from fillflow.decompose import (
     read_decomposed,
     write_decomposed,
 )
-from fillflow.errors import ConfigError, DecompositionAnomalyError
-from fillflow.events import FillEvent, Transaction, group_transactions
+from fillflow.errors import ConfigError, DecompositionAnomalyError, ParseError
+from fillflow.events import FillEvent, Transaction, group_transactions, read_table, write_table
 from fillflow.fixtures import expected_decompositions
+from fillflow.metrics import IntervalTotals, MarketMeasures, SideTotals
+from fillflow.microstructure import HourBar, LambdaEstimate, RegressionResult, SignedTrade
+from fillflow.prices import DeviationPoint, InflowSeries, PricePoint
 
 USD = 10**6
 
@@ -260,3 +267,113 @@ class TestLedgerHandling:
     def test_record_round_trip(self, small_ledger):
         row = small_ledger.truth[0]
         assert decomposed_from_record(decomposed_to_record(row)) == row
+
+
+def reference_read_decomposed(path):
+    """The general path alone: every row through decomposed_from_record and check."""
+    rows = []
+    for line_no, record in read_table(path, DECOMPOSED_FIELDS):
+        try:
+            row = decomposed_from_record(record)
+            row.check()
+        except KeyError as exc:
+            raise ParseError(f"missing field {exc.args[0]!r}", line_no) from exc
+        except (TypeError, ValueError, DecompositionAnomalyError) as exc:
+            raise ParseError(str(exc), line_no) from exc
+        rows.append(row)
+    return rows
+
+
+def outcome(read, path):
+    """The rows read with the type of each value, or the ParseError text."""
+    try:
+        rows = read(path)
+    except ParseError as exc:
+        return str(exc)
+    return [(row, [type(v) for v in row[:5]], [type(v) for v in row.components])
+            for row in rows]
+
+
+# A pure exchange of 5 on the NO token; edge cells replace one of its cells.
+BASE_RECORD = dict(zip(DECOMPOSED_FIELDS, (
+    "51953200", "180", "1709640000", "Trump", "pure_exchange",
+    "5", "5", "0", "5", "0", "0", "0", "0")))
+EDGE_CELLS = ["007", "", "+5", " 5", "1_0", "\u0665", "\u00b2", "-5"]
+
+
+class TestReadDecomposedFastPath:
+    @pytest.mark.parametrize("name, fields", [
+        ("rows.csv", DECOMPOSED_FIELDS),
+        ("rows.jsonl", DECOMPOSED_FIELDS),
+        ("rows.csv", DECOMPOSED_FIELDS[::-1]),
+    ], ids=["csv", "jsonl", "csv-reordered"])
+    def test_ground_truth_reads_back(self, tmp_path, small_ledger, name, fields):
+        path = tmp_path / name
+        write_table(path, fields, map(decomposed_to_record, small_ledger.truth), path.suffix[1:])
+        assert read_decomposed(path) == small_ledger.truth
+
+    def test_canonical_csv_rows_take_the_fast_path(self, tmp_path, small_ledger, monkeypatch):
+        path = tmp_path / "rows.csv"
+        write_decomposed(path, small_ledger.truth, "csv")
+
+        def general_path(record):
+            raise AssertionError("canonical row sent to the general path")
+
+        monkeypatch.setattr(decompose, "decomposed_from_record", general_path)
+        assert read_decomposed(path) == small_ledger.truth
+
+    @pytest.mark.parametrize("cell", EDGE_CELLS)
+    @pytest.mark.parametrize("column", ["block", "timestamp", "buyVol", "noTradeVol"])
+    def test_edge_cell_matches_general_path(self, tmp_path, column, cell):
+        path = tmp_path / "rows.csv"
+        write_table(path, DECOMPOSED_FIELDS, [BASE_RECORD, {**BASE_RECORD, column: cell}], "csv")
+        assert outcome(read_decomposed, path) == outcome(reference_read_decomposed, path)
+
+    @pytest.mark.parametrize("change", [
+        {"kind": "bogus"},
+        {"market": ""},
+        {"block": 51953200, "txIndex": 180, "timestamp": 1709640000},
+        {"buyVol": 5, "sellVol": 5, "noTradeVol": 5},
+        {"buyVol": 5.0},
+        {"buyVol": True},
+        {"kind": ["pure_exchange"]},
+        {"market": 7},
+        {"market": None},
+    ], ids=["unknown-kind", "empty-market", "int-coordinates", "int-volumes", "float-volume",
+            "bool-volume", "list-kind", "number-market", "null-market"])
+    def test_jsonl_record_matches_general_path(self, tmp_path, change):
+        path = tmp_path / "rows.jsonl"
+        path.write_text(json.dumps(BASE_RECORD) + "\n" + json.dumps({**BASE_RECORD, **change})
+                        + "\n", encoding="utf-8")
+        assert outcome(read_decomposed, path) == outcome(reference_read_decomposed, path)
+
+    def test_missing_field_matches_general_path(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        record = {k: v for k, v in BASE_RECORD.items() if k != "sellVol"}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert outcome(read_decomposed, path) == "line 1: missing field 'sellVol'"
+        assert outcome(reference_read_decomposed, path) == "line 1: missing field 'sellVol'"
+
+
+RECORDS = [
+    VolumeComponents(),
+    DecomposedTransaction(1, 0, 0, "Trump", TxKind.PURE_EXCHANGE, VolumeComponents()),
+    AnomalyRecord(1, 0, 0, "Trump", "reason"),
+    PricePoint(0, 1, 0, 1, 2),
+    DeviationPoint(0, 0.0, 0.5, 0.5, 0, 0),
+    InflowSeries((), ()),
+    SignedTrade(0, 0.5, 1, 2, 1),
+    HourBar(0, 0.5, 0, 0, True),
+    LambdaEstimate(0, None, None, 2),
+    RegressionResult(1.0, None, 1.0, None, 0.5, 0.5, 3),
+    SideTotals(),
+    IntervalTotals(0, "day", SideTotals(), SideTotals()),
+    MarketMeasures(0, 0, 0),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=[type(r).__name__ for r in RECORDS])
+def test_record_fields_are_read_only(record):
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))

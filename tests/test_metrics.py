@@ -63,6 +63,12 @@ class TestMeasures:
             assert m.v_e >= t.trade
             assert m.v_g == t.trade + max(t.mint, t.burn)
 
+    def test_side_totals_add_elementwise(self):
+        assert SideTotals(1, 2, 3) + SideTotals(1, 1, 1) == SideTotals(2, 3, 4)
+        t = IntervalTotals(0, "day", SideTotals(1, 2, 3), SideTotals(1, 1, 1))
+        assert t.side("combined") == SideTotals(2, 3, 4)
+        assert (t.side("yes"), t.side("no")) == (SideTotals(1, 2, 3), SideTotals(1, 1, 1))
+
 
 class TestAggregation:
     def test_same_day_single_bucket(self):

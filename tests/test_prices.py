@@ -8,7 +8,9 @@ from fillflow.decompose import DecomposedTransaction, TxKind, VolumeComponents
 from fillflow.errors import DataError
 from fillflow.events import FillEvent, group_transactions
 from fillflow.prices import (
+    DeviationPoint,
     InflowSeries,
+    PricePoint,
     arbitrage_deviation,
     build_price_series,
     daily_net_inflow,
@@ -36,6 +38,41 @@ def series(values, start=DAY0):
         days=tuple(start + i * DAY for i in range(len(values))),
         values=tuple(values),
     )
+
+
+def reference_arbitrage_deviation(yes_series, no_series, grid_step):
+    """Every grid point's prices and floats computed afresh."""
+    start = max(yes_series[0].timestamp, no_series[0].timestamp)
+    end = max(yes_series[-1].timestamp, no_series[-1].timestamp)
+    out = []
+    for t in range(start, end + 1, grid_step):
+        yes = [p for p in yes_series if p.timestamp <= t][-1]
+        no = [p for p in no_series if p.timestamp <= t][-1]
+        out.append(DeviationPoint(t, float(yes.price + no.price - 1), float(yes.price),
+                                  float(no.price), t - yes.timestamp, t - no.timestamp))
+    return out
+
+
+class TestPricePointContract:
+    @pytest.mark.parametrize("usdc, shares", [(0, USD), (USD, USD), (2 * USD, USD), (1, 0)])
+    def test_bad_price_rejected_on_every_construction(self, usdc, shares):
+        good = PricePoint(DAY0, 1, 0, 1, 2)
+        constructions = [
+            lambda: PricePoint(DAY0, 1, 0, usdc, shares),
+            lambda: PricePoint(timestamp=DAY0, block=1, tx_index=0, usdc_micro=usdc,
+                               share_micro=shares),
+            lambda: PricePoint._make((DAY0, 1, 0, usdc, shares)),
+            lambda: good._replace(usdc_micro=usdc, share_micro=shares),
+        ]
+        for build in constructions:
+            with pytest.raises(DataError):
+                build()
+
+    def test_named_tuple_of_its_values(self):
+        point = PricePoint(timestamp=DAY0, block=1, tx_index=0, usdc_micro=59, share_micro=100)
+        assert point == (DAY0, 1, 0, 59, 100)
+        assert point._replace(usdc_micro=60) == PricePoint(DAY0, 1, 0, 60, 100)
+        assert point.price == Fraction(59, 100)
 
 
 class TestPriceSeries:
@@ -98,6 +135,18 @@ class TestDeviation:
     def test_empty_leg_rejected(self):
         with pytest.raises(DataError):
             arbitrage_deviation([], [self.price_point(DAY0, 30)], 60)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_per_point_reference(self, seed):
+        rng = random.Random(seed)
+
+        def leg():
+            times = sorted(rng.sample(range(DAY0, DAY0 + 5 * DAY), 40))
+            return [PricePoint(t, 1, 0, rng.randrange(1, 10**6), 10**6) for t in times]
+
+        yes, no = leg(), leg()
+        step = rng.choice([60, 3600, 5000])
+        assert arbitrage_deviation(yes, no, step) == reference_arbitrage_deviation(yes, no, step)
 
 
 class TestSplice:
