@@ -270,7 +270,7 @@ def ingest(inputs, endpoint, from_block, to_block, page_size, checkpoint,
 @click.option("--to", "end", callback=_utc, help="ISO-8601 UTC exclusive end.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
-@click.option("--max-anomalies", type=int, default=None,
+@click.option("--max-anomalies", type=click.IntRange(min=0), default=None,
               help="Fail with exit code 4 when more transactions are quarantined.")
 @click.option("--out", required=True, type=click.Path())
 @guarded
@@ -285,9 +285,7 @@ def decompose(inputs, markets_path, start, end, fmt, max_anomalies, out):
     write_decomposed(target, rows, fmt)
     if anomalies:
         write_table(out_dir / "quarantine.jsonl",
-                    ["block", "txIndex", "timestamp", "market", "reason"],
-                    [{"block": a.block, "txIndex": a.tx_index, "timestamp": a.timestamp,
-                      "market": a.market, "reason": a.reason} for a in anomalies], "jsonl")
+                    ["block", "txIndex", "timestamp", "market", "reason"], anomalies, "jsonl")
     _write_manifest(out_dir, "decompose",
                     {"format": fmt, "from": start, "to": end,
                      "maxAnomalies": max_anomalies},
@@ -335,12 +333,9 @@ def metrics(inputs, market, side, partition, start, end, dense, fmt, out):
         fieldnames += [f"{s}VE", f"{s}F", f"{s}VG"]
     rows = []
     for t in totals:
-        row = {"interval": _interval_label(t.start, partition)}
+        row = [_interval_label(t.start, partition)]
         for s in sides:
-            m = side_measures(t.side(s))
-            row[f"{s}VE"] = micro_to_usd(m.v_e)
-            row[f"{s}F"] = micro_to_usd(m.f)
-            row[f"{s}VG"] = micro_to_usd(m.v_g)
+            row += map(micro_to_usd, side_measures(t.side(s)))
         rows.append(row)
 
     out_dir = _out_dir(out)
@@ -370,7 +365,7 @@ def _interval_label(ts: int, partition: str) -> str:
 @click.option("--market", required=True)
 @click.option("--grid-step", type=click.IntRange(min=1), default=3600, show_default=True,
               help="Grid step in seconds.")
-@click.option("--max-staleness", type=int, default=None,
+@click.option("--max-staleness", type=click.IntRange(min=0), default=None,
               help="Drop grid points where either leg's last trade is older (seconds).")
 @click.option("--from", "start", callback=_utc)
 @click.option("--to", "end", callback=_utc)
@@ -390,14 +385,8 @@ def deviation(inputs, markets_path, market, grid_step, max_staleness, start, end
         points = [p for p in points
                   if max(p.yes_staleness, p.no_staleness) <= max_staleness]
 
-    rows = [{
-        "timestamp": format_utc(p.timestamp),
-        "delta": _fmt_float(p.delta),
-        "pYes": _fmt_float(p.p_yes),
-        "pNo": _fmt_float(p.p_no),
-        "yesStaleness": p.yes_staleness,
-        "noStaleness": p.no_staleness,
-    } for p in points]
+    rows = [(format_utc(t), repr(delta), repr(p_yes), repr(p_no), yes_staleness, no_staleness)
+            for t, delta, p_yes, p_no, yes_staleness, no_staleness in points]
     out_dir = _out_dir(out)
     target = out_dir / ("deviation.csv" if fmt == "csv" else "deviation.jsonl")
     write_table(target, ["timestamp", "delta", "pYes", "pNo", "yesStaleness", "noStaleness"],
@@ -447,16 +436,12 @@ def disagreement(inputs, market_a, first_democrat, second_democrat, splice_day, 
     b_by_day = dict(zip(series_b.days, series_b.values))
     for day, value in zip(series_a.days, series_a.values):
         if day in b_by_day:
-            inflow_rows.append({
-                "day": format_date(day),
-                f"{market_a}F": micro_to_usd(value),
-                "democratF": micro_to_usd(b_by_day[day]),
-            })
+            inflow_rows.append((format_date(day), micro_to_usd(value),
+                                micro_to_usd(b_by_day[day])))
     suffix = "csv" if fmt == "csv" else "jsonl"
     write_table(out_dir / f"inflows.{suffix}",
                 ["day", f"{market_a}F", "democratF"], inflow_rows, fmt)
-    corr_rows = [{"day": format_date(day), "correlation": _fmt_float(value)}
-                 for day, value in correlation]
+    corr_rows = [(format_date(day), _fmt_float(value)) for day, value in correlation]
     write_table(out_dir / f"correlation.{suffix}",
                 ["day", "correlation"], corr_rows, fmt)
     _write_manifest(out_dir, "disagreement",
@@ -513,13 +498,8 @@ def lambda_(inputs, markets_path, market, side, window_hours, step_days, weight,
         volumes = [side_measures(t.side(side)).v_e / 10**12 for t in daily]
         volume_by_date = dict(rolling_avg_volume(days, volumes, vol_window_days))
 
-    rows = [{
-        "date": format_date(e.date),
-        "lambda": _fmt_float(e.value),
-        "se": _fmt_float(e.stderr),
-        "n": e.n_obs,
-        "avgVolume": _fmt_float(volume_by_date.get(e.date)),
-    } for e in estimates]
+    rows = [(format_date(e.date), _fmt_float(e.value), _fmt_float(e.stderr), e.n_obs,
+             _fmt_float(volume_by_date.get(e.date))) for e in estimates]
     out_dir = _out_dir(out)
     write_table(out_dir / "lambda.csv", ["date", "lambda", "se", "n", "avgVolume"],
                 rows, "csv")
@@ -611,8 +591,7 @@ def traders_cmd(inputs, markets_path, quarter, start, end, by, exclude_addresses
     activity = collect_trader_activity(window, markets, exclude)
     hourly = hourly_active_traders(activity, start, end, per_market=per_market)
     write_table(out_dir / "hourly.csv", ["hour", "meanActiveTraders"],
-                [{"hour": h, "meanActiveTraders": _fmt_float(v)}
-                 for h, v in enumerate(hourly)], "csv")
+                [(h, _fmt_float(v)) for h, v in enumerate(hourly)], "csv")
 
     try:
         top = top_decile_traders(activity, by)
@@ -624,15 +603,13 @@ def traders_cmd(inputs, markets_path, quarter, start, end, by, exclude_addresses
     cells, marginals, candidate_cells = participation_sets(activity)
     write_table(out_dir / "participation.csv",
                 ["bitmask", "markets", "count", "sharePct"],
-                [{"bitmask": cell_bitmask(c.markets, markets),
-                  "markets": "|".join(sorted(c.markets)), "count": c.count,
-                  "sharePct": _fmt_float(c.share)} for c in cells], "csv")
+                [(cell_bitmask(c.markets, markets), "|".join(sorted(c.markets)), c.count,
+                  _fmt_float(c.share)) for c in cells], "csv")
     write_table(out_dir / "marginals.csv", ["market", "sharePct"],
-                [{"market": name, "sharePct": _fmt_float(pct)}
-                 for name, pct in marginals.items()], "csv")
+                [(name, _fmt_float(pct)) for name, pct in marginals.items()], "csv")
     write_table(out_dir / "candidate_overlap.csv", ["candidates", "count", "sharePct"],
-                [{"candidates": "|".join(sorted(c.markets)), "count": c.count,
-                  "sharePct": _fmt_float(c.share)} for c in candidate_cells], "csv")
+                [("|".join(sorted(c.markets)), c.count, _fmt_float(c.share))
+                 for c in candidate_cells], "csv")
 
     _write_manifest(out_dir, "traders",
                     {"quarter": quarter, "from": start, "to": end, "by": by,

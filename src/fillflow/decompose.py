@@ -93,133 +93,121 @@ class AnomalyRecord(NamedTuple):
     reason: str
 
 
-def _decompose_slice(
-    tx: Transaction, market: MarketSpec, buy: dict[str, int], sell: dict[str, int],
-) -> DecomposedTransaction:
-    """Kind and six components of one market's slice of a transaction.
-
-    ``buy`` maps each token bought in the slice to the collateral paid for
-    it, ``sell`` each token sold to the collateral received. Equal gross
-    flows are a pure exchange; a buy surplus is minting, mixed when the
-    slice also sells; a sell surplus is burning, mixed when it also buys.
-    The exchange volume min(buy_vol, sell_vol) is attributed to a single
-    token: the exchange-leg token of a mixed transaction (the token on the
-    smaller side), else the bought token. When the choice is ambiguous the
-    lexicographically smallest token id is used, which only happens on
-    equal-flow transactions spanning both tokens (flagged in logs).
-    """
-    if len(buy) > 1 and len(sell) > 1:
-        raise DecompositionAnomalyError(
-            "simultaneous mint and burn (both sides span multiple tokens)",
-            tx.block, tx.tx_index,
-        )
-    buy_vol, sell_vol = sum(buy.values()), sum(sell.values())
-    trade_vol = min(buy_vol, sell_vol)
-    trade: dict[str, int] = {}
-    mint: dict[str, int] = {}
-    burn: dict[str, int] = {}
-
-    if buy_vol == sell_vol:
-        kind = TxKind.PURE_EXCHANGE
-        if trade_vol:
-            if len(buy) > 1:
-                logger.warning(
-                    "equal-flow tx %s spans tokens %s; attributing exchange volume "
-                    "to the lexicographically smallest id", tx.key, sorted(buy))
-            trade[min(buy)] = trade_vol
-    elif buy_vol > sell_vol:
-        kind = TxKind.MIXED_MINT if sell else TxKind.SHARE_MINTING
-        mint = dict(buy)
-        if trade_vol:
-            leg = min(sell)  # the exchanged token: the one sold for collateral
-            trade[leg] = trade_vol
-            mint[leg] = mint.get(leg, 0) - trade_vol
-    else:
-        kind = TxKind.MIXED_BURN if buy else TxKind.SHARE_BURNING
-        burn = dict(sell)
-        if trade_vol:
-            leg = min(buy)  # the exchanged token: the one bought with collateral
-            trade[leg] = trade_vol
-            burn[leg] = burn.get(leg, 0) - trade_vol
-
-    for name, sums in (("mint", mint), ("burn", burn)):
-        for token, value in sums.items():
-            if value < 0:
-                raise DecompositionAnomalyError(
-                    f"negative {name} component on token {token}", tx.block, tx.tx_index
-                )
-
-    yes, no = market.yes_token_id, market.no_token_id
-    row = DecomposedTransaction(
-        block=tx.block,
-        tx_index=tx.tx_index,
-        timestamp=tx.timestamp,
-        market=market.candidate,
-        kind=kind,
-        components=VolumeComponents(
-            yes_trade=trade.get(yes, 0),
-            no_trade=trade.get(no, 0),
-            yes_mint=mint.get(yes, 0),
-            no_mint=mint.get(no, 0),
-            yes_burn=burn.get(yes, 0),
-            no_burn=burn.get(no, 0),
-            buy_vol=buy_vol,
-            sell_vol=sell_vol,
-        ),
-    )
-    row.check()
-    return row
-
-
 def decompose_ledger(
     transactions: Iterable[Transaction],
     markets: Sequence[MarketSpec],
 ) -> tuple[list[DecomposedTransaction], list[AnomalyRecord]]:
     """Decompose a ledger in one pass over each transaction's fills.
 
-    Each fill's collateral is summed per token into the slice of the
-    token's market; every touched market then yields one row, in market
-    configuration order. A transaction either decomposes cleanly or is
-    quarantined whole: fills on unconfigured token ids and shapes outside
-    the taxonomy yield one anomaly record (naming the first configured
-    market whose slice fails) and no rows, so quarantined plus decomposed
-    transaction counts always equal the input count.
+    Each fill's collateral is summed into one of four sums of its token's
+    market: YES bought, NO bought, YES sold, NO sold (``None`` while no fill
+    touches it, so a zero-collateral fill still marks its token present).
+    Every touched market then yields one row, in market configuration order.
+    Equal gross flows are a pure exchange; a buy surplus is minting, mixed
+    when the slice also sells; a sell surplus is burning, mixed when it also
+    buys. The exchange volume min(buy_vol, sell_vol) is attributed to one
+    token: the exchange-leg token of a mixed transaction (the token on the
+    smaller side), else the bought token. When that side spans both tokens,
+    the lexicographically smaller token id is used, which only happens on
+    equal-flow transactions (flagged in logs).
+
+    A transaction either decomposes cleanly or is quarantined whole: fills
+    on unconfigured token ids and shapes outside the taxonomy yield one
+    anomaly record (naming the first configured market whose slice fails)
+    and no rows, so quarantined plus decomposed transaction counts always
+    equal the input count.
     """
     slots = market_slots(markets)
+    # Per market: candidate, (YES id, NO id), and the side (0 YES, 1 NO) of the
+    # lexicographically smaller id.
+    specs = [(m.candidate, (m.yes_token_id, m.no_token_id), int(m.no_token_id < m.yes_token_id))
+             for m in markets]
+    new = tuple.__new__
     decomposed: list[DecomposedTransaction] = []
     anomalies: list[AnomalyRecord] = []
     for tx in transactions:
-        slices: dict[int, tuple[dict[str, int], dict[str, int]]] = {}
+        block, tx_index, timestamp, fills = tx
+        # market -> [YES bought, NO bought, YES sold, NO sold]: ``slot & 1`` plus 2 for a sale
+        slices: dict[int, list[int | None]] = {}
         unknown: set[str] = set()
         for _, _, _, _, _, maker_asset_id, taker_asset_id, maker_amount, taker_amount, _ \
-                in tx.fills:
+                in fills:
             if maker_asset_id == COLLATERAL_ID:
                 token, usdc, side = taker_asset_id, maker_amount, 0
             else:
-                token, usdc, side = maker_asset_id, taker_amount, 1
+                token, usdc, side = maker_asset_id, taker_amount, 2
             slot = slots.get(token)
             if slot is None:
                 unknown.add(token)
                 continue
-            sums = slices.setdefault(slot >> 1, ({}, {}))[side]
-            sums[token] = sums.get(token, 0) + usdc
+            sums = slices.get(slot >> 1)
+            if sums is None:
+                sums = slices[slot >> 1] = [None, None, None, None]
+            side |= slot & 1
+            total = sums[side]
+            sums[side] = usdc if total is None else total + usdc
         if unknown:
-            anomalies.append(AnomalyRecord(
-                tx.block, tx.tx_index, tx.timestamp, "",
-                f"unconfigured token ids {sorted(unknown)}",
-            ))
+            anomalies.append(new(AnomalyRecord, (
+                block, tx_index, timestamp, "", f"unconfigured token ids {sorted(unknown)}")))
             continue
         rows: list[DecomposedTransaction] = []
         for i in sorted(slices):
+            sums = slices[i]
+            buy_yes, buy_no, sell_yes, sell_no = sums
+            candidate, token_ids, low = specs[i]
+            buy_vol = (buy_yes or 0) + (buy_no or 0)
+            sell_vol = (sell_yes or 0) + (sell_no or 0)
+            # trade YES/NO, mint YES/NO, burn YES/NO, then the gross flows
+            components = [0, 0, 0, 0, 0, 0, buy_vol, sell_vol]
             try:
-                rows.append(_decompose_slice(tx, markets[i], *slices[i]))
+                if None not in sums:
+                    raise DecompositionAnomalyError(
+                        "simultaneous mint and burn (both sides span multiple tokens)",
+                        block, tx_index)
+                # ``leg``: the side whose token takes the exchange volume (0 bought, 2 sold);
+                # ``surplus``: the mint (2) or burn (4) pair of the components, or 0.
+                if buy_vol > sell_vol:
+                    sold = sell_yes is not None or sell_no is not None
+                    kind = TxKind.MIXED_MINT if sold else TxKind.SHARE_MINTING
+                    name, surplus, leg = "mint", 2, 2
+                    components[2:4] = buy_yes or 0, buy_no or 0
+                elif buy_vol < sell_vol:
+                    bought = buy_yes is not None or buy_no is not None
+                    kind = TxKind.MIXED_BURN if bought else TxKind.SHARE_BURNING
+                    name, surplus, leg = "burn", 4, 0
+                    components[4:6] = sell_yes or 0, sell_no or 0
+                else:
+                    kind, surplus, leg = TxKind.PURE_EXCHANGE, 0, 0
+                trade_vol = min(buy_vol, sell_vol)
+                if trade_vol:
+                    if sums[leg] is None:
+                        token = 1
+                    elif sums[leg + 1] is None:
+                        token = 0
+                    else:
+                        token = low
+                        if not surplus:
+                            logger.warning(
+                                "equal-flow tx %s spans tokens %s; attributing exchange volume "
+                                "to the lexicographically smallest id",
+                                (block, tx_index), sorted(token_ids))
+                    components[token] = trade_vol
+                    if surplus:
+                        components[surplus + token] -= trade_vol
+                        if components[surplus + token] < 0:
+                            raise DecompositionAnomalyError(
+                                f"negative {name} component on token {token_ids[token]}",
+                                block, tx_index)
+                row = new(DecomposedTransaction, (block, tx_index, timestamp, candidate, kind,
+                                                  new(VolumeComponents, components)))
+                row.check()
             except DecompositionAnomalyError as exc:
-                anomalies.append(AnomalyRecord(
-                    tx.block, tx.tx_index, tx.timestamp, markets[i].candidate, str(exc)
-                ))
+                anomalies.append(new(AnomalyRecord,
+                                     (block, tx_index, timestamp, candidate, str(exc))))
                 break
+            rows.append(row)
         else:
-            decomposed.extend(rows)
+            decomposed += rows
     return decomposed, anomalies
 
 
@@ -229,25 +217,6 @@ DECOMPOSED_FIELDS = (
     "buyVol", "sellVol",
     "yesTradeVol", "noTradeVol", "yesMintVol", "noMintVol", "yesBurnVol", "noBurnVol",
 )
-
-
-def decomposed_to_record(row: DecomposedTransaction) -> dict[str, str | int]:
-    c = row.components
-    return {
-        "block": row.block,
-        "txIndex": row.tx_index,
-        "timestamp": row.timestamp,
-        "market": row.market,
-        "kind": row.kind.value,
-        "buyVol": str(c.buy_vol),
-        "sellVol": str(c.sell_vol),
-        "yesTradeVol": str(c.yes_trade),
-        "noTradeVol": str(c.no_trade),
-        "yesMintVol": str(c.yes_mint),
-        "noMintVol": str(c.no_mint),
-        "yesBurnVol": str(c.yes_burn),
-        "noBurnVol": str(c.no_burn),
-    }
 
 
 def decomposed_from_record(record: dict) -> DecomposedTransaction:
@@ -278,7 +247,17 @@ def decomposed_from_record(record: dict) -> DecomposedTransaction:
 
 
 def write_decomposed(path, rows: Iterable[DecomposedTransaction], fmt: str = "csv") -> None:
-    write_table(path, DECOMPOSED_FIELDS, (decomposed_to_record(row) for row in rows), fmt)
+    """Write rows in DECOMPOSED_FIELDS order; JSONL amounts are strings, as in the fill schema.
+
+    ``kind`` is written as is: a TxKind is a ``str`` whose text is its value,
+    which is what the csv and json modules write for a ``str`` subclass.
+    """
+    write_table(path, DECOMPOSED_FIELDS, (
+        (block, tx_index, timestamp, market, kind, str(buy_vol), str(sell_vol),
+         str(yes_trade), str(no_trade), str(yes_mint), str(no_mint), str(yes_burn), str(no_burn))
+        for block, tx_index, timestamp, market, kind,
+        (yes_trade, no_trade, yes_mint, no_mint, yes_burn, no_burn, buy_vol, sell_vol) in rows
+    ), fmt)
 
 
 _KINDS = {kind.value: kind for kind in TxKind}
@@ -294,9 +273,11 @@ def read_decomposed(path) -> list[DecomposedTransaction]:
 
     Every row must satisfy the decomposition invariants (``check``); a
     malformed or inconsistent row raises ParseError naming its file line.
-    A canonical row (non-empty ASCII-digit integer cells, a known kind, a
-    string market) is built directly; any other row goes through
-    ``decomposed_from_record``, which gives the same row or the error.
+    A canonical row, as ``write_decomposed`` writes it (non-empty ASCII-digit
+    integer cells, of which block, txIndex and timestamp may instead be
+    plain non-negative ints, as in JSONL; a known kind; a string market), is
+    built directly; any other row goes through ``decomposed_from_record``,
+    which gives the same row or the error.
     """
     new = tuple.__new__
     rows: list[DecomposedTransaction] = []
@@ -304,9 +285,15 @@ def read_decomposed(path) -> list[DecomposedTransaction]:
         try:
             try:
                 cells = _INTEGER_CELLS(record)
-                digits = "".join(cells)
                 kind = _KINDS[record["kind"]]
                 market = record["market"]
+                text = cells
+                if type(cells[0]) is int:  # JSONL: block, txIndex and timestamp as JSON integers
+                    if type(cells[1]) is not int or type(cells[2]) is not int \
+                            or min(cells[:3]) < 0:
+                        raise ValueError
+                    text = cells[3:]
+                digits = "".join(text)
                 if not (digits.isascii() and digits.isdigit() and type(market) is str):
                     raise ValueError  # an empty cell fails in int() below
                 block, tx_index, timestamp, *components = map(int, cells)

@@ -304,15 +304,19 @@ def _json_record(line: str, line_no: int) -> dict:
     return record
 
 
-def write_table(path, fields: Sequence[str], records: Iterable[Mapping], fmt: str) -> None:
-    """Write records as CSV with a ``fields`` header when ``fmt`` is "csv", else as JSONL."""
+def write_table(path, fields: Sequence[str], rows: Iterable[Sequence], fmt: str) -> None:
+    """Write rows, each a sequence of values in ``fields`` order.
+
+    CSV (``fmt`` "csv") gets a ``fields`` header and each row as given; JSONL
+    gets one object per row, keyed by ``fields`` in order.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if fmt == "csv":
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(fields)
-            writer.writerows([record[f] for f in fields] for record in records)
+            writer.writerows(rows)
         else:
-            fh.writelines(json.dumps(record) + "\n" for record in records)
+            fh.writelines(json.dumps(dict(zip(fields, row))) + "\n" for row in rows)
 
 
 # CSV ledgers may leave timestamps to a block->time sidecar.
@@ -405,7 +409,7 @@ def fill_lines(fills: Iterable[FillEvent]) -> Iterator[str]:
 def write_fills(path, fills: Iterable[FillEvent], fmt: str = "jsonl") -> None:
     """Write fills in the canonical wire schema (round-trips bit-exactly)."""
     if fmt == "csv":
-        write_table(path, FILL_FIELDS, (fill.to_record() for fill in fills), fmt)
+        write_table(path, FILL_FIELDS, fills, fmt)  # a fill's fields are in FILL_FIELDS order
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(fill_lines(fills))

@@ -7,15 +7,16 @@ means the same thing at 0.1 as at 0.5, and regress hourly log-odds changes
 on net flow over a trailing window to get the price-impact coefficient.
 
 Signed flow is kept in integer micro-USDC until the regression layer, so
-bar construction is exact; log-odds and least squares are float. numpy is
-imported inside the three least-squares functions only, so commands that
-never estimate price impact start without it.
+bar construction is exact; log-odds and least squares are float. The least
+squares are closed forms over exactly rounded sums (``math.fsum``), so
+their results do not depend on a linear-algebra library or its build.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import DataError
@@ -187,28 +188,35 @@ def bar_log_odds(bars: Sequence[HourBar], eps: float = DEFAULT_CLAMP_EPS) -> tup
     return thetas, clamped
 
 
+def _through_origin(qq: float, qy: float, flows: Sequence[float],
+                    d_thetas: Sequence[float]) -> tuple[float, float] | None:
+    """(lambda_hat, stderr) from sum(Q^2) and sum(Q * dtheta); None when sum(Q^2) is 0.
+
+    The residual sum of squares is summed from the residuals themselves:
+    expanding it in the sums cancels catastrophically on a near-perfect fit.
+    """
+    if qq == 0.0:
+        return None
+    lam = qy / qq
+    resid = [y - lam * q for q, y in zip(flows, d_thetas)]
+    ssr = math.fsum(map(mul, resid, resid))
+    return lam, math.sqrt(ssr / (len(flows) - 1) / qq)
+
+
 def kyle_lambda(d_thetas: Sequence[float], flows: Sequence[float]) -> tuple[float, float] | None:
     """No-intercept least squares of log-odds changes on net flow.
 
     Returns (lambda_hat, stderr), or None for a degenerate window where
-    every flow is zero. lambda_hat = sum(Q * dtheta) / sum(Q^2).
+    every flow is zero. lambda_hat = sum(Q * dtheta) / sum(Q^2), each sum
+    exactly rounded (``math.fsum``).
     """
-    import numpy as np
-
     if len(d_thetas) != len(flows):
         raise DataError("mismatched window lengths")
-    n = len(flows)
-    if n < 2:
+    if len(flows) < 2:
         raise DataError("window needs at least 2 observations")
-    q = np.asarray(flows, dtype=float)
-    y = np.asarray(d_thetas, dtype=float)
-    qq = float(q @ q)
-    if qq == 0.0:
-        return None
-    lam = float(q @ y) / qq
-    resid = y - lam * q
-    s2 = float(resid @ resid) / (n - 1)
-    return lam, math.sqrt(s2 / qq)
+    return _through_origin(math.fsum([q * q for q in flows]),
+                           math.fsum([q * y for q, y in zip(flows, d_thetas)]),
+                           flows, d_thetas)
 
 
 def rolling_kyle_lambda(
@@ -222,10 +230,10 @@ def rolling_kyle_lambda(
     For each estimation date T (00:00 UTC, stepping ``step_days``), the
     regression uses exactly the ``window_hours`` hourly observations before
     T. Dates without a full trailing window are withheld entirely;
-    zero-flow windows yield a None estimate.
+    zero-flow windows yield a None estimate. Each window's estimate equals
+    ``kyle_lambda`` over the window; the products Q^2 and Q * dtheta are
+    formed once for all windows.
     """
-    import numpy as np
-
     if window_hours < 2:
         raise ValueError("window must cover at least 2 hours")
     for prev, cur in zip(bars, bars[1:]):
@@ -233,8 +241,11 @@ def rolling_kyle_lambda(
             raise DataError("bar series must be a dense hourly grid")
 
     thetas, _ = bar_log_odds(bars, eps)
-    d_theta = np.diff(np.asarray(thetas))
-    flows = np.asarray([b.flow_micro for b in bars], dtype=float) / MUSD_MICRO
+    # d_theta[k] is the change into bar k + 1, so flows[k] pairs with d_theta[k - 1].
+    d_theta = [cur - prev for prev, cur in zip(thetas, thetas[1:])]
+    flows = [b.flow_micro / MUSD_MICRO for b in bars]
+    qq = [q * q for q in flows]
+    qy = [q * y for q, y in zip(flows[1:], d_theta)]
 
     h0 = bars[0].start
     # First midnight where the window [T - window, T) sits fully inside the
@@ -248,9 +259,8 @@ def rolling_kyle_lambda(
     while date - HOUR <= last_hour:
         lo = (date - window_hours * HOUR - h0) // HOUR
         hi = lo + window_hours  # exclusive
-        window_q = flows[lo:hi]
-        window_dt = d_theta[lo - 1: hi - 1]
-        fit = kyle_lambda(window_dt, window_q)
+        fit = _through_origin(math.fsum(qq[lo:hi]), math.fsum(qy[lo - 1:hi - 1]),
+                              flows[lo:hi], d_theta[lo - 1:hi - 1])
         if fit is None:
             out.append(LambdaEstimate(date, None, None, window_hours))
         else:
@@ -282,33 +292,37 @@ def lambda_volume_regression(
     intercept with t-statistics, R-squared (uncentered when there is no
     intercept), adjusted R-squared, and N.
     """
-    import numpy as np
-
     n = len(lambdas)
     if n != len(volumes):
         raise DataError("series must be date-aligned with equal length")
     if n < 3:
         raise DataError("regression needs at least 3 observations")
-    y = np.asarray(lambdas, dtype=float)
-    v = np.asarray(volumes, dtype=float)
-    if np.ptp(v) == 0.0:
+    y = [float(value) for value in lambdas]
+    v = [float(value) for value in volumes]
+    if min(v) == max(v):
         raise DataError("volume series is constant; slope is unidentified")
 
-    x = np.column_stack([np.ones(n), v]) if intercept else v.reshape(-1, 1)
-    p = x.shape[1]
-    xtx = x.T @ x
-    beta = np.linalg.solve(xtx, x.T @ y)
-    resid = y - x @ beta
-    ssr = float(resid @ resid)
-    dof = n - p
-    s2 = ssr / dof
-    cov = s2 * np.linalg.inv(xtx)
-    stderr = np.sqrt(np.diag(cov))
-
+    fsum = math.fsum
     if intercept:
-        tss = float(np.sum((y - y.mean()) ** 2))
+        # centred closed form: slope = Sxy / Sxx, a = mean(y) - slope * mean(v)
+        mean_v, mean_y = fsum(v) / n, fsum(y) / n
+        dv = [x - mean_v for x in v]
+        dy = [x - mean_y for x in y]
+        sxx = fsum(map(mul, dv, dv))
+        slope = fsum(map(mul, dv, dy)) / sxx
+        a = mean_y - slope * mean_v
+        resid = [yi - a - slope * vi for vi, yi in zip(v, y)]
+        tss = fsum(map(mul, dy, dy))
+        dof = n - 2
     else:
-        tss = float(y @ y)
+        sxx = fsum(map(mul, v, v))
+        slope = fsum(map(mul, v, y)) / sxx
+        resid = [yi - slope * vi for vi, yi in zip(v, y)]
+        tss = fsum(map(mul, y, y))
+        dof = n - 1
+    ssr = fsum(map(mul, resid, resid))
+    s2 = ssr / dof
+    se_slope = math.sqrt(s2 / sxx)
     r2 = 1.0 - ssr / tss if tss > 0 else 0.0
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / dof
 
@@ -317,16 +331,10 @@ def lambda_volume_regression(
             return math.copysign(math.inf, estimate) if estimate else 0.0
         return estimate / se
 
-    slope_idx = 1 if intercept else 0
-    return RegressionResult(
-        slope=float(beta[slope_idx]),
-        intercept=float(beta[0]) if intercept else None,
-        t_slope=t_stat(float(beta[slope_idx]), float(stderr[slope_idx])),
-        t_intercept=t_stat(float(beta[0]), float(stderr[0])) if intercept else None,
-        r2=r2,
-        adj_r2=adj_r2,
-        n=n,
-    )
+    if not intercept:
+        return RegressionResult(slope, None, t_stat(slope, se_slope), None, r2, adj_r2, n)
+    se_a = math.sqrt(s2 * (1.0 / n + mean_v * mean_v / sxx))
+    return RegressionResult(slope, a, t_stat(slope, se_slope), t_stat(a, se_a), r2, adj_r2, n)
 
 
 def rolling_avg_volume(

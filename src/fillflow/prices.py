@@ -158,24 +158,26 @@ def arbitrage_deviation(
     start = max(yes_series[0].timestamp, no_series[0].timestamp)
     end = max(yes_series[-1].timestamp, no_series[-1].timestamp)
 
+    yes_times = [p.timestamp for p in yes_series]
+    no_times = [p.timestamp for p in no_series]
+    last_yes, last_no = len(yes_times) - 1, len(no_times) - 1
+    new = tuple.__new__
     out: list[DeviationPoint] = []
     i = j = 0
     legs = None
-    t = start
-    while t <= end:
-        while i + 1 < len(yes_series) and yes_series[i + 1].timestamp <= t:
+    for t in range(start, end + 1, grid_step):
+        while i < last_yes and yes_times[i + 1] <= t:
             i += 1
-        while j + 1 < len(no_series) and no_series[j + 1].timestamp <= t:
+        while j < last_no and no_times[j + 1] <= t:
             j += 1
         if legs != (i, j):  # the prices change only with a leg's trade
             legs = (i, j)
-            p_yes = yes_series[i].price
-            p_no = no_series[j].price
-            # exact rational; float only at the boundary
-            floats = float(p_yes + p_no - 1), float(p_yes), float(p_no)
-        out.append(DeviationPoint(t, *floats, t - yes_series[i].timestamp,
-                                  t - no_series[j].timestamp))
-        t += grid_step
+            _, _, _, uy, sy = yes_series[i]
+            _, _, _, un, sn = no_series[j]
+            # Exact rationals as integer ratios: int / int rounds correctly, so each
+            # float equals float() of the Fraction.
+            delta, p_yes, p_no = (uy * sn + un * sy - sy * sn) / (sy * sn), uy / sy, un / sn
+        out.append(new(DeviationPoint, (t, delta, p_yes, p_no, t - yes_times[i], t - no_times[j])))
     return out
 
 

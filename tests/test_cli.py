@@ -743,7 +743,7 @@ BAD_OPTIONS = {
     "bad-date-option": {"--from": "yesterday", "--to": "yesterday"},
     "bad-number-option": {"--page-size": "0", "--grid-step": "0", "--corr-window-days": "1",
                           "--step-days": "0", "--window-hours": "1", "--vol-window-days": "0",
-                          "--clamp-eps": "0"},
+                          "--clamp-eps": "0", "--max-anomalies": "-1", "--max-staleness": "-1"},
 }
 
 
@@ -844,6 +844,15 @@ def test_market_candidate_clash_or_type_exits_2(runner, tmp_path, valid_inputs, 
     result = invoke_malformed(runner, tmp_path, valid_inputs, command, kind, role)
     assert result.exit_code == 2, result.output
     assert message in result.output
+
+
+@pytest.mark.parametrize("command, option", [("decompose", "--max-anomalies"),
+                                             ("deviation", "--max-staleness")])
+def test_negative_threshold_exits_2(runner, tmp_path, valid_inputs, command, option):
+    result = invoke_malformed(runner, tmp_path, valid_inputs, command, "bad-number-option",
+                              option)
+    assert result.exit_code == 2, result.output
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, kind, role", list(exit_code_cases()))

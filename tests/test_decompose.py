@@ -1,12 +1,15 @@
 import dataclasses
 import json
+import logging
 import random
 import subprocess
 import sys
 
 import pytest
+from click.testing import CliRunner
 
 from fillflow import decompose
+from fillflow.cli import main
 from fillflow.decompose import (
     DECOMPOSED_FIELDS,
     AnomalyRecord,
@@ -15,16 +18,18 @@ from fillflow.decompose import (
     VolumeComponents,
     decompose_ledger,
     decomposed_from_record,
-    decomposed_to_record,
     read_decomposed,
     write_decomposed,
 )
 from fillflow.errors import ConfigError, DecompositionAnomalyError, ParseError
-from fillflow.events import FillEvent, Transaction, group_transactions, read_table, write_table
+from fillflow.events import (FillEvent, Transaction, group_transactions, market_slots,
+                             read_table, write_fills, write_market_config, write_table)
 from fillflow.fixtures import expected_decompositions
 from fillflow.metrics import IntervalTotals, MarketMeasures, SideTotals
 from fillflow.microstructure import HourBar, LambdaEstimate, RegressionResult, SignedTrade
 from fillflow.prices import DeviationPoint, InflowSeries, PricePoint
+from fillflow.synthetic import SyntheticScenario, generate_synthetic_ledger
+from fillflow.units import parse_utc
 
 USD = 10**6
 
@@ -266,7 +271,24 @@ class TestLedgerHandling:
 
     def test_record_round_trip(self, small_ledger):
         row = small_ledger.truth[0]
-        assert decomposed_from_record(decomposed_to_record(row)) == row
+        assert decomposed_from_record(wire_record(row)) == row
+
+
+def wire_record(row):
+    """The JSONL record of ``row``: amounts as strings, coordinates as integers."""
+    c = row.components
+    return {
+        "block": row.block, "txIndex": row.tx_index, "timestamp": row.timestamp,
+        "market": row.market, "kind": row.kind.value,
+        "buyVol": str(c.buy_vol), "sellVol": str(c.sell_vol),
+        "yesTradeVol": str(c.yes_trade), "noTradeVol": str(c.no_trade),
+        "yesMintVol": str(c.yes_mint), "noMintVol": str(c.no_mint),
+        "yesBurnVol": str(c.yes_burn), "noBurnVol": str(c.no_burn),
+    }
+
+
+def table_rows(records, fields):
+    return [[record[f] for f in fields] for record in records]
 
 
 def reference_read_decomposed(path):
@@ -309,8 +331,28 @@ class TestReadDecomposedFastPath:
     ], ids=["csv", "jsonl", "csv-reordered"])
     def test_ground_truth_reads_back(self, tmp_path, small_ledger, name, fields):
         path = tmp_path / name
-        write_table(path, fields, map(decomposed_to_record, small_ledger.truth), path.suffix[1:])
+        records = map(wire_record, small_ledger.truth)
+        write_table(path, fields, table_rows(records, fields), path.suffix[1:])
         assert read_decomposed(path) == small_ledger.truth
+
+    def test_decompose_json_output_reads_as_its_csv_twin_on_the_fast_path(
+            self, tmp_path, small_ledger, markets, monkeypatch):
+        fills, config = tmp_path / "fills.jsonl", tmp_path / "markets.json"
+        write_fills(fills, small_ledger.fills)
+        write_market_config(config, markets[:2])
+        for fmt in ("csv", "json"):
+            result = CliRunner().invoke(main, ["decompose", "--input", str(fills), "--markets",
+                                               str(config), "--format", fmt,
+                                               "--out", str(tmp_path / fmt)])
+            assert result.exit_code == 0, result.output
+
+        def general_path(record):
+            raise AssertionError("canonical row sent to the general path")
+
+        monkeypatch.setattr(decompose, "decomposed_from_record", general_path)
+        from_json = read_decomposed(tmp_path / "json" / "decomposed.jsonl")
+        assert from_json == read_decomposed(tmp_path / "csv" / "decomposed.csv")
+        assert from_json == small_ledger.truth
 
     def test_canonical_csv_rows_take_the_fast_path(self, tmp_path, small_ledger, monkeypatch):
         path = tmp_path / "rows.csv"
@@ -326,7 +368,9 @@ class TestReadDecomposedFastPath:
     @pytest.mark.parametrize("column", ["block", "timestamp", "buyVol", "noTradeVol"])
     def test_edge_cell_matches_general_path(self, tmp_path, column, cell):
         path = tmp_path / "rows.csv"
-        write_table(path, DECOMPOSED_FIELDS, [BASE_RECORD, {**BASE_RECORD, column: cell}], "csv")
+        write_table(path, DECOMPOSED_FIELDS,
+                    table_rows([BASE_RECORD, {**BASE_RECORD, column: cell}], DECOMPOSED_FIELDS),
+                    "csv")
         assert outcome(read_decomposed, path) == outcome(reference_read_decomposed, path)
 
     @pytest.mark.parametrize("change", [
@@ -339,8 +383,14 @@ class TestReadDecomposedFastPath:
         {"kind": ["pure_exchange"]},
         {"market": 7},
         {"market": None},
+        {"block": True, "txIndex": 180, "timestamp": 1709640000},
+        {"block": 51953200, "txIndex": True, "timestamp": 1709640000},
+        {"block": 51953200, "txIndex": -180, "timestamp": 1709640000},
+        {"block": 51953200, "txIndex": 180, "timestamp": 1709640000.0},
+        {"block": 51953200, "txIndex": "180", "timestamp": 1709640000},
     ], ids=["unknown-kind", "empty-market", "int-coordinates", "int-volumes", "float-volume",
-            "bool-volume", "list-kind", "number-market", "null-market"])
+            "bool-volume", "list-kind", "number-market", "null-market", "bool-block",
+            "bool-tx-index", "negative-coordinate", "float-coordinate", "mixed-coordinates"])
     def test_jsonl_record_matches_general_path(self, tmp_path, change):
         path = tmp_path / "rows.jsonl"
         path.write_text(json.dumps(BASE_RECORD) + "\n" + json.dumps({**BASE_RECORD, **change})
@@ -353,6 +403,159 @@ class TestReadDecomposedFastPath:
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         assert outcome(read_decomposed, path) == "line 1: missing field 'sellVol'"
         assert outcome(reference_read_decomposed, path) == "line 1: missing field 'sellVol'"
+
+
+def reference_decompose_ledger(transactions, markets):
+    """The dict-per-slice decomposer: each token's sums in dicts, one slice at a time."""
+    reference_logger = logging.getLogger("fillflow.decompose")
+    slots = market_slots(markets)
+
+    def decompose_slice(tx, market, buy, sell):
+        if len(buy) > 1 and len(sell) > 1:
+            raise DecompositionAnomalyError(
+                "simultaneous mint and burn (both sides span multiple tokens)",
+                tx.block, tx.tx_index)
+        buy_vol, sell_vol = sum(buy.values()), sum(sell.values())
+        trade_vol = min(buy_vol, sell_vol)
+        trade, mint, burn = {}, {}, {}
+        if buy_vol == sell_vol:
+            kind = TxKind.PURE_EXCHANGE
+            if trade_vol:
+                if len(buy) > 1:
+                    reference_logger.warning(
+                        "equal-flow tx %s spans tokens %s; attributing exchange volume "
+                        "to the lexicographically smallest id", tx.key, sorted(buy))
+                trade[min(buy)] = trade_vol
+        elif buy_vol > sell_vol:
+            kind = TxKind.MIXED_MINT if sell else TxKind.SHARE_MINTING
+            mint = dict(buy)
+            if trade_vol:
+                leg = min(sell)
+                trade[leg] = trade_vol
+                mint[leg] = mint.get(leg, 0) - trade_vol
+        else:
+            kind = TxKind.MIXED_BURN if buy else TxKind.SHARE_BURNING
+            burn = dict(sell)
+            if trade_vol:
+                leg = min(buy)
+                trade[leg] = trade_vol
+                burn[leg] = burn.get(leg, 0) - trade_vol
+        for name, sums in (("mint", mint), ("burn", burn)):
+            for token, value in sums.items():
+                if value < 0:
+                    raise DecompositionAnomalyError(
+                        f"negative {name} component on token {token}", tx.block, tx.tx_index)
+        yes, no = market.yes_token_id, market.no_token_id
+        row = DecomposedTransaction(
+            block=tx.block, tx_index=tx.tx_index, timestamp=tx.timestamp,
+            market=market.candidate, kind=kind,
+            components=VolumeComponents(
+                yes_trade=trade.get(yes, 0), no_trade=trade.get(no, 0),
+                yes_mint=mint.get(yes, 0), no_mint=mint.get(no, 0),
+                yes_burn=burn.get(yes, 0), no_burn=burn.get(no, 0),
+                buy_vol=buy_vol, sell_vol=sell_vol))
+        row.check()
+        return row
+
+    decomposed, anomalies = [], []
+    for tx in transactions:
+        slices, unknown = {}, set()
+        for fill in tx.fills:
+            slot = slots.get(fill.token_id)
+            if slot is None:
+                unknown.add(fill.token_id)
+                continue
+            sums = slices.setdefault(slot >> 1, ({}, {}))[0 if fill.is_buy else 1]
+            sums[fill.token_id] = sums.get(fill.token_id, 0) + fill.usdc_amount
+        if unknown:
+            anomalies.append(AnomalyRecord(tx.block, tx.tx_index, tx.timestamp, "",
+                                           f"unconfigured token ids {sorted(unknown)}"))
+            continue
+        rows = []
+        for i in sorted(slices):
+            try:
+                rows.append(decompose_slice(tx, markets[i], *slices[i]))
+            except DecompositionAnomalyError as exc:
+                anomalies.append(AnomalyRecord(tx.block, tx.tx_index, tx.timestamp,
+                                               markets[i].candidate, str(exc)))
+                break
+        else:
+            decomposed.extend(rows)
+    return decomposed, anomalies
+
+
+def decomposition_outcome(decomposer, transactions, markets, caplog):
+    """Rows and anomalies with the type of every value, and the warnings logged."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="fillflow.decompose"):
+        rows, anomalies = decomposer(transactions, markets)
+    typed_rows = [(row, [type(v) for v in row], [type(v) for v in row.components])
+                  for row in rows]
+    typed_anomalies = [(a, [type(v) for v in a]) for a in anomalies]
+    warnings = [(r.name, r.levelno, r.msg, r.args) for r in caplog.records]
+    return typed_rows, typed_anomalies, warnings
+
+
+def random_transactions(markets, n, seed):
+    """Small transactions over two markets' tokens and one unknown id, with tiny amounts.
+
+    Amounts of 0 to 3 make zero-collateral fills and equal gross flows common.
+    """
+    rng = random.Random(seed)
+    one_market = [markets[0].yes_token_id, markets[0].no_token_id]
+    all_tokens = one_market + [markets[1].yes_token_id, markets[1].no_token_id, "999"]
+    transactions = []
+    for block in range(1, n + 1):
+        tokens = one_market if rng.random() < 0.7 else all_tokens
+        fills = []
+        for log_index in range(rng.randint(1, 5)):
+            token, usdc, shares = rng.choice(tokens), rng.randint(0, 3), rng.randint(0, 9)
+            if rng.random() < 0.5:
+                fills.append(buy_fill(token, usdc, shares, log_index, block=block))
+            else:
+                fills.append(sell_fill(token, shares, usdc, log_index, block=block))
+        transactions.append(tx_of(fills))
+    return transactions
+
+
+class TestDifferentialDecomposition:
+    """decompose_ledger against the dict-per-slice reference: equal rows, anomalies, warnings."""
+
+    def test_generator_ledgers(self, markets, caplog):
+        ledger = generate_synthetic_ledger(SyntheticScenario(
+            seed=77, markets=markets, start=parse_utc("2024-06-15T00:00:00Z"),
+            end=parse_utc("2024-09-15T00:00:00Z"), n_transactions=2000, arbitrageur=True))
+        transactions = group_transactions(ledger.fills)
+        without_harris = [m for m in markets if m.candidate != "Harris"]
+        for config in (markets, without_harris):
+            outcome = decomposition_outcome(decompose_ledger, transactions, config, caplog)
+            assert outcome == decomposition_outcome(reference_decompose_ledger, transactions,
+                                                    config, caplog)
+        rows, anomalies, _ = outcome
+        assert rows and anomalies  # Harris's transactions are quarantined without it
+
+    def test_random_small_transactions(self, markets, caplog):
+        transactions = random_transactions(markets, 3000, seed=11)
+        outcome = decomposition_outcome(decompose_ledger, transactions, markets, caplog)
+        assert outcome == decomposition_outcome(reference_decompose_ledger, transactions,
+                                                markets, caplog)
+
+        # The shapes the sample must cover. Both tokens on both sides of one
+        # market is the "simultaneous" anomaly; equal flows spanning both
+        # tokens log the warnings.
+        rows, anomalies, warnings = outcome
+        assert any(fill.usdc_amount == 0 for tx in transactions for fill in tx.fills)
+        assert any({(fill.token_id, True), (fill.token_id, False)}
+                   <= {(f.token_id, f.is_buy) for f in tx.fills}
+                   for tx in transactions for fill in tx.fills)
+        reasons = [anomaly.reason for anomaly, _ in anomalies]
+        for reason in ("unconfigured", "simultaneous", "negative"):
+            assert any(reason in r for r in reasons), reason
+        markets_by_tx = {}
+        for row, _, _ in rows:
+            markets_by_tx.setdefault((row.block, row.tx_index), set()).add(row.market)
+        assert any(len(names) == 2 for names in markets_by_tx.values())
+        assert warnings
 
 
 RECORDS = [

@@ -575,19 +575,27 @@ class TestFillEventContract:
             (7, 3, 1), True, TOKEN, 590_000, 1_000_000)
 
 
-def test_cli_import_does_not_load_numpy():
-    # numpy serves only the price-impact least squares; loading it at import
-    # would slow every other command's start-up. The package itself re-exports
-    # nothing, so the CLI loads neither the mechanics nor the fixtures module,
-    # and only simulate and ingest --endpoint import the generator and the fetcher.
+def test_cli_import_does_not_load_numpy(tmp_path, small_ledger, markets):
+    # No module of the package imports numpy (the tests use it as a reference
+    # solver), also not while a full price-impact run estimates lambda and its
+    # regression. The package itself re-exports nothing, so the CLI loads neither
+    # the mechanics nor the fixtures module, and only simulate and ingest
+    # --endpoint import the generator and the fetcher.
+    write_fills(tmp_path / "fills.jsonl", small_ledger.fills)
+    write_market_config(tmp_path / "markets.json", markets[:2])
     src = Path(__file__).resolve().parents[1] / "src"
     subprocess.run(
         [sys.executable, "-c", "import fillflow.cli, sys; assert 'numpy' not in sys.modules; "
          "assert 'fillflow.mechanics' not in sys.modules; "
          "assert 'fillflow.fixtures' not in sys.modules; "
          "assert 'fillflow.synthetic' not in sys.modules; "
-         "assert 'fillflow.fetch' not in sys.modules"],
-        env={"PYTHONPATH": str(src)}, check=True)
+         "assert 'fillflow.fetch' not in sys.modules; "
+         "fillflow.cli.main(['lambda', '--input', 'fills.jsonl', '--markets', 'markets.json', "
+         "'--market', 'Trump', '--out', 'out'], standalone_mode=False); "
+         "assert 'numpy' not in sys.modules"],
+        cwd=tmp_path, env={"PYTHONPATH": str(src)}, check=True)
+    regression = json.loads((tmp_path / "out" / "lambda_regression.json").read_text())
+    assert regression["regression"]["n"] > 2
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])

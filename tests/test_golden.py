@@ -2,9 +2,11 @@
 
 Every artifact the CLI writes on two inputs, the worked-example fixture and
 a small seeded synthetic ledger, must keep the exact bytes these digests
-were taken from. ``lambda.csv`` and ``lambda_regression.json`` are left out:
-their floats come from numpy least squares and may vary with the BLAS build
-(re-run identity of those files is acceptance criterion 10).
+were taken from. That includes ``lambda.csv`` and ``lambda_regression.json``:
+their least squares are closed forms over ``math.fsum`` sums, so their
+floats depend on no linear-algebra library. The fixture is too small to
+fill one 720-hour window, so there they pin the header-only table and the
+null regression.
 """
 
 import hashlib
@@ -77,6 +79,8 @@ def _artifacts(source, base) -> dict[str, str]:
           *out("deviation")])
     _run(["disagreement", "--input", table, "--from", "2024-03-01", "--to", "2024-09-01",
           "--corr-window-days", "30", *out("disagreement")])
+    _run(["lambda", "--input", fills, "--markets", markets, "--market", "Trump",
+          *out("lambda")])
     _run(["traders", "--input", fills, "--markets", markets,
           "--exclude-addresses", EXCHANGE_ADDRESS, *out("traders")])
     if source == "simulated":
@@ -124,6 +128,12 @@ GOLDEN = {
             "aa578065f8ff88e6998f3094df92a12be76b94283b9839bee75ba4321107b575",
         "ingest-jsonl/manifest.json":
             "82bef56d4491749b140e3be7fa137fc615490e26e7ec454c77b8f3e8584daf99",
+        "lambda/lambda.csv":
+            "fcc233c5a8eb317be12e964a10fbbc816161f08412a28da23d4270ea17bcb1eb",
+        "lambda/lambda_regression.json":
+            "839f3a80d3cb81ed512b07eb6d3b9cae40b149c6712af2da0980dc22c5ec5d8d",
+        "lambda/manifest.json":
+            "5003166acb605f1c17376e87463b2a4558d9622d5756843e61e0793769db0dec",
         "metrics-hour/manifest.json":
             "b96559bd90153b76e553ed6e1831e628e35580c3e20b0765c2c4c45d277ba44c",
         "metrics-hour/metrics.csv":
@@ -178,6 +188,12 @@ GOLDEN = {
             "755436bd852e17f5946fb7bee31932964609b073405dbe4dd995a6bf7629c2f8",
         "ingest-jsonl/manifest.json":
             "291683962226a99164ca90591db2eee15838ac50025454322a82ce878102de9a",
+        "lambda/lambda.csv":
+            "8b7199ed9fad937c4e7045054b4a714f6892e674e13b3e0d728e90cea28cd48d",
+        "lambda/lambda_regression.json":
+            "1e7675e11a50a2bac05816717b4123afbabcd5779de843363eed13db543debff",
+        "lambda/manifest.json":
+            "643718e3dbaa188ee3c524ad2e4b9149bde8b0d38a9ffe1f41d74e702094fb99",
         "metrics-hour/manifest.json":
             "844a938a4b97b0bebec3f1eb2323b9f20e66c818558498ee7d3f62227e76f73a",
         "metrics-hour/metrics.csv":

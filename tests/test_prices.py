@@ -148,6 +148,13 @@ class TestDeviation:
         step = rng.choice([60, 3600, 5000])
         assert arbitrage_deviation(yes, no, step) == reference_arbitrage_deviation(yes, no, step)
 
+    def test_generator_ledger_matches_fraction_reference(self, small_ledger, markets):
+        transactions = group_transactions(small_ledger.fills)
+        yes = build_price_series(transactions, markets[0].yes_token_id)
+        no = build_price_series(transactions, markets[0].no_token_id)
+        assert len(yes) > 100 and len(no) > 100
+        assert arbitrage_deviation(yes, no, 3600) == reference_arbitrage_deviation(yes, no, 3600)
+
 
 class TestSplice:
     def test_splice_matches_manual_concatenation(self):
