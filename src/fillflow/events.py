@@ -16,8 +16,11 @@ import csv
 import json
 import re
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import cache
+from itertools import islice
+from operator import attrgetter, itemgetter
 from sys import intern
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DuplicateEventError, ParseError, SchemaError
@@ -128,21 +131,6 @@ class FillEvent(_FillFields):
     def share_amount(self) -> int:
         return self.taker_amount if self.is_buy else self.maker_amount
 
-    def to_record(self) -> dict[str, str | int]:
-        """Canonical wire record; amounts as integer strings."""
-        return {
-            "block": self.block,
-            "txIndex": self.tx_index,
-            "logIndex": self.log_index,
-            "maker": self.maker,
-            "taker": self.taker,
-            "makerAssetId": self.maker_asset_id,
-            "takerAssetId": self.taker_asset_id,
-            "makerAmountFilled": str(self.maker_amount),
-            "takerAmountFilled": str(self.taker_amount),
-            "timestamp": self.timestamp,
-        }
-
 
 class _TransactionFields(NamedTuple):
     block: int
@@ -252,29 +240,39 @@ def read_table(path, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
     JSON object. Blank lines are skipped; violations, and bytes that are not
     UTF-8, raise ParseError with the line number.
     """
+    is_csv = str(path).endswith(".csv")
     try:
-        with open(path, encoding="utf-8") as fh:
-            if str(path).endswith(".csv"):
-                reader = csv.reader(fh)
-                header = next(reader, None)
-                if header is None:
-                    return
-                missing = [c for c in required if c not in header]
-                if missing:
-                    raise ParseError(f"CSV header missing columns: {missing}", 1)
-                for row in reader:
-                    if not row:
-                        continue
-                    if len(row) != len(header):
-                        raise ParseError(
-                            f"expected {len(header)} columns, got {len(row)}", reader.line_num)
-                    yield reader.line_num, dict(zip(header, row))
+        with open(path, encoding="utf-8", newline="" if is_csv else None) as fh:
+            if is_csv:
+                rows = _csv_rows(fh, required)
+                header = next(rows, [])
+                for line_no, row in rows:
+                    yield line_no, dict(zip(header, row))
             else:
                 for line_no, line in enumerate(fh, start=1):
                     if line.strip():
                         yield line_no, _json_record(line, line_no)
     except UnicodeDecodeError:
         raise _utf8_error(path) from None
+
+
+def _csv_rows(fh, required: Sequence[str]) -> Iterator:
+    """Yield a CSV file's header, if any, then (line number, row) per non-blank row; a missing
+    ``required`` column, or a row longer or shorter than the header, raises ParseError."""
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header is None:
+        return
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise ParseError(f"CSV header missing columns: {missing}", 1)
+    yield header
+    for row in reader:
+        if row:
+            if len(row) != len(header):
+                raise ParseError(
+                    f"expected {len(header)} columns, got {len(row)}", reader.line_num)
+            yield reader.line_num, row
 
 
 def _utf8_error(path) -> ParseError:
@@ -304,17 +302,28 @@ def _json_record(line: str, line_no: int) -> dict:
     return record
 
 
+_ALL_BUT_LAST = itemgetter(slice(None, -1))
+
+
 def write_table(path, fields: Sequence[str], rows: Iterable[Sequence], fmt: str) -> None:
     """Write rows, each a sequence of values in ``fields`` order.
 
-    CSV (``fmt`` "csv") gets a ``fields`` header and each row as given; JSONL
-    gets one object per row, keyed by ``fields`` in order.
+    CSV (``fmt`` "csv") gets a ``fields`` header and each row as given, each
+    line ending in LF and every cell holding a CR or an LF quoted; JSONL gets
+    one object per row, keyed by ``fields`` in order.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if fmt == "csv":
-            writer = csv.writer(fh, lineterminator="\n")
+            # Rows ending in LF leave a lone CR bare, which no reader takes back; LF CR quotes
+            # it. Lines are gathered 1,024 at a time, and written without the CR, all in C.
+            lines: list[str] = []
+            writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n\r")
             writer.writerow(fields)
-            writer.writerows(rows)
+            rows = iter(rows)
+            while lines:
+                fh.write("".join(map(_ALL_BUT_LAST, lines)))
+                lines.clear()
+                writer.writerows(islice(rows, 1024))
         else:
             fh.writelines(json.dumps(dict(zip(fields, row))) + "\n" for row in rows)
 
@@ -323,60 +332,90 @@ def write_table(path, fields: Sequence[str], rows: Iterable[Sequence], fmt: str)
 _REQUIRED_FILL_FIELDS = tuple(f for f in FILL_FIELDS if f != "timestamp")
 
 
-# One fill line exactly as ``write_fills`` writes it: ``json.dumps`` separators,
+# One fill line in the layout ``write_fills`` writes: ``json.dumps`` separators,
 # keys in FILL_FIELDS order, bare JSON integers (no sign, fraction, exponent or
-# leading zero), strings with no escape or control character, and amounts and
-# asset ids as ASCII digit strings. json.loads decodes every matching line to
-# the captured values, in FillEvent field order.
+# leading zero) and amounts as ASCII digit strings; the groups are its cells in
+# FillEvent order. json.loads decodes the line to those cells when the addresses
+# are ``_is_plain`` and the asset ids ASCII digits, which the kernel checks.
 _CANONICAL_FILL = re.compile(
     r'\{"block": (0|[1-9][0-9]*), "txIndex": (0|[1-9][0-9]*), '
-    r'"logIndex": (0|[1-9][0-9]*), "maker": "([^"\\\x00-\x1f]*)", '
-    r'"taker": "([^"\\\x00-\x1f]*)", "makerAssetId": "([0-9]+)", '
-    r'"takerAssetId": "([0-9]+)", "makerAmountFilled": "([0-9]+)", '
-    r'"takerAmountFilled": "([0-9]+)", "timestamp": (0|[1-9][0-9]*)\}\n?')
+    r'"logIndex": (0|[1-9][0-9]*), "maker": "([^"]*)", "taker": "([^"]*)", '
+    r'"makerAssetId": "([^"]*)", "takerAssetId": "([^"]*)", '
+    r'"makerAmountFilled": "([0-9]+)", "takerAmountFilled": "([0-9]+)", '
+    r'"timestamp": (0|[1-9][0-9]*)\}\n?')
+
+
+def _is_plain(text: str) -> bool:
+    """True when ``text`` holds no backslash and only printable characters, so that it
+    reads the same as a JSON string's body, as a CSV cell and as the decoded value."""
+    return "\\" not in text and text.isprintable()
+
+
+def _convert_fills(rows, decode, block_times, digits_proven: bool) -> list[FillEvent]:
+    """The conversion kernel of ``read_fills``, shared by both wire formats.
+
+    ``rows`` yields (line number, cells, source) per non-blank line or row: its ten text
+    cells in FillEvent order, or None, and what ``decode(source, line number)`` turns into
+    its wire record. ``digits_proven``: the format proves each integer cell ASCII digits.
+    """
+    # One memo per role: each distinct text is checked once, then interned, or None.
+    address = cache(lambda text: intern(text) if _is_plain(text) else None)
+    asset_id = cache(lambda text: intern(text) if _is_decimal(text) else None)
+    new = tuple.__new__
+    fills: list[FillEvent] = []
+    for line_no, cells, source in rows:
+        if cells is not None:
+            block, tx_index, log_index, maker, taker, maker_id, taker_id, maker_amount, \
+                taker_amount, timestamp = cells
+            maker, taker, maker_id, taker_id = \
+                address(maker), address(taker), asset_id(maker_id), asset_id(taker_id)
+            # int() also takes signs, spaces, "_" and other scripts' digits, which the
+            # integer rule rejects; it rejects an empty cell itself.
+            if maker is not None and taker is not None and maker_id and taker_id and (
+                    maker_id == COLLATERAL_ID) != (taker_id == COLLATERAL_ID) and (
+                    digits_proven or _is_decimal(
+                        block + tx_index + log_index + maker_amount + taker_amount + timestamp)):
+                try:
+                    fills.append(new(FillEvent, (
+                        int(block), int(tx_index), int(log_index), maker, taker, maker_id,
+                        taker_id, int(maker_amount), int(taker_amount), int(timestamp))))
+                    continue
+                except ValueError:  # an empty cell, or an integer past the digit limit
+                    pass
+        fills.append(fill_from_record(decode(source, line_no), line_no, block_times))
+    return fills
 
 
 def read_fills(path, block_times: Mapping[int, int] | None = None) -> list[FillEvent]:
     """Read a ledger shard (JSONL, or CSV with a header row).
 
-    JSONL lines in the layout ``write_fills`` emits are read by one regex
-    match; any other line is decoded as JSON, with the same result or error.
-    The match already proves every FillEvent invariant but one, exactly one
-    collateral id: six plain non-negative ints, timestamp included, string
-    addresses and ASCII-digit asset ids. So a matched line is checked for
-    that one alone, and its fill is built exactly as ``FillEvent`` would
-    build it, without repeating the other checks. Addresses and asset ids
-    are interned on every path.
+    A JSONL line in the layout ``write_fills`` emits gives ``_convert_fills``
+    the groups of one regex match; a CSV row its cells by the header's column
+    positions (a repeated name counts its last column). A fill is built there
+    when its integers and asset ids are ASCII digits, exactly one id is
+    collateral and no address holds a backslash or unprintable character.
+    Any other line or row, and every row of a CSV without a timestamp column,
+    goes through ``fill_from_record``, with the same result or error.
     """
-    if str(path).endswith(".csv"):
-        return [fill_from_record(record, line_no, block_times)
-                for line_no, record in read_table(path, _REQUIRED_FILL_FIELDS)]
-    canonical = _CANONICAL_FILL.fullmatch
-    new = tuple.__new__
-    fills: list[FillEvent] = []
+    is_csv = str(path).endswith(".csv")
     try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                match = canonical(line)
-                if match is not None:
-                    block, tx_index, log_index, maker, taker, maker_asset_id, taker_asset_id, \
-                        maker_amount, taker_amount, timestamp = match.groups()
-                    # A matched line this leaves is rejected below, naming the line.
-                    if (maker_asset_id == COLLATERAL_ID) != (taker_asset_id == COLLATERAL_ID):
-                        try:
-                            fills.append(new(FillEvent, (
-                                int(block), int(tx_index), int(log_index), intern(maker),
-                                intern(taker), intern(maker_asset_id), intern(taker_asset_id),
-                                int(maker_amount), int(taker_amount), int(timestamp))))
-                            continue
-                        except ValueError:  # an integer past the digit limit
-                            pass
-                if line.strip():
-                    fills.append(fill_from_record(_json_record(line, line_no), line_no,
-                                                  block_times))
+        with open(path, encoding="utf-8", newline="" if is_csv else None) as fh:
+            if not is_csv:  # the cells of a line in the canonical layout, else None
+                canonical = _CANONICAL_FILL.fullmatch
+                rows = ((line_no, match and match.groups(), line)
+                        for line_no, line in enumerate(fh, start=1)
+                        if (match := canonical(line)) or line.strip())
+                return _convert_fills(rows, _json_record, block_times, True)
+            rows = _csv_rows(fh, _REQUIRED_FILL_FIELDS)
+            header = next(rows, [])
+            column = {name: i for i, name in enumerate(header)}  # a repeated name: its last
+            cells = (itemgetter(*[column[name] for name in FILL_FIELDS])
+                     if "timestamp" in column else lambda row: None)
+            return _convert_fills(((line_no, cells(row), row) for line_no, row in rows),
+                                  lambda row, line_no: dict(zip(header, row)), block_times,
+                                  False)
     except UnicodeDecodeError:
         raise _utf8_error(path) from None
-    return fills
 
 
 class _JsonStrings(dict):
@@ -388,11 +427,13 @@ class _JsonStrings(dict):
 
 
 def fill_lines(fills: Iterable[FillEvent]) -> Iterator[str]:
-    """Yield ``json.dumps(fill.to_record()) + "\\n"`` for each fill, formatted directly.
+    """Yield each fill's canonical JSONL line, formatted directly.
 
-    Keys follow FILL_FIELDS with ``json.dumps`` separators, and each distinct
-    address and asset id is encoded once per call. A FillEvent's integers
-    are plain ints, whose ``str`` is the JSON integer ``json.dumps`` writes.
+    The line is what ``json.dumps`` gives, plus "\\n", for the fill's wire
+    record: FILL_FIELDS keys in order, the amounts as digit strings and the
+    other fields as they are. Each distinct address and asset id is encoded
+    once per call. A FillEvent's integers are plain ints, whose ``str`` is
+    the JSON integer ``json.dumps`` writes.
     """
     strings = _JsonStrings()
     for fill in fills:

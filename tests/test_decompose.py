@@ -264,10 +264,13 @@ class TestLedgerHandling:
             decompose_ledger(example_transactions, twins)
 
     def test_decomposed_round_trip(self, tmp_path, small_ledger):
+        # A CR or CR LF inside a quoted CSV cell is data, not a line end.
+        rows = small_ledger.truth[:50] + [small_ledger.truth[50]._replace(market="a\r\nb"),
+                                          small_ledger.truth[51]._replace(market="c\rd")]
         for fmt, name in (("csv", "rows.csv"), ("jsonl", "rows.jsonl")):
             path = tmp_path / name
-            write_decomposed(path, small_ledger.truth[:50], fmt)
-            assert read_decomposed(path) == small_ledger.truth[:50]
+            write_decomposed(path, rows, fmt)
+            assert read_decomposed(path) == rows
 
     def test_record_round_trip(self, small_ledger):
         row = small_ledger.truth[0]

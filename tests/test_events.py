@@ -1,4 +1,6 @@
+import csv
 import gc
+import io
 import json
 import random
 import subprocess
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from fillflow import events
 from fillflow.errors import (
     ConfigError,
     DuplicateEventError,
@@ -16,6 +19,8 @@ from fillflow.errors import (
 )
 from fillflow.events import (
     _CANONICAL_FILL,
+    _is_decimal,
+    _is_plain,
     FILL_FIELDS,
     FillEvent,
     Transaction,
@@ -28,6 +33,7 @@ from fillflow.events import (
     read_table,
     write_fills,
     write_market_config,
+    write_table,
 )
 from fillflow.fixtures import TRUMP_NO
 
@@ -174,13 +180,40 @@ class TestRoundTrip:
         with pytest.raises(ParseError):
             read_fills(path)
 
-    def test_record_keys_are_canonical(self, example_fills):
-        assert tuple(example_fills[0].to_record()) == FILL_FIELDS
+    def test_record_keys_are_canonical(self, tmp_path, example_fills):
+        assert tuple(json.loads(next(fill_lines(example_fills)))) == FILL_FIELDS
+        path = tmp_path / "fills.csv"
+        write_fills(path, example_fills, "csv")
+        assert path.read_text(encoding="utf-8").split("\n", 1)[0] == HEADER
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_line_breaks_in_addresses_round_trip(self, tmp_path, fmt):
+        fills = [make_fill()._replace(maker="a\r\nb", taker="c\rd"),
+                 make_fill(log_index=1, buy=False)._replace(maker="\r", taker="e\nf"),
+                 make_fill(log_index=2)._replace(maker="g\n\rh", taker="\n\r")]
+        path = tmp_path / f"fills.{fmt}"
+        write_fills(path, fills, fmt)
+        assert read_fills(path) == fills
 
 
-def reference_read_fills(path):
-    """The general per-line reader: every line decoded as JSON, then checked."""
-    return [fill_from_record(record, line_no) for line_no, record in read_table(path, FILL_FIELDS)]
+def test_csv_table_spanning_write_chunks(tmp_path):
+    # More rows than the writer gathers at once; a cell may hold its LF CR line end.
+    rows = [(n, f"m{n}") for n in range(2500)]
+    rows[1500:1502] = [(1500, "a\n\rb"), (1501, "\r")]
+    path = tmp_path / "table.csv"
+    write_table(path, ["n", "text"], rows, "csv")
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh)) == [["n", "text"]] + [[str(n), text] for n, text in rows]
+    plain = [row for row in rows if row[1].isalnum()]
+    write_table(path, ["n", "text"], plain, "csv")
+    assert path.read_text(encoding="utf-8") == "n,text\n" + "".join(
+        f"{n},{text}\n" for n, text in plain)
+
+
+def reference_read_fills(path, block_times=None):
+    """The general reader: every line or row decoded as a record, then checked."""
+    return [fill_from_record(record, line_no, block_times) for line_no, record in
+            read_table(path, [f for f in FILL_FIELDS if f != "timestamp"])]
 
 
 def outcome(read, path):
@@ -200,12 +233,17 @@ HUGE = "9" * 5000
 
 
 def assert_rejected_or_reference_values(line):
+    """A matched line whose addresses and asset ids pass the reader's once-per-text
+    checks decodes to exactly the matched cells."""
     match = _CANONICAL_FILL.fullmatch(line)
     if match is None:
         return
+    cells = match.groups()
+    if not (all(map(_is_plain, cells[3:5])) and all(map(_is_decimal, cells[5:7]))):
+        return
     decoded = json.loads(line, parse_int=_IntLiteral)
     assert tuple(decoded) == FILL_FIELDS
-    assert match.groups() == tuple(decoded.values())
+    assert cells == tuple(decoded.values())
     assert [isinstance(v, _IntLiteral) for v in decoded.values()] == [
         f in BARE_INTEGER_FIELDS for f in FILL_FIELDS]
 
@@ -270,13 +308,22 @@ class TestCanonicalFastPath:
         BASE_LINE.rstrip("\n"),
         "\n  \n" + BASE_LINE + "\n",
         mutate('"maker": "0x351"', '"maker": ""'),
+        mutate('"maker": "0x351"', '"maker": "0x\\\\351"'),
+        mutate('"maker": "0x351"', '"maker": "0x\\u00e9351"'),
+        mutate('"taker": "0xC5d"', '"taker": "0x\\/C5d"'),
+        mutate('"maker": "0x351"', '"maker": "0x\x7f351"'),
+        mutate('"maker": "0x351"', '"maker": "0x\u00a0351"'),
+        mutate(f'"takerAssetId": "{TOKEN}"', '"takerAssetId": "0x351"'),
+        mutate(f'"takerAssetId": "{TOKEN}"', f'"takerAssetId": "{TOKEN}\\u0030"'),
     ], ids=["leading-zero", "negative-log-index", "negative-timestamp", "fraction",
             "exponent", "bool", "escaped-collateral-id", "control-char-in-maker",
             "escaped-quote-in-maker", "non-ascii-maker", "non-ascii-digit-token-id",
             "both-collateral", "empty-token-id", "huge-integer", "huge-amount",
             "extra-space", "space-before-colon", "reordered-keys", "duplicated-key",
             "trailing-x", "trailing-space", "no-final-newline", "blank-lines",
-            "empty-maker"])
+            "empty-maker", "escaped-backslash-in-maker", "escaped-non-ascii-maker",
+            "escaped-slash-in-taker", "del-in-maker", "no-break-space-in-maker",
+            "address-as-asset-id", "escaped-digit-in-token-id"])
     def test_near_canonical_mutant_matches_reference(self, tmp_path, mutant):
         path = tmp_path / "fills.jsonl"
         path.write_text(BASE_LINE + mutant, encoding="utf-8")
@@ -299,18 +346,137 @@ class TestCanonicalFastPath:
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_equal_strings_share_one_object(self, tmp_path, small_ledger, fmt):
-        path = tmp_path / f"fills.{fmt}"
-        write_fills(path, small_ledger.fills, fmt)
-        fills = read_fills(path)
+        twin_fmt = "csv" if fmt == "jsonl" else "jsonl"
+        for f in (fmt, twin_fmt):
+            write_fills(tmp_path / f"fills.{f}", small_ledger.fills, f)
+        fills = read_fills(tmp_path / f"fills.{fmt}")
         first: dict[str, str] = {}
         for fill in fills:
             for value in (fill.maker, fill.taker, fill.maker_asset_id, fill.taker_asset_id):
                 assert first.setdefault(value, value) is value
         assert len(first) < len(fills)
+        # Strings are interned, so the other format's read shares the same objects.
+        twin = read_fills(tmp_path / f"fills.{twin_fmt}")
+        assert twin == fills
+        for fill, other in zip(fills, twin):
+            assert all(a is b for a, b in zip(fill[3:7], other[3:7]))
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_writer_output_never_leaves_the_kernel(self, tmp_path, monkeypatch, small_ledger,
+                                                   fmt):
+        # A change to the header, the layout or the writer that sent rows to the
+        # checked path would change no result, so that path is made to fail.
+        path = tmp_path / f"fills.{fmt}"
+        write_fills(path, small_ledger.fills, fmt)
+
+        def refuse(record, line_no=None, block_times=None):
+            raise AssertionError(f"line {line_no} left the conversion kernel")
+
+        monkeypatch.setattr(events, "fill_from_record", refuse)
+        fills = read_fills(path)
+        assert fills == small_ledger.fills
+        for fill in fills:
+            assert list(map(type, fill)) == list(map(type, FillEvent(*fill)))
+
+
+def csv_text(*records, fields=FILL_FIELDS):
+    """A CSV ledger: a ``fields`` header, then each record's cells in that order."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fields)
+    writer.writerows([record[f] for f in fields] for record in records)
+    return buf.getvalue()
+
+
+BASE = wire_record()
+BASE_CSV = csv_text(BASE)
+BASE_ROW = BASE_CSV.split("\n")[1]
+SIDECAR = {54432034: 1714557600, 7: 1714550000}
+UNTIMED_FIELDS = FILL_FIELDS[:-1]
+INTEGER_COLUMNS = ("block", "txIndex", "logIndex", "makerAmountFilled", "takerAmountFilled",
+                   "timestamp")
+
+
+def csv_mutant(**changes):
+    return csv_text(BASE, wire_record(**changes))
+
+
+CSV_MUTANTS = [
+    pytest.param(csv_mutant(txIndex="044"), None, id="leading-zeros"),
+    pytest.param(csv_mutant(logIndex="+5"), None, id="plus-sign"),
+    pytest.param(csv_mutant(block=" 54432034"), None, id="leading-space"),
+    pytest.param(csv_mutant(timestamp="1714557600 "), None, id="trailing-space"),
+    pytest.param(csv_mutant(makerAmountFilled="1_0"), None, id="underscore"),
+    pytest.param(csv_mutant(takerAmountFilled="\u0665"), None, id="arabic-indic-digit"),
+    pytest.param(csv_mutant(logIndex="\u00b2"), None, id="superscript-two"),
+    *[pytest.param(csv_mutant(**{column: ""}), None, id=f"empty-{column}")
+      for column in INTEGER_COLUMNS],
+    pytest.param(csv_mutant(block=HUGE), None, id="huge-block"),
+    pytest.param(csv_mutant(makerAmountFilled=HUGE), None, id="huge-amount"),
+    pytest.param(csv_mutant(block=7, timestamp=1714550000), None, id="next-block"),
+    pytest.param(csv_mutant(timestamp=""), SIDECAR, id="empty-timestamp-with-sidecar"),
+    pytest.param(csv_text(BASE, wire_record(timestamp=""), wire_record(logIndex=102)), SIDECAR,
+                 id="sidecar-then-inline-timestamp"),
+    pytest.param(csv_mutant(block=8, timestamp=""), SIDECAR, id="block-not-in-sidecar"),
+    pytest.param(csv_text(BASE, wire_record(block=7), fields=UNTIMED_FIELDS), SIDECAR,
+                 id="no-timestamp-column-with-sidecar"),
+    pytest.param(csv_text(BASE, fields=UNTIMED_FIELDS), None,
+                 id="no-timestamp-column-without-sidecar"),
+    pytest.param(csv_mutant(makerAmountFilled="-5"), None, id="negative-amount"),
+    pytest.param(csv_mutant(takerAssetId="0"), None, id="both-collateral"),
+    pytest.param(csv_mutant(makerAssetId=TOKEN), None, id="neither-collateral"),
+    pytest.param(csv_mutant(takerAssetId="12a"), None, id="non-digit-asset-id"),
+    pytest.param(csv_mutant(takerAssetId=f"{TOKEN}\u0663"), None,
+                 id="non-ascii-digit-asset-id"),
+    pytest.param(csv_mutant(takerAssetId=""), None, id="empty-asset-id"),
+    # The base row's maker, accepted as an address, must still be checked as an asset id.
+    pytest.param(csv_mutant(takerAssetId=BASE["maker"]), None, id="address-as-asset-id"),
+    pytest.param(csv_mutant(maker="0x\\351"), None, id="backslash-in-address"),
+    pytest.param(csv_mutant(taker="0x\x01C5d\x7f"), None, id="control-chars-in-address"),
+    pytest.param(csv_mutant(maker="0x,351"), None, id="quoted-comma"),
+    pytest.param(csv_mutant(maker='0x"351'), None, id="quoted-quote"),
+    pytest.param(csv_text(BASE, wire_record(maker="0x\n351"), wire_record(logIndex=-1)), None,
+                 id="quoted-newline-then-bad-row"),
+    pytest.param(BASE_CSV + BASE_ROW.replace("0x351,0xC5d", '"0x\r\n351","\r"') + "\n", None,
+                 id="quoted-cr"),
+    pytest.param(f"{HEADER},maker\n{BASE_ROW},0xdup\n", None, id="repeated-header-name"),
+    pytest.param(csv_text({**BASE, "extra": "x"}, wire_record(logIndex=102, extra="-1"),
+                          fields=("extra", *FILL_FIELDS)), None, id="extra-column"),
+    pytest.param(csv_text(BASE, wire_record(logIndex=102), fields=FILL_FIELDS[::-1]), None,
+                 id="reordered-columns"),
+    pytest.param(BASE_CSV + BASE_ROW.rsplit(",", 1)[0] + "\n", None, id="short-row"),
+    pytest.param(BASE_CSV + BASE_ROW + ",7\n", None, id="long-row"),
+    pytest.param(BASE_CSV + "\n\r\n" + csv_mutant(logIndex=102).split("\n", 2)[2] + "\n",
+                 None, id="blank-rows"),
+]
+
+
+class TestCsvKernel:
+    @pytest.mark.parametrize("text, block_times", CSV_MUTANTS)
+    def test_near_canonical_csv_mutant_matches_reference(self, tmp_path, text, block_times):
+        path = tmp_path / "fills.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got = outcome(lambda p: read_fills(p, block_times), path)
+        assert got == outcome(lambda p: reference_read_fills(p, block_times), path)
+        if isinstance(got, list):  # the same values, of the same types
+            assert [list(map(type, fill)) for fill in got] == [
+                list(map(type, FillEvent(*fill))) for fill in got]
 
 
 def reference_line(fill):
-    return json.dumps(fill.to_record()) + "\n"
+    """``json.dumps`` of the fill's canonical wire record: amounts as digit strings."""
+    return json.dumps({
+        "block": fill.block,
+        "txIndex": fill.tx_index,
+        "logIndex": fill.log_index,
+        "maker": fill.maker,
+        "taker": fill.taker,
+        "makerAssetId": fill.maker_asset_id,
+        "takerAssetId": fill.taker_asset_id,
+        "makerAmountFilled": str(fill.maker_amount),
+        "takerAmountFilled": str(fill.taker_amount),
+        "timestamp": fill.timestamp,
+    }) + "\n"
 
 
 ADVERSARIAL_TEXT = ['"', "\\", "\x00\x01\x1f\n\t", "\x7f", "\u00e9\u6f22\U0001f600", "\ud800",
@@ -339,16 +505,19 @@ class TestFillLines:
 def test_ingest_of_csv_shard_writes_the_jsonl_bytes(tmp_path, small_ledger):
     from fillflow.cli import main
 
+    # Line breaks inside addresses too, in fills ordered before the generator's.
+    line_breaks = [make_fill()._replace(maker="a\r\nb", taker="c\rd"),
+                   make_fill(log_index=1, buy=False)._replace(maker="\r", taker="e\nf")]
     written = {}
     for fmt in ("jsonl", "csv"):
         shard = tmp_path / f"shard.{fmt}"
-        write_fills(shard, small_ledger.fills[::-1], fmt)
+        write_fills(shard, small_ledger.fills[::-1] + line_breaks, fmt)
         result = CliRunner().invoke(main, ["ingest", "--input", str(shard),
                                            "--out", str(tmp_path / fmt)])
         assert result.exit_code == 0, result.output
         written[fmt] = (tmp_path / fmt / "fills.jsonl").read_bytes()
     assert written["csv"] == written["jsonl"]
-    assert read_fills(tmp_path / "csv" / "fills.jsonl") == sorted(
+    assert read_fills(tmp_path / "csv" / "fills.jsonl") == line_breaks + sorted(
         small_ledger.fills, key=lambda f: f.key)
 
 

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from fillflow import fetch
 from fillflow.cli import main
 from fillflow.errors import ConfigError, DecodeError, FetchError
-from fillflow.events import read_fills
+from fillflow.events import fill_lines, read_fills
 from fillflow.fetch import fetch_event_logs, read_checkpoint, write_checkpoint
 
 
@@ -217,7 +217,7 @@ class TestIngestResume:
 
     @pytest.fixture
     def records(self, small_ledger):
-        return [fill.to_record() for fill in small_ledger.fills]
+        return [json.loads(line) for line in fill_lines(small_ledger.fills)]
 
     def ingest(self, monkeypatch, transport, records, out, checkpoint=None):
         monkeypatch.setattr(fetch, "http_transport", transport)
