@@ -12,13 +12,21 @@ merge by (block, txIndex, logIndex) is just concatenation.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
+import io
 import json
+import marshal
+import os
 import re
+import sys
+import tempfile
 from dataclasses import dataclass
 from functools import cache
-from itertools import islice
+from itertools import islice, repeat
 from operator import attrgetter, itemgetter
+from stat import S_ISREG
 from sys import intern
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -258,21 +266,25 @@ def read_table(path, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
 
 def _csv_rows(fh, required: Sequence[str]) -> Iterator:
     """Yield a CSV file's header, if any, then (line number, row) per non-blank row; a missing
-    ``required`` column, or a row longer or shorter than the header, raises ParseError."""
+    ``required`` column, a row longer or shorter than the header, or text the CSV reader
+    rejects (such as a cell past its field size limit) raises ParseError."""
     reader = csv.reader(fh)
-    header = next(reader, None)
-    if header is None:
-        return
-    missing = [c for c in required if c not in header]
-    if missing:
-        raise ParseError(f"CSV header missing columns: {missing}", 1)
-    yield header
-    for row in reader:
-        if row:
-            if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} columns, got {len(row)}", reader.line_num)
-            yield reader.line_num, row
+    try:
+        header = next(reader, None)
+        if header is None:
+            return
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise ParseError(f"CSV header missing columns: {missing}", 1)
+        yield header
+        for row in reader:
+            if row:
+                if len(row) != len(header):
+                    raise ParseError(
+                        f"expected {len(header)} columns, got {len(row)}", reader.line_num)
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise ParseError(str(exc), reader.line_num) from exc
 
 
 def _utf8_error(path) -> ParseError:
@@ -361,12 +373,17 @@ def _convert_fills(rows, decode, block_times, digits_proven: bool) -> list[FillE
     # One memo per role: each distinct text is checked once, then interned, or None.
     address = cache(lambda text: intern(text) if _is_plain(text) else None)
     asset_id = cache(lambda text: intern(text) if _is_decimal(text) else None)
+    # The sidecar as block cell text -> timestamp cell text; other entries go the long way.
+    times = {str(block): str(time) for block, time in (block_times or {}).items()
+             if type(block) is type(time) is int and time >= 0}
     new = tuple.__new__
     fills: list[FillEvent] = []
     for line_no, cells, source in rows:
         if cells is not None:
             block, tx_index, log_index, maker, taker, maker_id, taker_id, maker_amount, \
                 taker_amount, timestamp = cells
+            if not timestamp:
+                timestamp = times.get(block, "")
             maker, taker, maker_id, taker_id = \
                 address(maker), address(taker), asset_id(maker_id), asset_id(taker_id)
             # int() also takes signs, spaces, "_" and other scripts' digits, which the
@@ -391,31 +408,144 @@ def read_fills(path, block_times: Mapping[int, int] | None = None) -> list[FillE
 
     A JSONL line in the layout ``write_fills`` emits gives ``_convert_fills``
     the groups of one regex match; a CSV row its cells by the header's column
-    positions (a repeated name counts its last column). A fill is built there
-    when its integers and asset ids are ASCII digits, exactly one id is
-    collateral and no address holds a backslash or unprintable character.
-    Any other line or row, and every row of a CSV without a timestamp column,
-    goes through ``fill_from_record``, with the same result or error.
+    positions (a repeated name counts its last column; a missing timestamp
+    column reads as empty cells). A fill is built there when its integers and
+    asset ids are ASCII digits, its timestamp is inline or in ``block_times``,
+    exactly one id is collateral and no address holds a backslash or
+    unprintable character. Any other line or row goes through
+    ``fill_from_record``, with the same result or error.
+
+    The fills of a regular file read before are cached (README, "Parsed-ledger
+    cache"), so a later read of the same bytes skips the parse.
     """
     is_csv = str(path).endswith(".csv")
+    directory = os.path.join(
+        os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "fillflow")
+    with open(path, "rb") as fh:  # one open: a file renamed over ``path`` meanwhile is unread
+        before = os.fstat(fh.fileno())
+        # A pipe cannot be read twice; a relative directory (no home) would land in the cwd.
+        if not (S_ISREG(before.st_mode) and os.path.isabs(directory)):
+            return _parse_fills(fh, path, is_csv, block_times)
+        # A file's first read (by device, inode, size and times) is only marked, neither
+        # hashed nor stored: a shard, or a ledger ``ingest`` has just written, may be read once.
+        seen = os.path.join(directory, "seen-%d-%d-%d-%d-%d" % _identity(before))
+        if not os.path.exists(seen):
+            fills = _parse_fills(fh, path, is_csv, block_times)
+            _cache_store(directory, seen, None)
+            return fills
+        with contextlib.suppress(OSError):
+            os.utime(seen)  # the marker, like an entry, is kept while in use
+        key = _cache_key(fh, is_csv, block_times)
+        fills = _cache_load(os.path.join(directory, key))
+        if fills is None:
+            fh.seek(0)
+            fills = _parse_fills(fh, path, is_csv, block_times)
+            # The key names the bytes hashed: a file written to since may have given others.
+            if _identity(os.fstat(fh.fileno())) == _identity(before):
+                _cache_store(directory, key, fills)
+    return fills
+
+
+_identity = attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
+
+
+def _parse_fills(fh, path, is_csv: bool, block_times) -> list[FillEvent]:
+    """Parse the text of binary file ``fh``, ledger shard ``path``: ``read_fills`` without
+    its cache."""
+    fh = io.TextIOWrapper(fh, encoding="utf-8", newline="" if is_csv else None)
     try:
-        with open(path, encoding="utf-8", newline="" if is_csv else None) as fh:
-            if not is_csv:  # the cells of a line in the canonical layout, else None
-                canonical = _CANONICAL_FILL.fullmatch
-                rows = ((line_no, match and match.groups(), line)
-                        for line_no, line in enumerate(fh, start=1)
-                        if (match := canonical(line)) or line.strip())
-                return _convert_fills(rows, _json_record, block_times, True)
-            rows = _csv_rows(fh, _REQUIRED_FILL_FIELDS)
-            header = next(rows, [])
-            column = {name: i for i, name in enumerate(header)}  # a repeated name: its last
-            cells = (itemgetter(*[column[name] for name in FILL_FIELDS])
-                     if "timestamp" in column else lambda row: None)
-            return _convert_fills(((line_no, cells(row), row) for line_no, row in rows),
-                                  lambda row, line_no: dict(zip(header, row)), block_times,
-                                  False)
+        if not is_csv:  # the cells of a line in the canonical layout, else None
+            canonical = _CANONICAL_FILL.fullmatch
+            rows = ((line_no, match and match.groups(), line)
+                    for line_no, line in enumerate(fh, start=1)
+                    if (match := canonical(line)) or line.strip())
+            return _convert_fills(rows, _json_record, block_times, True)
+        rows = _csv_rows(fh, _REQUIRED_FILL_FIELDS)
+        header = next(rows, None)
+        if header is None:  # an empty file
+            return []
+        column = {name: i for i, name in enumerate(header)}  # a repeated name: its last
+        get = itemgetter(*[column[name] for name in FILL_FIELDS if name in column])
+        cells = get if "timestamp" in column else lambda row: get(row) + ("",)
+        return _convert_fills(((line_no, cells(row), row) for line_no, row in rows),
+                              lambda row, line_no: dict(zip(header, row)), block_times,
+                              False)
     except UnicodeDecodeError:
         raise _utf8_error(path) from None
+    finally:
+        fh.detach()  # the binary file stays open for the caller
+
+
+def _parser_fingerprint() -> bytes:
+    """SHA-256 of this module's file (read by its loader, so also from a zip archive), the
+    Python version, which fixes the ``marshal`` format of cache entries, and the integer
+    digit limit, past which a cell is rejected."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()  # none before 3.10.7
+    return hashlib.sha256(__loader__.get_data(__file__)
+                          + f"{sys.version} {limit}".encode()).digest()
+
+
+def _cache_key(fh, is_csv: bool, block_times) -> str:
+    """SHA-256 of the parser, the format, the sidecar and the rest of binary file ``fh``,
+    as hex."""
+    digest = hashlib.sha256(_parser_fingerprint())
+    digest.update(repr((is_csv, block_times is None)).encode())
+    # Each item's repr, quoted, in an order that needs no comparable keys.
+    for item in sorted(map(repr, (block_times or {}).items())):
+        digest.update(repr(item).encode())
+    while chunk := fh.read(1 << 20):
+        digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _cache_load(entry: str) -> list[FillEvent] | None:
+    """The fills in cache file ``entry``, or None when it cannot be read or verified."""
+    try:
+        with open(entry, "rb") as fh:
+            data = fh.read()
+        os.utime(entry)  # a hit makes the entry the most recently used
+        payload, digest = memoryview(data)[:-32], data[-32:]
+        if hashlib.sha256(payload).digest() != digest:
+            return None
+        columns, view = [], memoryview(payload)
+        while view:  # each column's size in 8 bytes, then its ``marshal``
+            size = int.from_bytes(view[:8], "little")
+            columns.append(marshal.loads(view[8:8 + size]))
+            view = view[8 + size:]
+        # Interned strings come back interned, so equal ones share one object again.
+        return list(map(tuple.__new__, repeat(FillEvent), zip(*columns)))
+    except (OSError, EOFError, ValueError, TypeError):
+        return None
+
+
+def _cache_store(directory: str, name: str, fills: list[FillEvent] | None) -> None:
+    """Write cache file ``name`` atomically: an empty marker for None, else the entry of
+    ``fills``: each of their ten columns as its size and its ``marshal``, one column in
+    memory at a time, then the SHA-256 of those bytes. Then remove the least recently used markers
+    and entries beyond the newest 8 of each. A file system that refuses only skips the store."""
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, temp = tempfile.mkstemp(dir=directory)
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            if fills is not None:
+                digest = hashlib.sha256()
+                for column in zip(*fills):
+                    data = marshal.dumps(column)
+                    for part in (len(data).to_bytes(8, "little"), data):
+                        digest.update(part)
+                        fh.write(part)
+                fh.write(digest.digest())
+        os.replace(temp, os.path.join(directory, name))
+        files = sorted(os.scandir(directory), key=lambda file: file.stat().st_mtime_ns)
+        for marker in (True, False):
+            for stale in [file for file in files if file.name.startswith("seen-") is marker][:-8]:
+                os.remove(stale)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(temp)  # gone already when the replace succeeded
 
 
 class _JsonStrings(dict):

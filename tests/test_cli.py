@@ -10,10 +10,12 @@ import pytest
 from click.testing import CliRunner
 
 import fillflow
+from fillflow import events
 from fillflow.cli import main
 from fillflow.decompose import read_decomposed
-from fillflow.events import write_fills
+from fillflow.events import FILL_FIELDS, write_fills, write_market_config, write_table
 from fillflow.fixtures import write_fixture
+from fillflow.units import format_utc
 
 START = "2024-02-01T00:00:00Z"
 END = "2024-05-01T00:00:00Z"
@@ -601,6 +603,83 @@ class TestIngestCommand:
             example_fills, key=lambda f: f.key)
 
 
+RAW_LEDGER_OPTIONS = {
+    "decompose": [],
+    "deviation": ["--market", "Trump", "--grid-step", "3600"],
+    "lambda": ["--market", "Trump"],
+    "traders": [],
+}
+
+
+def refuse_parse(*args):
+    raise AssertionError("the ledger was parsed, not read from the cache")
+
+
+class TestParsedLedgerCache:
+    """A command served by the parsed-fill cache writes what a parse would have written."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, small_ledger, markets):
+        write_fills(tmp_path / "fills.jsonl", small_ledger.fills)
+        write_fills(tmp_path / "fills.csv", small_ledger.fills, "csv")
+        write_table(tmp_path / "untimed.csv", FILL_FIELDS[:-1],
+                    [fill[:-1] for fill in small_ledger.fills], "csv")
+        (tmp_path / "block_times.json").write_text(json.dumps(
+            {fill.block: format_utc(fill.timestamp) for fill in small_ledger.fills}))
+        write_market_config(tmp_path / "markets.json", markets[:2])
+        return tmp_path
+
+    @staticmethod
+    def args(inputs, command, ledger, out):
+        if command == "ingest":
+            extra = (["--block-times", str(inputs / "block_times.json")]
+                     if ledger == "untimed.csv" else [])
+        else:
+            extra = ["--markets", str(inputs / "markets.json"), *RAW_LEDGER_OPTIONS[command]]
+        return [command, "--input", str(inputs / ledger), *extra, "--out", str(out)]
+
+    @pytest.mark.parametrize("command, ledger", [
+        *[(command, ledger) for command in (*RAW_LEDGER_OPTIONS, "ingest")
+          for ledger in ("fills.jsonl", "fills.csv")],
+        ("ingest", "untimed.csv"),
+    ])
+    def test_warm_run_writes_the_cold_run_bytes(self, runner, inputs, fill_cache, monkeypatch,
+                                                command, ledger):
+        artifacts = []
+        for run_name in ("first", "second", "warm"):  # marked, then stored, then read
+            out = inputs / run_name
+            result = run(runner, self.args(inputs, command, ledger, out))
+            assert result.exit_code == 0, result.output
+            artifacts.append({path.name: path.read_bytes() for path in out.iterdir()})
+            entries = [path for path in fill_cache.iterdir() if not path.name.startswith("seen-")]
+            assert len(entries) == (run_name != "first")
+            if run_name == "second":
+                monkeypatch.setattr(events, "_parse_fills", refuse_parse)
+        assert artifacts[0] == artifacts[1] == artifacts[2]
+
+    def test_regular_file_in_place_of_the_cache_directory(self, runner, inputs, fill_cache):
+        fill_cache.write_bytes(b"in the way")
+        result = run(runner, self.args(inputs, "decompose", "fills.jsonl", inputs / "blocked"))
+        assert result.exit_code == 0, result.output
+        assert fill_cache.read_bytes() == b"in the way"
+        fill_cache.unlink()
+        run(runner, self.args(inputs, "decompose", "fills.jsonl", inputs / "cached"))
+        assert ((inputs / "blocked" / "decomposed.csv").read_bytes()
+                == (inputs / "cached" / "decomposed.csv").read_bytes())
+
+    def test_rejected_ledger_is_rejected_again_and_never_cached(self, runner, inputs,
+                                                                fill_cache):
+        lines = (inputs / "fills.jsonl").read_text().splitlines(keepends=True)
+        lines[1000] = lines[1000].replace('"logIndex": ', '"logIndex": -')
+        (inputs / "fills.jsonl").write_text("".join(lines))
+        for _ in range(2):
+            result = runner.invoke(main, self.args(inputs, "decompose", "fills.jsonl",
+                                                   inputs / "out"))
+            assert result.exit_code == 3, result.output
+            assert "line 1001: log_index must be a non-negative integer" in result.output
+            assert not fill_cache.exists()
+
+
 DECOMPOSED_HEADER = ("block,txIndex,timestamp,market,kind,buyVol,sellVol,"
                      "yesTradeVol,noTradeVol,yesMintVol,noMintVol,yesBurnVol,noBurnVol")
 DECOMPOSED_ROW = "51953200,180,1709640000,Trump,pure_exchange,5,5,0,5,0,0,0,0"
@@ -637,9 +716,11 @@ class TestMalformedTables:
          "line 3: not valid UTF-8 (byte 0xe9)"),
         (DECOMPOSED_HEADER, "-7,-1,-86400,Trump,pure_exchange,5,5,0,5,0,0,0,0",
          "line 3: block, txIndex and timestamp must be non-negative, got -7, -1, -86400"),
+        (DECOMPOSED_HEADER, DECOMPOSED_ROW.replace("Trump", "T" * 200_000),
+         "line 3: field larger than field limit (131072)"),
     ], ids=["missing-column", "non-integer", "negative-component", "underscore-digits",
             "non-ascii-digits", "padded-integer", "unknown-kind", "short-row", "extra-value", "non-utf8-byte",
-            "negative-coordinates"])
+            "negative-coordinates", "cell-past-field-limit"])
     def test_decomposed_table_exits_3_naming_line(self, runner, tmp_path, header, bad_row,
                                                   message):
         table = tmp_path / "decomposed.csv"
@@ -660,6 +741,15 @@ class TestMalformedTables:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 3
         assert "line 3: expected 10 columns, got 11" in result.output
+
+    def test_fill_csv_cell_past_field_limit_exits_3(self, runner, tmp_path, example_fills):
+        shard = tmp_path / "shard.csv"
+        long_maker = example_fills[1]._replace(maker="0x" + "a" * 200_000)
+        write_fills(shard, [example_fills[0], long_maker, *example_fills[2:]], "csv")
+        result = runner.invoke(main, ["ingest", "--input", str(shard),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3, result.output
+        assert "line 3: field larger than field limit (131072)" in result.output
 
     def test_fill_csv_shard_not_utf8_exits_3(self, runner, tmp_path, example_fills):
         shard = tmp_path / "shard.csv"

@@ -2,6 +2,7 @@ import csv
 import gc
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -345,7 +346,7 @@ class TestCanonicalFastPath:
             "every fill must exchange collateral against one outcome token")
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
-    def test_equal_strings_share_one_object(self, tmp_path, small_ledger, fmt):
+    def test_equal_strings_share_one_object(self, tmp_path, monkeypatch, small_ledger, fmt):
         twin_fmt = "csv" if fmt == "jsonl" else "jsonl"
         for f in (fmt, twin_fmt):
             write_fills(tmp_path / f"fills.{f}", small_ledger.fills, f)
@@ -360,20 +361,31 @@ class TestCanonicalFastPath:
         assert twin == fills
         for fill, other in zip(fills, twin):
             assert all(a is b for a, b in zip(fill[3:7], other[3:7]))
+        # A read from the parsed-fill cache shares them as well.
+        read_fills(tmp_path / f"fills.{fmt}")  # the second read stores the entry
+        monkeypatch.setattr(events, "_parse_fills", refuse_parse)
+        cached = read_fills(tmp_path / f"fills.{fmt}")
+        assert cached == fills
+        for fill, other in zip(fills, cached):
+            assert all(a is b for a, b in zip(fill[3:7], other[3:7]))
 
-    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv", "untimed-csv"])
     def test_writer_output_never_leaves_the_kernel(self, tmp_path, monkeypatch, small_ledger,
                                                    fmt):
         # A change to the header, the layout or the writer that sent rows to the
         # checked path would change no result, so that path is made to fail.
-        path = tmp_path / f"fills.{fmt}"
-        write_fills(path, small_ledger.fills, fmt)
+        path = tmp_path / f"fills.{fmt.removeprefix('untimed-')}"
+        block_times = None
+        if fmt == "untimed-csv":  # no timestamp column: each time comes from the sidecar
+            block_times = untimed_csv(path, small_ledger.fills)
+        else:
+            write_fills(path, small_ledger.fills, fmt)
 
         def refuse(record, line_no=None, block_times=None):
             raise AssertionError(f"line {line_no} left the conversion kernel")
 
         monkeypatch.setattr(events, "fill_from_record", refuse)
-        fills = read_fills(path)
+        fills = read_fills(path, block_times)
         assert fills == small_ledger.fills
         for fill in fills:
             assert list(map(type, fill)) == list(map(type, FillEvent(*fill)))
@@ -418,6 +430,9 @@ CSV_MUTANTS = [
     pytest.param(csv_text(BASE, wire_record(timestamp=""), wire_record(logIndex=102)), SIDECAR,
                  id="sidecar-then-inline-timestamp"),
     pytest.param(csv_mutant(block=8, timestamp=""), SIDECAR, id="block-not-in-sidecar"),
+    pytest.param(csv_mutant(timestamp=""), {54432034: -1}, id="negative-sidecar-time"),
+    pytest.param(csv_mutant(timestamp=""), {54432034: "1714557600"}, id="text-sidecar-time"),
+    pytest.param(csv_mutant(timestamp=""), {"54432034": 1714557600}, id="text-sidecar-block"),
     pytest.param(csv_text(BASE, wire_record(block=7), fields=UNTIMED_FIELDS), SIDECAR,
                  id="no-timestamp-column-with-sidecar"),
     pytest.param(csv_text(BASE, fields=UNTIMED_FIELDS), None,
@@ -461,6 +476,208 @@ class TestCsvKernel:
         if isinstance(got, list):  # the same values, of the same types
             assert [list(map(type, fill)) for fill in got] == [
                 list(map(type, FillEvent(*fill))) for fill in got]
+
+
+def refuse_parse(*args):
+    raise AssertionError("the ledger was parsed, not read from the cache")
+
+
+def refuse_hash(*args):
+    raise AssertionError("the ledger was hashed")
+
+
+def cache_files(fill_cache, marker=False):
+    """The cache's entries of parsed fills, or with ``marker`` its markers of files read."""
+    return sorted(path for path in fill_cache.iterdir()
+                  if path.name.startswith("seen-") is marker) if fill_cache.exists() else []
+
+
+def untimed_csv(path, fills):
+    """Write ``fills`` as a CSV without a timestamp column; return their block -> time map."""
+    write_table(path, UNTIMED_FIELDS, [fill[:-1] for fill in fills], "csv")
+    return {fill.block: fill.timestamp for fill in fills}
+
+
+class TestFillCache:
+    """The parsed-fill cache behind ``read_fills``; ``fill_cache`` is this test's own."""
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv", "untimed-csv"])
+    def test_hit_returns_the_parsed_fills_without_parsing(self, tmp_path, monkeypatch,
+                                                         fill_cache, small_ledger, fmt):
+        path = tmp_path / f"fills.{fmt.removeprefix('untimed-')}"
+        block_times = None
+        if fmt == "untimed-csv":
+            block_times = untimed_csv(path, small_ledger.fills)
+        else:
+            write_fills(path, small_ledger.fills, fmt)
+        cold = read_fills(path, block_times)
+        assert cold == small_ledger.fills
+        assert (len(cache_files(fill_cache)), len(cache_files(fill_cache, True))) == (0, 1)
+        assert read_fills(path, block_times) == cold  # the second read stores the entry
+        assert (len(cache_files(fill_cache)), len(cache_files(fill_cache, True))) == (1, 1)
+        # A key that changed from run to run would miss here and parse.
+        monkeypatch.setattr(events, "_parse_fills", refuse_parse)
+        warm = read_fills(path, block_times)
+        assert warm == cold
+        assert [list(map(type, fill)) for fill in warm] == [
+            list(map(type, fill)) for fill in cold]
+        assert all(type(fill) is FillEvent for fill in warm)
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped-byte", "other-parser"])
+    def test_damaged_or_foreign_entry_is_parsed_again_and_rewritten(
+            self, tmp_path, monkeypatch, fill_cache, example_fills, damage):
+        path = tmp_path / "fills.jsonl"
+        write_fills(path, example_fills)
+        fingerprint = events._parser_fingerprint
+        if damage == "other-parser":
+            monkeypatch.setattr(events, "_parser_fingerprint", lambda: b"another parser")
+        read_fills(path)
+        read_fills(path)
+        entry, = cache_files(fill_cache)
+        good = entry.read_bytes()
+        if damage == "truncated":
+            entry.write_bytes(good[:len(good) // 2])
+        elif damage == "flipped-byte":
+            entry.write_bytes(good[:-7] + bytes([good[-7] ^ 1]) + good[-6:])
+        monkeypatch.setattr(events, "_parser_fingerprint", fingerprint)
+        parses = []
+        parse = events._parse_fills
+        monkeypatch.setattr(events, "_parse_fills",
+                            lambda *args: parses.append(args) or parse(*args))
+        assert read_fills(path) == example_fills
+        assert len(parses) == 1
+        if damage == "other-parser":  # an entry of its own, next to the foreign one
+            assert len(cache_files(fill_cache)) == 2
+        else:
+            assert entry.read_bytes() == good
+
+    def test_format_and_sidecar_are_part_of_the_key(self, tmp_path, fill_cache, example_fills):
+        # The only bytes that are a ledger in both formats: an empty file.
+        for name in ("empty.jsonl", "empty.csv"):
+            (tmp_path / name).write_bytes(b"")
+            assert read_fills(tmp_path / name) == read_fills(tmp_path / name) == []
+        assert len(cache_files(fill_cache)) == 2
+        path = tmp_path / "untimed.csv"
+        times = untimed_csv(path, example_fills)
+        later = {block: time + 60 for block, time in times.items()}
+        for sidecar in (times, later, times, later):  # the first read stores nothing
+            assert [fill.timestamp for fill in read_fills(path, sidecar)] == [
+                sidecar[fill.block] for fill in example_fills]
+        assert len(cache_files(fill_cache)) == 4
+
+    def test_at_most_eight_entries_least_recently_used_first_out(self, tmp_path, monkeypatch,
+                                                                 fill_cache, example_fills):
+        def entry(path):
+            with open(path, "rb") as fh:
+                return fill_cache / events._cache_key(fh, False, None)
+
+        def age(path, seconds):  # file times can tie, so each file gets its own
+            status = os.stat(path)
+            marker = "seen-{}-{}-{}-{}-{}".format(status.st_dev, status.st_ino, status.st_size,
+                                                 status.st_mtime_ns, status.st_ctime_ns)
+            for file in (entry(path), fill_cache / marker):
+                os.utime(file, ns=(seconds * 10**9, seconds * 10**9))
+
+        paths = [tmp_path / f"shard{i}.jsonl" for i in range(11)]
+        for i, path in enumerate(paths[:10]):
+            write_fills(path, example_fills[i:])
+            read_fills(path)
+            read_fills(path)
+            age(path, i)
+            assert len(cache_files(fill_cache)) == min(i + 1, 8)
+        assert [entry(path).exists() for path in paths[:10]] == [False] * 2 + [True] * 8
+        read_fills(paths[2])  # a hit: the oldest entry becomes the newest
+        write_fills(paths[10], example_fills[:1])
+        read_fills(paths[10])
+        read_fills(paths[10])
+        assert len(cache_files(fill_cache, True)) == 8
+        assert [entry(path).exists() for path in paths] == [False, False, True, False] + [True] * 7
+        monkeypatch.setattr(events, "_parse_fills", refuse_parse)
+        read_fills(paths[2])  # the hit refreshed its marker too, so a newer one went
+
+    def test_sidecar_with_keys_of_mixed_types_is_keyed(self, tmp_path, fill_cache,
+                                                       example_fills):
+        path = tmp_path / "untimed.csv"
+        times = untimed_csv(path, example_fills)
+        mixed = {**times, "not a block": "not a time"}
+        for sidecar in (times, times, mixed, mixed):
+            assert read_fills(path, sidecar) == example_fills
+        assert len(cache_files(fill_cache)) == 2
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_digit_limit_is_part_of_the_key(self, tmp_path, fill_cache):
+        path = tmp_path / "fills.jsonl"
+        path.write_text(BASE_LINE.replace('"6000000000"', f'"{HUGE}"'))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            read_fills(path)
+            fill, = read_fills(path)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert fill.maker_amount == 10**len(HUGE) - 1
+        assert len(cache_files(fill_cache)) == 1
+        with pytest.raises(ParseError, match="line 1"):  # parsed again, under the limit
+            read_fills(path)
+
+    def test_file_written_between_hash_and_parse_is_not_stored(
+            self, tmp_path, monkeypatch, fill_cache, example_fills):
+        path = tmp_path / "fills.jsonl"
+        write_fills(path, example_fills)
+        whole = path.read_bytes()
+        load = events._cache_load
+
+        def cut_then_load(entry):  # another process rewrites the ledger: one line is left
+            with open(path, "r+b") as fh:
+                fh.truncate(whole.index(b"\n") + 1)
+            return load(entry)
+
+        read_fills(path)  # the first read only marks the file
+        monkeypatch.setattr(events, "_cache_load", cut_then_load)
+        assert read_fills(path) == example_fills[:1]
+        assert cache_files(fill_cache) == []
+        monkeypatch.setattr(events, "_cache_load", load)
+        path.write_bytes(whole)  # the hashed bytes again: parsed, not the cut file's fill
+        assert read_fills(path) == read_fills(path) == example_fills
+        assert len(cache_files(fill_cache)) == 1
+
+    def test_first_read_of_a_file_is_neither_hashed_nor_stored(self, tmp_path, monkeypatch,
+                                                               fill_cache, example_fills):
+        path = tmp_path / "fills.jsonl"
+        write_fills(path, example_fills)
+        key = events._cache_key
+        monkeypatch.setattr(events, "_cache_key", refuse_hash)
+        assert read_fills(path) == example_fills
+        assert (len(cache_files(fill_cache)), len(cache_files(fill_cache, True))) == (0, 1)
+        monkeypatch.setattr(events, "_cache_key", key)
+        assert read_fills(path) == example_fills
+        assert len(cache_files(fill_cache)) == 1
+        # The same bytes written again, as each ``ingest`` run does: a file read once more.
+        os.utime(path, ns=(10**9, 10**9))
+        monkeypatch.setattr(events, "_cache_key", refuse_hash)
+        assert read_fills(path) == example_fills
+        assert len(cache_files(fill_cache, True)) == 2
+
+    def test_relative_cache_home_is_not_used(self, tmp_path, monkeypatch, example_fills):
+        path = tmp_path / "fills.jsonl"
+        write_fills(path, example_fills)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("XDG_CACHE_HOME", "cache")
+        assert read_fills(path) == example_fills
+        assert not (tmp_path / "cache").exists()
+
+    def test_pipe_is_read_once_and_not_cached(self, tmp_path, fill_cache, example_fills):
+        # What a shell's process substitution, <(cat fills.jsonl), passes as the path.
+        path = tmp_path / "fills.jsonl"
+        write_fills(path, example_fills)
+        read_end, write_end = os.pipe()
+        os.write(write_end, path.read_bytes())  # a few KB: within the pipe's buffer
+        os.close(write_end)
+        try:
+            assert read_fills(f"/dev/fd/{read_end}") == example_fills
+        finally:
+            os.close(read_end)
+        assert not fill_cache.exists()
 
 
 def reference_line(fill):
@@ -744,7 +961,7 @@ class TestFillEventContract:
             (7, 3, 1), True, TOKEN, 590_000, 1_000_000)
 
 
-def test_cli_import_does_not_load_numpy(tmp_path, small_ledger, markets):
+def test_cli_import_does_not_load_numpy(tmp_path, fill_cache, small_ledger, markets):
     # No module of the package imports numpy (the tests use it as a reference
     # solver), also not while a full price-impact run estimates lambda and its
     # regression. The package itself re-exports nothing, so the CLI loads neither
@@ -762,7 +979,8 @@ def test_cli_import_does_not_load_numpy(tmp_path, small_ledger, markets):
          "fillflow.cli.main(['lambda', '--input', 'fills.jsonl', '--markets', 'markets.json', "
          "'--market', 'Trump', '--out', 'out'], standalone_mode=False); "
          "assert 'numpy' not in sys.modules"],
-        cwd=tmp_path, env={"PYTHONPATH": str(src)}, check=True)
+        cwd=tmp_path, env={"PYTHONPATH": str(src), "XDG_CACHE_HOME": str(fill_cache.parent)},
+        check=True)
     regression = json.loads((tmp_path / "out" / "lambda_regression.json").read_text())
     assert regression["regression"]["n"] > 2
 
