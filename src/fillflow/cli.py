@@ -26,6 +26,7 @@ from . import __version__
 from .decompose import decompose_ledger, read_decomposed, write_decomposed
 from .errors import ConfigError, DataError, FillflowError
 from .events import (
+    file_sha256,
     fill_from_record,
     fill_lines,
     group_transactions,
@@ -101,14 +102,6 @@ def _utc(_ctx, _param, value):
         raise click.BadParameter(str(exc))
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _write_manifest(out_dir: Path, subcommand: str, params: dict, inputs: list) -> None:
     digests: dict[str, str] = {}
     for path in inputs:
@@ -116,7 +109,7 @@ def _write_manifest(out_dir: Path, subcommand: str, params: dict, inputs: list) 
         name = path.name
         if name in digests:
             name = f"{name}#{len(digests)}"
-        digests[name] = _sha256(path)
+        digests[name] = file_sha256(path)
     doc = {"subcommand": subcommand, "params": params}
     config_hash = hashlib.sha256(
         json.dumps(doc, sort_keys=True).encode("utf-8")
@@ -318,9 +311,7 @@ def decompose(inputs, markets_path, start, end, fmt, max_anomalies, out):
 def metrics(inputs, market, side, partition, start, end, dense, fmt, out):
     """Exchange-equivalent volume, net inflow, and gross activity per interval."""
     _check_range(start, end)
-    records = []
-    for path in inputs:
-        records.extend(read_decomposed(path))
+    records = [row for path in inputs for row in read_decomposed(path)]
     present = {r.market for r in records}
     if market not in present:
         raise DataError(f"market {market!r} has no rows in the decomposed table "
@@ -422,9 +413,7 @@ def disagreement(inputs, market_a, first_democrat, second_democrat, splice_day, 
                  corr_window_days, step_days, start, end, fmt, out):
     """Rolling correlation of daily net inflow: one market vs a spliced pair."""
     _check_range(start, end)
-    records = []
-    for path in inputs:
-        records.extend(read_decomposed(path))
+    records = [row for path in inputs for row in read_decomposed(path)]
     series_a = daily_net_inflow(records, market_a, side, start=start, end=end)
     series_b = splice_democrat_market(records, first_democrat, second_democrat,
                                       splice_day, side, start=start, end=end)

@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import logging
 from enum import Enum
-from operator import itemgetter
+from itertools import repeat
+from operator import attrgetter, itemgetter
+from sys import intern
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DecompositionAnomalyError, ParseError
-from .events import (COLLATERAL_ID, MarketSpec, Transaction, _to_amount, market_slots,
-                     read_table, write_table)
+from .events import (COLLATERAL_ID, MarketSpec, Transaction, _read_cached, _table_records,
+                     _to_amount, market_slots, write_table)
 
 logger = logging.getLogger(__name__)
 
@@ -278,10 +280,22 @@ def read_decomposed(path) -> list[DecomposedTransaction]:
     plain non-negative ints, as in JSONL; a known kind; a string market), is
     built directly; any other row goes through ``decomposed_from_record``,
     which gives the same row or the error.
+
+    The rows of a regular file read before are cached, keyed by this module's
+    source too (README, "Parsed-table cache").
     """
+    return _read_cached(path, _parse_decomposed,
+                        lambda digest, is_csv: digest.update(
+                            b"decomposed %r " % is_csv + __loader__.get_data(__file__)),
+                        _decomposed_columns,
+                        _decomposed_from_columns)
+
+
+def _parse_decomposed(fh, is_csv: bool) -> list[DecomposedTransaction]:
+    """Parse text file ``fh``: ``read_decomposed`` without its cache."""
     new = tuple.__new__
     rows: list[DecomposedTransaction] = []
-    for line_no, record in read_table(path, DECOMPOSED_FIELDS):
+    for line_no, record in _table_records(fh, is_csv, DECOMPOSED_FIELDS):
         try:
             try:
                 cells = _INTEGER_CELLS(record)
@@ -308,3 +322,20 @@ def read_decomposed(path) -> list[DecomposedTransaction]:
             raise ParseError(str(exc), line_no) from exc
         rows.append(row)
     return rows
+
+
+def _decomposed_columns(rows: list[DecomposedTransaction]) -> list[tuple]:
+    """A cache entry's columns: block, txIndex, timestamp, market (equal ones as one interned
+    string), kind's value, then the eight components (none for an empty table)."""
+    block, tx_index, timestamp, market, kind, components = zip(*rows) if rows else [()] * 6
+    return [block, tx_index, timestamp, tuple(map(intern, market)),
+            tuple(map(attrgetter("value"), kind)), *zip(*components)]
+
+
+def _decomposed_from_columns(columns: list[tuple]) -> list[DecomposedTransaction]:
+    """The rows of a cache entry's columns; an unknown kind raises KeyError."""
+    new = tuple.__new__
+    block, tx_index, timestamp, market, kind, *components = columns
+    return list(map(new, repeat(DecomposedTransaction), zip(
+        block, tx_index, timestamp, market, map(_KINDS.__getitem__, kind),
+        map(new, repeat(VolumeComponents), zip(*components, strict=True)), strict=True)))

@@ -251,17 +251,22 @@ def read_table(path, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
     is_csv = str(path).endswith(".csv")
     try:
         with open(path, encoding="utf-8", newline="" if is_csv else None) as fh:
-            if is_csv:
-                rows = _csv_rows(fh, required)
-                header = next(rows, [])
-                for line_no, row in rows:
-                    yield line_no, dict(zip(header, row))
-            else:
-                for line_no, line in enumerate(fh, start=1):
-                    if line.strip():
-                        yield line_no, _json_record(line, line_no)
+            yield from _table_records(fh, is_csv, required)
     except UnicodeDecodeError:
         raise _utf8_error(path) from None
+
+
+def _table_records(fh, is_csv: bool, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
+    """``read_table`` of text file ``fh``."""
+    if is_csv:
+        rows = _csv_rows(fh, required)
+        header = next(rows, [])
+        for line_no, row in rows:
+            yield line_no, dict(zip(header, row))
+    else:
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                yield line_no, _json_record(line, line_no)
 
 
 def _csv_rows(fh, required: Sequence[str]) -> Iterator:
@@ -415,65 +420,113 @@ def read_fills(path, block_times: Mapping[int, int] | None = None) -> list[FillE
     unprintable character. Any other line or row goes through
     ``fill_from_record``, with the same result or error.
 
-    The fills of a regular file read before are cached (README, "Parsed-ledger
+    The fills of a regular file read before are cached (README, "Parsed-table
     cache"), so a later read of the same bytes skips the parse.
     """
+    return _read_cached(path, lambda fh, is_csv: _parse_fills(fh, is_csv, block_times),
+                        lambda digest, is_csv: _fill_key_parts(digest, is_csv, block_times),
+                        lambda fills: zip(*fills),
+                        lambda columns: list(map(tuple.__new__, repeat(FillEvent), zip(*columns))))
+
+
+def _read_cached(path, parse_text, key_parts, columns, rows) -> list:
+    """``parse_text(text file, is_csv)`` of the file at ``path`` (CSV when it ends in ".csv"),
+    through the parsed-table cache. ``key_parts(digest, is_csv)`` feeds the key's hash what
+    the parse depends on besides this module and the file; ``columns(table)`` yields its
+    columns, each a tuple ``marshal`` takes, and ``rows(columns)`` builds it back or raises."""
     is_csv = str(path).endswith(".csv")
+
+    def parse(fh):  # the binary file stays open
+        text = io.TextIOWrapper(fh, encoding="utf-8", newline="" if is_csv else None)
+        try:
+            return parse_text(text, is_csv)
+        except UnicodeDecodeError:
+            raise _utf8_error(path) from None
+        finally:
+            text.detach()
+
     directory = os.path.join(
         os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "fillflow")
     with open(path, "rb") as fh:  # one open: a file renamed over ``path`` meanwhile is unread
         before = os.fstat(fh.fileno())
         # A pipe cannot be read twice; a relative directory (no home) would land in the cwd.
         if not (S_ISREG(before.st_mode) and os.path.isabs(directory)):
-            return _parse_fills(fh, path, is_csv, block_times)
+            return parse(fh)
         # A file's first read (by device, inode, size and times) is only marked, neither
         # hashed nor stored: a shard, or a ledger ``ingest`` has just written, may be read once.
         seen = os.path.join(directory, "seen-%d-%d-%d-%d-%d" % _identity(before))
         if not os.path.exists(seen):
-            fills = _parse_fills(fh, path, is_csv, block_times)
+            table = parse(fh)
             _cache_store(directory, seen, None)
-            return fills
+            return table
         with contextlib.suppress(OSError):
             os.utime(seen)  # the marker, like an entry, is kept while in use
-        key = _cache_key(fh, is_csv, block_times)
-        fills = _cache_load(os.path.join(directory, key))
-        if fills is None:
+        digest = hashlib.sha256(_parser_fingerprint())
+        key_parts(digest, is_csv)
+        digest.update(_hash_file(fh, before).encode())
+        key = digest.hexdigest()
+        table = _cache_load(os.path.join(directory, key), rows)
+        if table is None:
             fh.seek(0)
-            fills = _parse_fills(fh, path, is_csv, block_times)
+            table = parse(fh)
             # The key names the bytes hashed: a file written to since may have given others.
             if _identity(os.fstat(fh.fileno())) == _identity(before):
-                _cache_store(directory, key, fills)
-    return fills
+                _cache_store(directory, key, columns(table))
+    return table
 
 
 _identity = attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
 
+# File identity -> hex SHA-256 of the file as a reader hashed it, the newest 8, which
+# ``file_sha256`` reuses. A file written to since has another identity.
+_DIGESTS: dict[tuple, str] = {}
 
-def _parse_fills(fh, path, is_csv: bool, block_times) -> list[FillEvent]:
-    """Parse the text of binary file ``fh``, ledger shard ``path``: ``read_fills`` without
-    its cache."""
-    fh = io.TextIOWrapper(fh, encoding="utf-8", newline="" if is_csv else None)
-    try:
-        if not is_csv:  # the cells of a line in the canonical layout, else None
-            canonical = _CANONICAL_FILL.fullmatch
-            rows = ((line_no, match and match.groups(), line)
-                    for line_no, line in enumerate(fh, start=1)
-                    if (match := canonical(line)) or line.strip())
-            return _convert_fills(rows, _json_record, block_times, True)
-        rows = _csv_rows(fh, _REQUIRED_FILL_FIELDS)
-        header = next(rows, None)
-        if header is None:  # an empty file
-            return []
-        column = {name: i for i, name in enumerate(header)}  # a repeated name: its last
-        get = itemgetter(*[column[name] for name in FILL_FIELDS if name in column])
-        cells = get if "timestamp" in column else lambda row: get(row) + ("",)
-        return _convert_fills(((line_no, cells(row), row) for line_no, row in rows),
-                              lambda row, line_no: dict(zip(header, row)), block_times,
-                              False)
-    except UnicodeDecodeError:
-        raise _utf8_error(path) from None
-    finally:
-        fh.detach()  # the binary file stays open for the caller
+
+def _hash_file(fh, status) -> str:
+    """Hex SHA-256 of unread binary file ``fh``, whose ``fstat`` is ``status``."""
+    digest = hashlib.sha256()
+    while chunk := fh.read(1 << 20):
+        digest.update(chunk)
+    _DIGESTS[_identity(status)] = hexdigest = digest.hexdigest()
+    if len(_DIGESTS) > 8:
+        del _DIGESTS[next(iter(_DIGESTS))]
+    return hexdigest
+
+
+def file_sha256(path) -> str:
+    """Hex SHA-256 of the file at ``path``; one that a reader has hashed in this process, not
+    written to since (the same device, inode, size and times), is not read again."""
+    with open(path, "rb") as fh:
+        status = os.fstat(fh.fileno())
+        return _DIGESTS.get(_identity(status)) or _hash_file(fh, status)
+
+
+def _parse_fills(fh, is_csv: bool, block_times) -> list[FillEvent]:
+    """Parse text file ``fh``: ``read_fills`` without its cache."""
+    if not is_csv:  # the cells of a line in the canonical layout, else None
+        canonical = _CANONICAL_FILL.fullmatch
+        rows = ((line_no, match and match.groups(), line)
+                for line_no, line in enumerate(fh, start=1)
+                if (match := canonical(line)) or line.strip())
+        return _convert_fills(rows, _json_record, block_times, True)
+    rows = _csv_rows(fh, _REQUIRED_FILL_FIELDS)
+    header = next(rows, None)
+    if header is None:  # an empty file
+        return []
+    column = {name: i for i, name in enumerate(header)}  # a repeated name: its last
+    get = itemgetter(*[column[name] for name in FILL_FIELDS if name in column])
+    cells = get if "timestamp" in column else lambda row: get(row) + ("",)
+    return _convert_fills(((line_no, cells(row), row) for line_no, row in rows),
+                          lambda row, line_no: dict(zip(header, row)), block_times,
+                          False)
+
+
+def _fill_key_parts(digest, is_csv: bool, block_times) -> None:
+    """Hash the format and the sidecar: each item's repr, quoted, sorted as text (keys may
+    not compare), one item at a time."""
+    digest.update(repr((is_csv, block_times is None)).encode())
+    for item in sorted(map(repr, (block_times or {}).items())):
+        digest.update(repr(item).encode())
 
 
 def _parser_fingerprint() -> bytes:
@@ -485,21 +538,9 @@ def _parser_fingerprint() -> bytes:
                           + f"{sys.version} {limit}".encode()).digest()
 
 
-def _cache_key(fh, is_csv: bool, block_times) -> str:
-    """SHA-256 of the parser, the format, the sidecar and the rest of binary file ``fh``,
-    as hex."""
-    digest = hashlib.sha256(_parser_fingerprint())
-    digest.update(repr((is_csv, block_times is None)).encode())
-    # Each item's repr, quoted, in an order that needs no comparable keys.
-    for item in sorted(map(repr, (block_times or {}).items())):
-        digest.update(repr(item).encode())
-    while chunk := fh.read(1 << 20):
-        digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _cache_load(entry: str) -> list[FillEvent] | None:
-    """The fills in cache file ``entry``, or None when it cannot be read or verified."""
+def _cache_load(entry: str, rows) -> list | None:
+    """``rows`` of the columns in cache file ``entry``, or None when it cannot be read or
+    verified or ``rows`` raises."""
     try:
         with open(entry, "rb") as fh:
             data = fh.read()
@@ -512,17 +553,16 @@ def _cache_load(entry: str) -> list[FillEvent] | None:
             size = int.from_bytes(view[:8], "little")
             columns.append(marshal.loads(view[8:8 + size]))
             view = view[8 + size:]
-        # Interned strings come back interned, so equal ones share one object again.
-        return list(map(tuple.__new__, repeat(FillEvent), zip(*columns)))
-    except (OSError, EOFError, ValueError, TypeError):
+        return rows(columns)  # interned strings come back interned: equal ones share one object
+    except (OSError, EOFError, LookupError, ValueError, TypeError):
         return None
 
 
-def _cache_store(directory: str, name: str, fills: list[FillEvent] | None) -> None:
+def _cache_store(directory: str, name: str, columns: Iterable[tuple] | None) -> None:
     """Write cache file ``name`` atomically: an empty marker for None, else the entry of
-    ``fills``: each of their ten columns as its size and its ``marshal``, one column in
-    memory at a time, then the SHA-256 of those bytes. Then remove the least recently used markers
-    and entries beyond the newest 8 of each. A file system that refuses only skips the store."""
+    ``columns``: each column as its size and its ``marshal``, one ``marshal`` in memory at
+    a time, then the SHA-256 of those bytes. Then remove the least recently used markers and
+    entries beyond the newest 8 of each. A file system that refuses only skips the store."""
     try:
         os.makedirs(directory, exist_ok=True)
         fd, temp = tempfile.mkstemp(dir=directory)
@@ -530,9 +570,9 @@ def _cache_store(directory: str, name: str, fills: list[FillEvent] | None) -> No
         return
     try:
         with os.fdopen(fd, "wb") as fh:
-            if fills is not None:
+            if columns is not None:
                 digest = hashlib.sha256()
-                for column in zip(*fills):
+                for column in columns:
                     data = marshal.dumps(column)
                     for part in (len(data).to_bytes(8, "little"), data):
                         digest.update(part)

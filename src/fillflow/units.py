@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import calendar
 from datetime import datetime, timezone
+from functools import lru_cache
 
 MICRO = 10**6
 HOUR = 3600
@@ -50,9 +51,12 @@ def parse_utc(value: str | int | float) -> int:
 
 
 def format_utc(ts: int) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    second = ts % DAY
+    return (f"{format_date(ts - second)}T"
+            f"{second // HOUR:02d}:{second // 60 % 60:02d}:{second % 60:02d}Z")
 
 
+@lru_cache(maxsize=1024)  # a series labels many instants of one day, by its first second
 def format_date(ts: int) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%d")
 

@@ -8,7 +8,7 @@ from fillflow.units import parse_utc
 
 @pytest.fixture(scope="session", autouse=True)
 def shared_fill_cache(tmp_path_factory):
-    """The parsed-fill cache of fixtures shared between tests, which read ledgers too."""
+    """The parsed-table cache of fixtures shared between tests, which read ledgers too."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache-shared")))
         yield
@@ -16,7 +16,7 @@ def shared_fill_cache(tmp_path_factory):
 
 @pytest.fixture(autouse=True)
 def fill_cache(tmp_path_factory, monkeypatch):
-    """Each test's own parsed-fill cache directory, empty when the test starts, so no entry
+    """Each test's own parsed-table cache directory, empty when the test starts, so no entry
     written by another test, or by a user, can answer a read."""
     root = tmp_path_factory.mktemp("xdg-cache")
     monkeypatch.setenv("XDG_CACHE_HOME", str(root))

@@ -10,9 +10,9 @@ import pytest
 from click.testing import CliRunner
 
 import fillflow
-from fillflow import events
+from fillflow import decompose, events
 from fillflow.cli import main
-from fillflow.decompose import read_decomposed
+from fillflow.decompose import read_decomposed, write_decomposed
 from fillflow.events import FILL_FIELDS, write_fills, write_market_config, write_table
 from fillflow.fixtures import write_fixture
 from fillflow.units import format_utc
@@ -616,7 +616,7 @@ def refuse_parse(*args):
 
 
 class TestParsedLedgerCache:
-    """A command served by the parsed-fill cache writes what a parse would have written."""
+    """A command served by the parsed-table cache writes what a parse would have written."""
 
     @pytest.fixture
     def inputs(self, tmp_path, small_ledger, markets):
@@ -678,6 +678,40 @@ class TestParsedLedgerCache:
             assert result.exit_code == 3, result.output
             assert "line 1001: log_index must be a non-negative integer" in result.output
             assert not fill_cache.exists()
+
+
+DECOMPOSED_TABLE_OPTIONS = {
+    "metrics-hour": ["metrics", "--market", "Trump", "--partition", "hour", "--dense"],
+    "metrics-month": ["metrics", "--market", "Trump", "--partition", "month"],
+    "disagreement": ["disagreement", "--first-democrat", "Biden", "--second-democrat", "Biden",
+                     "--splice-day", "2024-03-01", "--corr-window-days", "30"],
+}
+
+
+class TestParsedDecomposedTableCache:
+    """A command served by the parsed-table cache writes what a parse of its decomposed table
+    would have written."""
+
+    @pytest.mark.parametrize("command", DECOMPOSED_TABLE_OPTIONS)
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_warm_run_writes_the_cold_run_bytes(self, runner, tmp_path, fill_cache, monkeypatch,
+                                                small_ledger, command, fmt):
+        table = tmp_path / f"decomposed.{fmt}"
+        write_decomposed(table, small_ledger.truth, fmt)
+        name, *options = DECOMPOSED_TABLE_OPTIONS[command]
+        artifacts = []
+        for run_name in ("first", "second", "warm"):  # marked, then stored, then read
+            out = tmp_path / run_name
+            result = run(runner, [name, "--input", str(table), *options, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            artifacts.append({path.name: path.read_bytes() for path in out.iterdir()})
+            entries = [path for path in fill_cache.iterdir() if not path.name.startswith("seen-")]
+            assert len(entries) == (run_name != "first")
+            if run_name == "second":
+                monkeypatch.setattr(decompose, "_parse_decomposed", refuse_parse)
+        assert artifacts[0] == artifacts[1] == artifacts[2]
+        manifest = json.loads(artifacts[2]["manifest.json"])
+        assert manifest["inputs"] == {table.name: hashlib.sha256(table.read_bytes()).hexdigest()}
 
 
 DECOMPOSED_HEADER = ("block,txIndex,timestamp,market,kind,buyVol,sellVol,"

@@ -1,5 +1,6 @@
 import csv
 import gc
+import hashlib
 import io
 import json
 import os
@@ -11,7 +12,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from fillflow import events
+from fillflow import decompose, events
+from fillflow.decompose import (DecomposedTransaction, TxKind, VolumeComponents, read_decomposed,
+                               write_decomposed)
 from fillflow.errors import (
     ConfigError,
     DuplicateEventError,
@@ -568,8 +571,10 @@ class TestFillCache:
     def test_at_most_eight_entries_least_recently_used_first_out(self, tmp_path, monkeypatch,
                                                                  fill_cache, example_fills):
         def entry(path):
-            with open(path, "rb") as fh:
-                return fill_cache / events._cache_key(fh, False, None)
+            key = hashlib.sha256(events._parser_fingerprint())
+            events._fill_key_parts(key, False, None)
+            key.update(hashlib.sha256(path.read_bytes()).hexdigest().encode())
+            return fill_cache / key.hexdigest()
 
         def age(path, seconds):  # file times can tie, so each file gets its own
             status = os.stat(path)
@@ -627,10 +632,10 @@ class TestFillCache:
         whole = path.read_bytes()
         load = events._cache_load
 
-        def cut_then_load(entry):  # another process rewrites the ledger: one line is left
+        def cut_then_load(entry, rows):  # another process rewrites the ledger: one line is left
             with open(path, "r+b") as fh:
                 fh.truncate(whole.index(b"\n") + 1)
-            return load(entry)
+            return load(entry, rows)
 
         read_fills(path)  # the first read only marks the file
         monkeypatch.setattr(events, "_cache_load", cut_then_load)
@@ -645,16 +650,16 @@ class TestFillCache:
                                                                fill_cache, example_fills):
         path = tmp_path / "fills.jsonl"
         write_fills(path, example_fills)
-        key = events._cache_key
-        monkeypatch.setattr(events, "_cache_key", refuse_hash)
+        hash_file = events._hash_file
+        monkeypatch.setattr(events, "_hash_file", refuse_hash)
         assert read_fills(path) == example_fills
         assert (len(cache_files(fill_cache)), len(cache_files(fill_cache, True))) == (0, 1)
-        monkeypatch.setattr(events, "_cache_key", key)
+        monkeypatch.setattr(events, "_hash_file", hash_file)
         assert read_fills(path) == example_fills
         assert len(cache_files(fill_cache)) == 1
         # The same bytes written again, as each ``ingest`` run does: a file read once more.
         os.utime(path, ns=(10**9, 10**9))
-        monkeypatch.setattr(events, "_cache_key", refuse_hash)
+        monkeypatch.setattr(events, "_hash_file", refuse_hash)
         assert read_fills(path) == example_fills
         assert len(cache_files(fill_cache, True)) == 2
 
@@ -679,6 +684,160 @@ class TestFillCache:
             os.close(read_end)
         assert not fill_cache.exists()
 
+    def test_manifest_digest_reuses_the_readers_hash(self, tmp_path, monkeypatch, example_fills):
+        path = tmp_path / "fills.jsonl"
+        write_fills(path, example_fills)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        read_fills(path)
+        read_fills(path)  # hashed for the key
+        hash_file = events._hash_file
+        monkeypatch.setattr(events, "_hash_file", refuse_hash)
+        assert events.file_sha256(path) == digest
+        write_fills(path, example_fills[1:])  # written to since: another identity
+        monkeypatch.setattr(events, "_hash_file", hash_file)
+        assert events.file_sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def counting(monkeypatch, module, name):
+    """Count the calls of ``module.name`` from now on; return the list of their arguments."""
+    calls, function = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or function(*args))
+    return calls
+
+
+class TestDecomposedTableCache:
+    """The same cache behind ``read_decomposed``; ``fill_cache`` is this test's own."""
+
+    @pytest.fixture
+    def table(self, tmp_path, small_ledger):
+        path = tmp_path / "decomposed.csv"
+        write_decomposed(path, small_ledger.truth)
+        return path
+
+    @pytest.mark.parametrize("rows", [slice(None), slice(0)], ids=["rows", "no-rows"])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_hit_returns_the_parsed_rows_without_parsing(self, tmp_path, monkeypatch,
+                                                         fill_cache, small_ledger, fmt, rows):
+        path = tmp_path / f"decomposed.{fmt}"
+        truth = small_ledger.truth[rows]
+        write_decomposed(path, truth, fmt)
+        assert read_decomposed(path) == truth
+        assert (len(cache_files(fill_cache)), len(cache_files(fill_cache, True))) == (0, 1)
+        assert read_decomposed(path) == truth
+        assert (len(cache_files(fill_cache)), len(cache_files(fill_cache, True))) == (1, 1)
+        monkeypatch.setattr(decompose, "_parse_decomposed", refuse_parse)
+        warm = read_decomposed(path)
+        assert warm == truth
+        assert [(type(row), list(map(type, row[:5])), list(map(type, row.components)))
+                for row in warm] == [(DecomposedTransaction, [int, int, int, str, TxKind],
+                                      [int] * 8)] * len(warm)
+        # Equal markets come back as one interned string, written to the entry once.
+        assert len({id(row.market) for row in warm}) == len({row.market for row in warm})
+
+    def test_row_failing_check_exits_3_on_every_run_and_is_never_stored(
+            self, tmp_path, fill_cache, table):
+        from fillflow.cli import main
+
+        lines = table.read_text().splitlines(keepends=True)
+        cells = lines[500].split(",")
+        cells[5] = str(int(cells[5]) + 1)  # buyVol: conservation no longer holds
+        lines[500] = ",".join(cells)
+        table.write_text("".join(lines))
+        for _ in range(3):
+            result = CliRunner().invoke(main, ["metrics", "--input", str(table), "--market",
+                                               "Trump", "--out", str(tmp_path / "out")])
+            assert result.exit_code == 3, result.output
+            assert "line 501: " in result.output
+            assert not fill_cache.exists()
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped-byte", "unknown-kind"])
+    def test_damaged_entry_is_parsed_again_and_replaced(self, monkeypatch, fill_cache,
+                                                        small_ledger, table, damage):
+        read_decomposed(table)
+        read_decomposed(table)
+        entry, = cache_files(fill_cache)
+        good = entry.read_bytes()
+        if damage == "truncated":
+            entry.write_bytes(good[:len(good) // 2])
+        elif damage == "flipped-byte":
+            entry.write_bytes(good[:-7] + bytes([good[-7] ^ 1]) + good[-6:])
+        else:  # a well-formed entry with its SHA-256, but a kind no TxKind has
+            columns = decompose._decomposed_columns(small_ledger.truth)
+            columns[4] = ("bogus",) * len(columns[4])
+            events._cache_store(str(fill_cache), entry.name, columns)
+        assert entry.read_bytes() != good
+        parses = counting(monkeypatch, decompose, "_parse_decomposed")
+        assert read_decomposed(table) == small_ledger.truth
+        assert len(parses) == 1
+        assert entry.read_bytes() == good
+
+    def test_readers_never_share_an_entry(self, tmp_path, monkeypatch, fill_cache,
+                                          example_fills):
+        # One JSONL line with the keys of both schemas is a fill and a decomposed row.
+        fill = example_fills[0]
+        record = {**json.loads(reference_line(fill)), "market": "Trump",
+                  "kind": "pure_exchange", "buyVol": "5", "sellVol": "5", "yesTradeVol": "5",
+                  "noTradeVol": "0", "yesMintVol": "0", "noMintVol": "0", "yesBurnVol": "0",
+                  "noBurnVol": "0"}
+        path = tmp_path / "both.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        expected = DecomposedTransaction(fill.block, fill.tx_index, fill.timestamp, "Trump",
+                                         TxKind.PURE_EXCHANGE, VolumeComponents(5, 0, buy_vol=5,
+                                                                                sell_vol=5))
+        for _ in range(2):
+            assert read_fills(path) == [fill]
+            assert read_decomposed(path) == [expected]
+        assert len(cache_files(fill_cache)) == 2
+        monkeypatch.setattr(events, "_parse_fills", refuse_parse)
+        monkeypatch.setattr(decompose, "_parse_decomposed", refuse_parse)
+        assert read_fills(path) == [fill]
+        assert read_decomposed(path) == [expected]
+
+    def test_decompose_source_is_part_of_the_key(self, monkeypatch, fill_cache, small_ledger,
+                                                 table):
+        read_decomposed(table)
+        read_decomposed(table)
+        loader = decompose.__loader__
+        get_data = loader.get_data
+        # An edit to decompose.py, as its loader reads it; events.py reads as before.
+        monkeypatch.setattr(loader, "get_data", lambda path: get_data(path) + (
+            b"\n# edited\n" if path == decompose.__file__ else b""))
+        parses = counting(monkeypatch, decompose, "_parse_decomposed")
+        assert read_decomposed(table) == small_ledger.truth
+        assert len(parses) == 1
+        assert len(cache_files(fill_cache)) == 2
+
+    def test_pipe_and_relative_cache_home_are_parsed_without_the_cache(
+            self, tmp_path, monkeypatch, fill_cache, small_ledger, table):
+        # A pipe's path, /dev/fd/N, has no ".csv" suffix: the table goes through as JSONL.
+        path = tmp_path / "decomposed.jsonl"
+        write_decomposed(path, small_ledger.truth[:20], "jsonl")
+        read_end, write_end = os.pipe()
+        os.write(write_end, path.read_bytes())  # a few KB: within the pipe's buffer
+        os.close(write_end)
+        try:
+            assert read_decomposed(f"/dev/fd/{read_end}") == small_ledger.truth[:20]
+        finally:
+            os.close(read_end)
+        assert not fill_cache.exists()
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("XDG_CACHE_HOME", "cache")
+        for _ in range(2):
+            assert read_decomposed(table) == small_ledger.truth
+        assert not (tmp_path / "cache").exists()
+
+    def test_eight_entries_bound_counts_both_readers(self, tmp_path, fill_cache,
+                                                     small_ledger, example_fills):
+        for i in range(5):
+            table = tmp_path / f"decomposed{i}.csv"
+            ledger = tmp_path / f"fills{i}.jsonl"
+            write_decomposed(table, small_ledger.truth[i:])
+            write_fills(ledger, example_fills[i:])
+            for _ in range(2):
+                read_decomposed(table)
+                read_fills(ledger)
+        assert len(cache_files(fill_cache)) == 8
+        assert len(cache_files(fill_cache, True)) == 8
 
 def reference_line(fill):
     """``json.dumps`` of the fill's canonical wire record: amounts as digit strings."""

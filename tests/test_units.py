@@ -1,6 +1,9 @@
+import random
+from datetime import datetime, timezone
+
 import pytest
 
-from fillflow.units import parse_utc
+from fillflow.units import format_date, format_utc, parse_utc
 
 
 class TestParseUtc:
@@ -22,3 +25,29 @@ class TestParseUtc:
     ], ids=["date", "zulu", "utc-offset", "epoch-digits", "integral-float"])
     def test_accepted(self, value, expected):
         assert parse_utc(value) == expected
+
+
+def strftime_utc(ts, form):
+    """The reference: strftime of the UTC datetime of ``ts``."""
+    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime(form)
+
+
+class TestFormatUtc:
+    # Each instant, one second either side of it and its day's first and last second.
+    EDGES = [parse_utc(text) for text in (
+        "1970-01-01", "1970-12-31T23:59:59Z", "1999-12-31T23:59:59Z", "2000-02-28T12:00:00Z",
+        "2000-02-29T23:59:59Z", "2000-03-01", "2023-12-31T23:59:59Z", "2024-02-29T06:30:15Z",
+        "2024-03-01", "2024-11-06T06:46:00Z", "2099-12-31T23:59:59Z", "2100-02-28T23:59:59Z",
+        "2100-03-01", "2100-12-31T23:59:59Z")]
+
+    def timestamps(self):
+        rng = random.Random(20241106)
+        near = [ts + delta for ts in self.EDGES for delta in (-1, 0, 1)]
+        days = [ts - ts % 86400 + offset for ts in self.EDGES for offset in (0, 86399)]
+        spread = [rng.randrange(0, parse_utc("2101-01-01")) for _ in range(10_000)]
+        return [ts for ts in near + days + spread if ts >= 0]
+
+    def test_labels_equal_strftime(self):
+        for ts in self.timestamps():
+            assert format_utc(ts) == strftime_utc(ts, "%Y-%m-%dT%H:%M:%SZ"), ts
+            assert format_date(ts) == strftime_utc(ts, "%Y-%m-%d"), ts
