@@ -25,48 +25,17 @@ import click
 from . import __version__
 from .decompose import decompose_ledger, read_decomposed, write_decomposed
 from .errors import ConfigError, DataError, FillflowError
-from .events import (
-    file_sha256,
-    fill_from_record,
-    fill_lines,
-    group_transactions,
-    load_block_times,
-    load_market_config,
-    read_fills,
-    write_fills,
-    write_market_config,
-    write_table,
-)
+from .events import (file_sha256, fill_from_record, fill_lines, group_transactions,
+                     load_block_times, load_market_config, read_fills, write_fills,
+                     write_market_config, write_table)
 from .metrics import aggregate_components, side_measures
-from .microstructure import (
-    hourly_bars,
-    lambda_volume_regression,
-    price_impact_delta_p,
-    rolling_avg_volume,
-    rolling_kyle_lambda,
-    sign_trades,
-)
-from .prices import (
-    arbitrage_deviation,
-    build_price_series,
-    daily_net_inflow,
-    rolling_inflow_correlation,
-    splice_democrat_market,
-)
-from .traders import (
-    cell_bitmask,
-    collect_trader_activity,
-    hourly_active_traders,
-    participation_sets,
-    top_decile_traders,
-)
-from .units import (
-    DEFAULT_WINDOW_END,
-    format_date,
-    format_utc,
-    micro_to_usd,
-    parse_utc,
-)
+from .microstructure import (hourly_bars, lambda_volume_regression, price_impact_delta_p,
+                             rolling_avg_volume, rolling_kyle_lambda, sign_trades)
+from .prices import (arbitrage_deviation, build_price_series, daily_net_inflow,
+                     rolling_inflow_correlation, splice_democrat_market)
+from .traders import (cell_bitmask, collect_trader_activity, hourly_active_traders,
+                      participation_sets, top_decile_traders)
+from .units import DEFAULT_WINDOW_END, format_date, format_utc, micro_to_usd, parse_utc
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -78,52 +47,40 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def guarded(fn):
-    """Map package exceptions onto the documented exit codes."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ConfigError as exc:
-            _fail(EXIT_CONFIG, str(exc))
-        except (FillflowError, FileNotFoundError, OSError, json.JSONDecodeError) as exc:
-            _fail(EXIT_DATA, str(exc))
-
-    return wrapper
-
-
-def _utc(_ctx, _param, value):
-    if value is None:
-        return None
-    try:
-        return parse_utc(value)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
-
-
-def _write_manifest(out_dir: Path, subcommand: str, params: dict, inputs: list) -> None:
-    digests: dict[str, str] = {}
-    for path in inputs:
-        path = Path(path)
-        name = path.name
-        if name in digests:
-            name = f"{name}#{len(digests)}"
-        digests[name] = file_sha256(path)
-    doc = {"subcommand": subcommand, "params": params}
-    config_hash = hashlib.sha256(
-        json.dumps(doc, sort_keys=True).encode("utf-8")
-    ).hexdigest()
-    doc.update({"configHash": config_hash, "inputs": digests, "version": __version__})
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+def _write_json(path: Path, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-def _out_dir(path: str) -> Path:
+def _write_manifest(out_dir: Path, subcommand: str, params: dict, inputs: list) -> None:
+    digests: dict[str, str] = {}
+    for path in map(Path, inputs):
+        name = f"{path.name}#{len(digests)}" if path.name in digests else path.name
+        digests[name] = file_sha256(path)
+    doc = {"subcommand": subcommand, "params": params}
+    config_hash = hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
+    doc.update({"configHash": config_hash, "inputs": digests, "version": __version__})
+    _write_json(out_dir / "manifest.json", doc)
+
+
+def _out_dir(path) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _finish(out, subcommand: str, params: dict, inputs: list, tables=()) -> Path:
+    """Write each ``(name, fields, rows, fmt)`` table into directory ``out``, then its manifest.
+
+    A command writes its other artifacts first, so the manifest is the last file of a run.
+    Returns the directory.
+    """
+    out_dir = _out_dir(out)
+    for name, fields, rows, fmt in tables:
+        write_table(out_dir / name, fields, rows, fmt)
+    _write_manifest(out_dir, subcommand, params, inputs)
+    return out_dir
 
 
 def _fmt_float(value) -> str:
@@ -148,14 +105,15 @@ def _gc_paused():
             gc.enable()
 
 
-def _load_transactions(inputs, markets_path):
+def _load_transactions(inputs, markets_path=None, block_times=None):
+    """The transactions of every ledger in ``inputs``, read in order with the ``block_times``
+    sidecar, and the market config at ``markets_path`` (None without one)."""
     with _gc_paused():
         fills = []
         for path in inputs:
-            fills.extend(read_fills(path))
+            fills.extend(read_fills(path, block_times))
         transactions = group_transactions(fills)
-    markets = load_market_config(markets_path)
-    return transactions, markets
+    return transactions, load_market_config(markets_path) if markets_path else None
 
 
 def _check_range(start, end):
@@ -180,109 +138,135 @@ def _find_market(markets, name):
                       f"({', '.join(m.candidate for m in markets)})")
 
 
-def _parse_excludes(value: str | None) -> list[str]:
-    if not value:
-        return []
+def _parse_excludes(value: str) -> list[str]:
+    """Comma-separated addresses, or ``@FILE`` with one per line."""
+    items = value.split(",")
     if value.startswith("@"):
         try:
-            text = Path(value[1:]).read_text(encoding="utf-8")
+            items = Path(value[1:]).read_text(encoding="utf-8").splitlines()
         except UnicodeDecodeError as exc:
             raise ConfigError(
                 f"--exclude-addresses file {value[1:]}: not valid UTF-8: {exc}") from exc
-        return [line.strip() for line in text.splitlines() if line.strip()]
-    return [item.strip() for item in value.split(",") if item.strip()]
+    return [item.strip() for item in items if item.strip()]
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
+@click.group(context_settings={"help_option_names": ["-h", "--help"],
+                               "show_default": True})
 @click.version_option(__version__)
 def main():
     """Reconstruct prediction-market activity from fill-event ledgers."""
 
 
-# ---------------------------------------------------------------- ingest
+def _command(name=None):
+    """Register the function as subcommand ``name`` of ``main``, mapping package exceptions
+    onto the documented exit codes."""
+    def register(fn):
+        @functools.wraps(fn)
+        def guarded(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except ConfigError as exc:
+                _fail(EXIT_CONFIG, str(exc))
+            except (FillflowError, OSError, json.JSONDecodeError) as exc:
+                _fail(EXIT_DATA, str(exc))
+        return main.command(name)(guarded)
+    return register
 
 
-@main.command()
-@click.option("--input", "inputs", multiple=True, type=click.Path(exists=True),
-              help="Ledger shard (JSONL or CSV); repeatable.")
+# Options shared by subcommands; a command passes the help text, type or default it shows.
+_inputs = functools.partial(click.option, "--input", "inputs", multiple=True, required=True,
+                            type=click.Path(exists=True))
+_markets = functools.partial(click.option, "--markets", "markets_path", required=True,
+                             type=click.Path(exists=True))
+_market = functools.partial(click.option, "--market", required=True)
+_step_days = functools.partial(click.option, "--step-days", type=click.IntRange(min=1), default=1)
+_format = functools.partial(click.option, "--format", "fmt", type=click.Choice(["csv", "json"]),
+                            default="csv")
+_out = functools.partial(click.option, "--out", required=True, type=click.Path())
+
+
+def _window(help_from=None, help_to=None):
+    """``--from`` and ``--to`` as ``start`` and ``end``, ISO-8601 UTC parsed to epoch seconds."""
+    def utc(_ctx, _param, value):
+        try:
+            return None if value is None else parse_utc(value)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc))
+
+    def decorate(fn):
+        fn = click.option("--to", "end", callback=utc, help=help_to)(fn)
+        return click.option("--from", "start", callback=utc, help=help_from)(fn)
+    return decorate
+
+
+def _suffix(fmt: str) -> str:
+    return "csv" if fmt == "csv" else "jsonl"
+
+
+@_command()
+@_inputs(help="Ledger shard (JSONL or CSV); repeatable.", required=False)
 @click.option("--endpoint", help="Optional log endpoint to fetch from.")
 @click.option("--from-block", type=int, help="Fetch range start (inclusive).")
 @click.option("--to-block", type=int, help="Fetch range end (exclusive).")
-@click.option("--page-size", type=click.IntRange(min=1), default=1000, show_default=True)
+@click.option("--page-size", type=click.IntRange(min=1), default=1000)
 @click.option("--checkpoint", type=click.Path(), help="Checkpoint file for resumable fetch.")
 @click.option("--block-times", type=click.Path(exists=True),
               help="Block->timestamp sidecar JSON for records without timestamps.")
-@click.option("--format", "fmt", type=click.Choice(["jsonl", "csv"]), default="jsonl",
-              show_default=True)
-@click.option("--out", required=True, type=click.Path(), help="Output directory.")
-@guarded
-def ingest(inputs, endpoint, from_block, to_block, page_size, checkpoint,
-           block_times, fmt, out):
+@_format(type=click.Choice(["jsonl", "csv"]), default="jsonl")
+@_out(help="Output directory.")
+def ingest(inputs, endpoint, from_block, to_block, page_size, checkpoint, block_times, fmt, out):
     """Parse, validate, merge, and normalize fill ledgers."""
     if not inputs and not endpoint:
         raise ConfigError("nothing to ingest: give --input and/or --endpoint")
     if endpoint and (from_block is None or to_block is None):
         raise ConfigError("--endpoint needs --from-block and --to-block")
     block_map = load_block_times(block_times) if block_times else None
-    fills = []
-    with _gc_paused():
-        for path in inputs:
-            fills.extend(read_fills(path, block_times=block_map))
-    out_dir = _out_dir(out)
-    spool = out_dir / "fetched.jsonl"
-    if endpoint:
-        from .fetch import fetch_event_logs
 
-        def encode(record):
-            return next(fill_lines([fill_from_record(record, block_times=block_map)]))
-
-        fetch_event_logs(endpoint, from_block, to_block, spool, encode, page_size,
-                         checkpoint_path=checkpoint)
-    with _gc_paused():
+    def ledgers():  # every shard is parsed before the endpoint is contacted
+        yield from inputs
         if endpoint:
-            fills.extend(read_fills(spool))
-        transactions = group_transactions(fills)
-    ordered = [fill for tx in transactions for fill in tx.fills]
+            from .fetch import fetch_event_logs
 
-    target = out_dir / ("fills.csv" if fmt == "csv" else "fills.jsonl")
+            def encode(record):
+                return next(fill_lines([fill_from_record(record, block_times=block_map)]))
+
+            spool = _out_dir(out) / "fetched.jsonl"
+            fetch_event_logs(endpoint, from_block, to_block, spool, encode, page_size,
+                             checkpoint_path=checkpoint)
+            yield spool
+
+    transactions, _ = _load_transactions(ledgers(), block_times=block_map)
+    ordered = [fill for tx in transactions for fill in tx.fills]
+    target = _out_dir(out) / f"fills.{_suffix(fmt)}"
     write_fills(target, ordered, fmt)
-    _write_manifest(out_dir, "ingest",
-                    {"format": fmt, "endpoint": endpoint, "fromBlock": from_block,
-                     "toBlock": to_block, "pageSize": page_size},
-                    list(inputs) + ([block_times] if block_times else []))
+    _finish(out, "ingest",
+            {"format": fmt, "endpoint": endpoint, "fromBlock": from_block,
+             "toBlock": to_block, "pageSize": page_size},
+            [*inputs, *([block_times] if block_times else [])])
     click.echo(f"ingested {len(ordered)} fills in {len(transactions)} transactions -> {target}")
 
 
-# ---------------------------------------------------------------- decompose
-
-
-@main.command()
-@click.option("--input", "inputs", multiple=True, required=True, type=click.Path(exists=True))
-@click.option("--markets", "markets_path", required=True, type=click.Path(exists=True))
-@click.option("--from", "start", callback=_utc, help="ISO-8601 UTC inclusive start.")
-@click.option("--to", "end", callback=_utc, help="ISO-8601 UTC exclusive end.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
+@_command()
+@_inputs()
+@_markets()
+@_window("ISO-8601 UTC inclusive start.", "ISO-8601 UTC exclusive end.")
+@_format()
 @click.option("--max-anomalies", type=click.IntRange(min=0), default=None,
               help="Fail with exit code 4 when more transactions are quarantined.")
-@click.option("--out", required=True, type=click.Path())
-@guarded
+@_out()
 def decompose(inputs, markets_path, start, end, fmt, max_anomalies, out):
     """Decompose transactions into the six volume components."""
     transactions, markets = _load_transactions(inputs, markets_path)
     transactions = _clip(transactions, start, end)
     rows, anomalies = decompose_ledger(transactions, markets)
 
-    out_dir = _out_dir(out)
-    target = out_dir / ("decomposed.csv" if fmt == "csv" else "decomposed.jsonl")
+    target = _out_dir(out) / f"decomposed.{_suffix(fmt)}"
     write_decomposed(target, rows, fmt)
-    if anomalies:
-        write_table(out_dir / "quarantine.jsonl",
-                    ["block", "txIndex", "timestamp", "market", "reason"], anomalies, "jsonl")
-    _write_manifest(out_dir, "decompose",
-                    {"format": fmt, "from": start, "to": end,
-                     "maxAnomalies": max_anomalies},
-                    list(inputs) + [markets_path])
+    quarantine = ("quarantine.jsonl", ["block", "txIndex", "timestamp", "market", "reason"],
+                  anomalies, "jsonl")
+    _finish(out, "decompose",
+            {"format": fmt, "from": start, "to": end, "maxAnomalies": max_anomalies},
+            [*inputs, markets_path], [quarantine] if anomalies else [])
     click.echo(f"decomposed {len(rows)} rows from {len(transactions)} transactions; "
                f"{len(anomalies)} quarantined -> {target}")
     if max_anomalies is not None and len(anomalies) > max_anomalies:
@@ -290,24 +274,15 @@ def decompose(inputs, markets_path, start, end, fmt, max_anomalies, out):
               f"{len(anomalies)} anomalous transactions exceed threshold {max_anomalies}")
 
 
-# ---------------------------------------------------------------- metrics
-
-
-@main.command()
-@click.option("--input", "inputs", multiple=True, required=True, type=click.Path(exists=True),
-              help="Decomposed ledger (CSV or JSONL) from the decompose step.")
-@click.option("--market", required=True)
-@click.option("--side", type=click.Choice(["yes", "no", "combined", "all"]), default="all",
-              show_default=True)
-@click.option("--partition", type=click.Choice(["hour", "day", "month"]), default="month",
-              show_default=True)
-@click.option("--from", "start", callback=_utc)
-@click.option("--to", "end", callback=_utc)
+@_command()
+@_inputs(help="Decomposed ledger (CSV or JSONL) from the decompose step.")
+@_market()
+@click.option("--side", type=click.Choice(["yes", "no", "combined", "all"]), default="all")
+@click.option("--partition", type=click.Choice(["hour", "day", "month"]), default="month")
+@_window()
 @click.option("--dense", is_flag=True, help="Emit empty intervals with zero totals.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
-@click.option("--out", required=True, type=click.Path())
-@guarded
+@_format()
+@_out()
 def metrics(inputs, market, side, partition, start, end, dense, fmt, out):
     """Exchange-equivalent volume, net inflow, and gross activity per interval."""
     _check_range(start, end)
@@ -318,97 +293,70 @@ def metrics(inputs, market, side, partition, start, end, dense, fmt, out):
                         f"(markets present: {', '.join(sorted(present)) or 'none'})")
     totals = aggregate_components(records, partition, market=market,
                                   dense=dense, start=start, end=end)
+    label = {"hour": format_utc, "day": format_date}.get(partition, lambda ts: format_date(ts)[:7])
     sides = ["yes", "no", "combined"] if side == "all" else [side]
-    fieldnames = ["interval"]
-    for s in sides:
-        fieldnames += [f"{s}VE", f"{s}F", f"{s}VG"]
+    fields = ["interval", *(f"{s}{m}" for s in sides for m in ("VE", "F", "VG"))]
+    zero = [micro_to_usd(0)] * (3 * len(sides))  # the cells of each interval without components
     rows = []
     for t in totals:
-        row = [_interval_label(t.start, partition)]
-        for s in sides:
-            row += map(micro_to_usd, side_measures(t.side(s)))
-        rows.append(row)
+        cells = zero if t.yes == t.no == (0, 0, 0) else [
+            cell for s in sides for cell in map(micro_to_usd, side_measures(t.side(s)))]
+        rows.append([label(t.start), *cells])
 
-    out_dir = _out_dir(out)
-    target = out_dir / ("metrics.csv" if fmt == "csv" else "metrics.jsonl")
-    write_table(target, fieldnames, rows, fmt)
-    _write_manifest(out_dir, "metrics",
-                    {"market": market, "side": side, "partition": partition,
-                     "from": start, "to": end, "dense": dense, "format": fmt},
-                    list(inputs))
-    click.echo(f"{len(rows)} intervals -> {target}")
+    name = f"metrics.{_suffix(fmt)}"
+    out_dir = _finish(out, "metrics",
+                      {"market": market, "side": side, "partition": partition,
+                       "from": start, "to": end, "dense": dense, "format": fmt},
+                      inputs, [(name, fields, rows, fmt)])
+    click.echo(f"{len(rows)} intervals -> {out_dir / name}")
 
 
-def _interval_label(ts: int, partition: str) -> str:
-    if partition == "hour":
-        return format_utc(ts)
-    if partition == "day":
-        return format_date(ts)
-    return format_date(ts)[:7]
-
-
-# ---------------------------------------------------------------- deviation
-
-
-@main.command()
-@click.option("--input", "inputs", multiple=True, required=True, type=click.Path(exists=True))
-@click.option("--markets", "markets_path", required=True, type=click.Path(exists=True))
-@click.option("--market", required=True)
-@click.option("--grid-step", type=click.IntRange(min=1), default=3600, show_default=True,
+@_command()
+@_inputs()
+@_markets()
+@_market()
+@click.option("--grid-step", type=click.IntRange(min=1), default=3600,
               help="Grid step in seconds.")
 @click.option("--max-staleness", type=click.IntRange(min=0), default=None,
               help="Drop grid points where either leg's last trade is older (seconds).")
-@click.option("--from", "start", callback=_utc)
-@click.option("--to", "end", callback=_utc)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
-@click.option("--out", required=True, type=click.Path())
-@guarded
+@_window()
+@_format()
+@_out()
 def deviation(inputs, markets_path, market, grid_step, max_staleness, start, end, fmt, out):
     """Arbitrage deviation p_yes + p_no - 1 on a carry-forward price grid."""
     transactions, markets = _load_transactions(inputs, markets_path)
     transactions = _clip(transactions, start, end)
     spec = _find_market(markets, market)
-    yes_series = build_price_series(transactions, spec.yes_token_id)
-    no_series = build_price_series(transactions, spec.no_token_id)
-    points = arbitrage_deviation(yes_series, no_series, grid_step)
+    points = arbitrage_deviation(build_price_series(transactions, spec.yes_token_id),
+                                 build_price_series(transactions, spec.no_token_id), grid_step)
     if max_staleness is not None:
-        points = [p for p in points
-                  if max(p.yes_staleness, p.no_staleness) <= max_staleness]
+        points = [p for p in points if max(p.yes_staleness, p.no_staleness) <= max_staleness]
 
     rows = [(format_utc(t), repr(delta), repr(p_yes), repr(p_no), yes_staleness, no_staleness)
             for t, delta, p_yes, p_no, yes_staleness, no_staleness in points]
-    out_dir = _out_dir(out)
-    target = out_dir / ("deviation.csv" if fmt == "csv" else "deviation.jsonl")
-    write_table(target, ["timestamp", "delta", "pYes", "pNo", "yesStaleness", "noStaleness"],
-                rows, fmt)
-    _write_manifest(out_dir, "deviation",
-                    {"market": market, "gridStep": grid_step,
-                     "maxStaleness": max_staleness, "from": start, "to": end,
-                     "format": fmt},
-                    list(inputs) + [markets_path])
-    click.echo(f"{len(rows)} grid points -> {target}")
+    name = f"deviation.{_suffix(fmt)}"
+    out_dir = _finish(out, "deviation",
+                      {"market": market, "gridStep": grid_step,
+                       "maxStaleness": max_staleness, "from": start, "to": end,
+                       "format": fmt},
+                      [*inputs, markets_path],
+                      [(name, ["timestamp", "delta", "pYes", "pNo", "yesStaleness",
+                               "noStaleness"], rows, fmt)])
+    click.echo(f"{len(rows)} grid points -> {out_dir / name}")
 
 
-# ---------------------------------------------------------------- disagreement
-
-
-@main.command()
-@click.option("--input", "inputs", multiple=True, required=True, type=click.Path(exists=True),
-              help="Decomposed ledger covering all involved markets.")
-@click.option("--market-a", default="Trump", show_default=True)
-@click.option("--first-democrat", default="Biden", show_default=True)
-@click.option("--second-democrat", default="Harris", show_default=True)
-@click.option("--splice-day", default="2024-07-21", show_default=True)
-@click.option("--side", type=click.Choice(["yes", "no"]), default="yes", show_default=True)
-@click.option("--corr-window-days", type=click.IntRange(min=2), default=90, show_default=True)
-@click.option("--step-days", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--from", "start", callback=_utc)
-@click.option("--to", "end", callback=_utc)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
-@click.option("--out", required=True, type=click.Path())
-@guarded
+@_command()
+@_inputs(help="Decomposed ledger covering all involved markets.")
+@click.option("--market-a", default="Trump")
+@click.option("--first-democrat", default="Biden")
+@click.option("--second-democrat", default="Harris")
+@click.option("--splice-day", default="2024-07-21")
+@click.option("--side", type=click.Choice(["yes", "no"]), default="yes")
+@click.option("--corr-window-days", type=click.IntRange(min=2), default=90)
+@_step_days()
+@_window()
+@_format()
+@_out()
 def disagreement(inputs, market_a, first_democrat, second_democrat, splice_day, side,
                  corr_window_days, step_days, start, end, fmt, out):
     """Rolling correlation of daily net inflow: one market vs a spliced pair."""
@@ -417,52 +365,41 @@ def disagreement(inputs, market_a, first_democrat, second_democrat, splice_day, 
     series_a = daily_net_inflow(records, market_a, side, start=start, end=end)
     series_b = splice_democrat_market(records, first_democrat, second_democrat,
                                       splice_day, side, start=start, end=end)
-    correlation = rolling_inflow_correlation(series_a, series_b,
-                                             corr_window_days, step_days)
+    correlation = rolling_inflow_correlation(series_a, series_b, corr_window_days, step_days)
 
-    out_dir = _out_dir(out)
-    inflow_rows = []
     b_by_day = dict(zip(series_b.days, series_b.values))
-    for day, value in zip(series_a.days, series_a.values):
-        if day in b_by_day:
-            inflow_rows.append((format_date(day), micro_to_usd(value),
-                                micro_to_usd(b_by_day[day])))
-    suffix = "csv" if fmt == "csv" else "jsonl"
-    write_table(out_dir / f"inflows.{suffix}",
-                ["day", f"{market_a}F", "democratF"], inflow_rows, fmt)
+    inflow_rows = [(format_date(day), micro_to_usd(value), micro_to_usd(b_by_day[day]))
+                   for day, value in zip(series_a.days, series_a.values) if day in b_by_day]
     corr_rows = [(format_date(day), _fmt_float(value)) for day, value in correlation]
-    write_table(out_dir / f"correlation.{suffix}",
-                ["day", "correlation"], corr_rows, fmt)
-    _write_manifest(out_dir, "disagreement",
-                    {"marketA": market_a, "firstDemocrat": first_democrat,
-                     "secondDemocrat": second_democrat, "spliceDay": splice_day,
-                     "side": side, "corrWindowDays": corr_window_days,
-                     "stepDays": step_days, "from": start, "to": end, "format": fmt},
-                    list(inputs))
+    suffix = _suffix(fmt)
+    out_dir = _finish(out, "disagreement",
+                      {"marketA": market_a, "firstDemocrat": first_democrat,
+                       "secondDemocrat": second_democrat, "spliceDay": splice_day,
+                       "side": side, "corrWindowDays": corr_window_days,
+                       "stepDays": step_days, "from": start, "to": end, "format": fmt},
+                      inputs,
+                      [(f"inflows.{suffix}", ["day", f"{market_a}F", "democratF"],
+                        inflow_rows, fmt),
+                       (f"correlation.{suffix}", ["day", "correlation"], corr_rows, fmt)])
     click.echo(f"{len(corr_rows)} correlation points -> {out_dir}")
 
 
-# ---------------------------------------------------------------- lambda
-
-
-@main.command(name="lambda")
-@click.option("--input", "inputs", multiple=True, required=True, type=click.Path(exists=True))
-@click.option("--markets", "markets_path", required=True, type=click.Path(exists=True))
-@click.option("--market", required=True)
-@click.option("--side", type=click.Choice(["yes", "no"]), default="yes", show_default=True)
-@click.option("--window-hours", type=click.IntRange(min=2), default=720, show_default=True)
-@click.option("--step-days", type=click.IntRange(min=1), default=1, show_default=True)
+@_command("lambda")
+@_inputs()
+@_markets()
+@_market()
+@click.option("--side", type=click.Choice(["yes", "no"]), default="yes")
+@click.option("--window-hours", type=click.IntRange(min=2), default=720)
+@_step_days()
 @click.option("--weight", type=click.Choice(["shares", "usd"]), default="shares",
-              show_default=True, help="VWAP weight convention.")
+              help="VWAP weight convention.")
 @click.option("--clamp-eps", type=click.FloatRange(0, 0.5, min_open=True, max_open=True),
-              default=1e-6, show_default=True)
-@click.option("--vol-window-days", type=click.IntRange(min=1), default=30, show_default=True)
+              default=1e-6)
+@click.option("--vol-window-days", type=click.IntRange(min=1), default=30)
 @click.option("--no-intercept", is_flag=True,
               help="Drop the intercept from the lambda-on-volume regression.")
-@click.option("--from", "start", callback=_utc)
-@click.option("--to", "end", callback=_utc)
-@click.option("--out", required=True, type=click.Path())
-@guarded
+@_window()
+@_out()
 def lambda_(inputs, markets_path, market, side, window_hours, step_days, weight,
             clamp_eps, vol_window_days, no_intercept, start, end, out):
     """Rolling price-impact estimates and the impact-on-volume regression."""
@@ -481,54 +418,38 @@ def lambda_(inputs, markets_path, market, side, window_hours, step_days, weight,
     if anomalies:
         click.echo(f"warning: {len(anomalies)} anomalous transactions skipped", err=True)
     daily = aggregate_components(decomposed, "day", market=market, dense=True)
-    volume_by_date: dict[int, float] = {}
-    if daily:
-        days = [t.start for t in daily]
-        volumes = [side_measures(t.side(side)).v_e / 10**12 for t in daily]
-        volume_by_date = dict(rolling_avg_volume(days, volumes, vol_window_days))
+    volume_by_date = dict(rolling_avg_volume(
+        [t.start for t in daily], [side_measures(t.side(side)).v_e / 10**12 for t in daily],
+        vol_window_days))
 
     rows = [(format_date(e.date), _fmt_float(e.value), _fmt_float(e.stderr), e.n_obs,
              _fmt_float(volume_by_date.get(e.date))) for e in estimates]
-    out_dir = _out_dir(out)
-    write_table(out_dir / "lambda.csv", ["date", "lambda", "se", "n", "avgVolume"],
-                rows, "csv")
-
     paired = [(e.value, volume_by_date[e.date]) for e in estimates
               if e.value is not None and e.date in volume_by_date]
     regression = None
     if len(paired) >= 3 and len({v for _, v in paired}) > 1:
         fit = lambda_volume_regression([p[0] for p in paired], [p[1] for p in paired],
                                        intercept=not no_intercept)
-        regression = {
-            "slope": fit.slope, "intercept": fit.intercept,
-            "tSlope": fit.t_slope, "tIntercept": fit.t_intercept,
-            "r2": fit.r2, "adjR2": fit.adj_r2, "n": fit.n,
-        }
-    with open(out_dir / "lambda_regression.json", "w", encoding="utf-8") as fh:
-        json.dump({"regression": regression}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-    _write_manifest(out_dir, "lambda",
-                    {"market": market, "side": side, "windowHours": window_hours,
-                     "stepDays": step_days, "weight": weight, "clampEps": clamp_eps,
-                     "volWindowDays": vol_window_days, "noIntercept": no_intercept,
-                     "from": start, "to": end},
-                    list(inputs) + [markets_path])
+        regression = {"slope": fit.slope, "intercept": fit.intercept, "tSlope": fit.t_slope,
+                      "tIntercept": fit.t_intercept, "r2": fit.r2, "adjR2": fit.adj_r2,
+                      "n": fit.n}
+    _write_json(_out_dir(out) / "lambda_regression.json", {"regression": regression})
+    out_dir = _finish(out, "lambda",
+                      {"market": market, "side": side, "windowHours": window_hours,
+                       "stepDays": step_days, "weight": weight, "clampEps": clamp_eps,
+                       "volWindowDays": vol_window_days, "noIntercept": no_intercept,
+                       "from": start, "to": end},
+                      [*inputs, markets_path],
+                      [("lambda.csv", ["date", "lambda", "se", "n", "avgVolume"], rows, "csv")])
     click.echo(f"{len(rows)} estimates -> {out_dir / 'lambda.csv'}")
 
 
-# ---------------------------------------------------------------- impact
-
-
-@main.command()
+@_command()
 @click.option("--lam", "lam", type=float, required=True,
               help="Price impact in log-odds per million USD.")
 @click.option("--price", type=float, required=True)
-@click.option("--flow", type=float, default=1.0, show_default=True,
-              help="Net signed flow in million USD.")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
-              show_default=True)
-@guarded
+@click.option("--flow", type=float, default=1.0, help="Net signed flow in million USD.")
+@_format(type=click.Choice(["text", "json"]), default="text")
 def impact(lam, price, flow, fmt):
     """Convert a price-impact coefficient into a price move."""
     if not 0 < price < 1:
@@ -541,23 +462,17 @@ def impact(lam, price, flow, fmt):
         click.echo(f"delta_p = {delta_p!r}")
 
 
-# ---------------------------------------------------------------- traders
-
-
-@main.command(name="traders")
-@click.option("--input", "inputs", multiple=True, required=True, type=click.Path(exists=True))
-@click.option("--markets", "markets_path", required=True, type=click.Path(exists=True))
+@_command("traders")
+@_inputs()
+@_markets()
 @click.option("--quarter", help="Calendar quarter like 2024Q4 (capped at the sample end).")
-@click.option("--from", "start", callback=_utc)
-@click.option("--to", "end", callback=_utc)
-@click.option("--by", type=click.Choice(["volume", "frequency"]), default="volume",
-              show_default=True)
-@click.option("--exclude-addresses", default="",
+@_window()
+@click.option("--by", type=click.Choice(["volume", "frequency"]), default="volume")
+@click.option("--exclude-addresses", default="", show_default=False,
               help="Comma-separated addresses, or @file with one per line.")
 @click.option("--per-market", is_flag=True,
               help="Count hourly activity once per (trader, market) instead of per trader.")
-@click.option("--out", required=True, type=click.Path())
-@guarded
+@_out()
 def traders_cmd(inputs, markets_path, quarter, start, end, by, exclude_addresses,
                 per_market, out):
     """Hourly activity profile, top-decile traders, and participation cells."""
@@ -569,72 +484,60 @@ def traders_cmd(inputs, markets_path, quarter, start, end, by, exclude_addresses
     if (start is None or end is None) and not transactions:
         raise DataError("the ledger has no transactions to take the window bounds from; "
                         "give --from and --to, or --quarter")
-    if start is None:
-        start = min(tx.timestamp for tx in transactions)
-    if end is None:
-        end = max(tx.timestamp for tx in transactions) + 1
+    start = min(tx.timestamp for tx in transactions) if start is None else start
+    end = max(tx.timestamp for tx in transactions) + 1 if end is None else end
     window = _clip(transactions, start, end)
     exclude = _parse_excludes(exclude_addresses)
 
-    out_dir = _out_dir(out)
     activity = collect_trader_activity(window, markets, exclude)
     hourly = hourly_active_traders(activity, start, end, per_market=per_market)
-    write_table(out_dir / "hourly.csv", ["hour", "meanActiveTraders"],
-                [(h, _fmt_float(v)) for h, v in enumerate(hourly)], "csv")
-
     try:
         top = top_decile_traders(activity, by)
     except DataError as exc:
         top = []
         click.echo(f"warning: {exc}", err=True)
-    (out_dir / "top_decile.txt").write_text("".join(a + "\n" for a in top), encoding="utf-8")
-
     cells, marginals, candidate_cells = participation_sets(activity)
-    write_table(out_dir / "participation.csv",
-                ["bitmask", "markets", "count", "sharePct"],
-                [(cell_bitmask(c.markets, markets), "|".join(sorted(c.markets)), c.count,
-                  _fmt_float(c.share)) for c in cells], "csv")
-    write_table(out_dir / "marginals.csv", ["market", "sharePct"],
-                [(name, _fmt_float(pct)) for name, pct in marginals.items()], "csv")
-    write_table(out_dir / "candidate_overlap.csv", ["candidates", "count", "sharePct"],
-                [("|".join(sorted(c.markets)), c.count, _fmt_float(c.share))
-                 for c in candidate_cells], "csv")
 
-    _write_manifest(out_dir, "traders",
-                    {"quarter": quarter, "from": start, "to": end, "by": by,
-                     "excludeAddresses": sorted(exclude), "perMarket": per_market},
-                    list(inputs) + [markets_path])
+    (_out_dir(out) / "top_decile.txt").write_text("".join(a + "\n" for a in top),
+                                                   encoding="utf-8")
+    out_dir = _finish(
+        out, "traders",
+        {"quarter": quarter, "from": start, "to": end, "by": by,
+         "excludeAddresses": sorted(exclude), "perMarket": per_market},
+        [*inputs, markets_path],
+        [("hourly.csv", ["hour", "meanActiveTraders"],
+          [(h, _fmt_float(v)) for h, v in enumerate(hourly)], "csv"),
+         ("participation.csv", ["bitmask", "markets", "count", "sharePct"],
+          [(cell_bitmask(c.markets, markets), "|".join(sorted(c.markets)), c.count,
+            _fmt_float(c.share)) for c in cells], "csv"),
+         ("marginals.csv", ["market", "sharePct"],
+          [(name, _fmt_float(pct)) for name, pct in marginals.items()], "csv"),
+         ("candidate_overlap.csv", ["candidates", "count", "sharePct"],
+          [("|".join(sorted(c.markets)), c.count, _fmt_float(c.share))
+           for c in candidate_cells], "csv")])
     click.echo(f"{len(cells)} participation cells -> {out_dir}")
 
 
 def _quarter_bounds(quarter: str, explicit_end: int | None) -> tuple[int, int]:
     try:
-        year, number = quarter.upper().split("Q")
-        year, number = int(year), int(number)
+        year, number = map(int, quarter.upper().split("Q"))
         if not 1 <= number <= 4:
             raise ValueError
+        # A year whose quarter has no ISO date, such as 0 or -5, is a bad quarter too.
+        start = parse_utc(f"{year:04d}-{3 * number - 2:02d}-01")
+        end = parse_utc(f"{year + number // 4:04d}-{3 * number % 12 + 1:02d}-01")
     except ValueError:
         raise ConfigError(f"bad quarter {quarter!r}; expected e.g. 2024Q4")
-    start_month = 3 * (number - 1) + 1
-    start = parse_utc(f"{year:04d}-{start_month:02d}-01")
-    if number == 4:
-        end = parse_utc(f"{year + 1:04d}-01-01")
-    else:
-        end = parse_utc(f"{year:04d}-{start_month + 3:02d}-01")
     cutoff = explicit_end if explicit_end is not None else parse_utc(DEFAULT_WINDOW_END)
     if start < cutoff < end:
         end = cutoff
     return start, end
 
 
-# ---------------------------------------------------------------- simulate
-
-
-@main.command()
+@_command()
 @click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True))
 @click.option("--seed", type=int, help="Override the scenario seed.")
-@click.option("--out", required=True, type=click.Path())
-@guarded
+@_out()
 def simulate(scenario_path, seed, out):
     """Generate a synthetic ledger plus its ground-truth sidecar."""
     from .synthetic import generate_synthetic_ledger, load_scenario
@@ -646,23 +549,18 @@ def simulate(scenario_path, seed, out):
     write_fills(out_dir / "fills.jsonl", ledger.fills)
     write_decomposed(out_dir / "ground_truth.jsonl", ledger.truth, "jsonl")
     write_market_config(out_dir / "markets.json", ledger.markets)
-    meta = {
+    _write_json(out_dir / "simulation.json", {
         "exchangeAddress": ledger.exchange_address,
         "transactions": ledger.transaction_count(),
         "fills": len(ledger.fills),
-        "arbitrageEvents": [
-            {"timestamp": e.timestamp, "market": e.market, "action": e.action,
-             "quantity": e.quantity, "deltaBefore": e.delta_before,
-             "deltaAfter": e.delta_after}
-            for e in ledger.arbitrage_events
-        ],
+        "arbitrageEvents": [{"timestamp": e.timestamp, "market": e.market, "action": e.action,
+                             "quantity": e.quantity, "deltaBefore": e.delta_before,
+                             "deltaAfter": e.delta_after} for e in ledger.arbitrage_events],
         "seed": scenario.seed,
-    }
-    with open(out_dir / "simulation.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    _write_manifest(out_dir, "simulate", {"seed": scenario.seed}, [scenario_path])
-    click.echo(f"{ledger.transaction_count()} transactions, {len(ledger.fills)} fills -> {out_dir}")
+    })
+    _finish(out_dir, "simulate", {"seed": scenario.seed}, [scenario_path])
+    click.echo(f"{ledger.transaction_count()} transactions, {len(ledger.fills)} fills "
+               f"-> {out_dir}")
 
 
 if __name__ == "__main__":

@@ -240,24 +240,14 @@ def fill_from_record(
         raise SchemaError(f"line {line_no}: {exc}") from exc
 
 
-def read_table(path, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, record) from a ``.csv`` file or, for any other suffix, JSONL.
+def _table_records(fh, is_csv: bool, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, record) from CSV (``is_csv``) or JSONL text file ``fh``.
 
     A CSV file starts with a header naming every ``required`` column, and
     each row has exactly as many values as the header; a JSONL line is one
-    JSON object. Blank lines are skipped; violations, and bytes that are not
-    UTF-8, raise ParseError with the line number.
+    JSON object. Blank lines are skipped; violations raise ParseError with
+    the line number.
     """
-    is_csv = str(path).endswith(".csv")
-    try:
-        with open(path, encoding="utf-8", newline="" if is_csv else None) as fh:
-            yield from _table_records(fh, is_csv, required)
-    except UnicodeDecodeError:
-        raise _utf8_error(path) from None
-
-
-def _table_records(fh, is_csv: bool, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
-    """``read_table`` of text file ``fh``."""
     if is_csv:
         rows = _csv_rows(fh, required)
         header = next(rows, [])

@@ -7,7 +7,6 @@ at presentation time, so ledger arithmetic never touches floating point.
 
 from __future__ import annotations
 
-import calendar
 from datetime import datetime, timezone
 from functools import lru_cache
 
@@ -70,15 +69,25 @@ def day_floor(ts: int) -> int:
 
 
 def month_floor(ts: int) -> int:
-    dt = datetime.fromtimestamp(ts, tz=timezone.utc)
-    return int(datetime(dt.year, dt.month, 1, tzinfo=timezone.utc).timestamp())
+    """Start of the UTC month containing ``ts``, by exact integer civil-date arithmetic.
+
+    Days are counted in 400-year eras of 146,097 days, each year taken from March 1
+    so that a leap day ends it (the proleptic Gregorian calendar); the day of the
+    month then follows from the day of that year.
+    """
+    days = ts // DAY + 719468  # days since 0000-03-01
+    day_of_era = days % 146097
+    year_of_era = (day_of_era - day_of_era // 1460 + day_of_era // 36524
+                   - day_of_era // 146096) // 365
+    day_of_year = day_of_era - (365 * year_of_era + year_of_era // 4 - year_of_era // 100)
+    month = (5 * day_of_year + 2) // 153  # 0 for March, ..., 11 for February
+    month_start = (153 * month + 2) // 5  # the day of the year that month starts on
+    return (ts - ts % DAY) - (day_of_year - month_start) * DAY
 
 
 def next_month(ts: int) -> int:
-    """Start of the month after the month containing ``ts``."""
-    dt = datetime.fromtimestamp(ts, tz=timezone.utc)
-    days = calendar.monthrange(dt.year, dt.month)[1]
-    return int(datetime(dt.year, dt.month, 1, tzinfo=timezone.utc).timestamp()) + days * DAY
+    """Start of the month after the month containing ``ts``: no month is 32 days long."""
+    return month_floor(month_floor(ts) + 32 * DAY)
 
 
 def interval_floor(ts: int, partition: str) -> int:

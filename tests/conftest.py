@@ -1,9 +1,24 @@
 import pytest
 
+from fillflow import events
 from fillflow.events import group_transactions
 from fillflow.fixtures import fixture_fills, market_specs
 from fillflow.synthetic import SyntheticScenario, generate_synthetic_ledger
 from fillflow.units import parse_utc
+
+
+def read_table(path, required):
+    """Yield (line number, record) from a ``.csv`` file or, for any other suffix, JSONL: the
+    general reader, a dict per row, that the readers' fast paths are checked against.
+
+    A violation, or a byte that is not UTF-8, raises the ParseError the readers raise.
+    """
+    is_csv = str(path).endswith(".csv")
+    try:
+        with open(path, encoding="utf-8", newline="" if is_csv else None) as fh:
+            yield from events._table_records(fh, is_csv, required)
+    except UnicodeDecodeError:
+        raise events._utf8_error(path) from None
 
 
 @pytest.fixture(scope="session", autouse=True)

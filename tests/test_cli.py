@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import fillflow
-from fillflow import decompose, events
+from fillflow import decompose, events, fetch
 from fillflow.cli import main
 from fillflow.decompose import read_decomposed, write_decomposed
 from fillflow.events import FILL_FIELDS, write_fills, write_market_config, write_table
@@ -350,7 +351,8 @@ class TestFlagValidation:
         assert all(float(value) == 0 for key, value in rows[1].items() if key != "interval")
         assert float(rows[0]["combinedVG"]) > 0 and float(rows[2]["combinedVG"]) > 0
 
-    @pytest.mark.parametrize("quarter", ["2024Q5", "Q4"])
+    # A year without ISO dates for the quarter's bounds (0, 10000, negative) is bad too.
+    @pytest.mark.parametrize("quarter", ["2024Q5", "Q4", "0Q1", "9999Q4", "-5Q1"])
     def test_bad_quarter_exits_2(self, runner, fixture_dir, tmp_path, quarter):
         result = runner.invoke(main, [
             "traders", "--input", str(fixture_dir / "fills.jsonl"),
@@ -601,6 +603,33 @@ class TestIngestCommand:
         from fillflow.events import read_fills
         assert read_fills(out / "fills.csv") == sorted(
             example_fills, key=lambda f: f.key)
+
+    @pytest.mark.parametrize("malformed", [False, True], ids=["valid", "malformed"])
+    def test_every_shard_is_parsed_before_the_endpoint(self, runner, tmp_path, example_fills,
+                                                       monkeypatch, malformed):
+        calls = []
+
+        def recording_fetch(endpoint, from_block, to_block, spool, *args, **kwargs):
+            calls.append((endpoint, from_block, to_block))
+            Path(spool).write_text("", encoding="utf-8")
+
+        monkeypatch.setattr(fetch, "fetch_event_logs", recording_fetch)
+        shard = tmp_path / "shard.jsonl"
+        write_fills(shard, example_fills[:2])
+        if malformed:
+            with open(shard, "a", encoding="utf-8") as fh:
+                fh.write('{"block": "not a number"}\n')
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["ingest", "--input", str(shard), "--endpoint", "http://x",
+                                      "--from-block", "0", "--to-block", "10", "--out", str(out)])
+        if malformed:
+            assert result.exit_code == 3, result.output
+            assert "line 3" in result.output
+            assert calls == []
+            assert not (out / "fetched.jsonl").exists()
+        else:
+            assert result.exit_code == 0, result.output
+            assert calls == [("http://x", 0, 10)]
 
 
 RAW_LEDGER_OPTIONS = {
@@ -1009,3 +1038,24 @@ def test_readme_pipeline_runs_as_modules(tmp_path):
     digest = hashlib.sha256((tmp_path / "work/dec/decomposed.csv").read_bytes()).hexdigest()
     assert digest == FIXTURE_DECOMPOSED_SHA256
     assert (tmp_path / "work/met/metrics.csv").read_text().startswith("interval,")
+
+
+HELP_TEXT = Path(__file__).with_name("cli_help.txt")
+
+
+def recorded_help() -> dict[str, str]:
+    """The recorded ``--help`` outputs at 80 columns, by the command line that printed each."""
+    parts = re.split(r"^(\$ fillflow .*--help)\n", HELP_TEXT.read_text(encoding="utf-8"),
+                     flags=re.MULTILINE)
+    return dict(zip(parts[1::2], parts[2::2]))
+
+
+@pytest.mark.parametrize("command", [None, "decompose", "deviation", "disagreement", "impact",
+                                     "ingest", "lambda", "metrics", "simulate", "traders"])
+def test_help_text_is_the_recorded_text(runner, command):
+    args = [command, "--help"] if command else ["--help"]
+    result = runner.invoke(main, args, prog_name="fillflow", terminal_width=80)
+    assert result.exit_code == 0, result.output
+    recorded = recorded_help()
+    assert len(recorded) == 1 + len(main.commands) == 10
+    assert result.output == recorded["$ fillflow " + " ".join(args)]

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 from click.testing import CliRunner
+from conftest import read_table
 
 from fillflow import decompose
 from fillflow.cli import main
@@ -23,7 +24,7 @@ from fillflow.decompose import (
 )
 from fillflow.errors import ConfigError, DecompositionAnomalyError, ParseError
 from fillflow.events import (FillEvent, Transaction, group_transactions, market_slots,
-                             read_table, write_fills, write_market_config, write_table)
+                             write_fills, write_market_config, write_table)
 from fillflow.fixtures import expected_decompositions
 from fillflow.metrics import IntervalTotals, MarketMeasures, SideTotals
 from fillflow.microstructure import HourBar, LambdaEstimate, RegressionResult, SignedTrade

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from conftest import read_table
 
 from fillflow import decompose, events
 from fillflow.decompose import (DecomposedTransaction, TxKind, VolumeComponents, read_decomposed,
@@ -34,7 +35,6 @@ from fillflow.events import (
     load_market_config,
     market_slots,
     read_fills,
-    read_table,
     write_fills,
     write_market_config,
     write_table,

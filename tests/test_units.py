@@ -1,9 +1,10 @@
+import calendar
 import random
 from datetime import datetime, timezone
 
 import pytest
 
-from fillflow.units import format_date, format_utc, parse_utc
+from fillflow.units import format_date, format_utc, month_floor, next_month, parse_utc
 
 
 class TestParseUtc:
@@ -51,3 +52,23 @@ class TestFormatUtc:
         for ts in self.timestamps():
             assert format_utc(ts) == strftime_utc(ts, "%Y-%m-%dT%H:%M:%SZ"), ts
             assert format_date(ts) == strftime_utc(ts, "%Y-%m-%d"), ts
+
+
+def datetime_month_floor(ts):
+    """The reference: the first second of the UTC month of ``ts``, through ``datetime``."""
+    dt = datetime.fromtimestamp(ts, tz=timezone.utc)
+    return int(datetime(dt.year, dt.month, 1, tzinfo=timezone.utc).timestamp())
+
+
+def datetime_next_month(ts):
+    dt = datetime.fromtimestamp(ts, tz=timezone.utc)
+    return datetime_month_floor(ts) + calendar.monthrange(dt.year, dt.month)[1] * 86400
+
+
+def test_month_bounds_equal_datetime_at_every_month_start_1970_to_2100():
+    for year in range(1970, 2101):
+        for month in range(1, 13):
+            start = int(datetime(year, month, 1, tzinfo=timezone.utc).timestamp())
+            for ts in (start - 1, start, start + 1):
+                assert month_floor(ts) == datetime_month_floor(ts), ts
+                assert next_month(ts) == datetime_next_month(ts), ts
