@@ -185,17 +185,25 @@ _format = functools.partial(click.option, "--format", "fmt", type=click.Choice([
 _out = functools.partial(click.option, "--out", required=True, type=click.Path())
 
 
+def _utc(_ctx, _param, value):
+    """Option callback: ISO-8601 UTC text parsed to epoch seconds; other text exits 2."""
+    try:
+        return None if value is None else parse_utc(value)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
+
+
+def _utc_text(ctx, param, value):
+    """Option callback: the text as given, once ``_utc`` accepts it."""
+    _utc(ctx, param, value)
+    return value
+
+
 def _window(help_from=None, help_to=None):
     """``--from`` and ``--to`` as ``start`` and ``end``, ISO-8601 UTC parsed to epoch seconds."""
-    def utc(_ctx, _param, value):
-        try:
-            return None if value is None else parse_utc(value)
-        except ValueError as exc:
-            raise click.BadParameter(str(exc))
-
     def decorate(fn):
-        fn = click.option("--to", "end", callback=utc, help=help_to)(fn)
-        return click.option("--from", "start", callback=utc, help=help_from)(fn)
+        fn = click.option("--to", "end", callback=_utc, help=help_to)(fn)
+        return click.option("--from", "start", callback=_utc, help=help_from)(fn)
     return decorate
 
 
@@ -350,7 +358,7 @@ def deviation(inputs, markets_path, market, grid_step, max_staleness, start, end
 @click.option("--market-a", default="Trump")
 @click.option("--first-democrat", default="Biden")
 @click.option("--second-democrat", default="Harris")
-@click.option("--splice-day", default="2024-07-21")
+@click.option("--splice-day", default="2024-07-21", callback=_utc_text)
 @click.option("--side", type=click.Choice(["yes", "no"]), default="yes")
 @click.option("--corr-window-days", type=click.IntRange(min=2), default=90)
 @_step_days()

@@ -281,8 +281,9 @@ def read_decomposed(path) -> list[DecomposedTransaction]:
     built directly; any other row goes through ``decomposed_from_record``,
     which gives the same row or the error.
 
-    The rows of a regular file read before are cached, keyed by this module's
-    source too (README, "Parsed-table cache").
+    The rows of a regular file are cached by its bytes and this module's
+    source (README, "Parsed-table cache"): a first read parses and stores
+    them, and a later read of the same bytes skips the parse.
     """
     return _read_cached(path, _parse_decomposed,
                         lambda digest, is_csv: digest.update(

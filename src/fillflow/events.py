@@ -410,8 +410,9 @@ def read_fills(path, block_times: Mapping[int, int] | None = None) -> list[FillE
     unprintable character. Any other line or row goes through
     ``fill_from_record``, with the same result or error.
 
-    The fills of a regular file read before are cached (README, "Parsed-table
-    cache"), so a later read of the same bytes skips the parse.
+    The fills of a regular file are cached by its bytes (README, "Parsed-table
+    cache"): a first read parses and stores them, and a later read of the same
+    bytes, under any name or file time, skips the parse.
     """
     return _read_cached(path, lambda fh, is_csv: _parse_fills(fh, is_csv, block_times),
                         lambda digest, is_csv: _fill_key_parts(digest, is_csv, block_times),
@@ -442,15 +443,6 @@ def _read_cached(path, parse_text, key_parts, columns, rows) -> list:
         # A pipe cannot be read twice; a relative directory (no home) would land in the cwd.
         if not (S_ISREG(before.st_mode) and os.path.isabs(directory)):
             return parse(fh)
-        # A file's first read (by device, inode, size and times) is only marked, neither
-        # hashed nor stored: a shard, or a ledger ``ingest`` has just written, may be read once.
-        seen = os.path.join(directory, "seen-%d-%d-%d-%d-%d" % _identity(before))
-        if not os.path.exists(seen):
-            table = parse(fh)
-            _cache_store(directory, seen, None)
-            return table
-        with contextlib.suppress(OSError):
-            os.utime(seen)  # the marker, like an entry, is kept while in use
         digest = hashlib.sha256(_parser_fingerprint())
         key_parts(digest, is_csv)
         digest.update(_hash_file(fh, before).encode())
@@ -548,11 +540,11 @@ def _cache_load(entry: str, rows) -> list | None:
         return None
 
 
-def _cache_store(directory: str, name: str, columns: Iterable[tuple] | None) -> None:
-    """Write cache file ``name`` atomically: an empty marker for None, else the entry of
-    ``columns``: each column as its size and its ``marshal``, one ``marshal`` in memory at
-    a time, then the SHA-256 of those bytes. Then remove the least recently used markers and
-    entries beyond the newest 8 of each. A file system that refuses only skips the store."""
+def _cache_store(directory: str, name: str, columns: Iterable[tuple]) -> None:
+    """Write cache entry ``name`` of ``columns`` atomically: each column as its size and its
+    ``marshal``, one ``marshal`` in memory at a time, then the SHA-256 of those bytes. Then
+    remove the least recently used files beyond the newest 8. A file system that refuses
+    only skips the store."""
     try:
         os.makedirs(directory, exist_ok=True)
         fd, temp = tempfile.mkstemp(dir=directory)
@@ -560,19 +552,17 @@ def _cache_store(directory: str, name: str, columns: Iterable[tuple] | None) -> 
         return
     try:
         with os.fdopen(fd, "wb") as fh:
-            if columns is not None:
-                digest = hashlib.sha256()
-                for column in columns:
-                    data = marshal.dumps(column)
-                    for part in (len(data).to_bytes(8, "little"), data):
-                        digest.update(part)
-                        fh.write(part)
-                fh.write(digest.digest())
+            digest = hashlib.sha256()
+            for column in columns:
+                data = marshal.dumps(column)
+                for part in (len(data).to_bytes(8, "little"), data):
+                    digest.update(part)
+                    fh.write(part)
+            fh.write(digest.digest())
         os.replace(temp, os.path.join(directory, name))
         files = sorted(os.scandir(directory), key=lambda file: file.stat().st_mtime_ns)
-        for marker in (True, False):
-            for stale in [file for file in files if file.name.startswith("seen-") is marker][:-8]:
-                os.remove(stale)
+        for stale in files[:-8]:
+            os.remove(stale)
     except OSError:
         with contextlib.suppress(OSError):
             os.remove(temp)  # gone already when the replace succeeded

@@ -76,12 +76,6 @@ def _checkpoint_doc(path) -> dict | None:
     return doc
 
 
-def read_checkpoint(path) -> int | None:
-    """Last fully ingested block, or None when no checkpoint exists."""
-    doc = _checkpoint_doc(path)
-    return None if doc is None else doc["lastBlock"]
-
-
 def write_checkpoint(path, last_block: int, spool_bytes: int) -> None:
     """Replace the checkpoint; a crash leaves either the old or the new one whole."""
     doc = {"lastBlock": last_block, "spoolBytes": spool_bytes}

@@ -305,6 +305,25 @@ class TestFlagValidation:
         assert result.exit_code == 2, result.output
         assert "Invalid isoformat" in result.output
 
+    @pytest.mark.parametrize("value", ["yesterday", ""], ids=["not-a-date", "empty"])
+    def test_bad_splice_day_exits_2_naming_the_option(self, runner, fixture_table, tmp_path,
+                                                       value):
+        result = runner.invoke(main, ["disagreement", "--input", str(fixture_table),
+                                      "--splice-day", value, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert f"Invalid value for '--splice-day': Invalid isoformat string: {value!r}" \
+            in result.output
+
+    def test_splice_day_is_recorded_as_given(self, runner, tmp_path, small_ledger):
+        table, out = tmp_path / "decomposed.csv", tmp_path / "out"
+        write_decomposed(table, small_ledger.truth)
+        result = run(runner, ["disagreement", "--input", str(table), "--second-democrat",
+                              "Biden", "--splice-day", "2024-03-01T12:00:00Z",
+                              "--corr-window-days", "30", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        params = json.loads((out / "manifest.json").read_text())["params"]
+        assert params["spliceDay"] == "2024-03-01T12:00:00Z"
+
     def test_deviation_staleness_filter(self, runner, fixture_dir, tmp_path):
         loose = tmp_path / "loose"
         tight = tmp_path / "tight"
@@ -675,16 +694,36 @@ class TestParsedLedgerCache:
     def test_warm_run_writes_the_cold_run_bytes(self, runner, inputs, fill_cache, monkeypatch,
                                                 command, ledger):
         artifacts = []
-        for run_name in ("first", "second", "warm"):  # marked, then stored, then read
+        for run_name in ("cold", "warm"):  # stored, then read
             out = inputs / run_name
             result = run(runner, self.args(inputs, command, ledger, out))
             assert result.exit_code == 0, result.output
             artifacts.append({path.name: path.read_bytes() for path in out.iterdir()})
-            entries = [path for path in fill_cache.iterdir() if not path.name.startswith("seen-")]
-            assert len(entries) == (run_name != "first")
-            if run_name == "second":
-                monkeypatch.setattr(events, "_parse_fills", refuse_parse)
-        assert artifacts[0] == artifacts[1] == artifacts[2]
+            assert len(list(fill_cache.iterdir())) == 1
+            monkeypatch.setattr(events, "_parse_fills", refuse_parse)
+        assert artifacts[0] == artifacts[1]
+
+    def test_decompose_of_a_rewritten_ingest_output_hits(self, runner, tmp_path, monkeypatch,
+                                                         small_ledger, markets):
+        # Two shards, as the benchmark's ingest merges, so no shard holds the merged bytes.
+        write_fills(tmp_path / "shard-a.jsonl", small_ledger.fills[0::2])
+        write_fills(tmp_path / "shard-b.csv", small_ledger.fills[1::2], "csv")
+        write_market_config(tmp_path / "markets.json", markets[:2])
+        artifacts = []
+        for run_name in ("cold", "warm"):
+            ingested, decomposed = tmp_path / run_name / "ingest", tmp_path / run_name / "dec"
+            result = run(runner, ["ingest", "--input", str(tmp_path / "shard-a.jsonl"),
+                                  "--input", str(tmp_path / "shard-b.csv"), "--out", str(ingested)])
+            assert result.exit_code == 0, result.output
+            # The warm run's fills.jsonl is a file of its own with the cold run's bytes: a hit.
+            result = run(runner, ["decompose", "--input", str(ingested / "fills.jsonl"),
+                                  "--markets", str(tmp_path / "markets.json"),
+                                  "--out", str(decomposed)])
+            assert result.exit_code == 0, result.output
+            artifacts.append({f"{out.name}/{path.name}": path.read_bytes()
+                              for out in (ingested, decomposed) for path in out.iterdir()})
+            monkeypatch.setattr(events, "_parse_fills", refuse_parse)
+        assert artifacts[0] == artifacts[1]
 
     def test_regular_file_in_place_of_the_cache_directory(self, runner, inputs, fill_cache):
         fill_cache.write_bytes(b"in the way")
@@ -729,17 +768,15 @@ class TestParsedDecomposedTableCache:
         write_decomposed(table, small_ledger.truth, fmt)
         name, *options = DECOMPOSED_TABLE_OPTIONS[command]
         artifacts = []
-        for run_name in ("first", "second", "warm"):  # marked, then stored, then read
+        for run_name in ("cold", "warm"):  # stored, then read
             out = tmp_path / run_name
             result = run(runner, [name, "--input", str(table), *options, "--out", str(out)])
             assert result.exit_code == 0, result.output
             artifacts.append({path.name: path.read_bytes() for path in out.iterdir()})
-            entries = [path for path in fill_cache.iterdir() if not path.name.startswith("seen-")]
-            assert len(entries) == (run_name != "first")
-            if run_name == "second":
-                monkeypatch.setattr(decompose, "_parse_decomposed", refuse_parse)
-        assert artifacts[0] == artifacts[1] == artifacts[2]
-        manifest = json.loads(artifacts[2]["manifest.json"])
+            assert len(list(fill_cache.iterdir())) == 1
+            monkeypatch.setattr(decompose, "_parse_decomposed", refuse_parse)
+        assert artifacts[0] == artifacts[1]
+        manifest = json.loads(artifacts[1]["manifest.json"])
         assert manifest["inputs"] == {table.name: hashlib.sha256(table.read_bytes()).hexdigest()}
 
 

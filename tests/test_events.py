@@ -364,8 +364,7 @@ class TestCanonicalFastPath:
         assert twin == fills
         for fill, other in zip(fills, twin):
             assert all(a is b for a, b in zip(fill[3:7], other[3:7]))
-        # A read from the parsed-fill cache shares them as well.
-        read_fills(tmp_path / f"fills.{fmt}")  # the second read stores the entry
+        # A read from the parsed-fill cache, which the first read filled, shares them as well.
         monkeypatch.setattr(events, "_parse_fills", refuse_parse)
         cached = read_fills(tmp_path / f"fills.{fmt}")
         assert cached == fills
@@ -489,10 +488,16 @@ def refuse_hash(*args):
     raise AssertionError("the ledger was hashed")
 
 
-def cache_files(fill_cache, marker=False):
-    """The cache's entries of parsed fills, or with ``marker`` its markers of files read."""
-    return sorted(path for path in fill_cache.iterdir()
-                  if path.name.startswith("seen-") is marker) if fill_cache.exists() else []
+def counting(monkeypatch, module, name):
+    """Count the calls of ``module.name`` from now on; return the list of their arguments."""
+    calls, function = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or function(*args))
+    return calls
+
+
+def cache_files(fill_cache):
+    """The files in the cache directory."""
+    return sorted(fill_cache.iterdir()) if fill_cache.exists() else []
 
 
 def untimed_csv(path, fills):
@@ -515,9 +520,7 @@ class TestFillCache:
             write_fills(path, small_ledger.fills, fmt)
         cold = read_fills(path, block_times)
         assert cold == small_ledger.fills
-        assert (len(cache_files(fill_cache)), len(cache_files(fill_cache, True))) == (0, 1)
-        assert read_fills(path, block_times) == cold  # the second read stores the entry
-        assert (len(cache_files(fill_cache)), len(cache_files(fill_cache, True))) == (1, 1)
+        assert len(cache_files(fill_cache)) == 1  # the first read stores the entry
         # A key that changed from run to run would miss here and parse.
         monkeypatch.setattr(events, "_parse_fills", refuse_parse)
         warm = read_fills(path, block_times)
@@ -534,7 +537,6 @@ class TestFillCache:
         fingerprint = events._parser_fingerprint
         if damage == "other-parser":
             monkeypatch.setattr(events, "_parser_fingerprint", lambda: b"another parser")
-        read_fills(path)
         read_fills(path)
         entry, = cache_files(fill_cache)
         good = entry.read_bytes()
@@ -563,7 +565,7 @@ class TestFillCache:
         path = tmp_path / "untimed.csv"
         times = untimed_csv(path, example_fills)
         later = {block: time + 60 for block, time in times.items()}
-        for sidecar in (times, later, times, later):  # the first read stores nothing
+        for sidecar in (times, later, times, later):
             assert [fill.timestamp for fill in read_fills(path, sidecar)] == [
                 sidecar[fill.block] for fill in example_fills]
         assert len(cache_files(fill_cache)) == 4
@@ -576,36 +578,27 @@ class TestFillCache:
             key.update(hashlib.sha256(path.read_bytes()).hexdigest().encode())
             return fill_cache / key.hexdigest()
 
-        def age(path, seconds):  # file times can tie, so each file gets its own
-            status = os.stat(path)
-            marker = "seen-{}-{}-{}-{}-{}".format(status.st_dev, status.st_ino, status.st_size,
-                                                 status.st_mtime_ns, status.st_ctime_ns)
-            for file in (entry(path), fill_cache / marker):
-                os.utime(file, ns=(seconds * 10**9, seconds * 10**9))
-
         paths = [tmp_path / f"shard{i}.jsonl" for i in range(11)]
         for i, path in enumerate(paths[:10]):
             write_fills(path, example_fills[i:])
             read_fills(path)
-            read_fills(path)
-            age(path, i)
+            # File times can tie, so each entry gets its own.
+            os.utime(entry(path), ns=(i * 10**9, i * 10**9))
             assert len(cache_files(fill_cache)) == min(i + 1, 8)
         assert [entry(path).exists() for path in paths[:10]] == [False] * 2 + [True] * 8
         read_fills(paths[2])  # a hit: the oldest entry becomes the newest
         write_fills(paths[10], example_fills[:1])
         read_fills(paths[10])
-        read_fills(paths[10])
-        assert len(cache_files(fill_cache, True)) == 8
         assert [entry(path).exists() for path in paths] == [False, False, True, False] + [True] * 7
         monkeypatch.setattr(events, "_parse_fills", refuse_parse)
-        read_fills(paths[2])  # the hit refreshed its marker too, so a newer one went
+        read_fills(paths[2])
 
     def test_sidecar_with_keys_of_mixed_types_is_keyed(self, tmp_path, fill_cache,
                                                        example_fills):
         path = tmp_path / "untimed.csv"
         times = untimed_csv(path, example_fills)
         mixed = {**times, "not a block": "not a time"}
-        for sidecar in (times, times, mixed, mixed):
+        for sidecar in (times, mixed, mixed):
             assert read_fills(path, sidecar) == example_fills
         assert len(cache_files(fill_cache)) == 2
 
@@ -616,7 +609,6 @@ class TestFillCache:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            read_fills(path)
             fill, = read_fills(path)
         finally:
             sys.set_int_max_str_digits(limit)
@@ -637,7 +629,6 @@ class TestFillCache:
                 fh.truncate(whole.index(b"\n") + 1)
             return load(entry, rows)
 
-        read_fills(path)  # the first read only marks the file
         monkeypatch.setattr(events, "_cache_load", cut_then_load)
         assert read_fills(path) == example_fills[:1]
         assert cache_files(fill_cache) == []
@@ -646,22 +637,49 @@ class TestFillCache:
         assert read_fills(path) == read_fills(path) == example_fills
         assert len(cache_files(fill_cache)) == 1
 
-    def test_first_read_of_a_file_is_neither_hashed_nor_stored(self, tmp_path, monkeypatch,
-                                                               fill_cache, example_fills):
+    def test_same_bytes_under_another_identity_hit(self, tmp_path, monkeypatch, fill_cache,
+                                                   example_fills):
         path = tmp_path / "fills.jsonl"
         write_fills(path, example_fills)
-        hash_file = events._hash_file
-        monkeypatch.setattr(events, "_hash_file", refuse_hash)
+        hashes = counting(monkeypatch, events, "_hash_file")
         assert read_fills(path) == example_fills
-        assert (len(cache_files(fill_cache)), len(cache_files(fill_cache, True))) == (0, 1)
-        monkeypatch.setattr(events, "_hash_file", hash_file)
+        assert (len(hashes), len(cache_files(fill_cache))) == (1, 1)
+        monkeypatch.setattr(events, "_parse_fills", refuse_parse)
+        # The same bytes written again, as each ``ingest`` run writes them; other file times;
+        # another name: each is a new file identity, hashed again, and a hit.
+        write_fills(path, example_fills)
         assert read_fills(path) == example_fills
-        assert len(cache_files(fill_cache)) == 1
-        # The same bytes written again, as each ``ingest`` run does: a file read once more.
         os.utime(path, ns=(10**9, 10**9))
-        monkeypatch.setattr(events, "_hash_file", refuse_hash)
         assert read_fills(path) == example_fills
-        assert len(cache_files(fill_cache, True)) == 2
+        os.rename(path, tmp_path / "renamed.jsonl")
+        assert read_fills(tmp_path / "renamed.jsonl") == example_fills
+        assert (len(hashes), len(cache_files(fill_cache))) == (4, 1)
+
+    def test_markers_of_an_older_version_age_out_and_never_load(self, tmp_path, monkeypatch,
+                                                                fill_cache, example_fills):
+        # Empty ``seen-`` files, named by a file's device, inode, size and times, marked a first
+        # read before each read was hashed; one names this ledger.
+        path = tmp_path / "fills.jsonl"
+        write_fills(path, example_fills)
+        status = os.stat(path)
+        fill_cache.mkdir(parents=True)
+        markers = [fill_cache / "seen-{}-{}-{}-{}-{}".format(
+            status.st_dev, status.st_ino, status.st_size, status.st_mtime_ns, status.st_ctime_ns)]
+        markers += [fill_cache / f"seen-1-{i}-1-1-1" for i in range(8)]
+        for i, marker in enumerate(markers):
+            marker.touch()
+            os.utime(marker, ns=(i * 10**9, i * 10**9))
+        parses = counting(monkeypatch, events, "_parse_fills")
+        assert read_fills(path) == example_fills
+        assert len(parses) == 1  # a miss: no marker answers a read
+        # One bound of 8 over every file: the entry and the 7 newest markers are left.
+        entry, = (file for file in cache_files(fill_cache) if file not in markers)
+        assert cache_files(fill_cache) == sorted([*markers[2:], entry])
+        for i in range(1, 8):
+            write_fills(tmp_path / f"shard{i}.jsonl", example_fills[i:])
+            read_fills(tmp_path / f"shard{i}.jsonl")
+        assert len(cache_files(fill_cache)) == 8
+        assert not any(file.name.startswith("seen-") for file in cache_files(fill_cache))
 
     def test_relative_cache_home_is_not_used(self, tmp_path, monkeypatch, example_fills):
         path = tmp_path / "fills.jsonl"
@@ -688,7 +706,6 @@ class TestFillCache:
         path = tmp_path / "fills.jsonl"
         write_fills(path, example_fills)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        read_fills(path)
         read_fills(path)  # hashed for the key
         hash_file = events._hash_file
         monkeypatch.setattr(events, "_hash_file", refuse_hash)
@@ -696,13 +713,6 @@ class TestFillCache:
         write_fills(path, example_fills[1:])  # written to since: another identity
         monkeypatch.setattr(events, "_hash_file", hash_file)
         assert events.file_sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def counting(monkeypatch, module, name):
-    """Count the calls of ``module.name`` from now on; return the list of their arguments."""
-    calls, function = [], getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or function(*args))
-    return calls
 
 
 class TestDecomposedTableCache:
@@ -722,9 +732,7 @@ class TestDecomposedTableCache:
         truth = small_ledger.truth[rows]
         write_decomposed(path, truth, fmt)
         assert read_decomposed(path) == truth
-        assert (len(cache_files(fill_cache)), len(cache_files(fill_cache, True))) == (0, 1)
-        assert read_decomposed(path) == truth
-        assert (len(cache_files(fill_cache)), len(cache_files(fill_cache, True))) == (1, 1)
+        assert len(cache_files(fill_cache)) == 1  # the first read stores the entry
         monkeypatch.setattr(decompose, "_parse_decomposed", refuse_parse)
         warm = read_decomposed(path)
         assert warm == truth
@@ -753,7 +761,6 @@ class TestDecomposedTableCache:
     @pytest.mark.parametrize("damage", ["truncated", "flipped-byte", "unknown-kind"])
     def test_damaged_entry_is_parsed_again_and_replaced(self, monkeypatch, fill_cache,
                                                         small_ledger, table, damage):
-        read_decomposed(table)
         read_decomposed(table)
         entry, = cache_files(fill_cache)
         good = entry.read_bytes()
@@ -784,9 +791,8 @@ class TestDecomposedTableCache:
         expected = DecomposedTransaction(fill.block, fill.tx_index, fill.timestamp, "Trump",
                                          TxKind.PURE_EXCHANGE, VolumeComponents(5, 0, buy_vol=5,
                                                                                 sell_vol=5))
-        for _ in range(2):
-            assert read_fills(path) == [fill]
-            assert read_decomposed(path) == [expected]
+        assert read_fills(path) == [fill]
+        assert read_decomposed(path) == [expected]
         assert len(cache_files(fill_cache)) == 2
         monkeypatch.setattr(events, "_parse_fills", refuse_parse)
         monkeypatch.setattr(decompose, "_parse_decomposed", refuse_parse)
@@ -795,7 +801,6 @@ class TestDecomposedTableCache:
 
     def test_decompose_source_is_part_of_the_key(self, monkeypatch, fill_cache, small_ledger,
                                                  table):
-        read_decomposed(table)
         read_decomposed(table)
         loader = decompose.__loader__
         get_data = loader.get_data
@@ -833,11 +838,9 @@ class TestDecomposedTableCache:
             ledger = tmp_path / f"fills{i}.jsonl"
             write_decomposed(table, small_ledger.truth[i:])
             write_fills(ledger, example_fills[i:])
-            for _ in range(2):
-                read_decomposed(table)
-                read_fills(ledger)
+            read_decomposed(table)
+            read_fills(ledger)
         assert len(cache_files(fill_cache)) == 8
-        assert len(cache_files(fill_cache, True)) == 8
 
 def reference_line(fill):
     """``json.dumps`` of the fill's canonical wire record: amounts as digit strings."""

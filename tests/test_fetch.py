@@ -10,7 +10,13 @@ from fillflow import fetch
 from fillflow.cli import main
 from fillflow.errors import ConfigError, DecodeError, FetchError
 from fillflow.events import fill_lines, read_fills
-from fillflow.fetch import fetch_event_logs, read_checkpoint, write_checkpoint
+from fillflow.fetch import fetch_event_logs, write_checkpoint
+
+
+def read_checkpoint(path):
+    """The checkpoint's last fully ingested block, or None when no checkpoint exists."""
+    doc = fetch._checkpoint_doc(path)
+    return None if doc is None else doc["lastBlock"]
 
 
 class RecordingTransport:
