@@ -26,7 +26,7 @@ from enum import Enum
 from itertools import repeat
 from operator import attrgetter, itemgetter
 from sys import intern
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DecompositionAnomalyError, ParseError
 from .events import (COLLATERAL_ID, MarketSpec, Transaction, _read_cached, _table_records,
@@ -325,12 +325,14 @@ def _parse_decomposed(fh, is_csv: bool) -> list[DecomposedTransaction]:
     return rows
 
 
-def _decomposed_columns(rows: list[DecomposedTransaction]) -> list[tuple]:
-    """A cache entry's columns: block, txIndex, timestamp, market (equal ones as one interned
-    string), kind's value, then the eight components (none for an empty table)."""
-    block, tx_index, timestamp, market, kind, components = zip(*rows) if rows else [()] * 6
-    return [block, tx_index, timestamp, tuple(map(intern, market)),
-            tuple(map(attrgetter("value"), kind)), *zip(*components)]
+def _decomposed_columns(rows: list[DecomposedTransaction]) -> Iterator[tuple]:
+    """A cache entry's columns, one built at a time: block, txIndex, timestamp, market
+    (equal ones as one interned string), kind's value, then the eight components."""
+    yield from (tuple(map(itemgetter(i), rows)) for i in range(3))
+    yield tuple(map(intern, map(itemgetter(3), rows)))
+    yield tuple(map(attrgetter("value"), map(itemgetter(4), rows)))
+    for i in range(len(VolumeComponents._fields)):
+        yield tuple(map(itemgetter(i), map(itemgetter(5), rows)))
 
 
 def _decomposed_from_columns(columns: list[tuple]) -> list[DecomposedTransaction]:

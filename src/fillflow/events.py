@@ -416,7 +416,8 @@ def read_fills(path, block_times: Mapping[int, int] | None = None) -> list[FillE
     """
     return _read_cached(path, lambda fh, is_csv: _parse_fills(fh, is_csv, block_times),
                         lambda digest, is_csv: _fill_key_parts(digest, is_csv, block_times),
-                        lambda fills: zip(*fills),
+                        lambda fills: (tuple(map(itemgetter(i), fills))
+                                       for i in range(len(FILL_FIELDS))),
                         lambda columns: list(map(tuple.__new__, repeat(FillEvent), zip(*columns))))
 
 
@@ -554,7 +555,9 @@ def _cache_store(directory: str, name: str, columns: Iterable[tuple]) -> None:
         with os.fdopen(fd, "wb") as fh:
             digest = hashlib.sha256()
             for column in columns:
-                data = marshal.dumps(column)
+                # Version 4 refs make equal strings one object, but index every object
+                # written; integers are written without them.
+                data = marshal.dumps(column, 4 if column and type(column[0]) is str else 2)
                 for part in (len(data).to_bytes(8, "little"), data):
                     digest.update(part)
                     fh.write(part)

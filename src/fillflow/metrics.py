@@ -14,10 +14,15 @@ transaction components (all exact integer micro-USDC):
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
 from .decompose import DecomposedTransaction
-from .units import interval_floor, interval_range
+from .units import DAY, HOUR, month_floor, next_month
+
+# Each partition's key step; months are keyed by day first.
+_STEPS = {"hour": HOUR, "day": DAY, "month": DAY}
 
 
 class SideTotals(NamedTuple):
@@ -74,42 +79,56 @@ def aggregate_components(
     By default only intervals containing at least one transaction are
     emitted; with ``dense`` the full [start, end) grid is emitted with
     zero totals for empty intervals (bounds default to the record span).
+    An unknown partition raises ValueError.
     """
-    rows = [r for r in records if market is None or r.market == market]
+    if partition not in _STEPS:
+        raise ValueError(f"unknown partition {partition!r}")
+    step = _STEPS[partition]
+    if market is not None:
+        records = [r for r in records if r.market == market]
     if start is not None or end is not None:
-        lo = start if start is not None else min((r.timestamp for r in rows), default=0)
-        hi = end if end is not None else max((r.timestamp for r in rows), default=0) + 1
-        rows = [r for r in rows if lo <= r.timestamp < hi]
+        records = [r for r in records if (start is None or start <= r.timestamp)
+                   and (end is None or r.timestamp < end)]
 
+    # Months are summed by day, then each day's sums go to its month.
     sums: dict[int, list[int]] = {}
-    for row in rows:
-        key = interval_floor(row.timestamp, partition)
-        acc = sums.setdefault(key, [0, 0, 0, 0, 0, 0])
-        c = row.components
-        acc[0] += c.yes_trade
-        acc[1] += c.yes_mint
-        acc[2] += c.yes_burn
-        acc[3] += c.no_trade
-        acc[4] += c.no_mint
-        acc[5] += c.no_burn
+    for _, _, ts, _, _, (yes_trade, no_trade, yes_mint, no_mint, yes_burn, no_burn, _, _) \
+            in records:
+        key = ts - ts % step
+        acc = sums.get(key)
+        if acc is None:
+            sums[key] = [yes_trade, yes_mint, yes_burn, no_trade, no_mint, no_burn]
+        else:
+            acc[0] += yes_trade
+            acc[1] += yes_mint
+            acc[2] += yes_burn
+            acc[3] += no_trade
+            acc[4] += no_mint
+            acc[5] += no_burn
+    if partition == "month":
+        days, sums = sums, {}
+        for day, acc in days.items():
+            key = month_floor(day)
+            sums[key] = list(map(add, sums[key], acc)) if key in sums else acc
 
-    if dense:
+    if not dense:
+        keys: Iterable[int] = sorted(sums)
+    else:
         lo = start if start is not None else min(sums, default=0)
         hi = end if end is not None else (max(sums) + 1 if sums else 0)
-        keys = interval_range(lo, hi, partition)
-    else:
-        keys = sorted(sums)
+        if hi <= lo:
+            keys = ()
+        elif partition != "month":
+            keys = range(lo - lo % step, hi, step)
+        else:
+            keys, key = [], month_floor(lo)
+            while key < hi:
+                keys.append(key)
+                key = next_month(key)
 
-    out = []
-    for key in keys:
-        acc = sums.get(key, [0, 0, 0, 0, 0, 0])
-        out.append(IntervalTotals(
-            start=key,
-            partition=partition,
-            yes=SideTotals(trade=acc[0], mint=acc[1], burn=acc[2]),
-            no=SideTotals(trade=acc[3], mint=acc[4], burn=acc[5]),
-        ))
-    return out
+    zero = [0] * 6
+    return [IntervalTotals(key, partition, SideTotals(*acc[:3]), SideTotals(*acc[3:]))
+            for key, acc in zip(keys, map(sums.get, keys, repeat(zero)))]
 
 
 def merge_totals(intervals: Sequence[IntervalTotals]) -> IntervalTotals:

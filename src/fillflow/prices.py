@@ -198,23 +198,14 @@ def daily_net_inflow(
 def splice_inflow_series(before: InflowSeries, after: InflowSeries, splice_day: int) -> InflowSeries:
     """Days strictly before ``splice_day`` from one series, the rest from the other."""
     splice_day = day_floor(splice_day)
-    days: list[int] = []
-    values: list[int] = []
-    for day, value in zip(before.days, before.values):
-        if day < splice_day:
-            days.append(day)
-            values.append(value)
-    for day, value in zip(after.days, after.values):
-        if day >= splice_day:
-            days.append(day)
-            values.append(value)
-    if not days:
+    by_day = {day: value for day, value in zip(before.days, before.values) if day < splice_day}
+    by_day.update((day, value) for day, value in zip(after.days, after.values)
+                  if day >= splice_day)
+    if not by_day:
         raise DataError("splice produced an empty series")
-    first, last = days[0], days[-1]
-    dense = {d: 0 for d in range(first, last + DAY, DAY)}
-    for day, value in zip(days, values):
-        dense[day] = value
-    return InflowSeries(days=tuple(sorted(dense)), values=tuple(dense[d] for d in sorted(dense)))
+    # The days between the two parts read 0; a day off their grid fails InflowSeries' check.
+    days = tuple(sorted(by_day.keys() | range(min(by_day), max(by_day) + DAY, DAY)))
+    return InflowSeries(days=days, values=tuple(by_day.get(day, 0) for day in days))
 
 
 def splice_democrat_market(

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
-
+from itertools import accumulate
+from operator import itemgetter
 from random import Random
+from typing import Sequence
 
 from .decompose import DecomposedTransaction, TxKind, VolumeComponents
 from .errors import ConfigError
@@ -152,7 +153,10 @@ class _Generator:
         self.exchange_address = self._address("c5d")
         self.prices = {m.candidate: self.rng.randint(250_000, 750_000) for m in scenario.markets}
         self.deviations = {m.candidate: 0 for m in scenario.markets}
-        self.kind_weights = _resolve_weights(scenario)
+        # ``choices`` given cumulative weights draws as it does from the weights themselves.
+        self.kind_cum_weights = list(accumulate(_resolve_weights(scenario)))
+        self.hour_cum_weights = (None if scenario.hourly_weights is None
+                                 else list(accumulate(scenario.hourly_weights)))
 
         population = scenario.n_traders
         n_mm = max(1, round(population * scenario.market_maker_share))
@@ -166,6 +170,7 @@ class _Generator:
             side = "yes" if self.rng.random() < 0.6 else "no"
             self.directional.setdefault((market, side), []).append(self._address())
         self.arb_address = self._address("a9b") if scenario.arbitrageur else None
+        self.undirected = self.retail + self.market_makers
 
         self.fills: list[FillEvent] = []
         self.truth: list[DecomposedTransaction] = []
@@ -184,7 +189,7 @@ class _Generator:
         pool = self.directional.get((market, side))
         if pool and self.rng.random() < 0.7:
             return self.rng.choice(pool)
-        return self.rng.choice(self.retail + self.market_makers)
+        return self.rng.choice(self.undirected)
 
     def _pick_liquidity(self) -> str:
         if self.market_makers and self.rng.random() < 0.8:
@@ -217,14 +222,14 @@ class _Generator:
 
     def _draw_timestamp(self) -> int:
         scenario = self.scenario
-        if scenario.hourly_weights is None:
+        if self.hour_cum_weights is None:
             span = (scenario.end - scenario.start) // BLOCK_SECONDS
             return scenario.start + BLOCK_SECONDS * self.rng.randrange(max(span, 1))
         hours = list(range(24))
         for _ in range(1000):
             day = day_floor(scenario.start) + DAY * self.rng.randrange(
                 max(1, (scenario.end - day_floor(scenario.start) + DAY - 1) // DAY))
-            hour = self.rng.choices(hours, weights=scenario.hourly_weights)[0]
+            hour = self.rng.choices(hours, cum_weights=self.hour_cum_weights)[0]
             ts = day + hour * 3600 + BLOCK_SECONDS * self.rng.randrange(3600 // BLOCK_SECONDS)
             if scenario.start <= ts < scenario.end:
                 return self._grid(ts)
@@ -258,31 +263,14 @@ class _Generator:
         block, tx_index = self._coordinates(ts)
         parties: set[str] = set()
         for log_offset, (maker, taker, m_asset, t_asset, m_amount, t_amount) in enumerate(fill_specs):
-            self.fills.append(FillEvent(
-                block=block,
-                tx_index=tx_index,
-                log_index=log_offset,
-                maker=maker,
-                taker=taker,
-                maker_asset_id=m_asset,
-                taker_asset_id=t_asset,
-                maker_amount=m_amount,
-                taker_amount=t_amount,
-                timestamp=ts,
-            ))
+            self.fills.append(FillEvent(block, tx_index, log_offset, maker, taker, m_asset,
+                                        t_asset, m_amount, t_amount, ts))
             label = self.labels[t_asset if m_asset == COLLATERAL_ID else m_asset]
             for party in (maker, taker):
                 if party != self.exchange_address:
                     parties.add(party)
                     self.trader_markets.setdefault(party, set()).add(label)
-        row = DecomposedTransaction(
-            block=block,
-            tx_index=tx_index,
-            timestamp=ts,
-            market=market.candidate,
-            kind=kind,
-            components=components,
-        )
+        row = DecomposedTransaction(block, tx_index, ts, market.candidate, kind, components)
         row.check()
         self.truth.append(row)
         key = (day_floor(ts), (ts % DAY) // 3600)
@@ -292,14 +280,8 @@ class _Generator:
                c_mint=0, c_burn=0, buy=0, sell=0) -> VolumeComponents:
         """Components with `side` as the primary token and its complement."""
         if side == "yes":
-            return VolumeComponents(
-                yes_trade=trade, yes_mint=mint, yes_burn=burn,
-                no_mint=c_mint, no_burn=c_burn, buy_vol=buy, sell_vol=sell,
-            )
-        return VolumeComponents(
-            no_trade=trade, no_mint=mint, no_burn=burn,
-            yes_mint=c_mint, yes_burn=c_burn, buy_vol=buy, sell_vol=sell,
-        )
+            return VolumeComponents(trade, 0, mint, c_mint, burn, c_burn, buy, sell)
+        return VolumeComponents(0, trade, c_mint, mint, c_burn, burn, buy, sell)
 
     # -- transaction builders ---------------------------------------------------
 
@@ -338,10 +320,7 @@ class _Generator:
                 specs.append((buyers[leg], self.exchange_address, COLLATERAL_ID, token,
                               lot * price, lot * MICRO))
         self._emit(ts, market, TxKind.SHARE_MINTING, specs, VolumeComponents(
-            yes_mint=shares * p_yes,
-            no_mint=shares * (MICRO - p_yes),
-            buy_vol=shares * MICRO,
-        ))
+            0, 0, shares * p_yes, shares * (MICRO - p_yes), 0, 0, shares * MICRO, 0))
 
     def _build_burning(self, ts: int, market: MarketSpec, shares: int | None = None) -> None:
         shares = shares or self.rng.randint(5, 3000)
@@ -354,10 +333,7 @@ class _Generator:
                 specs.append((seller, self.exchange_address, token, COLLATERAL_ID,
                               lot * MICRO, lot * price))
         self._emit(ts, market, TxKind.SHARE_BURNING, specs, VolumeComponents(
-            yes_burn=shares * p_yes,
-            no_burn=shares * (MICRO - p_yes),
-            sell_vol=shares * MICRO,
-        ))
+            0, 0, 0, 0, shares * p_yes, shares * (MICRO - p_yes), 0, shares * MICRO))
 
     def _build_mixed_mint(self, ts: int, market: MarketSpec, side: str) -> None:
         exchanged = self.rng.randint(5, 2000)
@@ -476,9 +452,9 @@ class _Generator:
             delta = min(max(injection.delta_micro, -MAX_DEVIATION), MAX_DEVIATION)
             plan.append((self._grid(injection.timestamp), -len(scenario.deviation_injections) + i,
                          "inject", (injection.market, delta)))
-        plan.sort(key=lambda item: (item[0], item[1]))
+        plan.sort(key=itemgetter(0, 1))
 
-        sides = ["yes", "no"]
+        sides, side_cum_weights = ["yes", "no"], list(accumulate([0.6, 0.4]))
         for ts, _, action, payload in plan:
             if action == "inject":
                 market_name, delta = payload
@@ -488,8 +464,8 @@ class _Generator:
                 self._build_whale(payload)
                 continue
             market = self.rng.choice(scenario.markets)
-            side = self.rng.choices(sides, weights=[0.6, 0.4])[0]
-            kind = self.rng.choices(KINDS, weights=self.kind_weights)[0]
+            side = self.rng.choices(sides, cum_weights=side_cum_weights)[0]
+            kind = self.rng.choices(KINDS, cum_weights=self.kind_cum_weights)[0]
             if kind == "pure_exchange":
                 self._build_exchange(ts, market, side)
             elif kind == "share_minting":
@@ -504,13 +480,9 @@ class _Generator:
             if scenario.arbitrageur:
                 self._run_arbitrage(ts, market)
 
-        order = sorted(range(len(self.truth)),
-                       key=lambda i: (self.truth[i].block, self.truth[i].tx_index))
-        truth = [self.truth[i] for i in order]
-        fills = sorted(self.fills, key=lambda f: f.key)
         return SyntheticLedger(
-            fills=fills,
-            truth=truth,
+            fills=sorted(self.fills, key=itemgetter(0, 1, 2)),  # block, txIndex, logIndex
+            truth=sorted(self.truth, key=itemgetter(0, 1)),  # block, txIndex
             markets=list(scenario.markets),
             exchange_address=self.exchange_address,
             trader_markets=self.trader_markets,

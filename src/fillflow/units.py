@@ -88,36 +88,3 @@ def month_floor(ts: int) -> int:
 def next_month(ts: int) -> int:
     """Start of the month after the month containing ``ts``: no month is 32 days long."""
     return month_floor(month_floor(ts) + 32 * DAY)
-
-
-def interval_floor(ts: int, partition: str) -> int:
-    """UTC-aligned start of the hour/day/month interval containing ``ts``."""
-    if partition == "hour":
-        return hour_floor(ts)
-    if partition == "day":
-        return day_floor(ts)
-    if partition == "month":
-        return month_floor(ts)
-    raise ValueError(f"unknown partition {partition!r}")
-
-
-def interval_next(start: int, partition: str) -> int:
-    if partition == "hour":
-        return start + HOUR
-    if partition == "day":
-        return start + DAY
-    if partition == "month":
-        return next_month(start)
-    raise ValueError(f"unknown partition {partition!r}")
-
-
-def interval_range(start: int, end: int, partition: str) -> list[int]:
-    """Aligned interval starts covering [start, end)."""
-    if end <= start:
-        return []
-    out = []
-    cur = interval_floor(start, partition)
-    while cur < end:
-        out.append(cur)
-        cur = interval_next(cur, partition)
-    return out

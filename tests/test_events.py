@@ -769,7 +769,7 @@ class TestDecomposedTableCache:
         elif damage == "flipped-byte":
             entry.write_bytes(good[:-7] + bytes([good[-7] ^ 1]) + good[-6:])
         else:  # a well-formed entry with its SHA-256, but a kind no TxKind has
-            columns = decompose._decomposed_columns(small_ledger.truth)
+            columns = list(decompose._decomposed_columns(small_ledger.truth))
             columns[4] = ("bogus",) * len(columns[4])
             events._cache_store(str(fill_cache), entry.name, columns)
         assert entry.read_bytes() != good

@@ -11,7 +11,7 @@ from fillflow.metrics import (
     merge_totals,
     side_measures,
 )
-from fillflow.units import DAY, parse_utc
+from fillflow.units import DAY, HOUR, month_floor, next_month, parse_utc
 
 USD = 10**6
 
@@ -24,6 +24,93 @@ def row(ts, market="Trump", trade=0, mint=0, burn=0):
             buy_vol=trade + mint, sell_vol=trade + burn,
         ),
     )
+
+
+def reference_interval_floor(ts, partition):
+    if partition == "hour":
+        return ts - ts % HOUR
+    if partition == "day":
+        return ts - ts % DAY
+    if partition == "month":
+        return month_floor(ts)
+    raise ValueError(f"unknown partition {partition!r}")
+
+
+def reference_interval_next(start, partition):
+    if partition == "hour":
+        return start + HOUR
+    if partition == "day":
+        return start + DAY
+    if partition == "month":
+        return next_month(start)
+    raise ValueError(f"unknown partition {partition!r}")
+
+
+def reference_interval_range(start, end, partition):
+    if end <= start:
+        return []
+    out = []
+    cur = reference_interval_floor(start, partition)
+    while cur < end:
+        out.append(cur)
+        cur = reference_interval_next(cur, partition)
+    return out
+
+
+def reference_aggregate(records, partition, market=None, dense=False, start=None, end=None):
+    """The per-row dispatch that ``aggregate_components`` replaced, kept as its oracle."""
+    rows = [r for r in records if market is None or r.market == market]
+    if start is not None or end is not None:
+        lo = start if start is not None else min((r.timestamp for r in rows), default=0)
+        hi = end if end is not None else max((r.timestamp for r in rows), default=0) + 1
+        rows = [r for r in rows if lo <= r.timestamp < hi]
+    sums = {}
+    for r in rows:
+        acc = sums.setdefault(reference_interval_floor(r.timestamp, partition), [0] * 6)
+        c = r.components
+        for i, value in enumerate((c.yes_trade, c.yes_mint, c.yes_burn,
+                                   c.no_trade, c.no_mint, c.no_burn)):
+            acc[i] += value
+    if dense:
+        lo = start if start is not None else min(sums, default=0)
+        hi = end if end is not None else (max(sums) + 1 if sums else 0)
+        keys = reference_interval_range(lo, hi, partition)
+    else:
+        keys = sorted(sums)
+    out = []
+    for key in keys:
+        acc = sums.get(key, [0] * 6)
+        out.append(IntervalTotals(key, partition, SideTotals(*acc[:3]), SideTotals(*acc[3:])))
+    return out
+
+
+# Instants around which the random rows fall: a leap day, a year end, and month ends of
+# 29, 30 and 31 days.
+BOUNDARIES = [parse_utc(text) for text in (
+    "2024-02-29", "2024-03-01", "2024-01-01", "2023-12-01", "2024-02-01")]
+
+
+def random_rows(rng, n):
+    rows = []
+    for _ in range(n):
+        # on a boundary, a second before it, an hour or a day after, or anywhere near it
+        ts = rng.choice(BOUNDARIES) + rng.choice(
+            [0, -1, HOUR, DAY, rng.randrange(-3 * DAY, 3 * DAY)])
+        rows.append(DecomposedTransaction(
+            block=ts, tx_index=0, timestamp=ts, market=rng.choice(["Trump", "Biden"]),
+            kind=TxKind.PURE_EXCHANGE, components=VolumeComponents(
+                *(rng.randrange(10**9) for _ in range(6)), buy_vol=0, sell_vol=0)))
+    return rows
+
+
+def random_bound(rng):
+    """None, an instant near a boundary (aligned or not), or any instant of the span."""
+    pick = rng.randrange(3)
+    if pick == 0:
+        return None
+    base = rng.choice(BOUNDARIES)
+    return base + rng.choice([0, HOUR, DAY, rng.randrange(-3 * DAY, 3 * DAY)]) if pick == 1 \
+        else base + rng.randrange(-20 * DAY, 20 * DAY)
 
 
 def totals(trade=0, mint=0, burn=0):
@@ -127,6 +214,84 @@ class TestAggregation:
         ts = parse_utc("2024-03-05T10:15:00Z")
         out = aggregate_components([row(ts)], "hour")
         assert out[0].start == parse_utc("2024-03-05T10:00:00Z")
+
+
+class TestKernelMatchesReference:
+    """The kernel against the per-row dispatch it replaced, on seeded random rows."""
+
+    def test_random_rows_windows_and_partitions(self):
+        rng = random.Random(19)
+        for _ in range(1000):
+            rows = random_rows(rng, rng.randrange(0, 60))
+            partition = rng.choice(["hour", "day", "month"])
+            dense = rng.random() < 0.5
+            market = rng.choice([None, "Trump", "Harris"])
+            start, end = random_bound(rng), random_bound(rng)
+            if dense and start is None and end is not None and not any(
+                    r.timestamp < end for r in rows if market in (None, r.market)):
+                end = None  # a grid from 0 to ``end``: test_empty_input has one
+            got = aggregate_components(iter(rows), partition, market, dense, start, end)
+            assert got == reference_aggregate(rows, partition, market, dense, start, end), \
+                (partition, market, dense, start, end)
+
+    @pytest.mark.parametrize("partition", ["hour", "day", "month"])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_inverted_window_is_empty(self, partition, dense):
+        rows = random_rows(random.Random(5), 50)
+        for start, end in [(BOUNDARIES[0] + 1800, BOUNDARIES[0] + 900),
+                           (BOUNDARIES[0] + DAY, BOUNDARIES[0]),
+                           (BOUNDARIES[1], BOUNDARIES[1])]:
+            assert aggregate_components(rows, partition, dense=dense, start=start, end=end) == []
+            assert reference_aggregate(rows, partition, dense=dense, start=start, end=end) == []
+
+    @pytest.mark.parametrize("partition", ["hour", "day", "month"])
+    def test_empty_input(self, partition):
+        assert aggregate_components([], partition) == []
+        assert aggregate_components([], partition, dense=True) == []
+        end = parse_utc("1970-03-02")  # no rows and no start: the grid begins at 0
+        assert aggregate_components([], partition, dense=True, end=end) == \
+            reference_aggregate([], partition, dense=True, end=end)
+
+    def test_leap_day_and_year_end_keys(self):
+        stamps = ["2024-02-28T23:59:59", "2024-02-29T00:00:00", "2024-02-29T23:59:59",
+                  "2024-03-01T00:00:00", "2023-12-31T23:59:59", "2024-01-01T00:00:00"]
+        rows = [row(parse_utc(text), trade=USD) for text in stamps]
+        months = aggregate_components(rows, "month")
+        assert [(t.start, t.yes.trade) for t in months] == [
+            (parse_utc("2023-12-01"), USD), (parse_utc("2024-01-01"), USD),
+            (parse_utc("2024-02-01"), 3 * USD), (parse_utc("2024-03-01"), USD)]
+        days = aggregate_components(rows, "day", start=parse_utc("2024-02-29"),
+                                    end=parse_utc("2024-03-01"))
+        assert [(t.start, t.yes.trade) for t in days] == [(parse_utc("2024-02-29"), 2 * USD)]
+        for partition in ("hour", "day", "month"):
+            for dense in (False, True):
+                assert aggregate_components(rows, partition, dense=dense) == \
+                    reference_aggregate(rows, partition, dense=dense)
+
+    @pytest.mark.parametrize("rows", [[], [row(parse_utc("2024-03-05"))]])
+    def test_unknown_partition_raises_on_any_input(self, rows):
+        with pytest.raises(ValueError, match="unknown partition"):
+            aggregate_components(rows, "week")
+
+    @pytest.mark.parametrize("partition", ["hour", "day", "month"])
+    def test_window_splits_at_a_grid_point(self, partition):
+        """For ``b`` on the partition grid, the intervals of [a, c) are those of [a, b)
+        followed by those of [b, c)."""
+        rng = random.Random(8)
+        rows = random_rows(rng, 300)
+        for _ in range(50):
+            a, c = sorted(rng.choice(BOUNDARIES) + rng.randrange(-3 * DAY, 3 * DAY)
+                          for _ in range(2))
+            b = reference_interval_floor(rng.randrange(a, c + 1), partition)
+            if not a <= b <= c:
+                b = reference_interval_next(b, partition)
+            if not a <= b <= c:
+                continue
+            for dense in (False, True):
+                whole = aggregate_components(rows, partition, dense=dense, start=a, end=c)
+                left = aggregate_components(rows, partition, dense=dense, start=a, end=b)
+                right = aggregate_components(rows, partition, dense=dense, start=b, end=c)
+                assert whole == left + right, (a, b, c, dense)
 
 
 class TestIntervalAlgebra:

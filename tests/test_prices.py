@@ -53,6 +53,33 @@ def reference_arbitrage_deviation(yes_series, no_series, grid_step):
     return out
 
 
+def reference_splice(before, after, splice_day):
+    """The two-list splice that ``splice_inflow_series`` replaced, kept as its oracle."""
+    splice_day -= splice_day % DAY
+    days, values = [], []
+    for day, value in zip(before.days, before.values):
+        if day < splice_day:
+            days.append(day)
+            values.append(value)
+    for day, value in zip(after.days, after.values):
+        if day >= splice_day:
+            days.append(day)
+            values.append(value)
+    if not days:
+        raise DataError("splice produced an empty series")
+    dense = {d: 0 for d in range(days[0], days[-1] + DAY, DAY)}
+    for day, value in zip(days, values):
+        dense[day] = value
+    return InflowSeries(days=tuple(sorted(dense)), values=tuple(dense[d] for d in sorted(dense)))
+
+
+def outcome(function, *args):
+    try:
+        return function(*args)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
 class TestPricePointContract:
     @pytest.mark.parametrize("usdc, shares", [(0, USD), (USD, USD), (2 * USD, USD), (1, 0)])
     def test_bad_price_rejected_on_every_construction(self, usdc, shares):
@@ -191,6 +218,21 @@ class TestSplice:
         after = series([7, 8, 9])
         out = splice_inflow_series(before, after, DAY0 - 30 * DAY)
         assert list(out.values) == [7, 8, 9]
+
+    def test_matches_reference_on_random_series(self):
+        rng = random.Random(21)
+        for _ in range(2000):
+            before = series([rng.randrange(-9, 9) for _ in range(rng.randrange(0, 12))],
+                            DAY0 + rng.randrange(-6, 6) * DAY)
+            after = series([rng.randrange(-9, 9) for _ in range(rng.randrange(0, 12))],
+                           DAY0 + rng.randrange(-6, 6) * DAY + rng.choice([0, 0, 0, 3600]))
+            splice_day = DAY0 + rng.randrange(-10 * DAY, 20 * DAY)
+            assert outcome(splice_inflow_series, before, after, splice_day) == \
+                outcome(reference_splice, before, after, splice_day), (before, after, splice_day)
+
+    def test_empty_splice_raises(self):
+        with pytest.raises(DataError, match="empty series"):
+            splice_inflow_series(series([1, 2]), series([]), DAY0 - DAY)
 
     def test_segments_match_daily_inflow_exactly(self, small_ledger):
         rows = small_ledger.truth
