@@ -21,7 +21,6 @@ DecompositionAnomalyError instead of guessing.
 
 from __future__ import annotations
 
-import logging
 from enum import Enum
 from itertools import repeat
 from operator import attrgetter, itemgetter
@@ -29,10 +28,8 @@ from sys import intern
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DecompositionAnomalyError, ParseError
-from .events import (COLLATERAL_ID, MarketSpec, Transaction, _read_cached, _table_records,
-                     _to_amount, market_slots, write_table)
-
-logger = logging.getLogger(__name__)
+from .events import (COLLATERAL_ID, MarketSpec, Transaction, _csv_rows, _json_record,
+                     _read_cached, _to_amount, market_slots, write_table)
 
 
 class TxKind(str, Enum):
@@ -189,7 +186,9 @@ def decompose_ledger(
                     else:
                         token = low
                         if not surplus:
-                            logger.warning(
+                            import logging
+
+                            logging.getLogger(__name__).warning(
                                 "equal-flow tx %s spans tokens %s; attributing exchange volume "
                                 "to the lexicographically smallest id",
                                 (block, tx_index), sorted(token_ids))
@@ -263,11 +262,10 @@ def write_decomposed(path, rows: Iterable[DecomposedTransaction], fmt: str = "cs
 
 
 _KINDS = {kind.value: kind for kind in TxKind}
-# The integer cells in DecomposedTransaction order: block, txIndex, timestamp,
-# then the components in VolumeComponents order.
-_INTEGER_CELLS = itemgetter("block", "txIndex", "timestamp", "yesTradeVol", "noTradeVol",
-                            "yesMintVol", "noMintVol", "yesBurnVol", "noBurnVol",
-                            "buyVol", "sellVol")
+# The cells a canonical row is built from: the integers in DecomposedTransaction order
+# (block, txIndex, timestamp, then the components in VolumeComponents order), market, kind.
+_CELLS = ("block", "txIndex", "timestamp", "yesTradeVol", "noTradeVol", "yesMintVol",
+          "noMintVol", "yesBurnVol", "noBurnVol", "buyVol", "sellVol", "market", "kind")
 
 
 def read_decomposed(path) -> list[DecomposedTransaction]:
@@ -293,29 +291,44 @@ def read_decomposed(path) -> list[DecomposedTransaction]:
 
 
 def _parse_decomposed(fh, is_csv: bool) -> list[DecomposedTransaction]:
-    """Parse text file ``fh``: ``read_decomposed`` without its cache."""
+    """Parse text file ``fh``: ``read_decomposed`` without its cache.
+
+    A CSV row gives its cells by the header's column positions (a repeated name
+    counts its last column), a JSONL record by name.
+    """
+    if is_csv:
+        lines = _csv_rows(fh, DECOMPOSED_FIELDS)
+        header = next(lines, None)
+        if header is None:  # an empty file
+            return []
+        column = {name: i for i, name in enumerate(header)}
+        cells = itemgetter(*[column[name] for name in _CELLS])
+        record = lambda row: dict(zip(header, row))
+    else:
+        lines = ((line_no, _json_record(line, line_no))
+                 for line_no, line in enumerate(fh, start=1) if line.strip())
+        cells, record = itemgetter(*_CELLS), dict  # the general path gets a copy
     new = tuple.__new__
     rows: list[DecomposedTransaction] = []
-    for line_no, record in _table_records(fh, is_csv, DECOMPOSED_FIELDS):
+    for line_no, source in lines:
         try:
             try:
-                cells = _INTEGER_CELLS(record)
-                kind = _KINDS[record["kind"]]
-                market = record["market"]
-                text = cells
-                if type(cells[0]) is int:  # JSONL: block, txIndex and timestamp as JSON integers
-                    if type(cells[1]) is not int or type(cells[2]) is not int \
-                            or min(cells[:3]) < 0:
+                *integers, market, kind = cells(source)
+                kind = _KINDS[kind]
+                text = integers
+                if type(integers[0]) is int:  # JSONL: block, txIndex and timestamp as JSON ints
+                    if type(integers[1]) is not int or type(integers[2]) is not int \
+                            or min(integers[:3]) < 0:
                         raise ValueError
-                    text = cells[3:]
+                    text = integers[3:]
                 digits = "".join(text)
                 if not (digits.isascii() and digits.isdigit() and type(market) is str):
                     raise ValueError  # an empty cell fails in int() below
-                block, tx_index, timestamp, *components = map(int, cells)
+                block, tx_index, timestamp, *components = map(int, integers)
                 row = new(DecomposedTransaction, (block, tx_index, timestamp, market, kind,
                                                   new(VolumeComponents, components)))
             except (KeyError, TypeError, ValueError):  # not canonical: the general path
-                row = decomposed_from_record(record)
+                row = decomposed_from_record(record(source))
             row.check()
         except KeyError as exc:
             raise ParseError(f"missing field {exc.args[0]!r}", line_no) from exc

@@ -240,25 +240,6 @@ def fill_from_record(
         raise SchemaError(f"line {line_no}: {exc}") from exc
 
 
-def _table_records(fh, is_csv: bool, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, record) from CSV (``is_csv``) or JSONL text file ``fh``.
-
-    A CSV file starts with a header naming every ``required`` column, and
-    each row has exactly as many values as the header; a JSONL line is one
-    JSON object. Blank lines are skipped; violations raise ParseError with
-    the line number.
-    """
-    if is_csv:
-        rows = _csv_rows(fh, required)
-        header = next(rows, [])
-        for line_no, row in rows:
-            yield line_no, dict(zip(header, row))
-    else:
-        for line_no, line in enumerate(fh, start=1):
-            if line.strip():
-                yield line_no, _json_record(line, line_no)
-
-
 def _csv_rows(fh, required: Sequence[str]) -> Iterator:
     """Yield a CSV file's header, if any, then (line number, row) per non-blank row; a missing
     ``required`` column, a row longer or shorter than the header, or text the CSV reader

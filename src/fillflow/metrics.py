@@ -15,7 +15,7 @@ transaction components (all exact integer micro-USDC):
 from __future__ import annotations
 
 from itertools import repeat
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .decompose import DecomposedTransaction
@@ -78,8 +78,9 @@ def aggregate_components(
 
     By default only intervals containing at least one transaction are
     emitted; with ``dense`` the full [start, end) grid is emitted with
-    zero totals for empty intervals (bounds default to the record span).
-    An unknown partition raises ValueError.
+    zero totals for empty intervals. A given bound holds; an unset one
+    comes from the market's rows inside the window, and with no such row
+    the grid is empty. An unknown partition raises ValueError.
     """
     if partition not in _STEPS:
         raise ValueError(f"unknown partition {partition!r}")
@@ -114,9 +115,9 @@ def aggregate_components(
     if not dense:
         keys: Iterable[int] = sorted(sums)
     else:
-        lo = start if start is not None else min(sums, default=0)
-        hi = end if end is not None else (max(sums) + 1 if sums else 0)
-        if hi <= lo:
+        lo = start if start is not None else min(sums, default=None)
+        hi = end if end is not None else (max(sums) + 1 if sums else None)
+        if lo is None or hi is None or hi <= lo:
             keys = ()
         elif partition != "month":
             keys = range(lo - lo % step, hi, step)
@@ -135,17 +136,10 @@ def merge_totals(intervals: Sequence[IntervalTotals]) -> IntervalTotals:
     """Union of intervals as a single aggregate (exact integer addition)."""
     if not intervals:
         raise ValueError("nothing to merge")
-    yes_trade = yes_mint = yes_burn = no_trade = no_mint = no_burn = 0
-    for it in intervals:
-        yes_trade += it.yes.trade
-        yes_mint += it.yes.mint
-        yes_burn += it.yes.burn
-        no_trade += it.no.trade
-        no_mint += it.no.mint
-        no_burn += it.no.burn
-    return IntervalTotals(
-        start=min(it.start for it in intervals),
-        partition=intervals[0].partition,
-        yes=SideTotals(yes_trade, yes_mint, yes_burn),
-        no=SideTotals(no_trade, no_mint, no_burn),
-    )
+
+    def side_totals(side: int) -> SideTotals:  # one C-level pass per component column
+        totals = list(map(itemgetter(side), intervals))
+        return SideTotals(*(sum(map(itemgetter(i), totals)) for i in range(3)))
+
+    return IntervalTotals(min(map(itemgetter(0), intervals)), intervals[0].partition,
+                          side_totals(2), side_totals(3))

@@ -15,7 +15,6 @@ their results do not depend on a linear-algebra library or its build.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -90,27 +89,21 @@ def sign_trades(points: Sequence[PricePoint]) -> list[SignedTrade]:
     """Tick-rule classification over a chronological price series.
 
     Direction is the sign of the price change; unchanged prices carry the
-    most recent nonzero direction forward. Exact rational prices make the
-    zero-change test exact.
+    most recent nonzero direction forward. The change's sign is that of
+    ``usdc * prev_shares - prev_usdc * shares`` (share totals are positive),
+    so the zero-change test is exact.
     """
+    from fractions import Fraction
+
+    new = tuple.__new__
     out: list[SignedTrade] = []
-    last_direction = 0
-    prev_price: Fraction | None = None
-    for point in points:
-        price = point.price
-        if prev_price is None or price == prev_price:
-            direction = last_direction
-        else:
-            direction = 1 if price > prev_price else -1
-            last_direction = direction
-        out.append(SignedTrade(
-            timestamp=point.timestamp,
-            price=price,
-            usdc_micro=point.usdc_micro,
-            share_micro=point.share_micro,
-            direction=direction,
-        ))
-        prev_price = price
+    direction = prev_usdc = prev_shares = 0  # no previous price: no change
+    for timestamp, _, _, usdc, shares in points:
+        change = usdc * prev_shares - prev_usdc * shares
+        if change:
+            direction = 1 if change > 0 else -1
+        out.append(new(SignedTrade, (timestamp, Fraction(usdc, shares), usdc, shares, direction)))
+        prev_usdc, prev_shares = usdc, shares
     return out
 
 
@@ -124,6 +117,7 @@ def hourly_bars(trades: Sequence[SignedTrade], weight: str = "shares") -> list[H
         raise DataError("no trades to aggregate")
     if weight not in ("shares", "usd"):
         raise ValueError(f"unknown VWAP weight {weight!r}")
+    from fractions import Fraction
 
     by_hour: dict[int, list[SignedTrade]] = {}
     for trade in trades:
@@ -131,33 +125,25 @@ def hourly_bars(trades: Sequence[SignedTrade], weight: str = "shares") -> list[H
 
     first = hour_floor(trades[0].timestamp)
     last = hour_floor(trades[-1].timestamp)
+    new = tuple.__new__
     bars: list[HourBar] = []
-    prev_vwap: Fraction | None = None
+    vwap: Fraction | None = None
     for hour in range(first, last + HOUR, HOUR):
         group = by_hour.get(hour)
         if group:
+            usdc = shares = flow = 0
+            for _, _, trade_usdc, trade_shares, direction in group:
+                usdc += trade_usdc
+                shares += trade_shares
+                flow += direction * trade_usdc
             if weight == "shares":
                 # share-weighted mean of usdc/share ratios = total usdc / total shares
-                vwap = Fraction(sum(t.usdc_micro for t in group), sum(t.share_micro for t in group))
+                vwap = Fraction(usdc, shares)
             else:
-                num = sum(Fraction(t.usdc_micro) * t.price for t in group)
-                vwap = num / sum(t.usdc_micro for t in group)
-            bars.append(HourBar(
-                start=hour,
-                vwap=vwap,
-                flow_micro=sum(t.flow_micro for t in group),
-                trade_count=len(group),
-                carried_forward=False,
-            ))
-        else:
-            bars.append(HourBar(
-                start=hour,
-                vwap=prev_vwap,
-                flow_micro=0,
-                trade_count=0,
-                carried_forward=True,
-            ))
-        prev_vwap = bars[-1].vwap
+                vwap = sum(Fraction(t.usdc_micro) * t.price for t in group) / usdc
+            bars.append(new(HourBar, (hour, vwap, flow, len(group), False)))
+        else:  # the previous VWAP carried forward
+            bars.append(new(HourBar, (hour, vwap, 0, 0, True)))
     return bars
 
 

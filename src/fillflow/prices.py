@@ -9,9 +9,7 @@ tightly that constraint binds between trade arrivals.
 
 from __future__ import annotations
 
-import logging
 import math
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .decompose import DecomposedTransaction
@@ -19,8 +17,6 @@ from .errors import DataError
 from .events import COLLATERAL_ID, Transaction
 from .metrics import aggregate_components, side_measures
 from .units import DAY, day_floor, parse_utc
-
-logger = logging.getLogger(__name__)
 
 # Biden's withdrawal date; the combined Democrat series switches source here.
 DEFAULT_SPLICE_DAY = "2024-07-21"
@@ -59,6 +55,8 @@ class PricePoint(_PricePointFields):
     @property
     def price(self) -> Fraction:
         """USD per share (micro units cancel)."""
+        from fractions import Fraction
+
         return Fraction(self.usdc_micro, self.share_micro)
 
 
@@ -104,6 +102,7 @@ def build_price_series(transactions: Iterable[Transaction], token_id: str) -> li
     count the exchanged quantity). Zero-share and out-of-(0,1) prices are
     skipped with a warning.
     """
+    new = tuple.__new__
     points: list[PricePoint] = []
     skipped = 0
     for tx in transactions:
@@ -126,16 +125,13 @@ def build_price_series(transactions: Iterable[Transaction], token_id: str) -> li
         if not 0 < usdc < shares:
             skipped += 1
             continue
-        points.append(PricePoint(
-            timestamp=tx.timestamp,
-            block=tx.block,
-            tx_index=tx.tx_index,
-            usdc_micro=usdc,
-            share_micro=shares,
-        ))
+        # PricePoint's own check is the test above
+        points.append(new(PricePoint, (tx.timestamp, tx.block, tx.tx_index, usdc, shares)))
     if skipped:
-        logger.warning("skipped %d transactions with degenerate prices for token %s",
-                       skipped, token_id)
+        import logging
+
+        logging.getLogger(__name__).warning(
+            "skipped %d transactions with degenerate prices for token %s", skipped, token_id)
     return points
 
 

@@ -16,9 +16,28 @@ def read_table(path, required):
     is_csv = str(path).endswith(".csv")
     try:
         with open(path, encoding="utf-8", newline="" if is_csv else None) as fh:
-            yield from events._table_records(fh, is_csv, required)
+            yield from table_records(fh, is_csv, required)
     except UnicodeDecodeError:
         raise events._utf8_error(path) from None
+
+
+def table_records(fh, is_csv, required):
+    """Yield (line number, record) from CSV (``is_csv``) or JSONL text file ``fh``.
+
+    A CSV file starts with a header naming every ``required`` column, and
+    each row has exactly as many values as the header; a JSONL line is one
+    JSON object. Blank lines are skipped; violations raise ParseError with
+    the line number.
+    """
+    if is_csv:
+        rows = events._csv_rows(fh, required)
+        header = next(rows, [])
+        for line_no, row in rows:
+            yield line_no, dict(zip(header, row))
+    else:
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                yield line_no, events._json_record(line, line_no)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -397,6 +397,17 @@ class TestFlagValidation:
         assert result.exit_code == 3, (result.output, result.exception)
         assert "an inflow series is empty" in result.output
 
+    @pytest.mark.parametrize("window", [["--to", "2024-01-01"], ["--from", "2030-01-01"]],
+                             ids=["to-only", "from-only"])
+    def test_disagreement_window_without_rows_exits_3(self, runner, fixture_table, tmp_path,
+                                                      window):
+        # The daily grid follows the metrics rule: with one bound unset and no row inside
+        # the other, it is empty, so the splice is too.
+        result = runner.invoke(main, ["disagreement", "--input", str(fixture_table), *window,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert "splice produced an empty series" in result.output
+
     def test_metrics_market_without_rows_exits_3(self, runner, fixture_table, tmp_path):
         out = tmp_path / "out"
         result = runner.invoke(main, ["metrics", "--input", str(fixture_table),
@@ -413,6 +424,19 @@ class TestFlagValidation:
                               "--from", "2020-01-01", "--to", "2020-02-01", "--out", str(out)])
         assert result.exit_code == 0, result.output
         assert csv_rows(out / "metrics.csv") == []
+
+    @pytest.mark.parametrize("partition", ["hour", "day", "month"])
+    @pytest.mark.parametrize("window", [["--to", "2024-03-01"], ["--from", "2024-07-01"]],
+                             ids=["to-only", "from-only"])
+    def test_metrics_dense_window_before_or_after_the_rows_is_header_only(
+            self, runner, fixture_table, tmp_path, partition, window):
+        # One bound unset and no row of the market inside the other: no grid.
+        out = tmp_path / "out"
+        result = run(runner, ["metrics", "--input", str(fixture_table), "--market", "Trump",
+                              "--partition", partition, "--dense", *window, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        lines = (out / "metrics.csv").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1 and lines[0].startswith("interval,")
 
     @pytest.mark.parametrize("window", [[], ["--from", "2024-02-01"], ["--to", "2024-02-01"]],
                              ids=["no-window", "from-only", "to-only"])

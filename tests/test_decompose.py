@@ -409,6 +409,45 @@ class TestReadDecomposedFastPath:
         assert outcome(reference_read_decomposed, path) == "line 1: missing field 'sellVol'"
 
 
+class TestReadDecomposedByPosition:
+    """CSV cells taken by the header's column positions, as ``dict(zip(header, row))``
+    reads them."""
+
+    @pytest.mark.parametrize("column, good, other", [
+        ("block", "51953201", "x"), ("market", "Biden", "Harris"),
+        ("kind", "pure_exchange", "bogus"), ("noTradeVol", "5", "+5")])
+    def test_repeated_column_counts_its_last(self, tmp_path, column, good, other):
+        path = tmp_path / "rows.csv"
+        for first, last in ((other, good), (good, other)):
+            row = [*BASE_RECORD.values(), last]
+            row[DECOMPOSED_FIELDS.index(column)] = first
+            write_table(path, (*DECOMPOSED_FIELDS, column), [row], "csv")
+            got = outcome(read_decomposed, path)
+            assert got == outcome(reference_read_decomposed, path)
+            if last == good:
+                assert read_decomposed(path) == [
+                    decomposed_from_record({**BASE_RECORD, column: good})]
+            elif column != "market":
+                assert got.startswith("line 2: ")
+
+    def test_non_canonical_csv_row_reaches_the_general_path_by_name(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "rows.csv"
+        write_table(path, DECOMPOSED_FIELDS[::-1],
+                    table_rows([BASE_RECORD, {**BASE_RECORD, "buyVol": "+5"}],
+                               DECOMPOSED_FIELDS[::-1]), "csv")
+        seen = []
+
+        def general_path(record):
+            seen.append(record)
+            return decomposed_from_record(record)
+
+        monkeypatch.setattr(decompose, "decomposed_from_record", general_path)
+        with pytest.raises(ParseError, match=r"^line 3: buyVol: not an integer: '\+5'$"):
+            read_decomposed(path)
+        assert seen == [{**BASE_RECORD, "buyVol": "+5"}]
+
+
 def reference_decompose_ledger(transactions, markets):
     """The dict-per-slice decomposer: each token's sums in dicts, one slice at a time."""
     reference_logger = logging.getLogger("fillflow.decompose")

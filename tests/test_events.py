@@ -1128,7 +1128,8 @@ def test_cli_import_does_not_load_numpy(tmp_path, fill_cache, small_ledger, mark
     # solver), also not while a full price-impact run estimates lambda and its
     # regression. The package itself re-exports nothing, so the CLI loads neither
     # the mechanics nor the fixtures module, and only simulate and ingest
-    # --endpoint import the generator and the fetcher.
+    # --endpoint import the generator and the fetcher. Only a warning loads logging,
+    # and only a Fraction built on the price-impact path loads fractions and decimal.
     write_fills(tmp_path / "fills.jsonl", small_ledger.fills)
     write_market_config(tmp_path / "markets.json", markets[:2])
     src = Path(__file__).resolve().parents[1] / "src"
@@ -1138,6 +1139,7 @@ def test_cli_import_does_not_load_numpy(tmp_path, fill_cache, small_ledger, mark
          "assert 'fillflow.fixtures' not in sys.modules; "
          "assert 'fillflow.synthetic' not in sys.modules; "
          "assert 'fillflow.fetch' not in sys.modules; "
+         "assert not {'logging', 'fractions', 'decimal'} & set(sys.modules); "
          "fillflow.cli.main(['lambda', '--input', 'fills.jsonl', '--markets', 'markets.json', "
          "'--market', 'Trump', '--out', 'out'], standalone_mode=False); "
          "assert 'numpy' not in sys.modules"],

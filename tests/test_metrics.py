@@ -72,9 +72,11 @@ def reference_aggregate(records, partition, market=None, dense=False, start=None
                                    c.no_trade, c.no_mint, c.no_burn)):
             acc[i] += value
     if dense:
-        lo = start if start is not None else min(sums, default=0)
-        hi = end if end is not None else (max(sums) + 1 if sums else 0)
-        keys = reference_interval_range(lo, hi, partition)
+        # A given bound holds; an unset one comes from the rows kept, and without rows the
+        # grid is empty.
+        lo = start if start is not None else min(sums, default=None)
+        hi = end if end is not None else (max(sums) + 1 if sums else None)
+        keys = [] if lo is None or hi is None else reference_interval_range(lo, hi, partition)
     else:
         keys = sorted(sums)
     out = []
@@ -227,9 +229,6 @@ class TestKernelMatchesReference:
             dense = rng.random() < 0.5
             market = rng.choice([None, "Trump", "Harris"])
             start, end = random_bound(rng), random_bound(rng)
-            if dense and start is None and end is not None and not any(
-                    r.timestamp < end for r in rows if market in (None, r.market)):
-                end = None  # a grid from 0 to ``end``: test_empty_input has one
             got = aggregate_components(iter(rows), partition, market, dense, start, end)
             assert got == reference_aggregate(rows, partition, market, dense, start, end), \
                 (partition, market, dense, start, end)
@@ -248,9 +247,28 @@ class TestKernelMatchesReference:
     def test_empty_input(self, partition):
         assert aggregate_components([], partition) == []
         assert aggregate_components([], partition, dense=True) == []
-        end = parse_utc("1970-03-02")  # no rows and no start: the grid begins at 0
-        assert aggregate_components([], partition, dense=True, end=end) == \
-            reference_aggregate([], partition, dense=True, end=end)
+        end = parse_utc("1970-03-02")  # no rows and no start: no grid
+        assert aggregate_components([], partition, dense=True, end=end) == []
+        assert reference_aggregate([], partition, dense=True, end=end) == []
+        assert aggregate_components([], partition, dense=True, start=end) == []
+        assert aggregate_components([], partition, dense=True, start=0, end=end) != []
+
+    @pytest.mark.parametrize("partition", ["hour", "day", "month"])
+    def test_one_unset_bound_comes_from_the_rows_in_the_window(self, partition):
+        rows = [row(parse_utc("2024-03-05T10:15:00Z"), trade=USD),
+                row(parse_utc("2024-05-20T08:00:00Z"), trade=USD),
+                row(parse_utc("2024-03-07"), market="Biden")]
+        first, second = parse_utc("2024-03-05T10:15:00Z"), parse_utc("2024-05-20")
+        before = parse_utc("2024-01-01")
+        # an ``end`` before every row of the market: no grid, not one from epoch 0
+        assert aggregate_components(rows, partition, "Trump", True, end=before) == []
+        # an ``end`` between the rows: the grid starts at the first row's interval
+        got = aggregate_components(rows, partition, "Trump", True, end=second)
+        assert got[0].start == reference_interval_floor(first, partition)
+        assert got[-1].start < second and got[0].yes.trade == USD
+        assert got == reference_aggregate(rows, partition, "Trump", True, end=second)
+        # a ``start`` after every row: no grid
+        assert aggregate_components(rows, partition, "Trump", True, start=second + DAY) == []
 
     def test_leap_day_and_year_end_keys(self):
         stamps = ["2024-02-28T23:59:59", "2024-02-29T00:00:00", "2024-02-29T23:59:59",
@@ -292,6 +310,52 @@ class TestKernelMatchesReference:
                 left = aggregate_components(rows, partition, dense=dense, start=a, end=b)
                 right = aggregate_components(rows, partition, dense=dense, start=b, end=c)
                 assert whole == left + right, (a, b, c, dense)
+
+
+def reference_merge(intervals):
+    """The per-interval attribute loop that ``merge_totals`` replaced, kept as its oracle."""
+    if not intervals:
+        raise ValueError("nothing to merge")
+    yes_trade = yes_mint = yes_burn = no_trade = no_mint = no_burn = 0
+    for it in intervals:
+        yes_trade += it.yes.trade
+        yes_mint += it.yes.mint
+        yes_burn += it.yes.burn
+        no_trade += it.no.trade
+        no_mint += it.no.mint
+        no_burn += it.no.burn
+    return IntervalTotals(
+        start=min(it.start for it in intervals),
+        partition=intervals[0].partition,
+        yes=SideTotals(yes_trade, yes_mint, yes_burn),
+        no=SideTotals(no_trade, no_mint, no_burn),
+    )
+
+
+class TestMergeMatchesReference:
+    def test_random_intervals(self):
+        rng = random.Random(23)
+        for _ in range(500):
+            partition = rng.choice(["hour", "day", "month"])
+            intervals = [IntervalTotals(
+                rng.randrange(-DAY, 10**10), partition,
+                SideTotals(*(rng.randrange(10**18) for _ in range(3))),
+                SideTotals(*(rng.randrange(10**18) for _ in range(3))))
+                for _ in range(rng.randrange(1, 40))]
+            got = merge_totals(intervals)
+            assert got == reference_merge(intervals)
+            assert type(got) is IntervalTotals
+            assert (type(got.yes), type(got.no)) == (SideTotals, SideTotals)
+
+    def test_single_interval_is_itself(self):
+        one = IntervalTotals(parse_utc("2024-03-05"), "day", SideTotals(1, 2, 3),
+                             SideTotals(4, 5, 6))
+        assert merge_totals([one]) == reference_merge([one]) == one
+
+    def test_empty_input_raises(self):
+        for merge in (merge_totals, reference_merge):
+            with pytest.raises(ValueError, match="nothing to merge"):
+                merge([])
 
 
 class TestIntervalAlgebra:

@@ -9,6 +9,7 @@ import pytest
 from fillflow.errors import DataError
 from fillflow.microstructure import (
     HourBar,
+    SignedTrade,
     bar_log_odds,
     hourly_bars,
     inverse_log_odds,
@@ -128,6 +129,71 @@ class TestHourlyBars:
     def test_empty_input_rejected(self):
         with pytest.raises(DataError):
             hourly_bars([])
+
+
+def reference_sign_trades(points):
+    """The Fraction-comparing tick rule that ``sign_trades`` replaced, kept as its oracle."""
+    out = []
+    last_direction = 0
+    prev_price = None
+    for point in points:
+        price = point.price
+        if prev_price is None or price == prev_price:
+            direction = last_direction
+        else:
+            direction = 1 if price > prev_price else -1
+            last_direction = direction
+        out.append(SignedTrade(timestamp=point.timestamp, price=price,
+                               usdc_micro=point.usdc_micro, share_micro=point.share_micro,
+                               direction=direction))
+        prev_price = price
+    return out
+
+
+def reference_hourly_bars(trades, weight="shares"):
+    """The keyword-built bars that ``hourly_bars`` replaced, kept as its oracle."""
+    by_hour = {}
+    for trade in trades:
+        by_hour.setdefault(trade.timestamp - trade.timestamp % HOUR, []).append(trade)
+    first, last = (t.timestamp - t.timestamp % HOUR for t in (trades[0], trades[-1]))
+    bars = []
+    prev_vwap = None
+    for hour in range(first, last + HOUR, HOUR):
+        group = by_hour.get(hour)
+        if group:
+            if weight == "shares":
+                vwap = Fraction(sum(t.usdc_micro for t in group),
+                                sum(t.share_micro for t in group))
+            else:
+                vwap = sum(Fraction(t.usdc_micro) * t.price for t in group) / sum(
+                    t.usdc_micro for t in group)
+            bars.append(HourBar(start=hour, vwap=vwap, flow_micro=sum(t.flow_micro for t in group),
+                                trade_count=len(group), carried_forward=False))
+        else:
+            bars.append(HourBar(start=hour, vwap=prev_vwap, flow_micro=0, trade_count=0,
+                                carried_forward=True))
+        prev_vwap = bars[-1].vwap
+    return bars
+
+
+class TestPricePathMatchesReference:
+    def test_random_series_with_equal_prices_in_other_terms(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            points, ts = [], T0 + rng.randrange(HOUR)
+            for _ in range(rng.randrange(1, 60)):
+                ts += rng.choice([0, 1, 600, HOUR, 3 * HOUR])
+                # few prices, each in several scalings, so ties come in other terms
+                num, den = rng.choice([(1, 2), (2, 5), (3, 5), (49, 100), (51, 100)])
+                scale = rng.choice([1, 2, 3, 7, 10**6])
+                points.append(PricePoint(ts, 1, 0, num * scale, den * scale))
+            trades = sign_trades(points)
+            assert trades == reference_sign_trades(points)
+            assert [type(t.price) for t in trades] == [Fraction] * len(trades)
+            for weight in ("shares", "usd"):
+                bars = hourly_bars(trades, weight)
+                assert bars == reference_hourly_bars(trades, weight)
+                assert all(type(b) is HourBar and type(b.vwap) is Fraction for b in bars)
 
 
 class TestLogOdds:
