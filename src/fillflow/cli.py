@@ -33,8 +33,8 @@ from .microstructure import (hourly_bars, lambda_volume_regression, price_impact
                              rolling_avg_volume, rolling_kyle_lambda, sign_trades)
 from .prices import (arbitrage_deviation, build_price_series, daily_net_inflow,
                      rolling_inflow_correlation, splice_democrat_market)
-from .traders import (cell_bitmask, collect_trader_activity, hourly_active_traders,
-                      participation_sets, top_decile_traders)
+from .traders import (collect_trader_activity, hourly_active_traders, participation_sets,
+                      top_decile_traders)
 from .units import DEFAULT_WINDOW_END, format_date, format_utc, micro_to_usd, parse_utc
 
 EXIT_CONFIG = 2
@@ -91,7 +91,7 @@ def _fmt_float(value) -> str:
 def _gc_paused():
     """Run the block with the cyclic GC off, then exempt what it built from later collections.
 
-    A loaded ledger is acyclic tuples, ints and strings: collecting while it
+    A loaded ledger or table is acyclic tuples, ints and strings: collecting while it
     loads finds nothing, and after ``gc.freeze`` later collections skip it.
     The GC's prior state is restored also when the block raises.
     """
@@ -114,6 +114,12 @@ def _load_transactions(inputs, markets_path=None, block_times=None):
             fills.extend(read_fills(path, block_times))
         transactions = group_transactions(fills)
     return transactions, load_market_config(markets_path) if markets_path else None
+
+
+def _load_decomposed(inputs):
+    """The rows of every decomposed table in ``inputs``, read in order."""
+    with _gc_paused():
+        return [row for path in inputs for row in read_decomposed(path)]
 
 
 def _check_range(start, end):
@@ -294,7 +300,7 @@ def decompose(inputs, markets_path, start, end, fmt, max_anomalies, out):
 def metrics(inputs, market, side, partition, start, end, dense, fmt, out):
     """Exchange-equivalent volume, net inflow, and gross activity per interval."""
     _check_range(start, end)
-    records = [row for path in inputs for row in read_decomposed(path)]
+    records = _load_decomposed(inputs)
     present = {r.market for r in records}
     if market not in present:
         raise DataError(f"market {market!r} has no rows in the decomposed table "
@@ -369,7 +375,7 @@ def disagreement(inputs, market_a, first_democrat, second_democrat, splice_day, 
                  corr_window_days, step_days, start, end, fmt, out):
     """Rolling correlation of daily net inflow: one market vs a spliced pair."""
     _check_range(start, end)
-    records = [row for path in inputs for row in read_decomposed(path)]
+    records = _load_decomposed(inputs)
     series_a = daily_net_inflow(records, market_a, side, start=start, end=end)
     series_b = splice_democrat_market(records, first_democrat, second_democrat,
                                       splice_day, side, start=start, end=end)
@@ -516,8 +522,8 @@ def traders_cmd(inputs, markets_path, quarter, start, end, by, exclude_addresses
         [("hourly.csv", ["hour", "meanActiveTraders"],
           [(h, _fmt_float(v)) for h, v in enumerate(hourly)], "csv"),
          ("participation.csv", ["bitmask", "markets", "count", "sharePct"],
-          [(cell_bitmask(c.markets, markets), "|".join(sorted(c.markets)), c.count,
-            _fmt_float(c.share)) for c in cells], "csv"),
+          [(c.bitmask, "|".join(sorted(c.markets)), c.count, _fmt_float(c.share))
+           for c in cells], "csv"),
          ("marginals.csv", ["market", "sharePct"],
           [(name, _fmt_float(pct)) for name, pct in marginals.items()], "csv"),
          ("candidate_overlap.csv", ["candidates", "count", "sharePct"],

@@ -277,6 +277,17 @@ class TestPipeline:
         assert set(rows[0]) == {"date", "lambda", "se", "n", "avgVolume"}
         assert (lam / "lambda_regression.json").exists()
 
+    @pytest.mark.parametrize("side", ["yes", "no"])
+    def test_lambda_on_a_side_without_trades_exits_3(self, runner, fixture_dir, tmp_path, side):
+        # the fixture ledger has no fill on either Harris token
+        out = tmp_path / "lam"
+        result = run(runner, ["lambda", "--input", str(fixture_dir / "fills.jsonl"),
+                              "--markets", str(fixture_dir / "markets.json"),
+                              "--market", "Harris", "--side", side, "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert f"error: no trades for Harris {side.upper()}" in result.output
+        assert not out.exists()
+
 
 class TestFlagValidation:
     def test_reversed_date_range_exits_2(self, runner, valid_inputs, tmp_path):

@@ -1133,6 +1133,9 @@ def test_cli_import_does_not_load_numpy(tmp_path, fill_cache, small_ledger, mark
     write_fills(tmp_path / "fills.jsonl", small_ledger.fills)
     write_market_config(tmp_path / "markets.json", markets[:2])
     src = Path(__file__).resolve().parents[1] / "src"
+    env = {"PYTHONPATH": str(src), "XDG_CACHE_HOME": str(fill_cache.parent)}
+    if sys.dont_write_bytecode:  # the child writes no bytecode into the checkout either
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
     subprocess.run(
         [sys.executable, "-c", "import fillflow.cli, sys; assert 'numpy' not in sys.modules; "
          "assert 'fillflow.mechanics' not in sys.modules; "
@@ -1143,31 +1146,37 @@ def test_cli_import_does_not_load_numpy(tmp_path, fill_cache, small_ledger, mark
          "fillflow.cli.main(['lambda', '--input', 'fills.jsonl', '--markets', 'markets.json', "
          "'--market', 'Trump', '--out', 'out'], standalone_mode=False); "
          "assert 'numpy' not in sys.modules"],
-        cwd=tmp_path, env={"PYTHONPATH": str(src), "XDG_CACHE_HOME": str(fill_cache.parent)},
-        check=True)
+        cwd=tmp_path, env=env, check=True)
     regression = json.loads((tmp_path / "out" / "lambda_regression.json").read_text())
     assert regression["regression"]["n"] > 2
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 def test_ledger_load_restores_gc_state(tmp_path, example_fills, markets, enabled):
-    from fillflow.cli import _load_transactions
+    from fillflow.cli import _load_decomposed, _load_transactions
 
     good, bad, config = tmp_path / "good.jsonl", tmp_path / "bad.jsonl", tmp_path / "markets.json"
     write_fills(good, example_fills[::-1])
     bad.write_text('{"block": "not a number"}\n')
     write_market_config(config, markets)
+    rows = decompose.decompose_ledger(group_transactions(example_fills), markets)[0]
+    table = tmp_path / "decomposed.csv"
+    write_decomposed(table, rows)
     prior = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
-    gc.unfreeze()  # earlier in-process commands may have frozen objects
     try:
-        transactions, _ = _load_transactions([good], config)
-        assert gc.isenabled() is enabled
-        assert gc.get_freeze_count() > 0
-        assert transactions == group_transactions(example_fills)
-        with pytest.raises(ParseError, match="line 1"):
-            _load_transactions([bad], config)
-        assert gc.isenabled() is enabled
+        for load, good_input, want in [
+            (lambda paths: _load_transactions(paths, config)[0], good,
+             group_transactions(example_fills)),
+            (_load_decomposed, table, rows),
+        ]:
+            gc.unfreeze()  # earlier in-process commands may have frozen objects
+            assert load([good_input]) == want
+            assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() > 0
+            with pytest.raises(ParseError, match="line 1"):
+                load([bad])
+            assert gc.isenabled() is enabled
     finally:
         (gc.enable if prior else gc.disable)()
         gc.unfreeze()

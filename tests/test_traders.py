@@ -6,14 +6,13 @@ from fillflow.errors import ConfigError, DataError
 from fillflow.events import FillEvent, group_transactions
 from fillflow.fixtures import EXCHANGE_ADDRESS
 from fillflow.traders import (
-    cell_bitmask,
     collect_trader_activity,
     hourly_active_traders,
     market_labels,
     participation_sets,
     top_decile_traders,
 )
-from fillflow.units import DAY, day_floor, parse_utc
+from fillflow.units import DAY, day_floor, hour_floor, parse_utc
 
 START = parse_utc("2024-10-01T00:00:00Z")
 USD = 10**6
@@ -68,6 +67,12 @@ class TestHourlyProfile:
         split = hourly_active_traders(activity, START, START + DAY, per_market=True)
         assert combined[9] == pytest.approx(1.0)
         assert split[9] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("span", [0, -DAY])
+    def test_empty_window_rejected(self, markets, span):
+        activity = activity_of(ledger_of([(0, 9, "0xabc", 0, "yes", USD)], markets), markets)
+        with pytest.raises(DataError, match="empty window"):
+            hourly_active_traders(activity, START, START + span)
 
     def test_recovers_generator_schedule(self, small_ledger):
         start = min(tx.timestamp for tx in group_transactions(small_ledger.fills))
@@ -185,6 +190,11 @@ class TestTopDecile:
         with pytest.raises(DataError, match=">= 10"):
             top_decile_traders(activity_of(ledger_of(entries, markets), markets))
 
+    def test_unknown_ranking_rejected(self, markets):
+        entries = [(0, 1, f"0x{i:02d}", 0, "yes", USD) for i in range(20)]
+        with pytest.raises(ValueError, match="unknown ranking 'count'"):
+            top_decile_traders(activity_of(ledger_of(entries, markets), markets), by="count")
+
 
 class TestParticipation:
     def test_single_trader_single_market(self, markets):
@@ -233,14 +243,35 @@ class TestParticipation:
 
 class TestBitmask:
     def test_bit_positions_follow_config_order(self, markets):
-        assert cell_bitmask(frozenset({"Trump YES"}), markets) == 0b1
-        assert cell_bitmask(frozenset({"Trump NO"}), markets) == 0b10
-        assert cell_bitmask(frozenset({"Biden YES"}), markets) == 0b100
-        assert cell_bitmask(frozenset({"Trump YES", "Biden NO"}), markets) == 0b1001
+        entries = [
+            (0, 1, "0xa", 0, "yes", USD),
+            (0, 1, "0xb", 0, "no", USD), (0, 1, "0xb", 0, "no", USD),
+            *[(0, 1, "0xc", 1, "yes", USD)] * 3,
+            (0, 1, "0xd", 0, "yes", USD), (0, 1, "0xd", 1, "no", USD),
+        ]
+        cells, _, candidate_cells = participation_sets(activity_of(ledger_of(entries, markets),
+                                                                   markets))
+        assert {c.markets: c.bitmask for c in cells} == {
+            frozenset({"Trump YES"}): 0b1,
+            frozenset({"Trump NO"}): 0b10,
+            frozenset({"Biden YES"}): 0b100,
+            frozenset({"Trump YES", "Biden NO"}): 0b1001,
+        }
+        # a candidate cell sets both slot bits of each of its markets
+        assert {c.markets: c.bitmask for c in candidate_cells} == {
+            frozenset({"Trump"}): 0b11,
+            frozenset({"Biden"}): 0b1100,
+            frozenset({"Trump", "Biden"}): 0b1111,
+        }
 
     def test_all_six_markets(self, markets):
-        labels = frozenset(f"{m.candidate} {s}" for m in markets for s in ("YES", "NO"))
-        assert cell_bitmask(labels, markets) == 0b111111
+        entries = [(0, 1, "0xa", i, side, USD) for i in range(3) for side in ("yes", "no")]
+        cells, _, candidate_cells = participation_sets(activity_of(ledger_of(entries, markets),
+                                                                   markets))
+        assert [c.bitmask for c in cells] == [0b111111]
+        assert cells[0].markets == frozenset(
+            f"{m.candidate} {s}" for m in markets for s in ("YES", "NO"))
+        assert [c.bitmask for c in candidate_cells] == [0b111111]
 
 
 class TestActivityCollection:
@@ -249,9 +280,10 @@ class TestActivityCollection:
         fills = [FillEvent(1, 0, 0, "0xbuyer", "0xseller", "0", token,
                            7 * USD, 10 * USD, START)]
         activity = collect_trader_activity(group_transactions(fills), markets)
-        assert activity["0xbuyer"].usd_volume == 7 * USD
-        assert activity["0xseller"].usd_volume == 7 * USD
-        assert activity["0xbuyer"].per_market["Trump YES"].trade_count == 1
+        # token slot 0 is Trump YES: [trade count, micro-USDC volume, hour starts]
+        assert activity.traders == {"0xbuyer": {0: [1, 7 * USD, {hour_floor(START)}]},
+                                    "0xseller": {0: [1, 7 * USD, {hour_floor(START)}]}}
+        assert activity.markets is markets
 
     def test_case_insensitive_addresses(self, markets):
         token = markets[0].yes_token_id
@@ -260,7 +292,8 @@ class TestActivityCollection:
             FillEvent(1, 0, 1, "0xabc", "0xd", "0", token, USD, USD, START),
         ]
         activity = collect_trader_activity(group_transactions(fills), markets)
-        assert activity["0xabc"].trade_count == 2
+        assert set(activity.traders) == {"0xabc", "0xd"}
+        assert activity.traders["0xabc"][0][0] == 2
 
     def test_two_markets_with_one_name_rejected(self, markets, example_transactions):
         twins = [markets[0], dataclasses.replace(markets[1], candidate=markets[0].candidate)]
