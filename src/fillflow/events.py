@@ -119,10 +119,6 @@ class FillEvent(_FillFields):
         return cls(*iterable)
 
     @property
-    def key(self) -> tuple[int, int, int]:
-        return (self.block, self.tx_index, self.log_index)
-
-    @property
     def is_buy(self) -> bool:
         """True when the maker pays collateral for outcome tokens."""
         return self.maker_asset_id == COLLATERAL_ID
@@ -130,14 +126,6 @@ class FillEvent(_FillFields):
     @property
     def token_id(self) -> str:
         return self.taker_asset_id if self.is_buy else self.maker_asset_id
-
-    @property
-    def usdc_amount(self) -> int:
-        return self.maker_amount if self.is_buy else self.taker_amount
-
-    @property
-    def share_amount(self) -> int:
-        return self.taker_amount if self.is_buy else self.maker_amount
 
 
 class _TransactionFields(NamedTuple):
@@ -160,10 +148,6 @@ class Transaction(_TransactionFields):
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.block, self.tx_index)
 
 
 @dataclass(frozen=True)
@@ -263,18 +247,24 @@ def _csv_rows(fh, required: Sequence[str]) -> Iterator:
         raise ParseError(str(exc), reader.line_num) from exc
 
 
-def _utf8_error(path) -> ParseError:
-    """ParseError naming the first line of ``path`` with a byte that is not UTF-8.
+def _utf8_error(fh) -> ParseError:
+    """ParseError naming the first line of seekable binary file ``fh`` with a byte that is
+    not UTF-8.
 
     Text files decode ahead of the line being read, so the file is read again
-    with each bad byte b escaped to U+DC00+b, splitting lines as before.
+    from its start with each bad byte b escaped to U+DC00+b, splitting lines
+    as before.
     """
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    fh.seek(0)
+    text = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape")
+    try:
+        for line_no, line in enumerate(text, start=1):
             bad = re.search("[\udc80-\udcff]", line)
             if bad:
                 return ParseError(f"not valid UTF-8 (byte 0x{ord(bad[0]) - 0xDC00:02x})", line_no)
-    return ParseError("not valid UTF-8")
+        return ParseError("not valid UTF-8")
+    finally:
+        text.detach()
 
 
 def _json_record(line: str, line_no: int) -> dict:
@@ -393,7 +383,8 @@ def read_fills(path, block_times: Mapping[int, int] | None = None) -> list[FillE
 
     The fills of a regular file are cached by its bytes (README, "Parsed-table
     cache"): a first read parses and stores them, and a later read of the same
-    bytes, under any name or file time, skips the parse.
+    bytes, under any name or file time, skips the parse. A pipe is parsed,
+    uncached.
     """
     return _read_cached(path, lambda fh, is_csv: _parse_fills(fh, is_csv, block_times),
                         lambda digest, is_csv: _fill_key_parts(digest, is_csv, block_times),
@@ -414,24 +405,23 @@ def _read_cached(path, parse_text, key_parts, columns, rows) -> list:
         try:
             return parse_text(text, is_csv)
         except UnicodeDecodeError:
-            raise _utf8_error(path) from None
+            pass  # rescanned below, once the wrapper has let go of the file
         finally:
             text.detach()
+        raise _utf8_error(fh)
 
     directory = os.path.join(
         os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "fillflow")
-    with open(path, "rb") as fh:  # one open: a file renamed over ``path`` meanwhile is unread
-        before = os.fstat(fh.fileno())
-        # A pipe cannot be read twice; a relative directory (no home) would land in the cwd.
-        if not (S_ISREG(before.st_mode) and os.path.isabs(directory)):
+    with _read_input(path) as (fh, before, hexdigest):
+        # A pipe's copy is not cached; a relative directory (no home) would land in the cwd.
+        if before is None or not os.path.isabs(directory):
             return parse(fh)
         digest = hashlib.sha256(_parser_fingerprint())
         key_parts(digest, is_csv)
-        digest.update(_hash_file(fh, before).encode())
+        digest.update(hexdigest.encode())
         key = digest.hexdigest()
         table = _cache_load(os.path.join(directory, key), rows)
         if table is None:
-            fh.seek(0)
             table = parse(fh)
             # The key names the bytes hashed: a file written to since may have given others.
             if _identity(os.fstat(fh.fileno())) == _identity(before):
@@ -441,28 +431,43 @@ def _read_cached(path, parse_text, key_parts, columns, rows) -> list:
 
 _identity = attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
 
-# File identity -> hex SHA-256 of the file as a reader hashed it, the newest 8, which
-# ``file_sha256`` reuses. A file written to since has another identity.
-_DIGESTS: dict[tuple, str] = {}
+# Each input path as given -> hex SHA-256 of the bytes last read from it in this process:
+# the digests a command's manifest records.
+_INPUT_DIGESTS: dict[str, str] = {}
 
 
-def _hash_file(fh, status) -> str:
-    """Hex SHA-256 of unread binary file ``fh``, whose ``fstat`` is ``status``."""
-    digest = hashlib.sha256()
-    while chunk := fh.read(1 << 20):
-        digest.update(chunk)
-    _DIGESTS[_identity(status)] = hexdigest = digest.hexdigest()
-    if len(_DIGESTS) > 8:
-        del _DIGESTS[next(iter(_DIGESTS))]
-    return hexdigest
+@contextlib.contextmanager
+def _read_input(path):
+    """Open the input at ``path`` once, hash all its bytes and record the digest in
+    ``_INPUT_DIGESTS``; yield the binary file at its start, its ``fstat`` and the digest.
+
+    An input that is not a regular file, such as a pipe, cannot be read twice: its bytes
+    are copied into an anonymous temporary file as they are hashed, which is yielded, with
+    None for the ``fstat``. One open also leaves a file renamed over ``path`` unread.
+    """
+    with open(path, "rb") as source:
+        status = os.fstat(source.fileno())
+        regular = S_ISREG(status.st_mode)
+        with contextlib.nullcontext(source) if regular else tempfile.TemporaryFile() as fh:
+            digest = hashlib.sha256()
+            while chunk := source.read(1 << 20):
+                digest.update(chunk)
+                if not regular:
+                    fh.write(chunk)
+            fh.seek(0)
+            _INPUT_DIGESTS[str(path)] = hexdigest = digest.hexdigest()
+            yield fh, status if regular else None, hexdigest
 
 
-def file_sha256(path) -> str:
-    """Hex SHA-256 of the file at ``path``; one that a reader has hashed in this process, not
-    written to since (the same device, inode, size and times), is not read again."""
-    with open(path, "rb") as fh:
-        status = os.fstat(fh.fileno())
-        return _DIGESTS.get(_identity(status)) or _hash_file(fh, status)
+def _load_json(path):
+    """The JSON document in the input at ``path``, decoded as UTF-8 text as
+    ``open(path, encoding="utf-8")`` reads it; a bad byte or document raises ValueError."""
+    with _read_input(path) as (fh, _, _):
+        text = io.TextIOWrapper(fh, encoding="utf-8")
+        try:
+            return json.load(text)
+        finally:
+            text.detach()
 
 
 def _parse_fills(fh, is_csv: bool, block_times) -> list[FillEvent]:
@@ -596,11 +601,10 @@ def load_block_times(path) -> dict[int, int]:
     Keys must be ASCII decimal block numbers and values UTC instants that
     ``parse_utc`` accepts; anything else raises ParseError naming the key.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except ValueError as exc:
-            raise ParseError(f"block-times sidecar: invalid JSON: {exc}") from exc
+    try:
+        raw = _load_json(path)
+    except ValueError as exc:
+        raise ParseError(f"block-times sidecar: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"block-times sidecar must be a JSON object, got {type(raw).__name__}")
     times: dict[int, int] = {}
@@ -732,11 +736,10 @@ def load_market_config(path) -> list[MarketSpec]:
     One JSON document listing markets; every token id may appear in at most
     one market, and each market must pair YES and NO explicitly.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # also a byte that is not UTF-8
-            raise ConfigError(f"invalid market config JSON: {exc}") from exc
+    try:
+        doc = _load_json(path)
+    except ValueError as exc:  # also a byte that is not UTF-8
+        raise ConfigError(f"invalid market config JSON: {exc}") from exc
     entries = doc.get("markets") if isinstance(doc, dict) else doc
     return markets_from_entries(entries)
 

@@ -18,7 +18,6 @@ Generation is single-threaded and fully determined by the scenario seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import itemgetter
@@ -27,11 +26,12 @@ from typing import Sequence
 
 from .decompose import DecomposedTransaction, TxKind, VolumeComponents
 from .errors import ConfigError
-from .events import COLLATERAL_ID, FillEvent, MarketSpec, markets_from_entries
+from .events import COLLATERAL_ID, FillEvent, MarketSpec, _load_json, markets_from_entries
 from .traders import market_labels
 from .units import DAY, MICRO, day_floor, parse_utc
 
 BLOCK_SECONDS = 2  # settlement chain block cadence; timestamps sit on this grid
+START_BLOCK = 50_000_000  # the block of a scenario's start
 
 PRICE_LO = 60_000
 PRICE_HI = 940_000
@@ -86,7 +86,6 @@ class SyntheticScenario:
     kind_weights: dict[str, float] | None = None
     hourly_weights: list[float] | None = None
     mixed_spread_micro: int = 2000
-    start_block: int = 50_000_000
 
     def __post_init__(self):
         if not self.markets:
@@ -236,7 +235,7 @@ class _Generator:
         raise ConfigError("could not draw a timestamp inside the scenario window")
 
     def _coordinates(self, ts: int) -> tuple[int, int]:
-        block = self.scenario.start_block + (ts - self.scenario.start) // BLOCK_SECONDS
+        block = START_BLOCK + (ts - self.scenario.start) // BLOCK_SECONDS
         tx_index = self._tx_index_by_block.get(block, 0)
         self._tx_index_by_block[block] = tx_index + 1
         return block, tx_index
@@ -509,11 +508,10 @@ def _typed(doc: dict, key: str, kind: str, default=None):
 
 def load_scenario(path, seed: int | None = None) -> SyntheticScenario:
     """Read a scenario document (market-config format plus generator keys)."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # also a byte that is not UTF-8
-            raise ConfigError(f"invalid scenario JSON: {exc}") from exc
+    try:
+        doc = _load_json(path)
+    except ValueError as exc:  # also a byte that is not UTF-8
+        raise ConfigError(f"invalid scenario JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("scenario must be a JSON object")
     try:

@@ -18,7 +18,8 @@ def read_table(path, required):
         with open(path, encoding="utf-8", newline="" if is_csv else None) as fh:
             yield from table_records(fh, is_csv, required)
     except UnicodeDecodeError:
-        raise events._utf8_error(path) from None
+        with open(path, "rb") as fh:
+            raise events._utf8_error(fh) from None
 
 
 def table_records(fh, is_csv, required):

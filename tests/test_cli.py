@@ -1,20 +1,27 @@
+import builtins
+import collections
+import contextlib
 import csv
+import gc
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import fillflow
-from fillflow import decompose, events, fetch
+from fillflow import cli, decompose, events, fetch
 from fillflow.cli import main
 from fillflow.decompose import read_decomposed, write_decomposed
-from fillflow.events import FILL_FIELDS, write_fills, write_market_config, write_table
+from fillflow.events import (FILL_FIELDS, read_fills, write_fills, write_market_config,
+                             write_table)
 from fillflow.fixtures import write_fixture
 from fillflow.units import format_utc
 
@@ -568,7 +575,7 @@ class TestIngestCommand:
         assert result.exit_code == 0, result.output
         from fillflow.events import read_fills
         merged = read_fills(out / "fills.jsonl")
-        assert merged == sorted(example_fills, key=lambda f: f.key)
+        assert merged == sorted(example_fills, key=lambda f: f[:3])
 
     def test_duplicate_fill_exits_3(self, runner, tmp_path, example_fills):
         shard = tmp_path / "shard.jsonl"
@@ -656,7 +663,7 @@ class TestIngestCommand:
         assert result.exit_code == 0, result.output
         from fillflow.events import read_fills
         assert read_fills(out / "fills.csv") == sorted(
-            example_fills, key=lambda f: f.key)
+            example_fills, key=lambda f: f[:3])
 
     @pytest.mark.parametrize("malformed", [False, True], ids=["valid", "malformed"])
     def test_every_shard_is_parsed_before_the_endpoint(self, runner, tmp_path, example_fills,
@@ -1088,6 +1095,156 @@ def test_malformed_input_exits_2_3_or_4_never_1(runner, tmp_path, valid_inputs, 
         assert result.exit_code == 0, result.output
     else:
         assert result.exit_code in (2, 3, 4), (result.output, result.exception)
+
+
+@contextlib.contextmanager
+def piped(data: bytes):
+    """A ``/dev/fd/N`` path that reads ``data`` from a pipe, as a shell's ``<(...)`` passes
+    one. A thread writes the data, so it may exceed the pipe's buffer."""
+    read_end, write_end = os.pipe()
+
+    def feed():
+        with open(write_end, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)  # a writer the command left blocked gets a broken pipe
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+class TestOneReadPerInput:
+    """Each input is opened once per command, and the manifest records the digest of the
+    bytes the command read from it, a pipe's included."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, valid_inputs):
+        """The valid inputs, plus a JSONL copy of the decomposed table ("decomposed-jsonl")
+        and a CSV copy of the ledger without timestamps ("untimed") with its sidecar."""
+        paths = {**valid_inputs, "decomposed-jsonl": tmp_path / "decomposed.jsonl",
+                 "untimed": tmp_path / "untimed.csv", "untimed-times": tmp_path / "times.json"}
+        write_decomposed(paths["decomposed-jsonl"], read_decomposed(valid_inputs["decomposed"]),
+                         "jsonl")
+        fills = read_fills(valid_inputs["fills"])
+        write_table(paths["untimed"], FILL_FIELDS[:-1], [fill[:-1] for fill in fills], "csv")
+        paths["untimed-times"].write_text(json.dumps(
+            {fill.block: format_utc(fill.timestamp) for fill in fills}))
+        return paths
+
+    @staticmethod
+    def invoke(runner, template, paths, out):
+        args = [arg.format_map({role: str(path) for role, path in paths.items()})
+                for arg in template]
+        return runner.invoke(main, [*args, "--out", str(out)])
+
+    @pytest.mark.parametrize("template, role", [
+        (TEMPLATES["decompose"], "fills"),
+        (TEMPLATES["decompose"], "markets"),
+        (["metrics", "--input", "{decomposed-jsonl}", "--market", "Trump"], "decomposed-jsonl"),
+        (["ingest", "--input", "{untimed}", "--block-times", "{untimed-times}"], "untimed-times"),
+        (TEMPLATES["simulate"], "scenario"),
+    ], ids=["ledger", "markets", "decomposed-table", "block-times", "scenario"])
+    def test_piped_input_is_digested_as_the_bytes_written_into_it(self, runner, tmp_path,
+                                                                  inputs, template, role):
+        data = inputs[role].read_bytes()
+        artifacts = []
+        with piped(data) as pipe:
+            for name, paths in (("regular", inputs), ("piped", {**inputs, role: pipe})):
+                result = self.invoke(runner, template, paths, tmp_path / name)
+                assert result.exit_code == 0, result.output
+                artifacts.append({path.name: path.read_bytes()
+                                  for path in (tmp_path / name).iterdir()})
+        regular, via_pipe = (json.loads(run.pop("manifest.json")) for run in artifacts)
+        assert regular["inputs"][inputs[role].name] == hashlib.sha256(data).hexdigest()
+        via_pipe["inputs"][inputs[role].name] = via_pipe["inputs"].pop(Path(pipe).name)
+        assert via_pipe == regular
+        assert artifacts[1] == artifacts[0]
+
+    @pytest.mark.parametrize("template, role", [
+        (TEMPLATES["decompose"], "fills"),
+        (["metrics", "--input", "{decomposed-jsonl}", "--market", "Trump"], "decomposed-jsonl"),
+    ], ids=["ledger", "decomposed-table"])
+    def test_piped_table_with_a_bad_byte_names_its_line(self, runner, tmp_path, inputs,
+                                                        template, role):
+        lines = inputs[role].read_bytes().splitlines(keepends=True)
+        lines[6] = lines[6].replace(b'"', b'"\xff', 1)
+        with piped(b"".join(lines)) as pipe:
+            result = self.invoke(runner, template, {**inputs, role: pipe}, tmp_path / "out")
+        assert result.exit_code == 3, result.output
+        assert "error: line 7: not valid UTF-8 (byte 0xff)" in result.output
+
+    def test_ledger_rewritten_after_its_read_keeps_the_digest_of_the_bytes_read(
+            self, runner, tmp_path, monkeypatch, inputs):
+        ledger = tmp_path / "fills.jsonl"
+        read = inputs["fills"].read_bytes()
+        ledger.write_bytes(read)
+        decompose_ledger = cli.decompose_ledger
+
+        def rewrite_then_decompose(*args):  # another process drops the ledger's first line
+            ledger.write_bytes(read.split(b"\n", 1)[1])
+            return decompose_ledger(*args)
+
+        monkeypatch.setattr(cli, "decompose_ledger", rewrite_then_decompose)
+        result = self.invoke(runner, TEMPLATES["decompose"], {**inputs, "fills": ledger},
+                             tmp_path / "out")
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["inputs"]["fills.jsonl"] == hashlib.sha256(read).hexdigest()
+
+    @pytest.mark.parametrize("command", TEMPLATES)
+    def test_each_input_path_is_opened_once(self, runner, tmp_path, monkeypatch, valid_inputs,
+                                            command):
+        opened = collections.Counter()
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened[file if isinstance(file, int) else os.fspath(file)] += 1
+            return real_open(file, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "open", counting_open)
+            patch.setattr(io, "open", counting_open)  # what pathlib opens through
+            result = self.invoke(runner, TEMPLATES[command], valid_inputs, tmp_path / "out")
+        assert result.exit_code == 0, result.output
+        paths = [str(path) for role, path in valid_inputs.items()
+                 if "{%s}" % role in "".join(TEMPLATES[command])]
+        assert {path: opened[path] for path in paths} == dict.fromkeys(paths, 1)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_command_runs_with_the_gc_off_and_restores_its_state(runner, tmp_path, monkeypatch,
+                                                            valid_inputs, enabled):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"block": "not a number"}\n')
+    states = []
+    read = cli.read_fills
+    monkeypatch.setattr(cli, "read_fills",
+                        lambda *args: states.append(gc.isenabled()) or read(*args))
+    codes, prior = [], gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        # A return, _fail's SystemExit, then any other exception.
+        for ledger, failing in ((valid_inputs["fills"], False), (bad, False),
+                                (valid_inputs["fills"], True)):
+            if failing:
+                monkeypatch.setattr(cli, "group_transactions", lambda fills: 1 / 0)
+            gc.unfreeze()  # earlier in-process commands froze what they left
+            result = runner.invoke(main, ["decompose", "--input", str(ledger), "--markets",
+                                          str(valid_inputs["markets"]),
+                                          "--out", str(tmp_path / "out")])
+            codes.append(result.exit_code)
+            states.append(gc.isenabled())
+            assert gc.get_freeze_count() > 0
+    finally:
+        (gc.enable if prior else gc.disable)()
+        gc.unfreeze()
+    assert codes == [0, 3, 1]
+    assert type(result.exception) is ZeroDivisionError
+    assert states == [False, enabled] * 3
 
 
 # SHA-256 of the fixture's decomposed.csv, as tests/test_golden.py pins it.

@@ -467,7 +467,7 @@ def reference_decompose_ledger(transactions, markets):
                 if len(buy) > 1:
                     reference_logger.warning(
                         "equal-flow tx %s spans tokens %s; attributing exchange volume "
-                        "to the lexicographically smallest id", tx.key, sorted(buy))
+                        "to the lexicographically smallest id", tx[:2], sorted(buy))
                 trade[min(buy)] = trade_vol
         elif buy_vol > sell_vol:
             kind = TxKind.MIXED_MINT if sell else TxKind.SHARE_MINTING
@@ -509,7 +509,8 @@ def reference_decompose_ledger(transactions, markets):
                 unknown.add(fill.token_id)
                 continue
             sums = slices.setdefault(slot >> 1, ({}, {}))[0 if fill.is_buy else 1]
-            sums[fill.token_id] = sums.get(fill.token_id, 0) + fill.usdc_amount
+            sums[fill.token_id] = sums.get(fill.token_id, 0) + (
+                fill.maker_amount if fill.is_buy else fill.taker_amount)
         if unknown:
             anomalies.append(AnomalyRecord(tx.block, tx.tx_index, tx.timestamp, "",
                                            f"unconfigured token ids {sorted(unknown)}"))
@@ -587,7 +588,8 @@ class TestDifferentialDecomposition:
         # market is the "simultaneous" anomaly; equal flows spanning both
         # tokens log the warnings.
         rows, anomalies, warnings = outcome
-        assert any(fill.usdc_amount == 0 for tx in transactions for fill in tx.fills)
+        assert any((fill.maker_amount if fill.is_buy else fill.taker_amount) == 0
+                   for tx in transactions for fill in tx.fills)
         assert any({(fill.token_id, True), (fill.token_id, False)}
                    <= {(f.token_id, f.is_buy) for f in tx.fills}
                    for tx in transactions for fill in tx.fills)

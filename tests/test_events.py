@@ -1,5 +1,4 @@
 import csv
-import gc
 import hashlib
 import io
 import json
@@ -86,8 +85,6 @@ class TestParsing:
         assert fill.taker_amount == 210_000_000
         assert fill.is_buy
         assert fill.token_id == TOKEN
-        assert fill.usdc_amount == 123_900_000
-        assert fill.share_amount == 210_000_000
 
     def test_jsonl_string_amounts_become_exact_integers(self, tmp_path):
         fill, = read_json_lines(tmp_path, wire_record())
@@ -484,8 +481,8 @@ def refuse_parse(*args):
     raise AssertionError("the ledger was parsed, not read from the cache")
 
 
-def refuse_hash(*args):
-    raise AssertionError("the ledger was hashed")
+def refuse_read(*args):
+    raise AssertionError("the input was read again")
 
 
 def counting(monkeypatch, module, name):
@@ -641,7 +638,7 @@ class TestFillCache:
                                                    example_fills):
         path = tmp_path / "fills.jsonl"
         write_fills(path, example_fills)
-        hashes = counting(monkeypatch, events, "_hash_file")
+        hashes = counting(monkeypatch, events, "_read_input")
         assert read_fills(path) == example_fills
         assert (len(hashes), len(cache_files(fill_cache))) == (1, 1)
         monkeypatch.setattr(events, "_parse_fills", refuse_parse)
@@ -701,18 +698,22 @@ class TestFillCache:
         finally:
             os.close(read_end)
         assert not fill_cache.exists()
+        assert events._INPUT_DIGESTS[f"/dev/fd/{read_end}"] == hashlib.sha256(
+            path.read_bytes()).hexdigest()
 
-    def test_manifest_digest_reuses_the_readers_hash(self, tmp_path, monkeypatch, example_fills):
+    def test_manifest_takes_the_digest_of_the_bytes_read(self, tmp_path, monkeypatch,
+                                                         example_fills):
+        from fillflow.cli import _write_manifest
+
         path = tmp_path / "fills.jsonl"
         write_fills(path, example_fills)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        read_fills(path)  # hashed for the key
-        hash_file = events._hash_file
-        monkeypatch.setattr(events, "_hash_file", refuse_hash)
-        assert events.file_sha256(path) == digest
-        write_fills(path, example_fills[1:])  # written to since: another identity
-        monkeypatch.setattr(events, "_hash_file", hash_file)
-        assert events.file_sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+        read_fills(path)  # hashed for the key, and recorded
+        write_fills(path, example_fills[1:])  # written to since
+        monkeypatch.setattr(events, "_read_input", refuse_read)
+        _write_manifest(tmp_path, "decompose", {}, [str(path)])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["inputs"] == {"fills.jsonl": digest}
 
 
 class TestDecomposedTableCache:
@@ -897,12 +898,12 @@ def test_ingest_of_csv_shard_writes_the_jsonl_bytes(tmp_path, small_ledger):
         written[fmt] = (tmp_path / fmt / "fills.jsonl").read_bytes()
     assert written["csv"] == written["jsonl"]
     assert read_fills(tmp_path / "csv" / "fills.jsonl") == line_breaks + sorted(
-        small_ledger.fills, key=lambda f: f.key)
+        small_ledger.fills, key=lambda f: f[:3])
 
 
 class TestGrouping:
     def test_fixture_grouping_sizes(self, example_transactions):
-        by_key = {tx.key: len(tx.fills) for tx in example_transactions}
+        by_key = {tx[:2]: len(tx.fills) for tx in example_transactions}
         assert by_key[(51953200, 180)] == 3
         assert by_key[(54432034, 44)] == 2
 
@@ -912,8 +913,8 @@ class TestGrouping:
     def test_partition_preserves_every_fill(self, small_ledger):
         txs = group_transactions(small_ledger.fills)
         regrouped = [f for tx in txs for f in tx.fills]
-        assert sorted(regrouped, key=lambda f: f.key) == sorted(
-            small_ledger.fills, key=lambda f: f.key)
+        assert sorted(regrouped, key=lambda f: f[:3]) == sorted(
+            small_ledger.fills, key=lambda f: f[:3])
 
     def test_permutation_invariance_against_naive_oracle(self):
         rng = random.Random(99)
@@ -926,12 +927,12 @@ class TestGrouping:
 
         # oracle: sort by full coordinates, then scan
         expected = {}
-        for fill in sorted(fills, key=lambda f: f.key):
+        for fill in sorted(fills, key=lambda f: f[:3]):
             expected.setdefault((fill.block, fill.tx_index), []).append(fill)
 
         grouped = group_transactions(shuffled)
         assert group_transactions(fills) == grouped
-        assert [(tx.key, list(tx.fills)) for tx in grouped] == sorted(
+        assert [(tx[:2], list(tx.fills)) for tx in grouped] == sorted(
             (key, fills) for key, fills in expected.items())
 
     def test_sorted_by_log_index_within_tx(self):
@@ -952,7 +953,7 @@ class TestGrouping:
     def test_transaction_is_a_checked_named_tuple(self):
         tx, = group_transactions([make_fill(block=4, tx_index=2)])
         assert type(tx) is Transaction
-        assert tx == Transaction(*tx) and tx.key == (4, 2)
+        assert tx == Transaction(*tx) and tx[:2] == (4, 2)
         with pytest.raises(SchemaError, match=r"transaction \(4, 2\) has no fills"):
             Transaction(4, 2, 5, ())
         with pytest.raises(SchemaError, match="has no fills"):
@@ -964,9 +965,9 @@ def reference_group_transactions(fills):
     groups = {}
     seen = set()
     for fill in fills:
-        if fill.key in seen:
-            raise DuplicateEventError(f"duplicate fill coordinates {fill.key}")
-        seen.add(fill.key)
+        if fill[:3] in seen:
+            raise DuplicateEventError(f"duplicate fill coordinates {fill[:3]}")
+        seen.add(fill[:3])
         groups.setdefault((fill.block, fill.tx_index), []).append(fill)
     transactions = []
     for (block, tx_index), group in sorted(groups.items()):
@@ -1005,12 +1006,12 @@ class TestGroupingAgainstReference:
         grouped = group_transactions(fills)
         assert grouped == reference_group_transactions(fills)
         assert len(grouped) == len(small_ledger.truth)
-        assert group_transactions(sorted(fills, key=lambda f: f.key)) == grouped
+        assert group_transactions(sorted(fills, key=lambda f: f[:3])) == grouped
 
     @pytest.mark.parametrize("case", GROUPING_CASES)
     def test_sorted_and_shuffled_input_agree(self, case):
         fills = GROUPING_CASES[case]
-        ordered = sorted(fills, key=lambda f: f.key)
+        ordered = sorted(fills, key=lambda f: f[:3])
         expected = outcome(reference_group_transactions, ordered)
         assert outcome(group_transactions, ordered) == expected
         assert outcome(group_transactions, fills) == expected
@@ -1103,7 +1104,7 @@ class TestFillEventContract:
 
     def test_replace_validates(self):
         fill = FillEvent(*self.ARGS)
-        assert fill._replace(log_index=2).key == (7, 3, 2)
+        assert fill._replace(log_index=2)[:3] == (7, 3, 2)
         with pytest.raises(SchemaError, match="taker_amount"):
             fill._replace(taker_amount=-1)
 
@@ -1118,9 +1119,8 @@ class TestFillEventContract:
         assert by_keyword == positional
         assert type(by_keyword) is type(positional) is FillEvent
         assert hash(by_keyword) == hash(positional)
-        assert (by_keyword.key, by_keyword.is_buy, by_keyword.token_id,
-                by_keyword.usdc_amount, by_keyword.share_amount) == (
-            (7, 3, 1), True, TOKEN, 590_000, 1_000_000)
+        assert (by_keyword[:3], by_keyword.is_buy, by_keyword.token_id) == (
+            (7, 3, 1), True, TOKEN)
 
 
 def test_cli_import_does_not_load_numpy(tmp_path, fill_cache, small_ledger, markets):
@@ -1149,37 +1149,6 @@ def test_cli_import_does_not_load_numpy(tmp_path, fill_cache, small_ledger, mark
         cwd=tmp_path, env=env, check=True)
     regression = json.loads((tmp_path / "out" / "lambda_regression.json").read_text())
     assert regression["regression"]["n"] > 2
-
-
-@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
-def test_ledger_load_restores_gc_state(tmp_path, example_fills, markets, enabled):
-    from fillflow.cli import _load_decomposed, _load_transactions
-
-    good, bad, config = tmp_path / "good.jsonl", tmp_path / "bad.jsonl", tmp_path / "markets.json"
-    write_fills(good, example_fills[::-1])
-    bad.write_text('{"block": "not a number"}\n')
-    write_market_config(config, markets)
-    rows = decompose.decompose_ledger(group_transactions(example_fills), markets)[0]
-    table = tmp_path / "decomposed.csv"
-    write_decomposed(table, rows)
-    prior = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
-    try:
-        for load, good_input, want in [
-            (lambda paths: _load_transactions(paths, config)[0], good,
-             group_transactions(example_fills)),
-            (_load_decomposed, table, rows),
-        ]:
-            gc.unfreeze()  # earlier in-process commands may have frozen objects
-            assert load([good_input]) == want
-            assert gc.isenabled() is enabled
-            assert gc.get_freeze_count() > 0
-            with pytest.raises(ParseError, match="line 1"):
-                load([bad])
-            assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if prior else gc.disable)()
-        gc.unfreeze()
 
 
 class TestMarketConfig:
