@@ -28,8 +28,8 @@ from sys import intern
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DecompositionAnomalyError, ParseError
-from .events import (COLLATERAL_ID, MarketSpec, Transaction, _csv_rows, _json_record,
-                     _read_cached, _to_amount, market_slots, write_table)
+from .events import (COLLATERAL_ID, MarketSpec, Transaction, _read_cached, _table_records,
+                     _to_amount, market_slots, write_table)
 
 
 class TxKind(str, Enum):
@@ -262,22 +262,15 @@ def write_decomposed(path, rows: Iterable[DecomposedTransaction], fmt: str = "cs
 
 
 _KINDS = {kind.value: kind for kind in TxKind}
-# The cells a canonical row is built from: the integers in DecomposedTransaction order
-# (block, txIndex, timestamp, then the components in VolumeComponents order), market, kind.
-_CELLS = ("block", "txIndex", "timestamp", "yesTradeVol", "noTradeVol", "yesMintVol",
-          "noMintVol", "yesBurnVol", "noBurnVol", "buyVol", "sellVol", "market", "kind")
 
 
 def read_decomposed(path) -> list[DecomposedTransaction]:
     """Read a decomposed table (CSV, or JSONL).
 
-    Every row must satisfy the decomposition invariants (``check``); a
-    malformed or inconsistent row raises ParseError naming its file line.
-    A canonical row, as ``write_decomposed`` writes it (non-empty ASCII-digit
-    integer cells, of which block, txIndex and timestamp may instead be
-    plain non-negative ints, as in JSONL; a known kind; a string market), is
-    built directly; any other row goes through ``decomposed_from_record``,
-    which gives the same row or the error.
+    Each line or row is read as a record by ``_table_records`` and built by
+    ``decomposed_from_record``, and must satisfy the decomposition invariants
+    (``check``); a malformed or inconsistent row raises ParseError naming its
+    file line.
 
     The rows of a regular file are cached by its bytes and this module's
     source (README, "Parsed-table cache"): a first read parses and stores
@@ -291,44 +284,11 @@ def read_decomposed(path) -> list[DecomposedTransaction]:
 
 
 def _parse_decomposed(fh, is_csv: bool) -> list[DecomposedTransaction]:
-    """Parse text file ``fh``: ``read_decomposed`` without its cache.
-
-    A CSV row gives its cells by the header's column positions (a repeated name
-    counts its last column), a JSONL record by name.
-    """
-    if is_csv:
-        lines = _csv_rows(fh, DECOMPOSED_FIELDS)
-        header = next(lines, None)
-        if header is None:  # an empty file
-            return []
-        column = {name: i for i, name in enumerate(header)}
-        cells = itemgetter(*[column[name] for name in _CELLS])
-        record = lambda row: dict(zip(header, row))
-    else:
-        lines = ((line_no, _json_record(line, line_no))
-                 for line_no, line in enumerate(fh, start=1) if line.strip())
-        cells, record = itemgetter(*_CELLS), dict  # the general path gets a copy
-    new = tuple.__new__
+    """Parse text file ``fh``: ``read_decomposed`` without its cache."""
     rows: list[DecomposedTransaction] = []
-    for line_no, source in lines:
+    for line_no, record in _table_records(fh, is_csv, DECOMPOSED_FIELDS):
         try:
-            try:
-                *integers, market, kind = cells(source)
-                kind = _KINDS[kind]
-                text = integers
-                if type(integers[0]) is int:  # JSONL: block, txIndex and timestamp as JSON ints
-                    if type(integers[1]) is not int or type(integers[2]) is not int \
-                            or min(integers[:3]) < 0:
-                        raise ValueError
-                    text = integers[3:]
-                digits = "".join(text)
-                if not (digits.isascii() and digits.isdigit() and type(market) is str):
-                    raise ValueError  # an empty cell fails in int() below
-                block, tx_index, timestamp, *components = map(int, integers)
-                row = new(DecomposedTransaction, (block, tx_index, timestamp, market, kind,
-                                                  new(VolumeComponents, components)))
-            except (KeyError, TypeError, ValueError):  # not canonical: the general path
-                row = decomposed_from_record(record(source))
+            row = decomposed_from_record(record)
             row.check()
         except KeyError as exc:
             raise ParseError(f"missing field {exc.args[0]!r}", line_no) from exc

@@ -23,7 +23,6 @@ import re
 import sys
 import tempfile
 from dataclasses import dataclass
-from functools import cache
 from itertools import islice, repeat
 from operator import attrgetter, itemgetter
 from stat import S_ISREG
@@ -31,7 +30,7 @@ from sys import intern
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import ConfigError, DuplicateEventError, ParseError, SchemaError
+from .errors import ConfigError, DataError, DuplicateEventError, ParseError, SchemaError
 from .units import parse_utc
 
 COLLATERAL_ID = "0"
@@ -224,10 +223,30 @@ def fill_from_record(
         raise SchemaError(f"line {line_no}: {exc}") from exc
 
 
-def _csv_rows(fh, required: Sequence[str]) -> Iterator:
-    """Yield a CSV file's header, if any, then (line number, row) per non-blank row; a missing
-    ``required`` column, a row longer or shorter than the header, or text the CSV reader
-    rejects (such as a cell past its field size limit) raises ParseError."""
+def _table_records(fh, is_csv: bool, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, record) per non-blank JSONL line or CSV row of text file ``fh``:
+    the one reader of both table formats.
+
+    A JSONL line must hold one JSON object. A CSV file starts with a header
+    naming every ``required`` column, and each row has exactly as many cells
+    as the header; its record maps the header's names to its cells (a
+    repeated name counts its last column), and its line number is the line
+    where the row ends. A violation, or text the CSV reader rejects (such as
+    a cell past its field size limit), raises ParseError naming the line.
+    """
+    if not is_csv:
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"invalid JSON: {exc}", line_no) from exc
+                except (ValueError, RecursionError) as exc:  # past the digit limit; deep nesting
+                    raise ParseError(str(exc), line_no) from exc
+                if not isinstance(record, dict):
+                    raise ParseError("record is not an object", line_no)
+                yield line_no, record
+        return
     reader = csv.reader(fh)
     try:
         header = next(reader, None)
@@ -236,13 +255,12 @@ def _csv_rows(fh, required: Sequence[str]) -> Iterator:
         missing = [c for c in required if c not in header]
         if missing:
             raise ParseError(f"CSV header missing columns: {missing}", 1)
-        yield header
         for row in reader:
             if row:
                 if len(row) != len(header):
                     raise ParseError(
                         f"expected {len(header)} columns, got {len(row)}", reader.line_num)
-                yield reader.line_num, row
+                yield reader.line_num, dict(zip(header, row))
     except csv.Error as exc:
         raise ParseError(str(exc), reader.line_num) from exc
 
@@ -265,19 +283,6 @@ def _utf8_error(fh) -> ParseError:
         return ParseError("not valid UTF-8")
     finally:
         text.detach()
-
-
-def _json_record(line: str, line_no: int) -> dict:
-    """Decode one non-blank JSONL line, which must hold one JSON object."""
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", line_no) from exc
-    except (ValueError, RecursionError) as exc:  # an integer past the digit limit; deep nesting
-        raise ParseError(str(exc), line_no) from exc
-    if not isinstance(record, dict):
-        raise ParseError("record is not an object", line_no)
-    return record
 
 
 _ALL_BUT_LAST = itemgetter(slice(None, -1))
@@ -310,76 +315,12 @@ def write_table(path, fields: Sequence[str], rows: Iterable[Sequence], fmt: str)
 _REQUIRED_FILL_FIELDS = tuple(f for f in FILL_FIELDS if f != "timestamp")
 
 
-# One fill line in the layout ``write_fills`` writes: ``json.dumps`` separators,
-# keys in FILL_FIELDS order, bare JSON integers (no sign, fraction, exponent or
-# leading zero) and amounts as ASCII digit strings; the groups are its cells in
-# FillEvent order. json.loads decodes the line to those cells when the addresses
-# are ``_is_plain`` and the asset ids ASCII digits, which the kernel checks.
-_CANONICAL_FILL = re.compile(
-    r'\{"block": (0|[1-9][0-9]*), "txIndex": (0|[1-9][0-9]*), '
-    r'"logIndex": (0|[1-9][0-9]*), "maker": "([^"]*)", "taker": "([^"]*)", '
-    r'"makerAssetId": "([^"]*)", "takerAssetId": "([^"]*)", '
-    r'"makerAmountFilled": "([0-9]+)", "takerAmountFilled": "([0-9]+)", '
-    r'"timestamp": (0|[1-9][0-9]*)\}\n?')
-
-
-def _is_plain(text: str) -> bool:
-    """True when ``text`` holds no backslash and only printable characters, so that it
-    reads the same as a JSON string's body, as a CSV cell and as the decoded value."""
-    return "\\" not in text and text.isprintable()
-
-
-def _convert_fills(rows, decode, block_times, digits_proven: bool) -> list[FillEvent]:
-    """The conversion kernel of ``read_fills``, shared by both wire formats.
-
-    ``rows`` yields (line number, cells, source) per non-blank line or row: its ten text
-    cells in FillEvent order, or None, and what ``decode(source, line number)`` turns into
-    its wire record. ``digits_proven``: the format proves each integer cell ASCII digits.
-    """
-    # One memo per role: each distinct text is checked once, then interned, or None.
-    address = cache(lambda text: intern(text) if _is_plain(text) else None)
-    asset_id = cache(lambda text: intern(text) if _is_decimal(text) else None)
-    # The sidecar as block cell text -> timestamp cell text; other entries go the long way.
-    times = {str(block): str(time) for block, time in (block_times or {}).items()
-             if type(block) is type(time) is int and time >= 0}
-    new = tuple.__new__
-    fills: list[FillEvent] = []
-    for line_no, cells, source in rows:
-        if cells is not None:
-            block, tx_index, log_index, maker, taker, maker_id, taker_id, maker_amount, \
-                taker_amount, timestamp = cells
-            if not timestamp:
-                timestamp = times.get(block, "")
-            maker, taker, maker_id, taker_id = \
-                address(maker), address(taker), asset_id(maker_id), asset_id(taker_id)
-            # int() also takes signs, spaces, "_" and other scripts' digits, which the
-            # integer rule rejects; it rejects an empty cell itself.
-            if maker is not None and taker is not None and maker_id and taker_id and (
-                    maker_id == COLLATERAL_ID) != (taker_id == COLLATERAL_ID) and (
-                    digits_proven or _is_decimal(
-                        block + tx_index + log_index + maker_amount + taker_amount + timestamp)):
-                try:
-                    fills.append(new(FillEvent, (
-                        int(block), int(tx_index), int(log_index), maker, taker, maker_id,
-                        taker_id, int(maker_amount), int(taker_amount), int(timestamp))))
-                    continue
-                except ValueError:  # an empty cell, or an integer past the digit limit
-                    pass
-        fills.append(fill_from_record(decode(source, line_no), line_no, block_times))
-    return fills
-
-
 def read_fills(path, block_times: Mapping[int, int] | None = None) -> list[FillEvent]:
     """Read a ledger shard (JSONL, or CSV with a header row).
 
-    A JSONL line in the layout ``write_fills`` emits gives ``_convert_fills``
-    the groups of one regex match; a CSV row its cells by the header's column
-    positions (a repeated name counts its last column; a missing timestamp
-    column reads as empty cells). A fill is built there when its integers and
-    asset ids are ASCII digits, its timestamp is inline or in ``block_times``,
-    exactly one id is collateral and no address holds a backslash or
-    unprintable character. Any other line or row goes through
-    ``fill_from_record``, with the same result or error.
+    Each line or row is read as a record by ``_table_records`` and built by
+    ``fill_from_record``, which takes a missing or empty timestamp from
+    ``block_times``; an error names the line.
 
     The fills of a regular file are cached by its bytes (README, "Parsed-table
     cache"): a first read parses and stores them, and a later read of the same
@@ -412,20 +353,19 @@ def _read_cached(path, parse_text, key_parts, columns, rows) -> list:
 
     directory = os.path.join(
         os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "fillflow")
-    with _read_input(path) as (fh, before, hexdigest):
+    with _read_input(path) as (fh, regular, hexdigest):
         # A pipe's copy is not cached; a relative directory (no home) would land in the cwd.
-        if before is None or not os.path.isabs(directory):
+        if not regular or not os.path.isabs(directory):
             return parse(fh)
         digest = hashlib.sha256(_parser_fingerprint())
         key_parts(digest, is_csv)
         digest.update(hexdigest.encode())
         key = digest.hexdigest()
         table = _cache_load(os.path.join(directory, key), rows)
-        if table is None:
-            table = parse(fh)
-            # The key names the bytes hashed: a file written to since may have given others.
-            if _identity(os.fstat(fh.fileno())) == _identity(before):
-                _cache_store(directory, key, columns(table))
+        if table is not None:
+            return table
+        table = parse(fh)
+    _cache_store(directory, key, columns(table))  # the parsed bytes are the hashed ones
     return table
 
 
@@ -439,11 +379,14 @@ _INPUT_DIGESTS: dict[str, str] = {}
 @contextlib.contextmanager
 def _read_input(path):
     """Open the input at ``path`` once, hash all its bytes and record the digest in
-    ``_INPUT_DIGESTS``; yield the binary file at its start, its ``fstat`` and the digest.
+    ``_INPUT_DIGESTS``; yield the binary file at its start, whether it is a regular file,
+    and the digest.
 
     An input that is not a regular file, such as a pipe, cannot be read twice: its bytes
-    are copied into an anonymous temporary file as they are hashed, which is yielded, with
-    None for the ``fstat``. One open also leaves a file renamed over ``path`` unread.
+    are copied into an anonymous temporary file as they are hashed, which is yielded. One
+    open also leaves a file renamed over ``path`` unread. A regular file whose size or
+    times differ, when the block exits normally, from when it was opened was written to
+    while it was read, so its bytes may not be the hashed ones: that raises DataError.
     """
     with open(path, "rb") as source:
         status = os.fstat(source.fileno())
@@ -456,7 +399,9 @@ def _read_input(path):
                     fh.write(chunk)
             fh.seek(0)
             _INPUT_DIGESTS[str(path)] = hexdigest = digest.hexdigest()
-            yield fh, status if regular else None, hexdigest
+            yield fh, regular, hexdigest
+        if regular and _identity(os.fstat(source.fileno())) != _identity(status):
+            raise DataError(f"{path}: the file changed while it was read")
 
 
 def _load_json(path):
@@ -472,22 +417,8 @@ def _load_json(path):
 
 def _parse_fills(fh, is_csv: bool, block_times) -> list[FillEvent]:
     """Parse text file ``fh``: ``read_fills`` without its cache."""
-    if not is_csv:  # the cells of a line in the canonical layout, else None
-        canonical = _CANONICAL_FILL.fullmatch
-        rows = ((line_no, match and match.groups(), line)
-                for line_no, line in enumerate(fh, start=1)
-                if (match := canonical(line)) or line.strip())
-        return _convert_fills(rows, _json_record, block_times, True)
-    rows = _csv_rows(fh, _REQUIRED_FILL_FIELDS)
-    header = next(rows, None)
-    if header is None:  # an empty file
-        return []
-    column = {name: i for i, name in enumerate(header)}  # a repeated name: its last
-    get = itemgetter(*[column[name] for name in FILL_FIELDS if name in column])
-    cells = get if "timestamp" in column else lambda row: get(row) + ("",)
-    return _convert_fills(((line_no, cells(row), row) for line_no, row in rows),
-                          lambda row, line_no: dict(zip(header, row)), block_times,
-                          False)
+    return [fill_from_record(record, line_no, block_times)
+            for line_no, record in _table_records(fh, is_csv, _REQUIRED_FILL_FIELDS)]
 
 
 def _fill_key_parts(digest, is_csv: bool, block_times) -> None:

@@ -18,6 +18,7 @@ Generation is single-threaded and fully determined by the scenario seed.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import itemgetter
@@ -101,14 +102,35 @@ class SyntheticScenario:
         for event in (*self.whale_schedule, *self.deviation_injections):
             if event.market not in [m.candidate for m in self.markets]:
                 raise ConfigError(f"{type(event).__name__} names unknown market {event.market!r}")
-        if self.kind_weights:
+        if self.kind_weights is not None:
+            if not isinstance(self.kind_weights, dict):
+                raise ConfigError("scenario 'kindWeights' must map transaction kinds to weights, "
+                                  f"got {self.kind_weights!r}")
             unknown = set(self.kind_weights) - set(KINDS)
             if unknown:
-                raise ConfigError(f"unknown transaction kinds in weights: {sorted(unknown)}")
-        if self.hourly_weights is not None and len(self.hourly_weights) != 24:
-            raise ConfigError("hourly weights must have 24 entries")
-        if not 0 <= self.directional_share <= 1 or not 0 <= self.market_maker_share <= 1:
-            raise ConfigError("population shares must be within [0, 1]")
+                raise ConfigError("scenario 'kindWeights' names unknown transaction kinds "
+                                  f"{sorted(unknown)}")
+            _check_weights("kindWeights", self.kind_weights.values())
+        if self.hourly_weights is not None:
+            if not isinstance(self.hourly_weights, (list, tuple)) or len(self.hourly_weights) != 24:
+                raise ConfigError("scenario 'hourlyWeights' must be a list of 24 weights")
+            _check_weights("hourlyWeights", self.hourly_weights)
+        for key, share in (("directionalShare", self.directional_share),
+                           ("marketMakerShare", self.market_maker_share)):
+            if not 0 <= share <= 1:
+                raise ConfigError(f"scenario {key!r} must be within [0, 1], got {share!r}")
+
+
+def _check_weights(key: str, weights) -> None:
+    """Raise ConfigError naming scenario ``key`` unless each weight is a finite non-negative
+    JSON number (an int or a float, not a bool) and their sum is positive. It draws no
+    random number, so it leaves the ledger of every seed unchanged."""
+    for weight in weights:
+        if type(weight) not in (int, float) or not 0 <= weight <= sys.float_info.max:
+            raise ConfigError(
+                f"scenario {key!r} weights must be non-negative numbers, got {weight!r}")
+    if not sum(weights) > 0:
+        raise ConfigError(f"scenario {key!r} weights sum to zero")
 
 
 @dataclass
@@ -137,9 +159,7 @@ def _resolve_weights(scenario: SyntheticScenario) -> list[float]:
         # Directional flow arrives as issuance/redemption; market-maker flow
         # as exchange; the remainder as mixed matches.
         weights = [mm, directional * 0.55, directional * 0.45, rest * 0.5, rest * 0.5]
-    total = sum(weights)
-    if total <= 0:
-        raise ConfigError("transaction kind weights sum to zero")
+    total = sum(weights)  # positive: __post_init__ checks the kind weights' sum
     return [w / total for w in weights]
 
 

@@ -469,7 +469,83 @@ class TestFlagValidation:
         assert "the ledger has no transactions to take the window bounds from" in result.output
 
 
+SCENARIO_REJECTIONS = [
+    pytest.param({"markets": []}, "scenario needs at least one market", id="no-markets"),
+    pytest.param({"end": "2024-01-01T00:00:00Z"}, "scenario end must be after start",
+                 id="end-before-start"),
+    pytest.param({"hourlyWeights": [1] * 23}, "scenario 'hourlyWeights' must be a list of 24 "
+                 "weights", id="23-hourly-weights"),
+    pytest.param({"hourlyWeights": ["1"] * 24}, "scenario 'hourlyWeights' weights must be "
+                 "non-negative numbers, got '1'", id="text-hourly-weights"),
+    pytest.param({"hourlyWeights": [0] * 24}, "scenario 'hourlyWeights' weights sum to zero",
+                 id="zero-hourly-weights"),
+    pytest.param({"directionalShare": 1.5}, "scenario 'directionalShare' must be within "
+                 "[0, 1], got 1.5", id="directional-share-above-1"),
+    pytest.param({"marketMakerShare": -0.5}, "scenario 'marketMakerShare' must be within "
+                 "[0, 1], got -0.5", id="negative-market-maker-share"),
+    pytest.param({"kindWeights": {"pure_exchange": 0, "share_minting": 0}},
+                 "scenario 'kindWeights' weights sum to zero", id="zero-kind-weights"),
+    pytest.param({"kindWeights": ["pure_exchange"]}, "scenario 'kindWeights' must map "
+                 "transaction kinds to weights, got ['pure_exchange']", id="list-kind-weights"),
+    pytest.param({"kindWeights": {"pure_exchange": "1"}}, "scenario 'kindWeights' weights "
+                 "must be non-negative numbers, got '1'", id="text-kind-weight"),
+    pytest.param({"kindWeights": {"pure_exchange": 2, "share_minting": -1}}, "scenario "
+                 "'kindWeights' weights must be non-negative numbers, got -1",
+                 id="negative-kind-weight"),
+    pytest.param({"kindWeights": {"pure_exchange": True}}, "scenario 'kindWeights' weights "
+                 "must be non-negative numbers, got True", id="bool-kind-weight"),
+    # Each draw lands in hour 23 of a day, and the window is the first hour of one.
+    pytest.param({"end": "2024-02-01T01:00:00Z", "hourlyWeights": [0] * 23 + [1]},
+                 "could not draw a timestamp inside the scenario window",
+                 id="only-hour-23-in-a-one-hour-window"),
+]
+
+
+def test_markets_rewritten_between_hash_and_decode_exits_3(runner, fixture_dir, tmp_path,
+                                                            monkeypatch):
+    config = fixture_dir / "markets.json"
+    first_market = {"markets": json.loads(config.read_text())["markets"][:1]}
+    read_input = events._read_input
+
+    @contextlib.contextmanager
+    def rewrite_after_hash(path):  # another process rewrites the config: one market is left
+        with read_input(path) as opened:
+            if Path(path) == config:
+                config.write_text(json.dumps(first_market))
+            yield opened
+
+    monkeypatch.setattr(events, "_read_input", rewrite_after_hash)
+    result = runner.invoke(main, ["decompose", "--input", str(fixture_dir / "fills.jsonl"),
+                                  "--markets", str(config), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 3, (result.output, result.exception)
+    assert f"error: {config}: the file changed while it was read\n" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 class TestInputErrorsExit2:
+    @pytest.mark.parametrize("change, message", SCENARIO_REJECTIONS)
+    def test_bad_scenario(self, runner, scenario_path, tmp_path, change, message):
+        scenario_path.write_text(json.dumps({**json.loads(scenario_path.read_text()), **change}))
+        result = runner.invoke(main, ["simulate", "--scenario", str(scenario_path),
+                                      "--out", str(tmp_path / "sim")])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert f"error: {message}\n" in result.output
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"foo": []}, "market config must contain a 'markets' list"),
+        ({"markets": [{"candidate": "X", "yesTokenId": "0", "noTokenId": "5", "launch": START}]},
+         "market 'X': token id clashes with collateral id"),
+    ], ids=["no-markets-list", "collateral-yes-token"])
+    def test_bad_market_config(self, runner, fixture_dir, tmp_path, doc, message):
+        config = tmp_path / "markets.json"
+        config.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["decompose", "--input", str(fixture_dir / "fills.jsonl"),
+                                      "--markets", str(config), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert f"error: {message}\n" in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_scenario_time_not_utc_exits_2(self, runner, scenario_path, tmp_path):
         doc = json.loads(scenario_path.read_text())
         doc["start"] = "yesterday"

@@ -9,7 +9,6 @@ import pytest
 from click.testing import CliRunner
 from conftest import read_table
 
-from fillflow import decompose
 from fillflow.cli import main
 from fillflow.decompose import (
     DECOMPOSED_FIELDS,
@@ -327,7 +326,7 @@ BASE_RECORD = dict(zip(DECOMPOSED_FIELDS, (
 EDGE_CELLS = ["007", "", "+5", " 5", "1_0", "\u0665", "\u00b2", "-5"]
 
 
-class TestReadDecomposedFastPath:
+class TestReadDecomposedRecords:
     @pytest.mark.parametrize("name, fields", [
         ("rows.csv", DECOMPOSED_FIELDS),
         ("rows.jsonl", DECOMPOSED_FIELDS),
@@ -339,8 +338,8 @@ class TestReadDecomposedFastPath:
         write_table(path, fields, table_rows(records, fields), path.suffix[1:])
         assert read_decomposed(path) == small_ledger.truth
 
-    def test_decompose_json_output_reads_as_its_csv_twin_on_the_fast_path(
-            self, tmp_path, small_ledger, markets, monkeypatch):
+    def test_decompose_json_output_reads_as_its_csv_twin(self, tmp_path, small_ledger,
+                                                         markets):
         fills, config = tmp_path / "fills.jsonl", tmp_path / "markets.json"
         write_fills(fills, small_ledger.fills)
         write_market_config(config, markets[:2])
@@ -349,24 +348,9 @@ class TestReadDecomposedFastPath:
                                                str(config), "--format", fmt,
                                                "--out", str(tmp_path / fmt)])
             assert result.exit_code == 0, result.output
-
-        def general_path(record):
-            raise AssertionError("canonical row sent to the general path")
-
-        monkeypatch.setattr(decompose, "decomposed_from_record", general_path)
         from_json = read_decomposed(tmp_path / "json" / "decomposed.jsonl")
         assert from_json == read_decomposed(tmp_path / "csv" / "decomposed.csv")
         assert from_json == small_ledger.truth
-
-    def test_canonical_csv_rows_take_the_fast_path(self, tmp_path, small_ledger, monkeypatch):
-        path = tmp_path / "rows.csv"
-        write_decomposed(path, small_ledger.truth, "csv")
-
-        def general_path(record):
-            raise AssertionError("canonical row sent to the general path")
-
-        monkeypatch.setattr(decompose, "decomposed_from_record", general_path)
-        assert read_decomposed(path) == small_ledger.truth
 
     @pytest.mark.parametrize("cell", EDGE_CELLS)
     @pytest.mark.parametrize("column", ["block", "timestamp", "buyVol", "noTradeVol"])
@@ -409,9 +393,8 @@ class TestReadDecomposedFastPath:
         assert outcome(reference_read_decomposed, path) == "line 1: missing field 'sellVol'"
 
 
-class TestReadDecomposedByPosition:
-    """CSV cells taken by the header's column positions, as ``dict(zip(header, row))``
-    reads them."""
+class TestReadDecomposedByName:
+    """CSV cells taken by the header's names, as ``dict(zip(header, row))`` reads them."""
 
     @pytest.mark.parametrize("column, good, other", [
         ("block", "51953201", "x"), ("market", "Biden", "Harris"),
@@ -430,22 +413,13 @@ class TestReadDecomposedByPosition:
             elif column != "market":
                 assert got.startswith("line 2: ")
 
-    def test_non_canonical_csv_row_reaches_the_general_path_by_name(
-            self, tmp_path, monkeypatch):
+    def test_reordered_csv_row_is_read_by_name(self, tmp_path):
         path = tmp_path / "rows.csv"
         write_table(path, DECOMPOSED_FIELDS[::-1],
                     table_rows([BASE_RECORD, {**BASE_RECORD, "buyVol": "+5"}],
                                DECOMPOSED_FIELDS[::-1]), "csv")
-        seen = []
-
-        def general_path(record):
-            seen.append(record)
-            return decomposed_from_record(record)
-
-        monkeypatch.setattr(decompose, "decomposed_from_record", general_path)
         with pytest.raises(ParseError, match=r"^line 3: buyVol: not an integer: '\+5'$"):
             read_decomposed(path)
-        assert seen == [{**BASE_RECORD, "buyVol": "+5"}]
 
 
 def reference_decompose_ledger(transactions, markets):
