@@ -134,6 +134,8 @@ def _parse_excludes(value: str) -> list[str]:
         except UnicodeDecodeError as exc:
             raise ConfigError(
                 f"--exclude-addresses file {value[1:]}: not valid UTF-8: {exc}") from exc
+        except OSError as exc:  # missing or unreadable: a bad option value, as for --input
+            raise ConfigError(f"--exclude-addresses file {value[1:]}: {exc.strerror}") from exc
     return [item.strip() for item in items if item.strip()]
 
 
@@ -483,6 +485,7 @@ def impact(lam, price, flow, fmt):
 def traders_cmd(inputs, markets_path, quarter, start, end, by, exclude_addresses,
                 per_market, out):
     """Hourly activity profile, top-decile traders, and participation cells."""
+    exclude = _parse_excludes(exclude_addresses)  # a bad option exits before the ledger is read
     transactions, markets = _load_transactions(inputs, markets_path)
     if quarter:
         q_start, q_end = _quarter_bounds(quarter, end)
@@ -494,7 +497,6 @@ def traders_cmd(inputs, markets_path, quarter, start, end, by, exclude_addresses
     start = min(tx.timestamp for tx in transactions) if start is None else start
     end = max(tx.timestamp for tx in transactions) + 1 if end is None else end
     window = _clip(transactions, start, end)
-    exclude = _parse_excludes(exclude_addresses)
 
     activity = collect_trader_activity(window, markets, exclude)
     hourly = hourly_active_traders(activity, start, end, per_market=per_market)

@@ -128,16 +128,16 @@ def decompose_ledger(
         block, tx_index, timestamp, fills = tx
         # market -> [YES bought, NO bought, YES sold, NO sold]: ``slot & 1`` plus 2 for a sale
         slices: dict[int, list[int | None]] = {}
-        unknown: set[str] = set()
-        for _, _, _, _, _, maker_asset_id, taker_asset_id, maker_amount, taker_amount, _ \
-                in fills:
-            if maker_asset_id == COLLATERAL_ID:
-                token, usdc, side = taker_asset_id, maker_amount, 0
+        unknown: tuple[str, ...] = ()  # grown only on the quarantine path
+        for fill in fills:
+            # maker asset id at 5, taker asset id at 6, maker amount at 7, taker amount at 8
+            if fill[5] == COLLATERAL_ID:
+                token, usdc, side = fill[6], fill[7], 0
             else:
-                token, usdc, side = maker_asset_id, taker_amount, 2
+                token, usdc, side = fill[5], fill[8], 2
             slot = slots.get(token)
             if slot is None:
-                unknown.add(token)
+                unknown += (token,)
                 continue
             sums = slices.get(slot >> 1)
             if sums is None:
@@ -147,10 +147,10 @@ def decompose_ledger(
             sums[side] = usdc if total is None else total + usdc
         if unknown:
             anomalies.append(new(AnomalyRecord, (
-                block, tx_index, timestamp, "", f"unconfigured token ids {sorted(unknown)}")))
+                block, tx_index, timestamp, "", f"unconfigured token ids {sorted({*unknown})}")))
             continue
         rows: list[DecomposedTransaction] = []
-        for i in sorted(slices):
+        for i in slices if len(slices) == 1 else sorted(slices):
             sums = slices[i]
             buy_yes, buy_no, sell_yes, sell_no = sums
             candidate, token_ids, low = specs[i]
@@ -272,21 +272,19 @@ def read_decomposed(path) -> list[DecomposedTransaction]:
     (``check``); a malformed or inconsistent row raises ParseError naming its
     file line.
 
-    The rows of a regular file are cached by its bytes and this module's
+    The rows of a file or a pipe are cached by its bytes and this module's
     source (README, "Parsed-table cache"): a first read parses and stores
     them, and a later read of the same bytes skips the parse.
     """
-    return _read_cached(path, _parse_decomposed,
-                        lambda digest, is_csv: digest.update(
-                            b"decomposed %r " % is_csv + __loader__.get_data(__file__)),
-                        _decomposed_columns,
-                        _decomposed_from_columns)
+    return _read_cached(path, _parse_decomposed, lambda digest: digest.update(
+                            b"decomposed " + __loader__.get_data(__file__)),
+                        _decomposed_columns, _decomposed_from_columns)
 
 
-def _parse_decomposed(fh, is_csv: bool) -> list[DecomposedTransaction]:
+def _parse_decomposed(fh) -> list[DecomposedTransaction]:
     """Parse text file ``fh``: ``read_decomposed`` without its cache."""
     rows: list[DecomposedTransaction] = []
-    for line_no, record in _table_records(fh, is_csv, DECOMPOSED_FIELDS):
+    for line_no, record in _table_records(fh, DECOMPOSED_FIELDS):
         try:
             row = decomposed_from_record(record)
             row.check()

@@ -223,18 +223,22 @@ def fill_from_record(
         raise SchemaError(f"line {line_no}: {exc}") from exc
 
 
-def _table_records(fh, is_csv: bool, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, record) per non-blank JSONL line or CSV row of text file ``fh``:
-    the one reader of both table formats.
+def _table_records(fh, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, record) per non-blank JSONL line or CSV row of seekable text file
+    ``fh``, opened with ``newline=""``: the one reader of both table formats.
 
-    A JSONL line must hold one JSON object. A CSV file starts with a header
-    naming every ``required`` column, and each row has exactly as many cells
-    as the header; its record maps the header's names to its cells (a
-    repeated name counts its last column), and its line number is the line
-    where the row ends. A violation, or text the CSV reader rejects (such as
-    a cell past its field size limit), raises ParseError naming the line.
+    The first character that is not ASCII white space picks the format: "{" starts JSONL,
+    anything else a CSV header; a file of white space alone holds no record. A JSONL line
+    must hold one JSON object. A CSV file starts with a header naming every ``required``
+    column, and each row has exactly as many cells as the header; its record maps the
+    header's names to its cells (a repeated name counts its last column), and its line
+    number is the line where the row ends. A violation, or text the CSV reader rejects (such
+    as a cell past its field size limit), raises ParseError naming the line.
     """
-    if not is_csv:
+    while (first := fh.read(1)) and first in " \t\n\r\v\f":
+        pass
+    fh.seek(0)
+    if first in ("{", ""):
         for line_no, line in enumerate(fh, start=1):
             if line.strip():
                 try:
@@ -249,9 +253,7 @@ def _table_records(fh, is_csv: bool, required: Sequence[str]) -> Iterator[tuple[
         return
     reader = csv.reader(fh)
     try:
-        header = next(reader, None)
-        if header is None:
-            return
+        header = next(reader)  # the file holds a character that is not white space
         missing = [c for c in required if c not in header]
         if missing:
             raise ParseError(f"CSV header missing columns: {missing}", 1)
@@ -316,35 +318,33 @@ _REQUIRED_FILL_FIELDS = tuple(f for f in FILL_FIELDS if f != "timestamp")
 
 
 def read_fills(path, block_times: Mapping[int, int] | None = None) -> list[FillEvent]:
-    """Read a ledger shard (JSONL, or CSV with a header row).
+    """Read a ledger shard (JSONL, or CSV with a header row), from a file or a pipe.
 
     Each line or row is read as a record by ``_table_records`` and built by
     ``fill_from_record``, which takes a missing or empty timestamp from
     ``block_times``; an error names the line.
 
-    The fills of a regular file are cached by its bytes (README, "Parsed-table
-    cache"): a first read parses and stores them, and a later read of the same
-    bytes, under any name or file time, skips the parse. A pipe is parsed,
-    uncached.
+    The fills are cached by the input's bytes (README, "Parsed-table cache"): a
+    first read parses and stores them, and a later read of the same bytes,
+    under any name or file time, skips the parse.
     """
-    return _read_cached(path, lambda fh, is_csv: _parse_fills(fh, is_csv, block_times),
-                        lambda digest, is_csv: _fill_key_parts(digest, is_csv, block_times),
+    return _read_cached(path, lambda fh: _parse_fills(fh, block_times),
+                        lambda digest: _fill_key_parts(digest, block_times),
                         lambda fills: (tuple(map(itemgetter(i), fills))
                                        for i in range(len(FILL_FIELDS))),
                         lambda columns: list(map(tuple.__new__, repeat(FillEvent), zip(*columns))))
 
 
 def _read_cached(path, parse_text, key_parts, columns, rows) -> list:
-    """``parse_text(text file, is_csv)`` of the file at ``path`` (CSV when it ends in ".csv"),
-    through the parsed-table cache. ``key_parts(digest, is_csv)`` feeds the key's hash what
-    the parse depends on besides this module and the file; ``columns(table)`` yields its
-    columns, each a tuple ``marshal`` takes, and ``rows(columns)`` builds it back or raises."""
-    is_csv = str(path).endswith(".csv")
+    """``parse_text(text file)`` of the input at ``path``, through the parsed-table cache.
+    ``key_parts(digest)`` feeds the key's hash what the parse depends on besides this module
+    and the input's bytes; ``columns(table)`` yields its columns, each a tuple ``marshal``
+    takes, and ``rows(columns)`` builds it back or raises."""
 
     def parse(fh):  # the binary file stays open
-        text = io.TextIOWrapper(fh, encoding="utf-8", newline="" if is_csv else None)
+        text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
         try:
-            return parse_text(text, is_csv)
+            return parse_text(text)
         except UnicodeDecodeError:
             pass  # rescanned below, once the wrapper has let go of the file
         finally:
@@ -353,12 +353,11 @@ def _read_cached(path, parse_text, key_parts, columns, rows) -> list:
 
     directory = os.path.join(
         os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "fillflow")
-    with _read_input(path) as (fh, regular, hexdigest):
-        # A pipe's copy is not cached; a relative directory (no home) would land in the cwd.
-        if not regular or not os.path.isabs(directory):
+    with _read_input(path) as (fh, hexdigest):
+        if not os.path.isabs(directory):  # a relative one (no home) would land in the cwd
             return parse(fh)
         digest = hashlib.sha256(_parser_fingerprint())
-        key_parts(digest, is_csv)
+        key_parts(digest)
         digest.update(hexdigest.encode())
         key = digest.hexdigest()
         table = _cache_load(os.path.join(directory, key), rows)
@@ -379,8 +378,7 @@ _INPUT_DIGESTS: dict[str, str] = {}
 @contextlib.contextmanager
 def _read_input(path):
     """Open the input at ``path`` once, hash all its bytes and record the digest in
-    ``_INPUT_DIGESTS``; yield the binary file at its start, whether it is a regular file,
-    and the digest.
+    ``_INPUT_DIGESTS``; yield the binary file at its start and the digest.
 
     An input that is not a regular file, such as a pipe, cannot be read twice: its bytes
     are copied into an anonymous temporary file as they are hashed, which is yielded. One
@@ -399,7 +397,7 @@ def _read_input(path):
                     fh.write(chunk)
             fh.seek(0)
             _INPUT_DIGESTS[str(path)] = hexdigest = digest.hexdigest()
-            yield fh, regular, hexdigest
+            yield fh, hexdigest
         if regular and _identity(os.fstat(source.fileno())) != _identity(status):
             raise DataError(f"{path}: the file changed while it was read")
 
@@ -407,7 +405,7 @@ def _read_input(path):
 def _load_json(path):
     """The JSON document in the input at ``path``, decoded as UTF-8 text as
     ``open(path, encoding="utf-8")`` reads it; a bad byte or document raises ValueError."""
-    with _read_input(path) as (fh, _, _):
+    with _read_input(path) as (fh, _):
         text = io.TextIOWrapper(fh, encoding="utf-8")
         try:
             return json.load(text)
@@ -415,16 +413,16 @@ def _load_json(path):
             text.detach()
 
 
-def _parse_fills(fh, is_csv: bool, block_times) -> list[FillEvent]:
+def _parse_fills(fh, block_times) -> list[FillEvent]:
     """Parse text file ``fh``: ``read_fills`` without its cache."""
     return [fill_from_record(record, line_no, block_times)
-            for line_no, record in _table_records(fh, is_csv, _REQUIRED_FILL_FIELDS)]
+            for line_no, record in _table_records(fh, _REQUIRED_FILL_FIELDS)]
 
 
-def _fill_key_parts(digest, is_csv: bool, block_times) -> None:
-    """Hash the format and the sidecar: each item's repr, quoted, sorted as text (keys may
-    not compare), one item at a time."""
-    digest.update(repr((is_csv, block_times is None)).encode())
+def _fill_key_parts(digest, block_times) -> None:
+    """Hash the sidecar: whether there is one, then each item's repr, quoted, sorted as text
+    (keys may not compare), one item at a time."""
+    digest.update(repr(block_times is None).encode())
     for item in sorted(map(repr, (block_times or {}).items())):
         digest.update(repr(item).encode())
 

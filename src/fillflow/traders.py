@@ -82,12 +82,12 @@ def collect_trader_activity(
                                               else traders.setdefault(addr, {}))
                 if cells is skip:
                     continue
-                cell = cells.get(slot)
-                if cell is None:
-                    cell = cells[slot] = [0, 0, set()]
-                cell[0] += 1
-                cell[1] += usdc
-                cell[2].add(hour)
+                if (cell := cells.get(slot)) is None:
+                    cells[slot] = [1, usdc, {hour}]
+                else:
+                    cell[0] += 1
+                    cell[1] += usdc
+                    cell[2].add(hour)
     return TraderActivity(markets, traders)
 
 

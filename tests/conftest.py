@@ -1,3 +1,7 @@
+import os
+import threading
+from contextlib import contextmanager
+
 import pytest
 
 from fillflow import events
@@ -8,18 +12,37 @@ from fillflow.units import parse_utc
 
 
 def read_table(path, required):
-    """Yield (line number, record) from a ``.csv`` file or, for any other suffix, JSONL, as
-    ``events._table_records`` reads them: the records the tests build reference values from.
+    """Yield (line number, record) from a JSONL or CSV file, as ``events._table_records`` reads
+    them: the records the tests build reference values from.
 
     A violation, or a byte that is not UTF-8, raises the ParseError the readers raise.
     """
-    is_csv = str(path).endswith(".csv")
     try:
-        with open(path, encoding="utf-8", newline="" if is_csv else None) as fh:
-            yield from events._table_records(fh, is_csv, required)
+        with open(path, encoding="utf-8", newline="") as fh:
+            yield from events._table_records(fh, required)
     except UnicodeDecodeError:
         with open(path, "rb") as fh:
             raise events._utf8_error(fh) from None
+
+
+@contextmanager
+def piped(data: bytes):
+    """A ``/dev/fd/N`` path that reads ``data`` from a pipe, as a shell's ``<(...)`` passes
+    one. A thread writes the data, so it may exceed the pipe's buffer."""
+    read_end, write_end = os.pipe()
+
+    def feed():
+        with open(write_end, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)  # a writer the command left blocked gets a broken pipe
+        writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 @pytest.fixture(scope="session", autouse=True)

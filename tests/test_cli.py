@@ -7,14 +7,15 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from conftest import piped
 
 import fillflow
 from fillflow import cli, decompose, events, fetch
@@ -23,7 +24,7 @@ from fillflow.decompose import read_decomposed, write_decomposed
 from fillflow.events import (FILL_FIELDS, read_fills, write_fills, write_market_config,
                              write_table)
 from fillflow.fixtures import write_fixture
-from fillflow.units import format_utc
+from fillflow.units import DAY, HOUR, format_utc
 
 START = "2024-02-01T00:00:00Z"
 END = "2024-05-01T00:00:00Z"
@@ -456,6 +457,33 @@ class TestFlagValidation:
         lines = (out / "metrics.csv").read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 and lines[0].startswith("interval,")
 
+    @pytest.mark.parametrize("partition", [["day"], ["hour", "--dense"]],
+                             ids=["day", "hour-dense"])
+    def test_metrics_window_splits_at_a_grid_point(self, runner, tmp_path, small_ledger,
+                                                   partition):
+        """For b on the partition grid, the metrics rows of [a, c) are the rows of [a, b)
+        followed by those of [b, c); a and c fall anywhere."""
+        table = tmp_path / "decomposed.csv"
+        write_decomposed(table, small_ledger.truth)
+        times = [row.timestamp for row in small_ledger.truth]
+        step = HOUR if partition[0] == "hour" else DAY
+        rng = random.Random(24)
+
+        def rows(start, end):
+            out = tmp_path / f"{start}-{end}"
+            result = run(runner, ["metrics", "--input", str(table), "--market", "Trump",
+                                  "--partition", *partition, "--from", format_utc(start),
+                                  "--to", format_utc(end), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            return (out / "metrics.csv").read_text(encoding="utf-8").splitlines()[1:]
+
+        for _ in range(3):
+            a = rng.randrange(min(times) - DAY, max(times) - 10 * DAY)
+            c = a + rng.randrange(2 * DAY, 30 * DAY)
+            b = (a + c) // 2 // step * step  # on the grid, inside [a, c]
+            whole = rows(a, c)
+            assert whole and whole == rows(a, b) + rows(b, c), (a, b, c)
+
     @pytest.mark.parametrize("window", [[], ["--from", "2024-02-01"], ["--to", "2024-02-01"]],
                              ids=["no-window", "from-only", "to-only"])
     def test_traders_on_ledger_without_transactions_exits_3(self, runner, fixture_dir,
@@ -574,6 +602,21 @@ class TestInputErrorsExit2:
             "--exclude-addresses", f"@{excludes}", "--out", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
         assert f"--exclude-addresses file {excludes}: not valid UTF-8" in result.output
+
+    @pytest.mark.parametrize("problem, message", [("missing", "No such file or directory"),
+                                                  ("directory", "Is a directory")])
+    def test_exclude_file_missing_or_unreadable_exits_2(self, runner, fixture_dir, tmp_path,
+                                                        problem, message):
+        excludes = tmp_path / "excludes.txt"
+        if problem == "directory":
+            excludes.mkdir()
+        result = runner.invoke(main, [
+            "traders", "--input", str(fixture_dir / "fills.jsonl"),
+            "--markets", str(fixture_dir / "markets.json"),
+            "--exclude-addresses", f"@{excludes}", "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert f"error: --exclude-addresses file {excludes}: {message}\n" in result.output
+        assert not (tmp_path / "out").exists()
 
 
 class TestImpactCommand:
@@ -820,6 +863,24 @@ class TestParsedLedgerCache:
             assert len(list(fill_cache.iterdir())) == 1
             monkeypatch.setattr(events, "_parse_fills", refuse_parse)
         assert artifacts[0] == artifacts[1]
+
+    @pytest.mark.parametrize("command", ["ingest", "decompose"])
+    def test_piped_csv_ledger_is_read_as_the_file_is(self, runner, inputs, fill_cache,
+                                                     monkeypatch, command):
+        data = (inputs / "fills.csv").read_bytes()
+        artifacts = []
+        for run_name in ("file", "pipe", "pipe-again"):  # parsed and stored, then two hits
+            with (contextlib.nullcontext(inputs / "fills.csv") if run_name == "file"
+                  else piped(data)) as ledger:
+                result = run(runner, self.args(inputs, command, ledger, inputs / run_name))
+            assert result.exit_code == 0, result.output
+            artifacts.append({path.name: path.read_bytes()
+                              for path in (inputs / run_name).iterdir()})
+            digests = json.loads(artifacts[-1].pop("manifest.json"))["inputs"]
+            assert hashlib.sha256(data).hexdigest() in digests.values()
+            assert len(list(fill_cache.iterdir())) == 1
+            monkeypatch.setattr(events, "_parse_fills", refuse_parse)
+        assert artifacts[0] == artifacts[1] == artifacts[2]
 
     def test_decompose_of_a_rewritten_ingest_output_hits(self, runner, tmp_path, monkeypatch,
                                                          small_ledger, markets):
@@ -1173,39 +1234,22 @@ def test_malformed_input_exits_2_3_or_4_never_1(runner, tmp_path, valid_inputs, 
         assert result.exit_code in (2, 3, 4), (result.output, result.exception)
 
 
-@contextlib.contextmanager
-def piped(data: bytes):
-    """A ``/dev/fd/N`` path that reads ``data`` from a pipe, as a shell's ``<(...)`` passes
-    one. A thread writes the data, so it may exceed the pipe's buffer."""
-    read_end, write_end = os.pipe()
-
-    def feed():
-        with open(write_end, "wb") as fh:
-            fh.write(data)
-
-    writer = threading.Thread(target=feed, daemon=True)
-    writer.start()
-    try:
-        yield f"/dev/fd/{read_end}"
-    finally:
-        os.close(read_end)  # a writer the command left blocked gets a broken pipe
-        writer.join(timeout=10)
-    assert not writer.is_alive()
-
-
 class TestOneReadPerInput:
     """Each input is opened once per command, and the manifest records the digest of the
     bytes the command read from it, a pipe's included."""
 
     @pytest.fixture
     def inputs(self, tmp_path, valid_inputs):
-        """The valid inputs, plus a JSONL copy of the decomposed table ("decomposed-jsonl")
-        and a CSV copy of the ledger without timestamps ("untimed") with its sidecar."""
+        """The valid inputs, plus a JSONL copy of the decomposed table ("decomposed-jsonl"),
+        a CSV copy of the ledger ("fills-csv") and one without timestamps ("untimed") with its
+        sidecar."""
         paths = {**valid_inputs, "decomposed-jsonl": tmp_path / "decomposed.jsonl",
-                 "untimed": tmp_path / "untimed.csv", "untimed-times": tmp_path / "times.json"}
+                 "fills-csv": tmp_path / "fills.csv", "untimed": tmp_path / "untimed.csv",
+                 "untimed-times": tmp_path / "times.json"}
         write_decomposed(paths["decomposed-jsonl"], read_decomposed(valid_inputs["decomposed"]),
                          "jsonl")
         fills = read_fills(valid_inputs["fills"])
+        write_fills(paths["fills-csv"], fills, "csv")
         write_table(paths["untimed"], FILL_FIELDS[:-1], [fill[:-1] for fill in fills], "csv")
         paths["untimed-times"].write_text(json.dumps(
             {fill.block: format_utc(fill.timestamp) for fill in fills}))
@@ -1223,7 +1267,13 @@ class TestOneReadPerInput:
         (["metrics", "--input", "{decomposed-jsonl}", "--market", "Trump"], "decomposed-jsonl"),
         (["ingest", "--input", "{untimed}", "--block-times", "{untimed-times}"], "untimed-times"),
         (TEMPLATES["simulate"], "scenario"),
-    ], ids=["ledger", "markets", "decomposed-table", "block-times", "scenario"])
+        (["decompose", "--input", "{fills-csv}", "--markets", "{markets}"], "fills-csv"),
+        (["ingest", "--input", "{fills-csv}"], "fills-csv"),
+        (["ingest", "--input", "{untimed}", "--block-times", "{untimed-times}"], "untimed"),
+        (TEMPLATES["metrics"], "decomposed"),
+    ], ids=["ledger", "markets", "decomposed-table", "block-times", "scenario",
+            "csv-ledger-decompose", "csv-ledger-ingest", "untimed-csv-ledger",
+            "csv-decomposed-table"])
     def test_piped_input_is_digested_as_the_bytes_written_into_it(self, runner, tmp_path,
                                                                   inputs, template, role):
         data = inputs[role].read_bytes()
@@ -1364,3 +1414,14 @@ def test_help_text_is_the_recorded_text(runner, command):
     recorded = recorded_help()
     assert len(recorded) == 1 + len(main.commands) == 10
     assert result.output == recorded["$ fillflow " + " ".join(args)]
+
+
+def test_every_traced_layer_is_bound_in_the_cli_module():
+    # perfbench/traced_cli.py times a layer by replacing its name in fillflow.cli, and skips
+    # a name the module does not bind: an import moved into a command body hides the layer.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "traced_cli.py"
+    traced_cli = {"__name__": "traced_cli"}  # run as a module, without writing its bytecode
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), traced_cli)
+    layers = traced_cli["LAYERS"]
+    assert "read_fills" in layers
+    assert [name for name in layers if not callable(getattr(cli, name, None))] == []

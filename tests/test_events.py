@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from conftest import read_table
+from conftest import piped, read_table
 
 from fillflow import decompose, events
 from fillflow.decompose import (DecomposedTransaction, TxKind, VolumeComponents, read_decomposed,
@@ -410,6 +410,44 @@ class TestCsvReader:
                 list(map(type, FillEvent(*fill))) for fill in got]
 
 
+class TestFormatFromContent:
+    """The first character that is not ASCII white space picks a table's format: "{" JSONL,
+    anything else a CSV header; the file's name plays no part."""
+
+    @pytest.mark.parametrize("name", ["fills.jsonl", "fills.csv", "fills"])
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_either_format_reads_under_any_name(self, tmp_path, example_fills, small_ledger,
+                                                fmt, name):
+        path = tmp_path / name
+        write_fills(path, example_fills, fmt)
+        assert read_fills(path) == example_fills
+        write_decomposed(path, small_ledger.truth, fmt)
+        assert read_decomposed(path) == small_ledger.truth
+
+    @pytest.mark.parametrize("name", ["fills.jsonl", "fills.csv"])
+    def test_white_space_before_the_first_line_is_skipped(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_text(" \t\r\n\v\f\n" + BASE_LINE, encoding="utf-8")
+        assert read_fills(path) == [fill_from_record(BASE)]
+        path.write_text("\n" + BASE_CSV, encoding="utf-8")  # the blank line is the header
+        with pytest.raises(ParseError, match=r"^line 1: CSV header missing columns"):
+            read_fills(path)
+
+    @pytest.mark.parametrize("text", ["", "\n", " \t\r\n\v\f"],
+                             ids=["empty", "blank-line", "white-space"])
+    @pytest.mark.parametrize("name", ["table.jsonl", "table.csv"])
+    def test_white_space_alone_is_an_empty_table(self, tmp_path, text, name):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert read_fills(path) == read_decomposed(path) == []
+
+    def test_byte_order_mark_is_not_accepted(self, tmp_path):
+        path = tmp_path / "fills.jsonl"
+        path.write_text("\ufeff" + BASE_LINE, encoding="utf-8")  # read as a CSV header
+        with pytest.raises(ParseError, match=r"^line 1: CSV header missing columns"):
+            read_fills(path)
+
+
 def refuse_parse(*args):
     raise AssertionError("the ledger was parsed, not read from the cache")
 
@@ -486,25 +524,26 @@ class TestFillCache:
         else:
             assert entry.read_bytes() == good
 
-    def test_format_and_sidecar_are_part_of_the_key(self, tmp_path, fill_cache, example_fills):
-        # The only bytes that are a ledger in both formats: an empty file.
+    def test_sidecar_is_part_of_the_key_and_the_name_is_not(self, tmp_path, fill_cache,
+                                                            example_fills):
+        # The bytes fix the format: an empty file is one entry under either suffix.
         for name in ("empty.jsonl", "empty.csv"):
             (tmp_path / name).write_bytes(b"")
             assert read_fills(tmp_path / name) == read_fills(tmp_path / name) == []
-        assert len(cache_files(fill_cache)) == 2
+        assert len(cache_files(fill_cache)) == 1
         path = tmp_path / "untimed.csv"
         times = untimed_csv(path, example_fills)
         later = {block: time + 60 for block, time in times.items()}
         for sidecar in (times, later, times, later):
             assert [fill.timestamp for fill in read_fills(path, sidecar)] == [
                 sidecar[fill.block] for fill in example_fills]
-        assert len(cache_files(fill_cache)) == 4
+        assert len(cache_files(fill_cache)) == 3
 
     def test_at_most_eight_entries_least_recently_used_first_out(self, tmp_path, monkeypatch,
                                                                  fill_cache, example_fills):
         def entry(path):
             key = hashlib.sha256(events._parser_fingerprint())
-            events._fill_key_parts(key, False, None)
+            events._fill_key_parts(key, None)
             key.update(hashlib.sha256(path.read_bytes()).hexdigest().encode())
             return fill_cache / key.hexdigest()
 
@@ -620,20 +659,19 @@ class TestFillCache:
         assert read_fills(path) == example_fills
         assert not (tmp_path / "cache").exists()
 
-    def test_pipe_is_read_once_and_not_cached(self, tmp_path, fill_cache, example_fills):
-        # What a shell's process substitution, <(cat fills.jsonl), passes as the path.
-        path = tmp_path / "fills.jsonl"
-        write_fills(path, example_fills)
-        read_end, write_end = os.pipe()
-        os.write(write_end, path.read_bytes())  # a few KB: within the pipe's buffer
-        os.close(write_end)
-        try:
-            assert read_fills(f"/dev/fd/{read_end}") == example_fills
-        finally:
-            os.close(read_end)
-        assert not fill_cache.exists()
-        assert events._INPUT_DIGESTS[f"/dev/fd/{read_end}"] == hashlib.sha256(
-            path.read_bytes()).hexdigest()
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_pipe_is_read_once_and_cached(self, tmp_path, monkeypatch, fill_cache,
+                                          example_fills, fmt):
+        # What a shell's process substitution, <(cat fills.csv), passes as the path.
+        path = tmp_path / f"fills.{fmt}"
+        write_fills(path, example_fills, fmt)
+        for _ in range(2):  # parsed and stored, then a hit
+            with piped(path.read_bytes()) as pipe:
+                assert read_fills(pipe) == example_fills
+            assert events._INPUT_DIGESTS[pipe] == hashlib.sha256(path.read_bytes()).hexdigest()
+            assert len(cache_files(fill_cache)) == 1
+            monkeypatch.setattr(events, "_parse_fills", refuse_parse)
+        assert read_fills(path) == example_fills  # the file's bytes: the same entry
 
     @pytest.mark.parametrize("load", [load_market_config, load_block_times, load_scenario],
                              ids=["markets", "block-times", "scenario"])
@@ -764,19 +802,16 @@ class TestDecomposedTableCache:
         assert len(parses) == 1
         assert len(cache_files(fill_cache)) == 2
 
-    def test_pipe_and_relative_cache_home_are_parsed_without_the_cache(
+    def test_pipe_is_cached_and_relative_cache_home_is_not_used(
             self, tmp_path, monkeypatch, fill_cache, small_ledger, table):
-        # A pipe's path, /dev/fd/N, has no ".csv" suffix: the table goes through as JSONL.
-        path = tmp_path / "decomposed.jsonl"
-        write_decomposed(path, small_ledger.truth[:20], "jsonl")
-        read_end, write_end = os.pipe()
-        os.write(write_end, path.read_bytes())  # a few KB: within the pipe's buffer
-        os.close(write_end)
-        try:
-            assert read_decomposed(f"/dev/fd/{read_end}") == small_ledger.truth[:20]
-        finally:
-            os.close(read_end)
-        assert not fill_cache.exists()
+        # A pipe's path, /dev/fd/N, has no suffix: the CSV table is read as its bytes say.
+        parse = decompose._parse_decomposed
+        for _ in range(2):  # parsed and stored, then a hit
+            with piped(table.read_bytes()) as pipe:
+                assert read_decomposed(pipe) == small_ledger.truth
+            assert len(cache_files(fill_cache)) == 1
+            monkeypatch.setattr(decompose, "_parse_decomposed", refuse_parse)
+        monkeypatch.setattr(decompose, "_parse_decomposed", parse)
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("XDG_CACHE_HOME", "cache")
         for _ in range(2):

@@ -309,14 +309,16 @@ class TestIngestResume:
 
 
 class _Endpoint(BaseHTTPRequestHandler):
-    """Answers a POST by its path: /good echoes the request, /fail is an HTTP 500."""
+    """Answers a POST by its path: /good echoes the request, /fail is an HTTP 500, /empty
+    has no result, and /html and /not-utf8 reply with a body that is not JSON."""
 
     def do_POST(self):
         request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         replies = {"/good": (200, {"result": [request]}), "/fail": (500, {}),
-                   "/empty": (200, {"error": "no such method"})}
+                   "/empty": (200, {"error": "no such method"}),
+                   "/html": (200, b"<html>busy</html>"), "/not-utf8": (200, b'{"result": "\xff"}')}
         status, doc = replies[self.path]
-        body = json.dumps(doc).encode()
+        body = doc if isinstance(doc, bytes) else json.dumps(doc).encode()
         self.send_response(status)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -361,3 +363,14 @@ class TestHttpTransport:
     def test_reply_without_result_list_raises_decode_error(self, endpoint):
         with pytest.raises(DecodeError, match="no 'result' list"):
             fetch.http_transport(f"{endpoint}/empty", 0, 10)
+
+    @pytest.mark.parametrize("path", ["/html", "/not-utf8"])
+    def test_reply_that_is_not_json_raises_decode_error_without_a_retry(self, endpoint,
+                                                                        tmp_path, path):
+        with pytest.raises(DecodeError, match="^endpoint returned invalid JSON: "):
+            fetch.http_transport(f"{endpoint}{path}", 0, 10)
+        sleeps = []
+        with pytest.raises(DecodeError, match=r"^page \[0, 9\]: endpoint returned invalid JSON"):
+            fetch_event_logs(f"{endpoint}{path}", 0, 10, tmp_path / "spool.jsonl", json_line,
+                             sleep=sleeps.append)
+        assert sleeps == []
