@@ -23,7 +23,7 @@ import click
 
 from . import __version__
 from .decompose import decompose_ledger, read_decomposed, write_decomposed
-from .errors import ConfigError, DataError, FillflowError
+from .errors import ConfigError, DataError, FillflowError, ParseError, SchemaError
 from .events import (_INPUT_DIGESTS, fill_from_record, fill_lines, group_transactions,
                      load_block_times, load_market_config, read_fills, write_fills,
                      write_market_config, write_table)
@@ -89,18 +89,26 @@ def _fmt_float(value) -> str:
     return "" if value is None else repr(float(value))
 
 
+def _read_table(read, path, *args):
+    """``read(path, *args)``; a ParseError or SchemaError it raises names ``path`` as given."""
+    try:
+        return read(path, *args)
+    except (ParseError, SchemaError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def _load_transactions(inputs, markets_path=None, block_times=None):
     """The transactions of every ledger in ``inputs``, read in order with the ``block_times``
     sidecar, and the market config at ``markets_path`` (None without one)."""
     fills = []
     for path in inputs:
-        fills.extend(read_fills(path, block_times))
+        fills.extend(_read_table(read_fills, path, block_times))
     return group_transactions(fills), load_market_config(markets_path) if markets_path else None
 
 
 def _load_decomposed(inputs):
     """The rows of every decomposed table in ``inputs``, read in order."""
-    return [row for path in inputs for row in read_decomposed(path)]
+    return [row for path in inputs for row in _read_table(read_decomposed, path)]
 
 
 def _check_range(start, end):

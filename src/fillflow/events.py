@@ -5,9 +5,10 @@ A ledger is a list of OrderFilled records. Every fill swaps collateral
 in 10^-6 units. Fills sharing (block, txIndex) form one settlement
 transaction, the unit of the volume decomposition.
 
-File shards can be parsed independently and merged: ``group_transactions``
-gives the same partition for any input permutation, so a deterministic
-merge by (block, txIndex, logIndex) is just concatenation.
+File shards can be parsed independently and merged by concatenation:
+``group_transactions`` sorts the fills once by (block, txIndex, logIndex),
+taking each ordered shard as one run, so it gives the same partition for any
+input permutation.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DataError, DuplicateEventError, ParseError, SchemaError
-from .units import parse_utc
+from .units import format_utc, parse_utc
 
 COLLATERAL_ID = "0"
 
@@ -223,6 +224,9 @@ def fill_from_record(
         raise SchemaError(f"line {line_no}: {exc}") from exc
 
 
+_ASCII_SPACE = " \t\n\r\v\f"
+
+
 def _table_records(fh, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
     """Yield (line number, record) per non-blank JSONL line or CSV row of seekable text file
     ``fh``, opened with ``newline=""``: the one reader of both table formats.
@@ -235,12 +239,12 @@ def _table_records(fh, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
     number is the line where the row ends. A violation, or text the CSV reader rejects (such
     as a cell past its field size limit), raises ParseError naming the line.
     """
-    while (first := fh.read(1)) and first in " \t\n\r\v\f":
+    while (first := fh.read(1)) and first in _ASCII_SPACE:
         pass
     fh.seek(0)
     if first in ("{", ""):
         for line_no, line in enumerate(fh, start=1):
-            if line.strip():
+            if line.strip(_ASCII_SPACE):
                 try:
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
@@ -547,64 +551,38 @@ def load_block_times(path) -> dict[int, int]:
     return times
 
 
-_COORDINATES = attrgetter("block", "tx_index", "log_index")
+def group_transactions(fills: Iterable[FillEvent]) -> list[Transaction]:
+    """Partition fills into transactions keyed by (block, txIndex).
 
-
-def _group_ascending(fills: Iterable[FillEvent]) -> tuple[list[Transaction], int | None] | None:
-    """Group fills that come in strictly ascending coordinate order, in one scan.
-
-    Returns the transactions and the position of the first one whose fills
-    disagree on the timestamp (None when every one agrees), or None at the
-    first fill that does not come after the one before it.
+    Within each transaction fills are ordered by logIndex; transactions are
+    ordered by (block, txIndex). The partition is permutation-invariant and
+    loses or duplicates nothing. The fills are sorted once, as tuples, so by
+    (block, txIndex, logIndex) first: linear on an ordered ledger, a merge of
+    runs on k ordered shards. One scan of that order groups them. Exact
+    duplicate coordinates are rejected, the first in that order as the scan
+    meets it: fill streams are assumed pre-deduplicated. Conflicting
+    timestamps are reported after the scan, so a duplicate anywhere in the
+    ledger comes first.
     """
     new = tuple.__new__
     transactions: list[Transaction] = []
     conflict = None
     group: list[FillEvent] = []
     block = tx_index = log_index = timestamp = -1  # coordinates are non-negative
-    for fill in fills:
-        if fill.block == block and fill.tx_index == tx_index:
-            if fill.log_index <= log_index:
-                return None
-            if fill.timestamp != timestamp and conflict is None:
-                conflict = len(transactions)
-        elif fill.block > block or (fill.block == block and fill.tx_index > tx_index):
+    for fill in sorted(fills):
+        if fill.block != block or fill.tx_index != tx_index:
             if group:
                 transactions.append(new(Transaction, (block, tx_index, timestamp, tuple(group))))
             block, tx_index, timestamp = fill.block, fill.tx_index, fill.timestamp
             group = []
-        else:
-            return None
+        elif fill.log_index == log_index:
+            raise DuplicateEventError(f"duplicate fill coordinates {fill[:3]}")
+        elif fill.timestamp != timestamp and conflict is None:
+            conflict = len(transactions)
         log_index = fill.log_index
         group.append(fill)
     if group:
         transactions.append(new(Transaction, (block, tx_index, timestamp, tuple(group))))
-    return transactions, conflict
-
-
-def group_transactions(fills: Iterable[FillEvent]) -> list[Transaction]:
-    """Partition fills into transactions keyed by (block, txIndex).
-
-    Within each transaction fills are ordered by logIndex; transactions are
-    ordered by (block, txIndex). The partition is permutation-invariant and
-    loses or duplicates nothing. Exact duplicate coordinates are rejected:
-    fill streams are assumed pre-deduplicated. Duplicates are reported
-    before conflicting timestamps, wherever either occurs in the ledger.
-    Fills already in (block, txIndex, logIndex) order, as ``write_fills``
-    leaves an ingested ledger, are grouped in one scan; others are sorted
-    first.
-    """
-    if not isinstance(fills, (list, tuple)):
-        fills = list(fills)
-    grouped = _group_ascending(fills)
-    if grouped is None:
-        ordered = sorted(fills, key=_COORDINATES)
-        grouped = _group_ascending(ordered)
-        if grouped is None:  # in sorted order, only equal coordinates stop the scan
-            keys = list(map(_COORDINATES, ordered))
-            duplicate = next(key for prev, key in zip(keys, keys[1:]) if key == prev)
-            raise DuplicateEventError(f"duplicate fill coordinates {duplicate}")
-    transactions, conflict = grouped
     if conflict is not None:
         tx = transactions[conflict]
         timestamps = sorted({fill.timestamp for fill in tx.fills})
@@ -674,8 +652,6 @@ def load_market_config(path) -> list[MarketSpec]:
 
 
 def write_market_config(path, markets: Sequence[MarketSpec]) -> None:
-    from .units import format_utc
-
     doc = {
         "markets": [
             {

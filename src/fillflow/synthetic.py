@@ -39,8 +39,6 @@ PRICE_HI = 940_000
 MAX_DEVIATION = 60_000
 ARB_MIN_DEVIATION = 10_000  # one cent
 
-KINDS = ("pure_exchange", "share_minting", "share_burning", "mixed_mint", "mixed_burn")
-
 
 @dataclass(frozen=True)
 class WhaleEvent:
@@ -106,7 +104,7 @@ class SyntheticScenario:
             if not isinstance(self.kind_weights, dict):
                 raise ConfigError("scenario 'kindWeights' must map transaction kinds to weights, "
                                   f"got {self.kind_weights!r}")
-            unknown = set(self.kind_weights) - set(KINDS)
+            unknown = set(self.kind_weights) - {kind.value for kind in TxKind}
             if unknown:
                 raise ConfigError("scenario 'kindWeights' names unknown transaction kinds "
                                   f"{sorted(unknown)}")
@@ -151,7 +149,7 @@ class SyntheticLedger:
 
 def _resolve_weights(scenario: SyntheticScenario) -> list[float]:
     if scenario.kind_weights is not None:
-        weights = [float(scenario.kind_weights.get(k, 0.0)) for k in KINDS]
+        weights = [float(scenario.kind_weights.get(kind.value, 0.0)) for kind in TxKind]
     else:
         mm = scenario.market_maker_share
         directional = scenario.directional_share
@@ -161,6 +159,14 @@ def _resolve_weights(scenario: SyntheticScenario) -> list[float]:
         weights = [mm, directional * 0.55, directional * 0.45, rest * 0.5, rest * 0.5]
     total = sum(weights)  # positive: __post_init__ checks the kind weights' sum
     return [w / total for w in weights]
+
+
+def _sided(side: str, trade=0, mint=0, burn=0, c_mint=0, c_burn=0, buy=0,
+           sell=0) -> VolumeComponents:
+    """Components with `side` as the primary token and its complement."""
+    if side == "yes":
+        return VolumeComponents(trade, 0, mint, c_mint, burn, c_burn, buy, sell)
+    return VolumeComponents(0, trade, c_mint, mint, c_burn, burn, buy, sell)
 
 
 class _Generator:
@@ -295,23 +301,16 @@ class _Generator:
         key = (day_floor(ts), (ts % DAY) // 3600)
         self.hourly_participants.setdefault(key, set()).update(parties)
 
-    def _sided(self, market: MarketSpec, side: str, trade=0, mint=0, burn=0,
-               c_mint=0, c_burn=0, buy=0, sell=0) -> VolumeComponents:
-        """Components with `side` as the primary token and its complement."""
-        if side == "yes":
-            return VolumeComponents(trade, 0, mint, c_mint, burn, c_burn, buy, sell)
-        return VolumeComponents(0, trade, c_mint, mint, c_burn, burn, buy, sell)
-
     # -- transaction builders ---------------------------------------------------
 
     def _token(self, market: MarketSpec, side: str) -> str:
         return market.yes_token_id if side == "yes" else market.no_token_id
 
     def _build_exchange(self, ts: int, market: MarketSpec, side: str,
-                        shares: int | None = None, price: int | None = None,
-                        buyer: str | None = None, sellers: Sequence[str] | None = None) -> None:
+                        shares: int | None = None, buyer: str | None = None,
+                        sellers: Sequence[str] | None = None) -> None:
         shares = shares or self.rng.randint(5, 3000)
-        price = price or self._quote(market.candidate, side)
+        price = self._quote(market.candidate, side)
         buyer = buyer or self._pick_directional(market.candidate, side)
         token = self._token(market, side)
         usdc = shares * price
@@ -322,7 +321,7 @@ class _Generator:
             seller = self.rng.choice(pool) if pool else self._pick_liquidity()
             specs.append((seller, buyer, token, COLLATERAL_ID, lot * MICRO, lot * price))
         self._emit(ts, market, TxKind.PURE_EXCHANGE, specs,
-                   self._sided(market, side, trade=usdc, buy=usdc, sell=usdc))
+                   _sided(side, trade=usdc, buy=usdc, sell=usdc))
 
     def _build_minting(self, ts: int, market: MarketSpec, side_buyer: str | None = None,
                        shares: int | None = None, side: str = "yes") -> None:
@@ -341,8 +340,8 @@ class _Generator:
         self._emit(ts, market, TxKind.SHARE_MINTING, specs, VolumeComponents(
             0, 0, shares * p_yes, shares * (MICRO - p_yes), 0, 0, shares * MICRO, 0))
 
-    def _build_burning(self, ts: int, market: MarketSpec, shares: int | None = None) -> None:
-        shares = shares or self.rng.randint(5, 3000)
+    def _build_burning(self, ts: int, market: MarketSpec) -> None:
+        shares = self.rng.randint(5, 3000)
         p_yes = self._base_price(market.candidate, "yes")
         specs = []
         for leg, price in (("yes", p_yes), ("no", MICRO - p_yes)):
@@ -374,8 +373,8 @@ class _Generator:
         ]
         trade = exchanged * p_sell
         buy = total * p + minted * (MICRO - p)
-        self._emit(ts, market, TxKind.MIXED_MINT, specs, self._sided(
-            market, side,
+        self._emit(ts, market, TxKind.MIXED_MINT, specs, _sided(
+            side,
             trade=trade,
             mint=total * p - trade,
             c_mint=minted * (MICRO - p),
@@ -406,8 +405,8 @@ class _Generator:
         ]
         trade = exchanged * p_buy
         sell = total * p + burned * (MICRO - p)
-        self._emit(ts, market, TxKind.MIXED_BURN, specs, self._sided(
-            market, side,
+        self._emit(ts, market, TxKind.MIXED_BURN, specs, _sided(
+            side,
             trade=trade,
             burn=total * p - trade,
             c_burn=burned * (MICRO - p),
@@ -432,25 +431,16 @@ class _Generator:
         if ts + 2 * BLOCK_SECONDS >= self.scenario.end:
             return
         quantity = self.rng.randint(50, 400)
-        if delta > 0:
-            # Split $1 collateral into full sets, sell both legs at the
-            # inflated quotes: downward pressure on both prices.
-            action = "split_and_sell"
-            for i, side in enumerate(("yes", "no")):
-                fill_ts = self._grid(ts + (i + 1) * BLOCK_SECONDS)
-                self._build_exchange(fill_ts, market, side, shares=quantity,
-                                     price=self._quote(candidate, side),
-                                     buyer=self._pick_liquidity(),
-                                     sellers=[self.arb_address])
-        else:
-            # Buy both legs at the depressed quotes and merge them back into
-            # collateral: upward pressure on both prices.
-            action = "buy_and_merge"
-            for i, side in enumerate(("yes", "no")):
-                fill_ts = self._grid(ts + (i + 1) * BLOCK_SECONDS)
-                self._build_exchange(fill_ts, market, side, shares=quantity,
-                                     price=self._quote(candidate, side),
-                                     buyer=self.arb_address)
+        # Split $1 collateral into full sets and sell both legs at the inflated quotes
+        # (downward pressure on both prices), or buy both legs at the depressed quotes
+        # and merge them back into collateral (upward pressure).
+        action = "split_and_sell" if delta > 0 else "buy_and_merge"
+        sellers = [self.arb_address] if delta > 0 else None
+        for i, side in enumerate(("yes", "no")):
+            fill_ts = self._grid(ts + (i + 1) * BLOCK_SECONDS)
+            buyer = self._pick_liquidity() if sellers else self.arb_address
+            self._build_exchange(fill_ts, market, side, shares=quantity, buyer=buyer,
+                                 sellers=sellers)
         after = delta // 2 if delta > 0 else -((-delta) // 2)
         self.deviations[candidate] = after
         self.arbitrage_events.append(ArbitrageEvent(
@@ -474,6 +464,7 @@ class _Generator:
         plan.sort(key=itemgetter(0, 1))
 
         sides, side_cum_weights = ["yes", "no"], list(accumulate([0.6, 0.4]))
+        kinds = tuple(TxKind)
         for ts, _, action, payload in plan:
             if action == "inject":
                 market_name, delta = payload
@@ -484,14 +475,14 @@ class _Generator:
                 continue
             market = self.rng.choice(scenario.markets)
             side = self.rng.choices(sides, cum_weights=side_cum_weights)[0]
-            kind = self.rng.choices(KINDS, cum_weights=self.kind_cum_weights)[0]
-            if kind == "pure_exchange":
+            kind = self.rng.choices(kinds, cum_weights=self.kind_cum_weights)[0]
+            if kind is TxKind.PURE_EXCHANGE:
                 self._build_exchange(ts, market, side)
-            elif kind == "share_minting":
+            elif kind is TxKind.SHARE_MINTING:
                 self._build_minting(ts, market)
-            elif kind == "share_burning":
+            elif kind is TxKind.SHARE_BURNING:
                 self._build_burning(ts, market)
-            elif kind == "mixed_mint":
+            elif kind is TxKind.MIXED_MINT:
                 self._build_mixed_mint(ts, market, side)
             else:
                 self._build_mixed_burn(ts, market, side)

@@ -285,6 +285,37 @@ class TestPipeline:
         assert set(rows[0]) == {"date", "lambda", "se", "n", "avgVolume"}
         assert (lam / "lambda_regression.json").exists()
 
+    def test_lambda_warns_of_transactions_on_markets_left_out(self, runner, tmp_path,
+                                                              small_ledger):
+        kept, left_out = small_ledger.markets
+        ledger, config = tmp_path / "fills.jsonl", tmp_path / "markets.json"
+        write_fills(ledger, small_ledger.fills)
+        write_market_config(config, [kept])
+        skipped = sum(row.market == left_out.candidate for row in small_ledger.truth)
+        result = run(runner, ["lambda", "--input", str(ledger), "--markets", str(config),
+                              "--market", kept.candidate, "--out", str(tmp_path / "lam")])
+        assert result.exit_code == 0, result.output
+        assert skipped > 0
+        assert f"warning: {skipped} anomalous transactions skipped\n" in result.output
+
+    def test_simulate_records_the_arbitrage_events(self, runner, scenario_path, tmp_path):
+        doc = json.loads(scenario_path.read_text())
+        doc.update(arbitrageur=True, deviationInjections=[
+            {"time": "2024-02-10T00:00:00Z", "market": "Trump", "delta": 0.05}])
+        scenario_path.write_text(json.dumps(doc))
+        result = run(runner, ["simulate", "--scenario", str(scenario_path),
+                              "--out", str(tmp_path / "sim")])
+        assert result.exit_code == 0, result.output
+        events = json.loads((tmp_path / "sim" / "simulation.json").read_text())[
+            "arbitrageEvents"]
+        # the injected 5 cents is halved by each split-and-sell until it is below one cent
+        assert [(e["market"], e["action"], e["deltaBefore"], e["deltaAfter"]) for e in events] \
+            == [("Trump", "split_and_sell", 50_000 >> i, 25_000 >> i) for i in range(3)]
+        assert all(set(e) == {"timestamp", "market", "action", "quantity", "deltaBefore",
+                              "deltaAfter"} and 50 <= e["quantity"] <= 400 for e in events)
+        assert [e["timestamp"] for e in events] == sorted(e["timestamp"] for e in events)
+        assert events[0]["timestamp"] >= 1707523200  # 2024-02-10
+
     @pytest.mark.parametrize("side", ["yes", "no"])
     def test_lambda_on_a_side_without_trades_exits_3(self, runner, fixture_dir, tmp_path, side):
         # the fixture ledger has no fill on either Harris token
@@ -560,6 +591,16 @@ class TestInputErrorsExit2:
         assert f"error: {message}\n" in result.output
         assert not (tmp_path / "sim").exists()
 
+    @pytest.mark.parametrize("doc", [[], "scenario", 17, None], ids=["list", "string", "number",
+                                                                    "null"])
+    def test_scenario_not_an_object(self, runner, scenario_path, tmp_path, doc):
+        scenario_path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["simulate", "--scenario", str(scenario_path),
+                                      "--out", str(tmp_path / "sim")])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert result.output == "error: scenario must be a JSON object\n"
+        assert not (tmp_path / "sim").exists()
+
     @pytest.mark.parametrize("doc, message", [
         ({"foo": []}, "market config must contain a 'markets' list"),
         ({"markets": [{"candidate": "X", "yesTokenId": "0", "noTokenId": "5", "launch": START}]},
@@ -625,6 +666,11 @@ class TestImpactCommand:
                               "--flow", "1", "--format", "json"])
         assert result.exit_code == 0
         assert json.loads(result.output)["deltaP"] == 0.1295
+
+    def test_text_output(self, runner):
+        result = run(runner, ["impact", "--lam", "0.518", "--price", "0.5", "--flow", "1"])
+        assert result.exit_code == 0
+        assert result.output == "delta_p = 0.1295\n"
 
     def test_bad_price_exits_2(self, runner):
         result = runner.invoke(main, ["impact", "--lam", "0.1", "--price", "1.5"])
@@ -1301,7 +1347,7 @@ class TestOneReadPerInput:
         with piped(b"".join(lines)) as pipe:
             result = self.invoke(runner, template, {**inputs, role: pipe}, tmp_path / "out")
         assert result.exit_code == 3, result.output
-        assert "error: line 7: not valid UTF-8 (byte 0xff)" in result.output
+        assert f"error: {pipe}: line 7: not valid UTF-8 (byte 0xff)" in result.output
 
     def test_ledger_rewritten_after_its_read_keeps_the_digest_of_the_bytes_read(
             self, runner, tmp_path, monkeypatch, inputs):
@@ -1339,6 +1385,53 @@ class TestOneReadPerInput:
         paths = [str(path) for role, path in valid_inputs.items()
                  if "{%s}" % role in "".join(TEMPLATES[command])]
         assert {path: opened[path] for path in paths} == dict.fromkeys(paths, 1)
+
+
+class TestRejectedLineNamesItsInput:
+    """A command names the input, as given, before the line a reader rejects in it."""
+
+    @pytest.mark.parametrize("bad", [0, 1], ids=["first-input", "second-input"])
+    @pytest.mark.parametrize("change, message", [
+        ({"timestamp": None}, "missing timestamp (no inline value, no sidecar entry)"),
+        ({"maker": None}, "maker must be a string, got None"),
+    ], ids=["parse-error", "schema-error"])
+    def test_ingest_of_two_shards(self, runner, tmp_path, monkeypatch, example_fills, bad,
+                                  change, message):
+        monkeypatch.chdir(tmp_path)
+        shards = ["a.jsonl", "b.jsonl"]
+        write_fills(shards[0], example_fills[:4])
+        write_fills(shards[1], example_fills[4:])
+        lines = Path(shards[bad]).read_text().splitlines(keepends=True)
+        lines[1] = json.dumps({**json.loads(lines[1]), **change}) + "\n"
+        Path(shards[bad]).write_text("".join(lines))
+        result = runner.invoke(main, ["ingest", "--input", shards[0], "--input", shards[1],
+                                      "--out", "out"])
+        assert result.exit_code == 3, result.output
+        assert result.output == f"error: {shards[bad]}: line 2: {message}\n"
+
+    @pytest.mark.parametrize("bad", [0, 1], ids=["first-input", "second-input"])
+    def test_metrics_of_two_decomposed_tables(self, runner, tmp_path, monkeypatch, bad):
+        monkeypatch.chdir(tmp_path)
+        tables = ["one.csv", "two.csv"]
+        for i, table in enumerate(tables):
+            row = DECOMPOSED_ROW.replace("5,5,0,5", "5,5,0,x" if i == bad else "5,5,0,5")
+            Path(table).write_text(f"{DECOMPOSED_HEADER}\n{DECOMPOSED_ROW}\n{row}\n")
+        result = runner.invoke(main, ["metrics", "--input", tables[0], "--input", tables[1],
+                                      "--market", "Trump", "--out", "out"])
+        assert result.exit_code == 3, result.output
+        assert result.output == f"error: {tables[bad]}: line 3: noTradeVol: not an integer: 'x'\n"
+
+    @pytest.mark.parametrize("line_no", [2, 3])
+    def test_line_of_a_no_break_space_is_invalid_json(self, runner, tmp_path, monkeypatch,
+                                                      example_fills, line_no):
+        monkeypatch.chdir(tmp_path)
+        write_fills("fills.jsonl", example_fills[:2])
+        lines = Path("fills.jsonl").read_text().splitlines(keepends=True)
+        lines.insert(line_no - 1, "\u00a0\n")
+        Path("fills.jsonl").write_text("".join(lines), encoding="utf-8")
+        result = runner.invoke(main, ["ingest", "--input", "fills.jsonl", "--out", "out"])
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith(f"error: fills.jsonl: line {line_no}: invalid JSON: ")
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])

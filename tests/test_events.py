@@ -447,6 +447,26 @@ class TestFormatFromContent:
         with pytest.raises(ParseError, match=r"^line 1: CSV header missing columns"):
             read_fills(path)
 
+    @pytest.mark.parametrize("line_no", [2, 3])
+    @pytest.mark.parametrize("space", ["\u00a0", "\u001c", "\u0085", "\u2028"],
+                             ids=["no-break-space", "U+001C", "U+0085", "U+2028"])
+    def test_line_of_other_white_space_is_invalid_json(self, tmp_path, space, line_no):
+        lines = [BASE_LINE, BASE_LINE]
+        lines.insert(line_no - 1, space + "\n")
+        path = tmp_path / "fills.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"^line {line_no}: invalid JSON"):
+            read_fills(path)
+        path.write_text(space + "\n" + BASE_LINE, encoding="utf-8")  # the first line: a header
+        with pytest.raises(ParseError, match=r"^line 1: CSV header missing columns"):
+            read_fills(path)
+
+    @pytest.mark.parametrize("space", ["\v", "\f", " \v\t\f "], ids=["VT", "FF", "mixed"])
+    def test_line_of_ascii_white_space_is_skipped_anywhere(self, tmp_path, space):
+        path = tmp_path / "fills.jsonl"
+        path.write_text(f"{space}\n{BASE_LINE}{space}\n{BASE_LINE}{space}\n", encoding="utf-8")
+        assert read_fills(path) == [fill_from_record(BASE)] * 2
+
 
 def refuse_parse(*args):
     raise AssertionError("the ledger was parsed, not read from the cache")
@@ -1001,6 +1021,7 @@ class TestGroupingAgainstReference:
         expected = outcome(reference_group_transactions, ordered)
         assert outcome(group_transactions, ordered) == expected
         assert outcome(group_transactions, fills) == expected
+        assert outcome(group_transactions, fills[::-1]) == expected
         rng = random.Random(7)
         for _ in range(30):
             shuffled = fills[:]
@@ -1036,6 +1057,20 @@ class TestGroupingAgainstReference:
         fills = small_ledger.fills[::-1]
         before = fills[:]
         group_transactions(fills)
+        assert fills == before
+
+    @pytest.mark.parametrize("order", ["generator", "reversed", "three-shards"])
+    def test_ledger_in_any_arrangement_matches_reference(self, small_ledger, order):
+        fills = small_ledger.fills  # in (block, txIndex, logIndex) order
+        if order == "reversed":
+            fills = fills[::-1]
+        elif order == "three-shards":  # block ranges dealt round-robin to three ordered shards
+            fills = [f for shard in range(3) for f in fills if f.block // 500 % 3 == shard]
+        before = fills[:]
+        expected = reference_group_transactions(fills)
+        given = (fill for fill in fills) if order == "generator" else fills
+        assert group_transactions(given) == expected
+        assert len(expected) == len(small_ledger.truth)
         assert fills == before
 
 

@@ -308,6 +308,23 @@ class TestIngestResume:
         assert read_checkpoint(checkpoint) == page_starts[2] - 1
 
 
+    def test_record_failing_the_fill_checks_names_its_page(self, monkeypatch, records,
+                                                           tmp_path, uninterrupted):
+        _, page_starts = uninterrupted
+        bad = next(r for r in records if r["block"] >= page_starts[1])
+        records = [{**r, "makerAssetId": "0", "takerAssetId": "0"} if r is bad else r
+                   for r in records]
+        out = tmp_path / "out"
+        result = self.ingest(monkeypatch, RecordingTransport(records=records), records, out)
+        assert result.exit_code == 3, result.output
+        page = f"page [{page_starts[1]}, {page_starts[2] - 1}]"
+        coordinates = f"({bad['block']}, {bad['txIndex']}, {bad['logIndex']})"
+        assert result.output == (
+            f"error: {page}, record ({bad['block']}, {bad['txIndex']}): both asset ids are "
+            f"collateral in fill {coordinates}; every fill must exchange collateral against "
+            "one outcome token\n")
+
+
 class _Endpoint(BaseHTTPRequestHandler):
     """Answers a POST by its path: /good echoes the request, /fail is an HTTP 500, /empty
     has no result, and /html and /not-utf8 reply with a body that is not JSON."""

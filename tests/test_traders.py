@@ -295,6 +295,16 @@ class TestActivityCollection:
         assert set(activity.traders) == {"0xabc", "0xd"}
         assert activity.traders["0xabc"][0][0] == 2
 
+    def test_fills_on_unconfigured_tokens_are_skipped(self, small_ledger):
+        market = small_ledger.markets[0]
+        transactions = group_transactions(small_ledger.fills)
+        configured = [tx for tx in transactions if tx.fills[0].token_id in
+                      (market.yes_token_id, market.no_token_id)]
+        assert 0 < len(configured) < len(transactions)
+        exclude = [small_ledger.exchange_address]
+        assert collect_trader_activity(transactions, [market], exclude) == \
+            collect_trader_activity(configured, [market], exclude)
+
     def test_two_markets_with_one_name_rejected(self, markets, example_transactions):
         twins = [markets[0], dataclasses.replace(markets[1], candidate=markets[0].candidate)]
         with pytest.raises(ConfigError, match="candidate 'Trump' names markets 0 and 1"):
