@@ -260,7 +260,10 @@ def _table_records(fh, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
         header = next(reader)  # the file holds a character that is not white space
         missing = [c for c in required if c not in header]
         if missing:
-            raise ParseError(f"CSV header missing columns: {missing}", 1)
+            cause = "" if first.isprintable() else (  # other white space is not printable
+                f"; the first character past ASCII white space is U+{ord(first):04X}, "
+                'neither "{" nor a CSV header')
+            raise ParseError(f"CSV header missing columns: {missing}{cause}", 1)
         for row in reader:
             if row:
                 if len(row) != len(header):

@@ -13,12 +13,15 @@ exchange prices additionally carry the market's current deviation, which an
 optional arbitrageur walks back toward zero via the split-and-sell /
 buy-and-merge sequences.
 
-Generation is single-threaded and fully determined by the scenario seed.
+Generation is single-threaded and fully determined by the scenario seed: a ledger
+depends only on the ``getrandbits`` and ``random`` streams of ``Random(seed)``.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
+from bisect import bisect
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import itemgetter
@@ -117,18 +120,25 @@ class SyntheticScenario:
                            ("marketMakerShare", self.market_maker_share)):
             if not 0 <= share <= 1:
                 raise ConfigError(f"scenario {key!r} must be within [0, 1], got {share!r}")
+        for key, count in (("nTransactions", self.n_transactions),
+                           ("mixedSpread", self.mixed_spread_micro)):
+            if count < 0:
+                raise ConfigError(f"scenario {key!r} must be non-negative, got {count!r}")
 
 
 def _check_weights(key: str, weights) -> None:
     """Raise ConfigError naming scenario ``key`` unless each weight is a finite non-negative
-    JSON number (an int or a float, not a bool) and their sum is positive. It draws no
-    random number, so it leaves the ledger of every seed unchanged."""
+    JSON number (an int or a float, not a bool) and their sum is positive and finite. It
+    draws no random number, so it leaves the ledger of every seed unchanged."""
     for weight in weights:
         if type(weight) not in (int, float) or not 0 <= weight <= sys.float_info.max:
             raise ConfigError(
                 f"scenario {key!r} weights must be non-negative numbers, got {weight!r}")
-    if not sum(weights) > 0:
+    total = sum(weights)
+    if not total > 0:
         raise ConfigError(f"scenario {key!r} weights sum to zero")
+    if not total <= sys.float_info.max:
+        raise ConfigError(f"scenario {key!r} weights must have a finite sum, got {total!r}")
 
 
 @dataclass
@@ -173,12 +183,14 @@ class _Generator:
     def __init__(self, scenario: SyntheticScenario):
         self.scenario = scenario
         self.rng = Random(scenario.seed)
+        # The stream's own methods: they refer to the Random object, not to this generator.
+        self.bits, self.random = self.rng.getrandbits, self.rng.random
         self.markets = {m.candidate: m for m in scenario.markets}
         self.labels = market_labels(scenario.markets)
         self.exchange_address = self._address("c5d")
-        self.prices = {m.candidate: self.rng.randint(250_000, 750_000) for m in scenario.markets}
+        self.prices = {m.candidate: 250_000 + self._below(500_001) for m in scenario.markets}
         self.deviations = {m.candidate: 0 for m in scenario.markets}
-        # ``choices`` given cumulative weights draws as it does from the weights themselves.
+        # Cumulative weights, from which ``_weighted`` draws as ``choices`` does from weights.
         self.kind_cum_weights = list(accumulate(_resolve_weights(scenario)))
         self.hour_cum_weights = (None if scenario.hourly_weights is None
                                  else list(accumulate(scenario.hourly_weights)))
@@ -192,7 +204,7 @@ class _Generator:
         self.directional: dict[tuple[str, str], list[str]] = {}
         for i in range(n_dir):
             market = scenario.markets[i % len(scenario.markets)].candidate
-            side = "yes" if self.rng.random() < 0.6 else "no"
+            side = "yes" if self.random() < 0.6 else "no"
             self.directional.setdefault((market, side), []).append(self._address())
         self.arb_address = self._address("a9b") if scenario.arbitrageur else None
         self.undirected = self.retail + self.market_makers
@@ -204,22 +216,39 @@ class _Generator:
         self.arbitrage_events: list[ArbitrageEvent] = []
         self._tx_index_by_block: dict[int, int] = {}
 
+    # -- draws ------------------------------------------------------------------
+
+    def _below(self, n: int) -> int:
+        """``randrange(n)``, drawn from the same bits; ``seq[_below(len(seq))]`` is ``choice``."""
+        if n <= 0:  # no r < n to draw: the loop below would never end
+            raise ValueError(f"no int to draw in [0, {n})")
+        k = n.bit_length()
+        r = self.bits(k)
+        while r >= n:
+            r = self.bits(k)
+        return r
+
+    def _weighted(self, population, cum_weights):
+        """``choices(population, cum_weights=cum_weights)[0]``: one ``random()`` draw."""
+        return population[bisect(cum_weights, self.random() * cum_weights[-1], 0,
+                                 len(population) - 1)]
+
     # -- population helpers -------------------------------------------------
 
     def _address(self, prefix: str = "") -> str:
-        body = f"{self.rng.getrandbits(160):040x}"
+        body = f"{self.bits(160):040x}"
         return "0x" + prefix + body[len(prefix):]
 
     def _pick_directional(self, market: str, side: str) -> str:
         pool = self.directional.get((market, side))
-        if pool and self.rng.random() < 0.7:
-            return self.rng.choice(pool)
-        return self.rng.choice(self.undirected)
+        if pool and self.random() < 0.7:
+            return pool[self._below(len(pool))]
+        return self.undirected[self._below(len(self.undirected))]
 
     def _pick_liquidity(self) -> str:
-        if self.market_makers and self.rng.random() < 0.8:
-            return self.rng.choice(self.market_makers)
-        return self.rng.choice(self.retail)
+        if self.market_makers and self.random() < 0.8:
+            return self.market_makers[self._below(len(self.market_makers))]
+        return self.retail[self._below(len(self.retail))]
 
     # -- price state ---------------------------------------------------------
 
@@ -236,7 +265,7 @@ class _Generator:
         return p if side == "yes" else MICRO - p
 
     def _walk_price(self, market: str) -> None:
-        p = self.prices[market] + self.rng.randint(-1500, 1500)
+        p = self.prices[market] - 1500 + self._below(3001)
         self.prices[market] = min(max(p, PRICE_LO), PRICE_HI)
 
     # -- timestamps and coordinates -------------------------------------------
@@ -249,22 +278,15 @@ class _Generator:
         scenario = self.scenario
         if self.hour_cum_weights is None:
             span = (scenario.end - scenario.start) // BLOCK_SECONDS
-            return scenario.start + BLOCK_SECONDS * self.rng.randrange(max(span, 1))
-        hours = list(range(24))
+            return scenario.start + BLOCK_SECONDS * self._below(max(span, 1))
         for _ in range(1000):
-            day = day_floor(scenario.start) + DAY * self.rng.randrange(
+            day = day_floor(scenario.start) + DAY * self._below(
                 max(1, (scenario.end - day_floor(scenario.start) + DAY - 1) // DAY))
-            hour = self.rng.choices(hours, cum_weights=self.hour_cum_weights)[0]
-            ts = day + hour * 3600 + BLOCK_SECONDS * self.rng.randrange(3600 // BLOCK_SECONDS)
+            hour = self._weighted(range(24), self.hour_cum_weights)
+            ts = day + hour * 3600 + BLOCK_SECONDS * self._below(3600 // BLOCK_SECONDS)
             if scenario.start <= ts < scenario.end:
                 return self._grid(ts)
         raise ConfigError("could not draw a timestamp inside the scenario window")
-
-    def _coordinates(self, ts: int) -> tuple[int, int]:
-        block = START_BLOCK + (ts - self.scenario.start) // BLOCK_SECONDS
-        tx_index = self._tx_index_by_block.get(block, 0)
-        self._tx_index_by_block[block] = tx_index + 1
-        return block, tx_index
 
     # -- emission -------------------------------------------------------------
 
@@ -272,6 +294,9 @@ class _Generator:
         parts = min(parts, total)
         if parts <= 1:
             return [total]
+        if parts == 2:  # the one cut ``sample(range(1, total), 1)`` would draw
+            cut = 1 + self._below(total - 1)
+            return [cut, total - cut]
         cuts = sorted(self.rng.sample(range(1, total), parts - 1))
         bounds = [0] + cuts + [total]
         return [b - a for a, b in zip(bounds, bounds[1:])]
@@ -285,21 +310,30 @@ class _Generator:
         components: VolumeComponents,
     ) -> None:
         """Materialize one transaction from (maker, taker, makerAsset, takerAsset, amounts)."""
-        block, tx_index = self._coordinates(ts)
+        block = START_BLOCK + (ts - self.scenario.start) // BLOCK_SECONDS
+        tx_index = self._tx_index_by_block.get(block, 0)
+        self._tx_index_by_block[block] = tx_index + 1
         parties: set[str] = set()
+        fills, labels, trader_markets = self.fills, self.labels, self.trader_markets
         for log_offset, (maker, taker, m_asset, t_asset, m_amount, t_amount) in enumerate(fill_specs):
-            self.fills.append(FillEvent(block, tx_index, log_offset, maker, taker, m_asset,
-                                        t_asset, m_amount, t_amount, ts))
-            label = self.labels[t_asset if m_asset == COLLATERAL_ID else m_asset]
+            fills.append(FillEvent(block, tx_index, log_offset, maker, taker, m_asset, t_asset,
+                                   m_amount, t_amount, ts))
+            label = labels[t_asset if m_asset == COLLATERAL_ID else m_asset]
             for party in (maker, taker):
                 if party != self.exchange_address:
                     parties.add(party)
-                    self.trader_markets.setdefault(party, set()).add(label)
-        row = DecomposedTransaction(block, tx_index, ts, market.candidate, kind, components)
+                    known = trader_markets.get(party)
+                    if known is None:
+                        trader_markets[party] = {label}
+                    else:
+                        known.add(label)
+        # The fields are those of a NamedTuple, so its generated __new__ can be skipped.
+        row = tuple.__new__(DecomposedTransaction,
+                            (block, tx_index, ts, market.candidate, kind, components))
         row.check()
         self.truth.append(row)
-        key = (day_floor(ts), (ts % DAY) // 3600)
-        self.hourly_participants.setdefault(key, set()).update(parties)
+        self.hourly_participants.setdefault((ts - ts % DAY, ts % DAY // 3600),
+                                            set()).update(parties)
 
     # -- transaction builders ---------------------------------------------------
 
@@ -309,23 +343,23 @@ class _Generator:
     def _build_exchange(self, ts: int, market: MarketSpec, side: str,
                         shares: int | None = None, buyer: str | None = None,
                         sellers: Sequence[str] | None = None) -> None:
-        shares = shares or self.rng.randint(5, 3000)
+        shares = shares or 5 + self._below(2996)
         price = self._quote(market.candidate, side)
         buyer = buyer or self._pick_directional(market.candidate, side)
         token = self._token(market, side)
         usdc = shares * price
         specs = [(buyer, self.exchange_address, COLLATERAL_ID, token, usdc, shares * MICRO)]
-        lots = self._split_quantity(shares, self.rng.randint(1, 3))
+        lots = self._split_quantity(shares, 1 + self._below(3))
         pool = list(sellers) if sellers else None
         for lot in lots:
-            seller = self.rng.choice(pool) if pool else self._pick_liquidity()
+            seller = pool[self._below(len(pool))] if pool else self._pick_liquidity()
             specs.append((seller, buyer, token, COLLATERAL_ID, lot * MICRO, lot * price))
         self._emit(ts, market, TxKind.PURE_EXCHANGE, specs,
                    _sided(side, trade=usdc, buy=usdc, sell=usdc))
 
     def _build_minting(self, ts: int, market: MarketSpec, side_buyer: str | None = None,
                        shares: int | None = None, side: str = "yes") -> None:
-        shares = shares or self.rng.randint(5, 3000)
+        shares = shares or 5 + self._below(2996)
         p_yes = self._base_price(market.candidate, "yes")
         buyers = {
             "yes": side_buyer if side == "yes" and side_buyer else self._pick_directional(market.candidate, "yes"),
@@ -334,30 +368,30 @@ class _Generator:
         specs = []
         for leg, price in (("yes", p_yes), ("no", MICRO - p_yes)):
             token = self._token(market, leg)
-            for lot in self._split_quantity(shares, self.rng.randint(1, 2)):
+            for lot in self._split_quantity(shares, 1 + self._below(2)):
                 specs.append((buyers[leg], self.exchange_address, COLLATERAL_ID, token,
                               lot * price, lot * MICRO))
         self._emit(ts, market, TxKind.SHARE_MINTING, specs, VolumeComponents(
             0, 0, shares * p_yes, shares * (MICRO - p_yes), 0, 0, shares * MICRO, 0))
 
     def _build_burning(self, ts: int, market: MarketSpec) -> None:
-        shares = self.rng.randint(5, 3000)
+        shares = 5 + self._below(2996)
         p_yes = self._base_price(market.candidate, "yes")
         specs = []
         for leg, price in (("yes", p_yes), ("no", MICRO - p_yes)):
             token = self._token(market, leg)
             seller = self._pick_liquidity()
-            for lot in self._split_quantity(shares, self.rng.randint(1, 2)):
+            for lot in self._split_quantity(shares, 1 + self._below(2)):
                 specs.append((seller, self.exchange_address, token, COLLATERAL_ID,
                               lot * MICRO, lot * price))
         self._emit(ts, market, TxKind.SHARE_BURNING, specs, VolumeComponents(
             0, 0, 0, 0, shares * p_yes, shares * (MICRO - p_yes), 0, shares * MICRO))
 
     def _build_mixed_mint(self, ts: int, market: MarketSpec, side: str) -> None:
-        exchanged = self.rng.randint(5, 2000)
-        minted = self.rng.randint(1, 2000)
+        exchanged = 5 + self._below(1996)
+        minted = 1 + self._below(2000)
         p = self._base_price(market.candidate, side)
-        spread = self.rng.randint(0, min(self.scenario.mixed_spread_micro, p - 1))
+        spread = self._below(min(self.scenario.mixed_spread_micro, p - 1) + 1)
         p_sell = p - spread
         token = self._token(market, side)
         complement = self._token(market, "no" if side == "yes" else "yes")
@@ -383,14 +417,14 @@ class _Generator:
         ))
 
     def _build_mixed_burn(self, ts: int, market: MarketSpec, side: str) -> None:
-        exchanged = self.rng.randint(5, 2000)
-        burned = self.rng.randint(1, 2000)
+        exchanged = 5 + self._below(1996)
+        burned = 1 + self._below(2000)
         p = self._base_price(market.candidate, side)
         total = exchanged + burned
         max_spread = min(self.scenario.mixed_spread_micro,
                          (total * p - exchanged * p) // max(exchanged, 1),
                          MICRO - 1 - p)
-        spread = self.rng.randint(0, max(0, max_spread))
+        spread = self._below(max(0, max_spread) + 1)
         p_buy = p + spread
         token = self._token(market, side)
         complement = self._token(market, "no" if side == "yes" else "yes")
@@ -430,7 +464,7 @@ class _Generator:
             return
         if ts + 2 * BLOCK_SECONDS >= self.scenario.end:
             return
-        quantity = self.rng.randint(50, 400)
+        quantity = 50 + self._below(351)
         # Split $1 collateral into full sets and sell both legs at the inflated quotes
         # (downward pressure on both prices), or buy both legs at the depressed quotes
         # and merge them back into collateral (upward pressure).
@@ -473,9 +507,9 @@ class _Generator:
             if action == "whale":
                 self._build_whale(payload)
                 continue
-            market = self.rng.choice(scenario.markets)
-            side = self.rng.choices(sides, cum_weights=side_cum_weights)[0]
-            kind = self.rng.choices(kinds, cum_weights=self.kind_cum_weights)[0]
+            market = scenario.markets[self._below(len(scenario.markets))]
+            side = self._weighted(sides, side_cum_weights)
+            kind = self._weighted(kinds, self.kind_cum_weights)
             if kind is TxKind.PURE_EXCHANGE:
                 self._build_exchange(ts, market, side)
             elif kind is TxKind.SHARE_MINTING:
@@ -490,9 +524,12 @@ class _Generator:
             if scenario.arbitrageur:
                 self._run_arbitrage(ts, market)
 
+        # By (block, txIndex, logIndex) and (block, txIndex): unique, so no later field counts.
+        self.fills.sort()
+        self.truth.sort()
         return SyntheticLedger(
-            fills=sorted(self.fills, key=itemgetter(0, 1, 2)),  # block, txIndex, logIndex
-            truth=sorted(self.truth, key=itemgetter(0, 1)),  # block, txIndex
+            fills=self.fills,
+            truth=self.truth,
             markets=list(scenario.markets),
             exchange_address=self.exchange_address,
             trader_markets=self.trader_markets,
@@ -502,8 +539,15 @@ class _Generator:
 
 
 def generate_synthetic_ledger(scenario: SyntheticScenario) -> SyntheticLedger:
-    """Generate a deterministic ledger plus ground truth for ``scenario``."""
-    return _Generator(scenario).run()
+    """Generate a deterministic ledger plus ground truth for ``scenario``, with the cyclic GC
+    paused, then restored: what generation builds is acyclic, so no collection frees any."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _Generator(scenario).run()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 _JSON_TYPES = {"boolean": (bool,), "integer": (int,), "number": (int, float)}

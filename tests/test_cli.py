@@ -20,11 +20,12 @@ from conftest import piped
 import fillflow
 from fillflow import cli, decompose, events, fetch
 from fillflow.cli import main
-from fillflow.decompose import read_decomposed, write_decomposed
+from fillflow.decompose import (DecomposedTransaction, TxKind, VolumeComponents,
+                                read_decomposed, write_decomposed)
 from fillflow.events import (FILL_FIELDS, read_fills, write_fills, write_market_config,
                              write_table)
 from fillflow.fixtures import write_fixture
-from fillflow.units import DAY, HOUR, format_utc
+from fillflow.units import DAY, HOUR, format_utc, parse_utc
 
 START = "2024-02-01T00:00:00Z"
 END = "2024-05-01T00:00:00Z"
@@ -374,6 +375,34 @@ class TestFlagValidation:
         params = json.loads((out / "manifest.json").read_text())["params"]
         assert params["spliceDay"] == "2024-03-01T12:00:00Z"
 
+    def test_window_without_mint_or_burn_gives_an_empty_correlation_cell(self, runner,
+                                                                           tmp_path):
+        def row(day, market, kind, components):
+            ts = parse_utc("2024-03-01T00:00:00Z") + day * DAY + 60
+            return DecomposedTransaction(60_000_000 + day, 0 if market == "Trump" else 1, ts,
+                                         market, kind, components)
+
+        def minted(usd):
+            return VolumeComponents(yes_mint=usd, buy_vol=usd)
+
+        traded = VolumeComponents(yes_trade=7, buy_vol=7, sell_vol=7)
+        table, out = tmp_path / "decomposed.csv", tmp_path / "out"
+        # Trump's inflow moves every day; Biden mints on day 0 only, so the window of days
+        # 1-2 holds a constant Biden series and its correlation has no value.
+        write_decomposed(table, [
+            row(0, "Trump", TxKind.SHARE_MINTING, minted(5)),
+            row(0, "Biden", TxKind.SHARE_MINTING, minted(3)),
+            row(1, "Trump", TxKind.SHARE_MINTING, minted(1)),
+            row(2, "Trump", TxKind.SHARE_MINTING, minted(9)),
+            row(2, "Biden", TxKind.PURE_EXCHANGE, traded),
+        ])
+        result = run(runner, ["disagreement", "--input", str(table), "--second-democrat",
+                              "Biden", "--corr-window-days", "2", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        first, second = csv_rows(out / "correlation.csv")
+        assert first["day"] == "2024-03-02" and float(first["correlation"]) == pytest.approx(1)
+        assert second == {"day": "2024-03-03", "correlation": ""}
+
     def test_deviation_staleness_filter(self, runner, fixture_dir, tmp_path):
         loose = tmp_path / "loose"
         tight = tmp_path / "tight"
@@ -553,6 +582,15 @@ SCENARIO_REJECTIONS = [
                  id="negative-kind-weight"),
     pytest.param({"kindWeights": {"pure_exchange": True}}, "scenario 'kindWeights' weights "
                  "must be non-negative numbers, got True", id="bool-kind-weight"),
+    pytest.param({"hourlyWeights": [1e308] * 2 + [0] * 22}, "scenario 'hourlyWeights' "
+                 "weights must have a finite sum, got inf", id="hourly-weights-sum-to-inf"),
+    pytest.param({"kindWeights": {"pure_exchange": 1e308, "share_minting": 1e308}},
+                 "scenario 'kindWeights' weights must have a finite sum, got inf",
+                 id="kind-weights-sum-to-inf"),
+    pytest.param({"mixedSpread": -5}, "scenario 'mixedSpread' must be non-negative, got -5",
+                 id="negative-mixed-spread"),
+    pytest.param({"nTransactions": -1}, "scenario 'nTransactions' must be non-negative, got -1",
+                 id="negative-transaction-count"),
     # Each draw lands in hour 23 of a day, and the window is the first hour of one.
     pytest.param({"end": "2024-02-01T01:00:00Z", "hourlyWeights": [0] * 23 + [1]},
                  "could not draw a timestamp inside the scenario window",

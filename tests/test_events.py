@@ -461,6 +461,26 @@ class TestFormatFromContent:
         with pytest.raises(ParseError, match=r"^line 1: CSV header missing columns"):
             read_fills(path)
 
+    @pytest.mark.parametrize("first, code", [("\u00a0", "U+00A0"), ("\u001f", "U+001F"),
+                                             ("\u2028", "U+2028"), ("\x00", "U+0000"),
+                                             ("\ufeff", "U+FEFF")],
+                             ids=["no-break-space", "U+001F", "U+2028", "NUL", "BOM"])
+    def test_header_of_other_white_space_names_its_first_character(self, tmp_path, first,
+                                                                    code):
+        path = tmp_path / "fills.jsonl"
+        path.write_text(f" \n{first}\n{BASE_LINE}", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            read_fills(path)
+        assert str(info.value).startswith("line 1: CSV header missing columns: [")
+        assert str(info.value).endswith(f"; the first character past ASCII white space is "
+                                        f'{code}, neither "{{" nor a CSV header')
+
+    def test_printable_header_gets_no_character_hint(self, tmp_path):
+        path = tmp_path / "fills.csv"
+        path.write_text("block,txIndex\n1,2\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"missing columns: \[[^]]*\]$"):
+            read_fills(path)
+
     @pytest.mark.parametrize("space", ["\v", "\f", " \v\t\f "], ids=["VT", "FF", "mixed"])
     def test_line_of_ascii_white_space_is_skipped_anywhere(self, tmp_path, space):
         path = tmp_path / "fills.jsonl"

@@ -1,18 +1,25 @@
+import dataclasses
+import gc
+import hashlib
 import json
+from itertools import accumulate
+from random import Random
 
 import pytest
 
 from fillflow.decompose import TxKind, decompose_ledger
 from fillflow.errors import ConfigError
 from fillflow.events import group_transactions, write_fills
+from fillflow.fixtures import market_specs
 from fillflow.synthetic import (
     DeviationInjection,
     SyntheticScenario,
     WhaleEvent,
+    _Generator,
     generate_synthetic_ledger,
     load_scenario,
 )
-from fillflow.units import parse_utc
+from fillflow.units import DAY, parse_utc
 
 START = parse_utc("2024-02-01T00:00:00Z")
 END = parse_utc("2024-04-01T00:00:00Z")
@@ -231,3 +238,142 @@ class TestScenarioFile:
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="names unknown market 7"):
             load_scenario(path)
+
+
+class TestDrawsAsRandom:
+    """Each draw helper takes the bits that ``random.Random``'s own method takes."""
+
+    @staticmethod
+    def pair(markets, seed):
+        generator = _Generator(scenario(markets, seed=seed))
+        reference = Random()
+        reference.setstate(generator.rng.getstate())
+        return generator, reference
+
+    def test_below_draws_as_randrange(self, markets):
+        generator, reference = self.pair(markets, 31)
+        for n in [*range(1, 300), 2**32 - 1, 2**32, 2**32 + 1, 3**90]:
+            assert generator._below(n) == reference.randrange(n)
+        assert generator.rng.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_below_an_empty_range_raises(self, markets, n):
+        generator, _ = self.pair(markets, 31)
+        with pytest.raises(ValueError, match=rf"no int to draw in \[0, {n}\)"):
+            generator._below(n)
+
+    @pytest.mark.parametrize("weights", [[0.6, 0.4], [0, 3, 0, 1], [1e-300, 2.5, 0], [7]])
+    def test_weighted_draws_as_choices(self, markets, weights):
+        generator, reference = self.pair(markets, 32)
+        population = range(len(weights))
+        cum_weights = list(accumulate(weights))
+        for _ in range(500):
+            assert (generator._weighted(population, cum_weights)
+                    == reference.choices(population, cum_weights=cum_weights)[0])
+        assert generator.rng.getstate() == reference.getstate()
+
+    def test_split_quantity_cuts_as_sample(self, markets):
+        generator, reference = self.pair(markets, 33)
+        for total in range(1, 60):
+            for parts in (1, 2, 3):
+                for _ in range(10):
+                    k = min(parts, total) - 1
+                    bounds = [0, *sorted(reference.sample(range(1, total), k)), total]
+                    assert generator._split_quantity(total, parts) == [
+                        b - a for a, b in zip(bounds, bounds[1:])]
+        assert generator.rng.getstate() == reference.getstate()
+
+    def test_generation_pauses_the_collector_and_restores_it(self, markets, monkeypatch):
+        enabled_while_running = []
+        run = _Generator.run
+        monkeypatch.setattr(_Generator, "run", lambda generator: (
+            enabled_while_running.append(gc.isenabled()), run(generator))[1])
+        assert gc.isenabled()
+        generate_synthetic_ledger(scenario(markets, n_transactions=5))
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            generate_synthetic_ledger(scenario(markets, n_transactions=5))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert enabled_while_running == [False, False]
+
+
+MARKETS = market_specs()
+
+# One small scenario per generator knob. Each one's draws and output are pinned below.
+KNOB_SCENARIOS = {
+    "default": dict(seed=1),
+    # Weights with zeros, and a window that starts and ends mid-day, so drawn hours
+    # outside the window are drawn again.
+    "hourly_weights": dict(
+        seed=2, start=parse_utc("2024-02-01T05:17:00Z"), end=parse_utc("2024-02-09T13:00:00Z"),
+        hourly_weights=[0, 0, 0, 0, 1, 3, 0, 2, 0, 0, 0, 0, 1, 1, 0, 0, 0, 4, 0, 0, 0, 0, 0, 2.5]),
+    # A few-dollar whale mints a handful of shares, so its lots are cut from a pool of at
+    # most 21 cuts.
+    "whales": dict(seed=3, whale_schedule=[
+        WhaleEvent(START + 3 * DAY, "Trump", "yes", 5),
+        WhaleEvent(START + 7 * DAY + 1, "Biden", "no", 8),
+        WhaleEvent(START + 20 * DAY, "Trump", "no", 250_000)]),
+    "deviation_injections": dict(seed=4, arbitrageur=True, deviation_injections=[
+        DeviationInjection(START + 2 * DAY, "Trump", 45_000),
+        DeviationInjection(START + 9 * DAY, "Biden", -30_000),
+        DeviationInjection(START + 30 * DAY, "Trump", -200_000)]),
+    "kind_weights_with_zero": dict(seed=5, kind_weights={
+        "pure_exchange": 2, "share_minting": 0, "share_burning": 1.5, "mixed_mint": 1,
+        "mixed_burn": 1}),
+    "mixed_spread_zero": dict(seed=6, mixed_spread_micro=0,
+                              kind_weights={"mixed_mint": 1, "mixed_burn": 1}),
+    # Exchanges of up to three lots: seed 13 draws two cuts from a pool of at most 21 once,
+    # and draws a repeated cut again once.
+    "exchange_only": dict(seed=13, kind_weights={"pure_exchange": 1}),
+    "arbitrageur_three_markets": dict(seed=7, markets=MARKETS, arbitrageur=True,
+                                      n_traders=12, directional_share=0.8,
+                                      market_maker_share=0.1),
+    "one_market_no_makers": dict(seed=8, markets=MARKETS[2:], n_traders=5,
+                                 market_maker_share=0.0, directional_share=1.0),
+}
+
+# SHA-256 of ``_canonical(ledger)`` per knob scenario.
+KNOB_DIGESTS = {
+    "arbitrageur_three_markets":
+        "fa1397f914b74ae6b0521e9b13e7821ca0cc0b08e4d0a9094952be3c7e778a70",
+    "default":
+        "9dba39425f4596e0922bb2478fd39e1801e42b8f76429142567eae5c0f62e2fd",
+    "deviation_injections":
+        "5067045c9350fbb4957df3e9d6d7b671d873803eaad0feb6e70e338166ef83c8",
+    "exchange_only":
+        "3c958aab7f9226f04471112fc37dd95cf55939b02a3ef625a6546a4a8424533a",
+    "hourly_weights":
+        "7f9e84da37df16fc9f41c7fe702e8c8b11de31d71eecc84b11b3cc848eeb5320",
+    "kind_weights_with_zero":
+        "2aae586f69671b5b99a01d19e1ed64cbbfa127effdcdb862eb32aa14bc91744c",
+    "mixed_spread_zero":
+        "16cfdcf0e4bf1bd176100bbad4a26b02ea1c51be76610f8053cb33ba7b847021",
+    "one_market_no_makers":
+        "c22e1acb7fe20d41f51bcf21aa25c6f52d90c7536579f11f6bed3f1a6d7f14b8",
+    "whales":
+        "b05425b1acb0e28a08fc7d51c4681d59569344e0c3c24fea1aafd0992a85c3fc",
+}
+
+
+def _canonical(ledger) -> bytes:
+    """The generator's whole output as bytes: every fill and truth row, and the trader and
+    participant maps in insertion order, each set sorted."""
+    return json.dumps({
+        "fills": ledger.fills,
+        "truth": [[*row[:4], row.kind.value, row.components] for row in ledger.truth],
+        "trader_markets": [[party, sorted(labels)]
+                           for party, labels in ledger.trader_markets.items()],
+        "hourly_participants": [[key, sorted(parties)]
+                                for key, parties in ledger.hourly_participants.items()],
+        "arbitrage_events": [dataclasses.astuple(event) for event in ledger.arbitrage_events],
+    }).encode()
+
+
+@pytest.mark.parametrize("name", sorted(KNOB_SCENARIOS))
+def test_knob_scenario_output_is_pinned(markets, name):
+    knobs = dict(markets=markets[:2], start=START, end=END, n_transactions=300)
+    ledger = generate_synthetic_ledger(SyntheticScenario(**knobs | KNOB_SCENARIOS[name]))
+    assert hashlib.sha256(_canonical(ledger)).hexdigest() == KNOB_DIGESTS[name]
