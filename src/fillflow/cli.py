@@ -66,23 +66,38 @@ def _write_manifest(out_dir: Path, subcommand: str, params: dict, inputs: list) 
     _write_json(out_dir / "manifest.json", doc)
 
 
-def _out_dir(path) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+# The options that name a command's input files, in the order its manifest lists them; the
+# options recorded under another key; and the options no manifest records.
+_INPUT_OPTIONS = ("inputs", "markets_path", "block_times", "scenario_path")
+_PARAM_KEYS = {"fmt": "format", "start": "from", "end": "to"}
+_UNRECORDED = {"out", "checkpoint", *_INPUT_OPTIONS}
 
 
-def _finish(out, subcommand: str, params: dict, inputs: list, tables=()) -> Path:
-    """Write each ``(name, fields, rows, fmt)`` table into directory ``out``, then its manifest.
+def _finish(artifacts, **resolved) -> Path:
+    """Write the running command's ``--out`` directory: each ``(name, write, *args)`` artifact
+    as ``write(out_dir / name, *args)``, then ``manifest.json``, the last file of a run.
 
-    A command writes its other artifacts first, so the manifest is the last file of a run.
-    Returns the directory.
+    The manifest takes the subcommand and its options from the parsed command line: the files
+    its input options name, and every other option but ``--out`` and ``--checkpoint``, keyed
+    in camelCase. ``resolved`` holds the option values the command worked out for itself,
+    recorded in place of the given ones. Returns the directory.
     """
-    out_dir = _out_dir(out)
-    for name, fields, rows, fmt in tables:
-        write_table(out_dir / name, fields, rows, fmt)
-    _write_manifest(out_dir, subcommand, params, inputs)
+    ctx = click.get_current_context()
+    options = {**ctx.params, **resolved}
+    out_dir = Path(options["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, write, *args in artifacts:
+        write(out_dir / name, *args)
+    inputs = [*options.get("inputs", ()), *filter(None, map(options.get, _INPUT_OPTIONS[1:]))]
+    params = {_PARAM_KEYS.get(key) or _camel(key): value
+              for key, value in options.items() if key not in _UNRECORDED}
+    _write_manifest(out_dir, ctx.info_name, params, inputs)
     return out_dir
+
+
+def _camel(name: str) -> str:
+    head, *words = name.split("_")
+    return head + "".join(word.capitalize() for word in words)
 
 
 def _fmt_float(value) -> str:
@@ -247,20 +262,18 @@ def ingest(inputs, endpoint, from_block, to_block, page_size, checkpoint, block_
             def encode(record):
                 return next(fill_lines([fill_from_record(record, block_times=block_map)]))
 
-            spool = _out_dir(out) / "fetched.jsonl"
+            spool = Path(out, "fetched.jsonl")
+            spool.parent.mkdir(parents=True, exist_ok=True)
             fetch_event_logs(endpoint, from_block, to_block, spool, encode, page_size,
                              checkpoint_path=checkpoint)
             yield spool
 
     transactions, _ = _load_transactions(ledgers(), block_times=block_map)
     ordered = [fill for tx in transactions for fill in tx.fills]
-    target = _out_dir(out) / f"fills.{_suffix(fmt)}"
-    write_fills(target, ordered, fmt)
-    _finish(out, "ingest",
-            {"format": fmt, "endpoint": endpoint, "fromBlock": from_block,
-             "toBlock": to_block, "pageSize": page_size},
-            [*inputs, *([block_times] if block_times else [])])
-    click.echo(f"ingested {len(ordered)} fills in {len(transactions)} transactions -> {target}")
+    name = f"fills.{_suffix(fmt)}"
+    out_dir = _finish([(name, write_fills, ordered, fmt)])
+    click.echo(f"ingested {len(ordered)} fills in {len(transactions)} transactions "
+               f"-> {out_dir / name}")
 
 
 @_command()
@@ -277,15 +290,12 @@ def decompose(inputs, markets_path, start, end, fmt, max_anomalies, out):
     transactions = _clip(transactions, start, end)
     rows, anomalies = decompose_ledger(transactions, markets)
 
-    target = _out_dir(out) / f"decomposed.{_suffix(fmt)}"
-    write_decomposed(target, rows, fmt)
-    quarantine = ("quarantine.jsonl", ["block", "txIndex", "timestamp", "market", "reason"],
-                  anomalies, "jsonl")
-    _finish(out, "decompose",
-            {"format": fmt, "from": start, "to": end, "maxAnomalies": max_anomalies},
-            [*inputs, markets_path], [quarantine] if anomalies else [])
+    name = f"decomposed.{_suffix(fmt)}"
+    quarantine = ("quarantine.jsonl", write_table,
+                  ["block", "txIndex", "timestamp", "market", "reason"], anomalies, "jsonl")
+    out_dir = _finish([(name, write_decomposed, rows, fmt), *([quarantine] if anomalies else [])])
     click.echo(f"decomposed {len(rows)} rows from {len(transactions)} transactions; "
-               f"{len(anomalies)} quarantined -> {target}")
+               f"{len(anomalies)} quarantined -> {out_dir / name}")
     if max_anomalies is not None and len(anomalies) > max_anomalies:
         _fail(EXIT_ANOMALIES,
               f"{len(anomalies)} anomalous transactions exceed threshold {max_anomalies}")
@@ -321,10 +331,7 @@ def metrics(inputs, market, side, partition, start, end, dense, fmt, out):
         rows.append([label(t.start), *cells])
 
     name = f"metrics.{_suffix(fmt)}"
-    out_dir = _finish(out, "metrics",
-                      {"market": market, "side": side, "partition": partition,
-                       "from": start, "to": end, "dense": dense, "format": fmt},
-                      inputs, [(name, fields, rows, fmt)])
+    out_dir = _finish([(name, write_table, fields, rows, fmt)])
     click.echo(f"{len(rows)} intervals -> {out_dir / name}")
 
 
@@ -352,13 +359,8 @@ def deviation(inputs, markets_path, market, grid_step, max_staleness, start, end
     rows = [(format_utc(t), repr(delta), repr(p_yes), repr(p_no), yes_staleness, no_staleness)
             for t, delta, p_yes, p_no, yes_staleness, no_staleness in points]
     name = f"deviation.{_suffix(fmt)}"
-    out_dir = _finish(out, "deviation",
-                      {"market": market, "gridStep": grid_step,
-                       "maxStaleness": max_staleness, "from": start, "to": end,
-                       "format": fmt},
-                      [*inputs, markets_path],
-                      [(name, ["timestamp", "delta", "pYes", "pNo", "yesStaleness",
-                               "noStaleness"], rows, fmt)])
+    out_dir = _finish([(name, write_table, ["timestamp", "delta", "pYes", "pNo", "yesStaleness",
+                                            "noStaleness"], rows, fmt)])
     click.echo(f"{len(rows)} grid points -> {out_dir / name}")
 
 
@@ -389,15 +391,10 @@ def disagreement(inputs, market_a, first_democrat, second_democrat, splice_day, 
                    for day, value in zip(series_a.days, series_a.values) if day in b_by_day]
     corr_rows = [(format_date(day), _fmt_float(value)) for day, value in correlation]
     suffix = _suffix(fmt)
-    out_dir = _finish(out, "disagreement",
-                      {"marketA": market_a, "firstDemocrat": first_democrat,
-                       "secondDemocrat": second_democrat, "spliceDay": splice_day,
-                       "side": side, "corrWindowDays": corr_window_days,
-                       "stepDays": step_days, "from": start, "to": end, "format": fmt},
-                      inputs,
-                      [(f"inflows.{suffix}", ["day", f"{market_a}F", "democratF"],
-                        inflow_rows, fmt),
-                       (f"correlation.{suffix}", ["day", "correlation"], corr_rows, fmt)])
+    out_dir = _finish([
+        (f"inflows.{suffix}", write_table, ["day", f"{market_a}F", "democratF"], inflow_rows,
+         fmt),
+        (f"correlation.{suffix}", write_table, ["day", "correlation"], corr_rows, fmt)])
     click.echo(f"{len(corr_rows)} correlation points -> {out_dir}")
 
 
@@ -450,14 +447,9 @@ def lambda_(inputs, markets_path, market, side, window_hours, step_days, weight,
         regression = {"slope": fit.slope, "intercept": fit.intercept, "tSlope": fit.t_slope,
                       "tIntercept": fit.t_intercept, "r2": fit.r2, "adjR2": fit.adj_r2,
                       "n": fit.n}
-    _write_json(_out_dir(out) / "lambda_regression.json", {"regression": regression})
-    out_dir = _finish(out, "lambda",
-                      {"market": market, "side": side, "windowHours": window_hours,
-                       "stepDays": step_days, "weight": weight, "clampEps": clamp_eps,
-                       "volWindowDays": vol_window_days, "noIntercept": no_intercept,
-                       "from": start, "to": end},
-                      [*inputs, markets_path],
-                      [("lambda.csv", ["date", "lambda", "se", "n", "avgVolume"], rows, "csv")])
+    out_dir = _finish([
+        ("lambda_regression.json", _write_json, {"regression": regression}),
+        ("lambda.csv", write_table, ["date", "lambda", "se", "n", "avgVolume"], rows, "csv")])
     click.echo(f"{len(rows)} estimates -> {out_dir / 'lambda.csv'}")
 
 
@@ -515,23 +507,19 @@ def traders_cmd(inputs, markets_path, quarter, start, end, by, exclude_addresses
         click.echo(f"warning: {exc}", err=True)
     cells, marginals, candidate_cells = participation_sets(activity)
 
-    (_out_dir(out) / "top_decile.txt").write_text("".join(a + "\n" for a in top),
-                                                   encoding="utf-8")
-    out_dir = _finish(
-        out, "traders",
-        {"quarter": quarter, "from": start, "to": end, "by": by,
-         "excludeAddresses": sorted(exclude), "perMarket": per_market},
-        [*inputs, markets_path],
-        [("hourly.csv", ["hour", "meanActiveTraders"],
-          [(h, _fmt_float(v)) for h, v in enumerate(hourly)], "csv"),
-         ("participation.csv", ["bitmask", "markets", "count", "sharePct"],
-          [(c.bitmask, "|".join(sorted(c.markets)), c.count, _fmt_float(c.share))
-           for c in cells], "csv"),
-         ("marginals.csv", ["market", "sharePct"],
-          [(name, _fmt_float(pct)) for name, pct in marginals.items()], "csv"),
-         ("candidate_overlap.csv", ["candidates", "count", "sharePct"],
-          [("|".join(sorted(c.markets)), c.count, _fmt_float(c.share))
-           for c in candidate_cells], "csv")])
+    out_dir = _finish([
+        ("top_decile.txt", Path.write_text, "".join(a + "\n" for a in top), "utf-8"),
+        ("hourly.csv", write_table, ["hour", "meanActiveTraders"],
+         [(h, _fmt_float(v)) for h, v in enumerate(hourly)], "csv"),
+        ("participation.csv", write_table, ["bitmask", "markets", "count", "sharePct"],
+         [(c.bitmask, "|".join(sorted(c.markets)), c.count, _fmt_float(c.share))
+          for c in cells], "csv"),
+        ("marginals.csv", write_table, ["market", "sharePct"],
+         [(name, _fmt_float(pct)) for name, pct in marginals.items()], "csv"),
+        ("candidate_overlap.csv", write_table, ["candidates", "count", "sharePct"],
+         [("|".join(sorted(c.markets)), c.count, _fmt_float(c.share))
+          for c in candidate_cells], "csv"),
+    ], start=start, end=end, exclude_addresses=sorted(exclude))
     click.echo(f"{len(cells)} participation cells -> {out_dir}")
 
 
@@ -562,20 +550,21 @@ def simulate(scenario_path, seed, out):
     scenario = load_scenario(scenario_path, seed=seed)
     ledger = generate_synthetic_ledger(scenario)
 
-    out_dir = _out_dir(out)
-    write_fills(out_dir / "fills.jsonl", ledger.fills)
-    write_decomposed(out_dir / "ground_truth.jsonl", ledger.truth, "jsonl")
-    write_market_config(out_dir / "markets.json", ledger.markets)
-    _write_json(out_dir / "simulation.json", {
-        "exchangeAddress": ledger.exchange_address,
-        "transactions": ledger.transaction_count(),
-        "fills": len(ledger.fills),
-        "arbitrageEvents": [{"timestamp": e.timestamp, "market": e.market, "action": e.action,
-                             "quantity": e.quantity, "deltaBefore": e.delta_before,
-                             "deltaAfter": e.delta_after} for e in ledger.arbitrage_events],
-        "seed": scenario.seed,
-    })
-    _finish(out_dir, "simulate", {"seed": scenario.seed}, [scenario_path])
+    out_dir = _finish([
+        ("fills.jsonl", write_fills, ledger.fills),
+        ("ground_truth.jsonl", write_decomposed, ledger.truth, "jsonl"),
+        ("markets.json", write_market_config, ledger.markets),
+        ("simulation.json", _write_json, {
+            "exchangeAddress": ledger.exchange_address,
+            "transactions": ledger.transaction_count(),
+            "fills": len(ledger.fills),
+            "arbitrageEvents": [{"timestamp": e.timestamp, "market": e.market,
+                                 "action": e.action, "quantity": e.quantity,
+                                 "deltaBefore": e.delta_before, "deltaAfter": e.delta_after}
+                                for e in ledger.arbitrage_events],
+            "seed": scenario.seed,
+        }),
+    ], seed=scenario.seed)
     click.echo(f"{ledger.transaction_count()} transactions, {len(ledger.fills)} fills "
                f"-> {out_dir}")
 

@@ -30,6 +30,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .errors import DecompositionAnomalyError, ParseError
 from .events import (COLLATERAL_ID, MarketSpec, Transaction, _read_cached, _table_records,
                      _to_amount, market_slots, write_table)
+from .units import check_timestamp
 
 
 class TxKind(str, Enum):
@@ -221,11 +222,12 @@ DECOMPOSED_FIELDS = (
 
 
 def decomposed_from_record(record: dict) -> DecomposedTransaction:
-    """Build a row from a decoded record; integers as ``_to_amount`` reads them."""
+    """Build a row from a decoded record; integers as ``_to_amount`` reads them, the timestamp
+    no later than ``units.LAST_SECOND``."""
     row = DecomposedTransaction(
         block=_to_amount(record["block"], "block"),
         tx_index=_to_amount(record["txIndex"], "txIndex"),
-        timestamp=_to_amount(record["timestamp"], "timestamp"),
+        timestamp=check_timestamp(_to_amount(record["timestamp"], "timestamp")),
         market=record["market"],
         kind=TxKind(record["kind"]),
         components=VolumeComponents(

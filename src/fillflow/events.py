@@ -32,7 +32,7 @@ from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DataError, DuplicateEventError, ParseError, SchemaError
-from .units import format_utc, parse_utc
+from .units import check_timestamp, format_utc, parse_utc
 
 COLLATERAL_ID = "0"
 
@@ -193,10 +193,10 @@ def fill_from_record(
     """Build a FillEvent from a decoded wire record.
 
     ``timestamp`` may be omitted when a block->time sidecar mapping is
-    supplied; one timestamp per block is the unit of time assignment.
-    Addresses and asset ids are passed as read, interned when all are
-    strings, so equal strings share one object. Errors name ``line_no``
-    when it is given.
+    supplied; one timestamp per block is the unit of time assignment, and
+    none is later than ``units.LAST_SECOND``. Addresses and asset ids are
+    passed as read, interned when all are strings, so equal strings share
+    one object. Errors name ``line_no`` when it is given.
     """
     try:
         block = _to_amount(record["block"], "block")
@@ -213,7 +213,7 @@ def fill_from_record(
         return FillEvent(block, tx_index, log_index, *texts,
                          _to_amount(record["makerAmountFilled"], "makerAmountFilled"),
                          _to_amount(record["takerAmountFilled"], "takerAmountFilled"),
-                         _to_amount(timestamp, "timestamp"))
+                         check_timestamp(_to_amount(timestamp, "timestamp")))
     except KeyError as exc:
         raise ParseError(f"missing field {exc.args[0]!r}", line_no) from exc
     except ValueError as exc:

@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import DataError
 from .prices import PricePoint
-from .units import DAY, HOUR, day_floor, hour_floor
+from .units import DAY, HOUR, LAST_SECOND, day_floor, hour_floor
 
 MUSD_MICRO = 10**12  # micro-USDC per million USD
 DEFAULT_WINDOW_HOURS = 720
@@ -215,8 +215,8 @@ def rolling_kyle_lambda(
 
     For each estimation date T (00:00 UTC, stepping ``step_days``), the
     regression uses exactly the ``window_hours`` hourly observations before
-    T. Dates without a full trailing window are withheld entirely;
-    zero-flow windows yield a None estimate. Each window's estimate equals
+    T. Dates without a full trailing window, or past ``units.LAST_SECOND``,
+    are withheld entirely; zero-flow windows yield a None estimate. Each window's estimate equals
     ``kyle_lambda`` over the window; the products Q^2 and Q * dtheta are
     formed once for all windows.
     """
@@ -242,7 +242,7 @@ def rolling_kyle_lambda(
 
     out: list[LambdaEstimate] = []
     date = first_date
-    while date - HOUR <= last_hour:
+    while date - HOUR <= last_hour and date <= LAST_SECOND:
         lo = (date - window_hours * HOUR - h0) // HOUR
         hi = lo + window_hours  # exclusive
         fit = _through_origin(math.fsum(qq[lo:hi]), math.fsum(qy[lo - 1:hi - 1]),

@@ -120,6 +120,8 @@ class SyntheticScenario:
                            ("marketMakerShare", self.market_maker_share)):
             if not 0 <= share <= 1:
                 raise ConfigError(f"scenario {key!r} must be within [0, 1], got {share!r}")
+        if self.n_traders < 1:
+            raise ConfigError(f"scenario 'nTraders' must be at least 1, got {self.n_traders!r}")
         for key, count in (("nTransactions", self.n_transactions),
                            ("mixedSpread", self.mixed_spread_micro)):
             if count < 0:

@@ -14,6 +14,9 @@ MICRO = 10**6
 HOUR = 3600
 DAY = 86400
 
+# The last second ``format_utc`` can write: 9999-12-31T23:59:59Z.
+LAST_SECOND = 253402300799
+
 # Analysis window end default: the first network call of the election outcome (UTC).
 DEFAULT_WINDOW_END = "2024-11-06T06:46:00Z"
 
@@ -31,22 +34,25 @@ def parse_utc(value: str | int | float) -> int:
     Accepts ``2024-07-21``, ``2024-07-21T17:46:00Z``, an explicit ``+00:00``
     offset, or epoch seconds as an int, an integral float or ASCII digits.
     Naive datetimes are taken as UTC. Anything else, surrounding whitespace
-    included, raises ValueError.
+    included, or an instant past ``LAST_SECOND``, raises ValueError.
     """
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise ValueError(f"not a timestamp: {value!r}")
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"not a whole number of seconds: {value!r}")
-    if isinstance(value, (int, float)):
-        return int(value)
-    if value.isascii() and value.isdigit():
-        return int(value)
-    if value.endswith(("Z", "z")):
-        value = value[:-1] + "+00:00"
-    dt = datetime.fromisoformat(value)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+    if isinstance(value, (int, float)) or value.isascii() and value.isdigit():
+        return check_timestamp(int(value))
+    dt = datetime.fromisoformat(value[:-1] + "+00:00" if value.endswith(("Z", "z")) else value)
+    dt = dt if dt.tzinfo else dt.replace(tzinfo=timezone.utc)
+    return check_timestamp(int(dt.timestamp()))
+
+
+def check_timestamp(ts: int) -> int:
+    """``ts``, unless it is past ``LAST_SECOND``: that raises ValueError."""
+    if ts > LAST_SECOND:
+        raise ValueError(f"timestamp {ts} is past {format_utc(LAST_SECOND)}, the last second "
+                         "a date can be written for")
+    return ts
 
 
 def format_utc(ts: int) -> str:

@@ -138,7 +138,8 @@ class TestDecomposeCommand:
         ("launch", " \u0661\u0667\u0660\u0669"),
         ("launch", "yesterday"),
         ("resolution", 1.9),
-    ], ids=["spaced-non-ascii-digits", "not-a-date", "fractional-seconds"])
+        ("resolution", 253402300800),
+    ], ids=["spaced-non-ascii-digits", "not-a-date", "fractional-seconds", "past-year-9999"])
     def test_bad_market_time_exits_2(self, runner, fixture_dir, tmp_path, field, value):
         doc = json.loads((fixture_dir / "markets.json").read_text(encoding="utf-8"))
         doc["markets"][1][field] = value
@@ -355,6 +356,16 @@ class TestFlagValidation:
             "--out", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
         assert "Invalid isoformat" in result.output
+
+    def test_date_option_past_year_9999_exits_2(self, runner, fixture_table, tmp_path):
+        result = runner.invoke(main, ["metrics", "--input", str(fixture_table), "--market",
+                                      "Trump", "--partition", "hour", "--dense", "--from",
+                                      "253402300800", "--to", "253402304400",
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert ("Invalid value for '--from': timestamp 253402300800 is past "
+                "9999-12-31T23:59:59Z, the last second a date can be written for") \
+            in result.output
 
     @pytest.mark.parametrize("value", ["yesterday", ""], ids=["not-a-date", "empty"])
     def test_bad_splice_day_exits_2_naming_the_option(self, runner, fixture_table, tmp_path,
@@ -591,6 +602,13 @@ SCENARIO_REJECTIONS = [
                  id="negative-mixed-spread"),
     pytest.param({"nTransactions": -1}, "scenario 'nTransactions' must be non-negative, got -1",
                  id="negative-transaction-count"),
+    pytest.param({"nTraders": 0}, "scenario 'nTraders' must be at least 1, got 0",
+                 id="no-traders"),
+    pytest.param({"nTraders": -5}, "scenario 'nTraders' must be at least 1, got -5",
+                 id="negative-trader-count"),
+    pytest.param({"end": 253402300800}, "scenario: timestamp 253402300800 is past "
+                 "9999-12-31T23:59:59Z, the last second a date can be written for",
+                 id="end-past-year-9999"),
     # Each draw lands in hour 23 of a day, and the window is the first hour of one.
     pytest.param({"end": "2024-02-01T01:00:00Z", "hourlyWeights": [0] * 23 + [1]},
                  "could not draw a timestamp inside the scenario window",
@@ -739,6 +757,43 @@ class TestDeterminism:
         assert digests[0] == digests[1]
 
 
+def _ingest_with_block_times(fixture_dir, scenario_path, tmp_path):
+    times = tmp_path / "block_times.json"
+    times.write_text('{"5": 1709640000}', encoding="utf-8")
+    return ["ingest", "--input", str(fixture_dir / "fills.jsonl"), "--block-times", str(times)]
+
+
+def _traders_excluding_two_out_of_order(fixture_dir, scenario_path, tmp_path):
+    return ["traders", "--input", str(fixture_dir / "fills.jsonl"),
+            "--markets", str(fixture_dir / "markets.json"),
+            "--exclude-addresses", "0xc5d563a36ae78145c45a50134d48a1215220f80a,"
+            "0x351efa0c97c1c7250be919e032b9b09cb4ee2aa9"]
+
+
+def _simulate_with_seed(fixture_dir, scenario_path, tmp_path):
+    return ["simulate", "--scenario", str(scenario_path), "--seed", "5"]
+
+
+class TestManifestPins:
+    """Manifests the golden digests do not cover, pinned by SHA-256: a sidecar among the
+    inputs, exclusions recorded sorted with the window taken from the data, and a seed
+    given on the command line in place of the scenario's."""
+
+    @pytest.mark.parametrize("args, digest", [
+        (_ingest_with_block_times,
+         "744f7d8e93eb4bc99d604d4a0c216bf3b36752dcea44a73f2ccdfef0566f99d7"),
+        (_traders_excluding_two_out_of_order,
+         "4a1148f5045870fbd255207ac497b8bbf032a04b38712c86de1b4acbc8b60a72"),
+        (_simulate_with_seed,
+         "866d59ae0865c54e60f27f9d1d372715139d5c669585b8c647fb56563454f975"),
+    ], ids=["ingest-block-times", "traders-two-excludes", "simulate-seed"])
+    def test_manifest_digest(self, runner, fixture_dir, scenario_path, tmp_path, args, digest):
+        out = tmp_path / "out"
+        result = run(runner, [*args(fixture_dir, scenario_path, tmp_path), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest() == digest
+
+
 class TestJsonOutputs:
     def test_metrics_jsonl(self, runner, fixture_dir, tmp_path):
         dec = tmp_path / "dec"
@@ -809,7 +864,9 @@ class TestIngestCommand:
         ("maker", 351, "maker must be a string, got 351"),
         ("maker", {"a": 1}, "maker must be a string, got {'a': 1}"),
         ("takerAssetId", 0, "taker_asset_id must be a decimal string, got 0"),
-    ], ids=["null-maker", "number-maker", "object-maker", "number-asset-id"])
+        ("timestamp", 253402300800, "timestamp 253402300800 is past 9999-12-31T23:59:59Z"),
+    ], ids=["null-maker", "number-maker", "object-maker", "number-asset-id",
+            "timestamp-past-year-9999"])
     def test_non_string_field_exits_3_naming_line(self, runner, tmp_path, example_fills,
                                                   field, value, message):
         shard = tmp_path / "shard.jsonl"
@@ -843,9 +900,11 @@ class TestIngestCommand:
         ('{"5": 1.9}', "block-times key '5': not a whole number of seconds: 1.9"),
         ('{"5": " 1709640000 "}', "block-times key '5': Invalid isoformat"),
         ('{"5": "\u0661\u0667\u0660\u0669"}', "block-times key '5': Invalid isoformat"),
+        ('{"5": 253402300800}',
+         "block-times key '5': timestamp 253402300800 is past 9999-12-31T23:59:59Z"),
     ], ids=["non-integer-key", "bad-time", "list", "non-ascii-digit-key", "spaced-key",
             "underscore-key", "null-time", "fractional-time", "spaced-time",
-            "non-ascii-digit-time"])
+            "non-ascii-digit-time", "time-past-year-9999"])
     def test_malformed_block_times_exits_3(self, runner, tmp_path, example_fills, sidecar,
                                            message):
         shard = tmp_path / "shard.jsonl"
@@ -1081,9 +1140,11 @@ class TestMalformedTables:
          "line 3: block, txIndex and timestamp must be non-negative, got -7, -1, -86400"),
         (DECOMPOSED_HEADER, DECOMPOSED_ROW.replace("Trump", "T" * 200_000),
          "line 3: field larger than field limit (131072)"),
+        (DECOMPOSED_HEADER, "7,1,253402300800,Trump,pure_exchange,5,5,0,5,0,0,0,0",
+         "line 3: timestamp 253402300800 is past 9999-12-31T23:59:59Z"),
     ], ids=["missing-column", "non-integer", "negative-component", "underscore-digits",
             "non-ascii-digits", "padded-integer", "unknown-kind", "short-row", "extra-value", "non-utf8-byte",
-            "negative-coordinates", "cell-past-field-limit"])
+            "negative-coordinates", "cell-past-field-limit", "timestamp-past-year-9999"])
     def test_decomposed_table_exits_3_naming_line(self, runner, tmp_path, header, bad_row,
                                                   message):
         table = tmp_path / "decomposed.csv"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import threading
 import urllib.error
@@ -291,6 +292,15 @@ class TestIngestResume:
         assert result.exit_code == 0, result.output
         assert [call[1] for call in resumed.calls] == page_starts[2:]
         assert (out / "fills.jsonl").read_bytes() == whole
+
+    def test_manifest_is_pinned(self, monkeypatch, records, tmp_path):
+        """The fetch options are recorded and the checkpoint is not; pinned by SHA-256."""
+        out = tmp_path / "out"
+        result = self.ingest(monkeypatch, RecordingTransport(records=records), records, out,
+                             tmp_path / "checkpoint.json")
+        assert result.exit_code == 0, result.output
+        assert hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest() == \
+            "d62d8e7bd6556226b04f69f2825fb395bb91ee74dc05e73645fda1c8e26e711e"
 
     def test_rejected_record_names_its_page(self, monkeypatch, records, tmp_path,
                                             uninterrupted):

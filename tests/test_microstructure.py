@@ -21,8 +21,10 @@ from fillflow.microstructure import (
     rolling_kyle_lambda,
     sign_trades,
 )
-from fillflow.prices import PricePoint
-from fillflow.units import DAY, HOUR, parse_utc
+from fillflow.metrics import IntervalTotals, SideTotals
+from fillflow.prices import (InflowSeries, PricePoint, arbitrage_deviation,
+                             rolling_inflow_correlation)
+from fillflow.units import DAY, HOUR, LAST_SECOND, parse_utc
 
 T0 = parse_utc("2024-03-01T00:00:00Z")
 USD = 10**6
@@ -319,6 +321,14 @@ class TestRollingLambda:
         with pytest.raises(DataError):
             rolling_kyle_lambda(bars)
 
+    def test_no_estimate_dated_past_the_last_writable_second(self):
+        bars, _ = self.make_bars(0.2, 24 * 3)
+        shift = LAST_SECOND + 1 - 3 * DAY - T0  # the grid ends in the last hour of 9999
+        late = rolling_kyle_lambda([b._replace(start=b.start + shift) for b in bars], 24)
+        early = rolling_kyle_lambda(bars, 24)
+        assert early[-1].date + shift == LAST_SECOND + 1
+        assert late == [e._replace(date=e.date + shift) for e in early[:-1]]
+
     def test_window_alignment_against_timestamp_oracle(self):
         # independent recomputation keyed purely by timestamps
         bars, _ = self.make_bars(0.15, 24 * 33, seed=21)
@@ -441,3 +451,33 @@ class TestRollingAvgVolume:
     def test_sparse_series_rejected(self):
         with pytest.raises(DataError):
             rolling_avg_volume([T0, T0 + 2 * DAY], [1.0, 2.0], 1)
+
+
+# Checks of a public function's arguments that the CLI's option types rule out.
+EMPTY_SERIES = InflowSeries((), ())
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: IntervalTotals(T0, "day", SideTotals(), SideTotals()).side("both"), ValueError,
+     "unknown side 'both'"),
+    (lambda: arbitrage_deviation([point(T0, 400_000)], [point(T0, 600_000)], 0), ValueError,
+     "grid step must be positive"),
+    (lambda: hourly_bars(sign_trades([point(T0, 400_000)]), "notional"), ValueError,
+     "unknown VWAP weight 'notional'"),
+    (lambda: log_odds(0.5, 0), ValueError, "eps must be in (0, 0.5)"),
+    (lambda: log_odds(0.5, 0.5), ValueError, "eps must be in (0, 0.5)"),
+    (lambda: rolling_kyle_lambda([], 1), ValueError, "window must cover at least 2 hours"),
+    (lambda: rolling_avg_volume([], [], 0), ValueError, "window must be at least 1 day"),
+    (lambda: rolling_inflow_correlation(EMPTY_SERIES, EMPTY_SERIES, 1, 1), ValueError,
+     "window must be >= 2 days and step >= 1 day"),
+    (lambda: rolling_inflow_correlation(EMPTY_SERIES, EMPTY_SERIES, 2, 0), ValueError,
+     "window must be >= 2 days and step >= 1 day"),
+    (lambda: kyle_lambda([0.1], [1.0, 2.0]), DataError, "mismatched window lengths"),
+    (lambda: kyle_lambda([0.1], [1.0]), DataError, "window needs at least 2 observations"),
+], ids=["unknown-side", "grid-step-0", "unknown-weight", "eps-0", "eps-half", "lambda-window-1",
+        "volume-window-0", "correlation-window-1", "correlation-step-0", "mismatched-lengths",
+        "one-observation"])
+def test_public_argument_check(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message

@@ -17,6 +17,16 @@ class TestParseUtc:
         with pytest.raises(ValueError):
             parse_utc(value)
 
+    # The last second format_utc can write is 9999-12-31T23:59:59Z, 253402300799.
+    @pytest.mark.parametrize("value", [253402300800, "253402300800", 253402300800.0,
+                                       "9999-12-31T23:59:59-00:01"],
+                             ids=["int", "digits", "float", "behind-utc"])
+    def test_past_year_9999_rejected(self, value):
+        assert format_utc(parse_utc("9999-12-31T23:59:59Z")) == "9999-12-31T23:59:59Z"
+        with pytest.raises(ValueError, match=r"timestamp \d+ is past "
+                                             "9999-12-31T23:59:59Z"):
+            parse_utc(value)
+
     @pytest.mark.parametrize("value, expected", [
         ("2024-07-21", 1721520000),
         ("2024-07-21T17:46:00Z", 1721583960),
