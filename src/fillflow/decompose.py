@@ -269,10 +269,11 @@ _KINDS = {kind.value: kind for kind in TxKind}
 def read_decomposed(path) -> list[DecomposedTransaction]:
     """Read a decomposed table (CSV, or JSONL).
 
-    Each line or row is read as a record by ``_table_records`` and built by
-    ``decomposed_from_record``, and must satisfy the decomposition invariants
-    (``check``); a malformed or inconsistent row raises ParseError naming its
-    file line.
+    The text is read once, in line order: each line or row is read as a record
+    by ``_table_records`` and built by ``decomposed_from_record``, and must
+    satisfy the decomposition invariants (``check``). The first faulty line, a
+    byte that is not UTF-8 or a malformed or inconsistent row, raises
+    ParseError naming its file line.
 
     The rows of a file or a pipe are cached by its bytes and this module's
     source (README, "Parsed-table cache"): a first read parses and stores
@@ -283,10 +284,10 @@ def read_decomposed(path) -> list[DecomposedTransaction]:
                         _decomposed_columns, _decomposed_from_columns)
 
 
-def _parse_decomposed(fh) -> list[DecomposedTransaction]:
-    """Parse text file ``fh``: ``read_decomposed`` without its cache."""
+def _parse_decomposed(lines) -> list[DecomposedTransaction]:
+    """Parse the text ``lines`` of a decomposed table: ``read_decomposed`` without its cache."""
     rows: list[DecomposedTransaction] = []
-    for line_no, record in _table_records(fh, DECOMPOSED_FIELDS):
+    for line_no, record in _table_records(lines, DECOMPOSED_FIELDS):
         try:
             row = decomposed_from_record(record)
             row.check()

@@ -24,7 +24,7 @@ import re
 import sys
 import tempfile
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, count, islice, repeat
 from operator import attrgetter, itemgetter
 from stat import S_ISREG
 from sys import intern
@@ -225,26 +225,45 @@ def fill_from_record(
 
 
 _ASCII_SPACE = " \t\n\r\v\f"
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
-def _table_records(fh, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, record) per non-blank JSONL line or CSV row of seekable text file
-    ``fh``, opened with ``newline=""``: the one reader of both table formats.
+def _check_utf8(line: str, line_no: int) -> str:
+    """``line``, line ``line_no`` of text decoded with ``errors="surrogateescape"``, which holds
+    each byte b that is not UTF-8 as U+DC00+b: such a byte raises ParseError naming the line."""
+    if not line.isascii() and (bad := _ESCAPED_BYTE.search(line)):
+        raise ParseError(f"not valid UTF-8 (byte 0x{ord(bad[0]) - 0xDC00:02x})", line_no)
+    return line
+
+
+def _table_records(lines: Iterable[str], required: Sequence[str]) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, record) per non-blank JSONL line or CSV row of ``lines``, the text
+    lines of a table decoded with ``errors="surrogateescape"``, as a file opened with
+    ``newline=""`` yields them: the one reader of both table formats, in one pass.
 
     The first character that is not ASCII white space picks the format: "{" starts JSONL,
-    anything else a CSV header; a file of white space alone holds no record. A JSONL line
-    must hold one JSON object. A CSV file starts with a header naming every ``required``
-    column, and each row has exactly as many cells as the header; its record maps the
-    header's names to its cells (a repeated name counts its last column), and its line
-    number is the line where the row ends. A violation, or text the CSV reader rejects (such
-    as a cell past its field size limit), raises ParseError naming the line.
+    anything else a CSV header (the lines read to find it go first, so a blank first line is
+    the header); a table of white space alone holds no record. Each line is checked for a
+    byte that is not UTF-8 before it is parsed, so the first faulty line in file order raises.
+    A JSONL line must hold one JSON object. A CSV table starts with a header naming every
+    ``required`` column, and each row has exactly as many cells as the header; its record
+    maps the header's names to its cells (a repeated name counts its last column), and its
+    line number is the line where the row ends. A violation, or text the CSV reader rejects
+    (such as a cell past its field size limit), raises ParseError naming the line.
     """
-    while (first := fh.read(1)) and first in _ASCII_SPACE:
-        pass
-    fh.seek(0)
+    lines = iter(lines)
+    head = []  # the lines up to the first character that is not ASCII white space
+    first = ""
+    for line in lines:
+        head.append(line)
+        if first := line.lstrip(_ASCII_SPACE)[:1]:
+            break
+    lines = chain(head, lines)
     if first in ("{", ""):
-        for line_no, line in enumerate(fh, start=1):
+        for line_no, line in enumerate(lines, start=1):
             if line.strip(_ASCII_SPACE):
+                if not line.isascii():
+                    _check_utf8(line, line_no)
                 try:
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
@@ -255,9 +274,9 @@ def _table_records(fh, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
                     raise ParseError("record is not an object", line_no)
                 yield line_no, record
         return
-    reader = csv.reader(fh)
+    reader = csv.reader(map(_check_utf8, lines, count(1)))
     try:
-        header = next(reader)  # the file holds a character that is not white space
+        header = next(reader)  # the table holds a character that is not white space
         missing = [c for c in required if c not in header]
         if missing:
             cause = "" if first.isprintable() else (  # other white space is not printable
@@ -274,22 +293,13 @@ def _table_records(fh, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
         raise ParseError(str(exc), reader.line_num) from exc
 
 
-def _utf8_error(fh) -> ParseError:
-    """ParseError naming the first line of seekable binary file ``fh`` with a byte that is
-    not UTF-8.
-
-    Text files decode ahead of the line being read, so the file is read again
-    from its start with each bad byte b escaped to U+DC00+b, splitting lines
-    as before.
-    """
-    fh.seek(0)
-    text = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape")
+def _decode(fh, read, newline=None):
+    """``read(text)`` of binary file ``fh`` decoded as UTF-8 text with ``newline``, each byte
+    that is not UTF-8 escaped (``errors="surrogateescape"``) for ``_check_utf8`` to name;
+    ``fh`` stays open."""
+    text = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape", newline=newline)
     try:
-        for line_no, line in enumerate(text, start=1):
-            bad = re.search("[\udc80-\udcff]", line)
-            if bad:
-                return ParseError(f"not valid UTF-8 (byte 0x{ord(bad[0]) - 0xDC00:02x})", line_no)
-        return ParseError("not valid UTF-8")
+        return read(text)
     finally:
         text.detach()
 
@@ -327,15 +337,16 @@ _REQUIRED_FILL_FIELDS = tuple(f for f in FILL_FIELDS if f != "timestamp")
 def read_fills(path, block_times: Mapping[int, int] | None = None) -> list[FillEvent]:
     """Read a ledger shard (JSONL, or CSV with a header row), from a file or a pipe.
 
-    Each line or row is read as a record by ``_table_records`` and built by
-    ``fill_from_record``, which takes a missing or empty timestamp from
-    ``block_times``; an error names the line.
+    The text is read once, in line order: each line or row is read as a record by
+    ``_table_records`` and built by ``fill_from_record``, which takes a missing or empty
+    timestamp from ``block_times``. The first faulty line, a byte that is not UTF-8 or a bad
+    record, raises an error naming it.
 
     The fills are cached by the input's bytes (README, "Parsed-table cache"): a
     first read parses and stores them, and a later read of the same bytes,
     under any name or file time, skips the parse.
     """
-    return _read_cached(path, lambda fh: _parse_fills(fh, block_times),
+    return _read_cached(path, lambda lines: _parse_fills(lines, block_times),
                         lambda digest: _fill_key_parts(digest, block_times),
                         lambda fills: (tuple(map(itemgetter(i), fills))
                                        for i in range(len(FILL_FIELDS))),
@@ -343,26 +354,15 @@ def read_fills(path, block_times: Mapping[int, int] | None = None) -> list[FillE
 
 
 def _read_cached(path, parse_text, key_parts, columns, rows) -> list:
-    """``parse_text(text file)`` of the input at ``path``, through the parsed-table cache.
-    ``key_parts(digest)`` feeds the key's hash what the parse depends on besides this module
-    and the input's bytes; ``columns(table)`` yields its columns, each a tuple ``marshal``
-    takes, and ``rows(columns)`` builds it back or raises."""
-
-    def parse(fh):  # the binary file stays open
-        text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
-        try:
-            return parse_text(text)
-        except UnicodeDecodeError:
-            pass  # rescanned below, once the wrapper has let go of the file
-        finally:
-            text.detach()
-        raise _utf8_error(fh)
-
+    """``parse_text(lines)`` of the input at ``path``, its text read by ``_decode``, through
+    the parsed-table cache. ``key_parts(digest)`` feeds the key's hash what the parse depends
+    on besides this module and the input's bytes; ``columns(table)`` yields its columns, each
+    a tuple ``marshal`` takes, and ``rows(columns)`` builds it back or raises."""
     directory = os.path.join(
         os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "fillflow")
     with _read_input(path) as (fh, hexdigest):
         if not os.path.isabs(directory):  # a relative one (no home) would land in the cwd
-            return parse(fh)
+            return _decode(fh, parse_text, "")
         digest = hashlib.sha256(_parser_fingerprint())
         key_parts(digest)
         digest.update(hexdigest.encode())
@@ -370,7 +370,7 @@ def _read_cached(path, parse_text, key_parts, columns, rows) -> list:
         table = _cache_load(os.path.join(directory, key), rows)
         if table is not None:
             return table
-        table = parse(fh)
+        table = _decode(fh, parse_text, "")
     _cache_store(directory, key, columns(table))  # the parsed bytes are the hashed ones
     return table
 
@@ -410,20 +410,17 @@ def _read_input(path):
 
 
 def _load_json(path):
-    """The JSON document in the input at ``path``, decoded as UTF-8 text as
-    ``open(path, encoding="utf-8")`` reads it; a bad byte or document raises ValueError."""
+    """The JSON document in the input at ``path``, decoded as UTF-8 text with universal
+    newlines: a byte that is not UTF-8 raises ParseError naming its line before the document
+    is parsed, and a bad document ValueError."""
     with _read_input(path) as (fh, _):
-        text = io.TextIOWrapper(fh, encoding="utf-8")
-        try:
-            return json.load(text)
-        finally:
-            text.detach()
+        return _decode(fh, lambda text: json.loads("".join(map(_check_utf8, text, count(1)))))
 
 
-def _parse_fills(fh, block_times) -> list[FillEvent]:
-    """Parse text file ``fh``: ``read_fills`` without its cache."""
+def _parse_fills(lines, block_times) -> list[FillEvent]:
+    """Parse the text ``lines`` of a ledger: ``read_fills`` without its cache."""
     return [fill_from_record(record, line_no, block_times)
-            for line_no, record in _table_records(fh, _REQUIRED_FILL_FIELDS)]
+            for line_no, record in _table_records(lines, _REQUIRED_FILL_FIELDS)]
 
 
 def _fill_key_parts(digest, block_times) -> None:
@@ -539,7 +536,7 @@ def load_block_times(path) -> dict[int, int]:
     """
     try:
         raw = _load_json(path)
-    except ValueError as exc:
+    except (ParseError, ValueError) as exc:
         raise ParseError(f"block-times sidecar: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"block-times sidecar must be a JSON object, got {type(raw).__name__}")
@@ -648,7 +645,7 @@ def load_market_config(path) -> list[MarketSpec]:
     """
     try:
         doc = _load_json(path)
-    except ValueError as exc:  # also a byte that is not UTF-8
+    except (ParseError, ValueError) as exc:  # a byte that is not UTF-8; a bad document
         raise ConfigError(f"invalid market config JSON: {exc}") from exc
     entries = doc.get("markets") if isinstance(doc, dict) else doc
     return markets_from_entries(entries)

@@ -29,7 +29,7 @@ from random import Random
 from typing import Sequence
 
 from .decompose import DecomposedTransaction, TxKind, VolumeComponents
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .events import COLLATERAL_ID, FillEvent, MarketSpec, _load_json, markets_from_entries
 from .traders import market_labels
 from .units import DAY, MICRO, day_floor, parse_utc
@@ -567,7 +567,7 @@ def load_scenario(path, seed: int | None = None) -> SyntheticScenario:
     """Read a scenario document (market-config format plus generator keys)."""
     try:
         doc = _load_json(path)
-    except ValueError as exc:  # also a byte that is not UTF-8
+    except (ParseError, ValueError) as exc:  # a byte that is not UTF-8; a bad document
         raise ConfigError(f"invalid scenario JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("scenario must be a JSON object")

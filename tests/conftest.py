@@ -17,12 +17,8 @@ def read_table(path, required):
 
     A violation, or a byte that is not UTF-8, raises the ParseError the readers raise.
     """
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            yield from events._table_records(fh, required)
-    except UnicodeDecodeError:
-        with open(path, "rb") as fh:
-            raise events._utf8_error(fh) from None
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        yield from events._table_records(fh, required)
 
 
 @contextmanager

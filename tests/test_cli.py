@@ -1136,6 +1136,9 @@ class TestMalformedTables:
         # "\udce9" is written as the lone byte 0xE9, which is not UTF-8
         (DECOMPOSED_HEADER, DECOMPOSED_ROW.replace("Trump", "Trump\udce9"),
          "line 3: not valid UTF-8 (byte 0xe9)"),
+        # a quoted cell spans lines 3 and 4, and the bad byte is on line 4
+        (DECOMPOSED_HEADER, DECOMPOSED_ROW.replace("Trump", '"Trump\nT\udce9"'),
+         "line 4: not valid UTF-8 (byte 0xe9)"),
         (DECOMPOSED_HEADER, "-7,-1,-86400,Trump,pure_exchange,5,5,0,5,0,0,0,0",
          "line 3: block, txIndex and timestamp must be non-negative, got -7, -1, -86400"),
         (DECOMPOSED_HEADER, DECOMPOSED_ROW.replace("Trump", "T" * 200_000),
@@ -1144,7 +1147,8 @@ class TestMalformedTables:
          "line 3: timestamp 253402300800 is past 9999-12-31T23:59:59Z"),
     ], ids=["missing-column", "non-integer", "negative-component", "underscore-digits",
             "non-ascii-digits", "padded-integer", "unknown-kind", "short-row", "extra-value", "non-utf8-byte",
-            "negative-coordinates", "cell-past-field-limit", "timestamp-past-year-9999"])
+            "non-utf8-byte-in-multi-line-cell", "negative-coordinates", "cell-past-field-limit",
+            "timestamp-past-year-9999"])
     def test_decomposed_table_exits_3_naming_line(self, runner, tmp_path, header, bad_row,
                                                   message):
         table = tmp_path / "decomposed.csv"
@@ -1189,8 +1193,10 @@ class TestMalformedTables:
         ("[" * 100_000 + "\n", "line 2: maximum recursion depth exceeded"),
         ('{"block": 1, "maker": "caf\udce9"}\n', "line 2: not valid UTF-8 (byte 0xe9)"),
         (HUGE_AMOUNT_LINE, "line 2: Exceeds the limit"),
+        # lines 2 to 4 are not JSON, and line 5 holds a bad byte: the first faulty line counts
+        ("{\n" * 3 + '{"block": 1, "maker": "caf\udce9"}\n', "line 2: invalid JSON"),
     ], ids=["integer-past-digit-limit", "deep-nesting", "non-utf8-byte",
-            "amount-past-digit-limit"])
+            "amount-past-digit-limit", "invalid-json-before-non-utf8-byte"])
     def test_undecodable_fill_line_exits_3(self, runner, fixture_dir, tmp_path, example_fills,
                                            bad_line, message):
         ledger = tmp_path / "fills.jsonl"
@@ -1358,6 +1364,19 @@ def test_market_candidate_clash_or_type_exits_2(runner, tmp_path, valid_inputs, 
     result = invoke_malformed(runner, tmp_path, valid_inputs, command, kind, role)
     assert result.exit_code == 2, result.output
     assert message in result.output
+
+
+@pytest.mark.parametrize("command, role, code, message", [
+    ("decompose", "markets", 2, "invalid market config JSON: line 2: not valid UTF-8 (byte 0xe9)"),
+    ("simulate", "scenario", 2, "invalid scenario JSON: line 2: not valid UTF-8 (byte 0xe9)"),
+    ("ingest", "block-times", 3,
+     "block-times sidecar: invalid JSON: line 2: not valid UTF-8 (byte 0xe9)"),
+], ids=["markets", "scenario", "block-times"])
+def test_json_document_with_a_bad_byte_names_its_line(runner, tmp_path, valid_inputs, command,
+                                                      role, code, message):
+    result = invoke_malformed(runner, tmp_path, valid_inputs, command, "not-utf8", role)
+    assert result.exit_code == code, result.output
+    assert f"error: {message}\n" in result.output
 
 
 @pytest.mark.parametrize("command, option", [("decompose", "--max-anomalies"),

@@ -424,6 +424,20 @@ class TestFormatFromContent:
         write_decomposed(path, small_ledger.truth, fmt)
         assert read_decomposed(path) == small_ledger.truth
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_lines_in_a_list_read_as_the_file(self, tmp_path, example_fills, fmt):
+        """The reader takes any iterable of lines: it neither seeks nor reads a line twice."""
+        path = tmp_path / "fills"
+        fills = [example_fills[0]._replace(maker="0xa\r\nb"), *example_fills[1:]]
+        write_fills(path, fills, fmt)
+        if fmt == "jsonl":
+            path.write_text(" \n\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        records = list(events._table_records(lines, FILL_FIELDS))
+        assert records == list(read_table(path, FILL_FIELDS))
+        assert [fill_from_record(record, line_no) for line_no, record in records] == fills
+
     @pytest.mark.parametrize("name", ["fills.jsonl", "fills.csv"])
     def test_white_space_before_the_first_line_is_skipped(self, tmp_path, name):
         path = tmp_path / name

@@ -140,3 +140,19 @@ class TestSplitMerge:
             split_position(Portfolio(cash=5), ABC, 0, -1)
         with pytest.raises(InsufficientBalanceError):
             merge_positions(Portfolio(), ABC, 0, -1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: CategoricalMarket(("A",)), ConfigError,
+     "a categorical market needs at least 2 outcomes"),
+    (lambda: CategoricalMarket(("A", "B", "A")), ConfigError, "outcome labels must be distinct"),
+    (lambda: Portfolio({(0, NO): -1}), InsufficientBalanceError, "negative share quantity"),
+    (lambda: convert_positions(Portfolio(), [], 1, ABC), ConfigError,
+     "conversion needs at least one outcome"),
+    (lambda: convert_positions(Portfolio(), {0}, -1, ABC), InsufficientBalanceError,
+     "negative conversion quantity"),
+], ids=["one-outcome", "repeated-label", "negative-holding", "no-outcome", "negative-quantity"])
+def test_argument_check(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message

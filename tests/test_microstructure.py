@@ -22,7 +22,7 @@ from fillflow.microstructure import (
     sign_trades,
 )
 from fillflow.metrics import IntervalTotals, SideTotals
-from fillflow.prices import (InflowSeries, PricePoint, arbitrage_deviation,
+from fillflow.prices import (InflowSeries, PricePoint, arbitrage_deviation, pearson,
                              rolling_inflow_correlation)
 from fillflow.units import DAY, HOUR, LAST_SECOND, parse_utc
 
@@ -453,7 +453,8 @@ class TestRollingAvgVolume:
             rolling_avg_volume([T0, T0 + 2 * DAY], [1.0, 2.0], 1)
 
 
-# Checks of a public function's arguments that the CLI's option types rule out.
+# Checks of a public function's arguments that the CLI's option types, or its callers'
+# aligned series, rule out.
 EMPTY_SERIES = InflowSeries((), ())
 
 
@@ -474,9 +475,16 @@ EMPTY_SERIES = InflowSeries((), ())
      "window must be >= 2 days and step >= 1 day"),
     (lambda: kyle_lambda([0.1], [1.0, 2.0]), DataError, "mismatched window lengths"),
     (lambda: kyle_lambda([0.1], [1.0]), DataError, "window needs at least 2 observations"),
+    (lambda: InflowSeries((T0,), ()), DataError, "days and values differ in length"),
+    (lambda: pearson([1.0], [1.0, 2.0]), DataError,
+     "correlation needs two equal-length series of >= 2 points"),
+    (lambda: lambda_volume_regression([1.0], [1.0, 2.0]), DataError,
+     "series must be date-aligned with equal length"),
+    (lambda: rolling_avg_volume([T0], [], 1), DataError, "days and volumes differ in length"),
 ], ids=["unknown-side", "grid-step-0", "unknown-weight", "eps-0", "eps-half", "lambda-window-1",
         "volume-window-0", "correlation-window-1", "correlation-step-0", "mismatched-lengths",
-        "one-observation"])
+        "one-observation", "inflow-lengths", "correlation-lengths", "regression-lengths",
+        "volume-lengths"])
 def test_public_argument_check(call, error, message):
     with pytest.raises(error) as raised:
         call()
