@@ -16,6 +16,7 @@ import functools
 import gc
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,9 +25,9 @@ import click
 from . import __version__
 from .decompose import decompose_ledger, read_decomposed, write_decomposed
 from .errors import ConfigError, DataError, FillflowError, ParseError, SchemaError
-from .events import (_INPUT_DIGESTS, fill_from_record, fill_lines, group_transactions,
-                     load_block_times, load_market_config, read_fills, write_fills,
-                     write_market_config, write_table)
+from .events import (_INPUT_DIGESTS, _load_text, fill_from_record, fill_lines,
+                     group_transactions, load_block_times, load_market_config, read_fills,
+                     write_fills, write_market_config, write_table)
 from .metrics import aggregate_components, side_measures
 from .microstructure import (hourly_bars, lambda_volume_regression, price_impact_delta_p,
                              rolling_avg_volume, rolling_kyle_lambda, sign_trades)
@@ -34,7 +35,7 @@ from .prices import (arbitrage_deviation, build_price_series, daily_net_inflow,
                      rolling_inflow_correlation, splice_democrat_market)
 from .traders import (collect_trader_activity, hourly_active_traders, participation_sets,
                       top_decile_traders)
-from .units import DEFAULT_WINDOW_END, format_date, format_utc, micro_to_usd, parse_utc
+from .units import DAY, DEFAULT_WINDOW_END, format_date, format_utc, micro_to_usd, parse_utc
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -153,10 +154,9 @@ def _parse_excludes(value: str) -> list[str]:
     items = value.split(",")
     if value.startswith("@"):
         try:
-            items = Path(value[1:]).read_text(encoding="utf-8").splitlines()
-        except UnicodeDecodeError as exc:
-            raise ConfigError(
-                f"--exclude-addresses file {value[1:]}: not valid UTF-8: {exc}") from exc
+            items = _load_text(value[1:], str.splitlines)
+        except ParseError as exc:  # a byte that is not UTF-8, named by its line
+            raise ConfigError(f"--exclude-addresses file {value[1:]}: {exc}") from exc
         except OSError as exc:  # missing or unreadable: a bad option value, as for --input
             raise ConfigError(f"--exclude-addresses file {value[1:]}: {exc.strerror}") from exc
     return [item.strip() for item in items if item.strip()]
@@ -215,6 +215,13 @@ def _utc(_ctx, _param, value):
         return None if value is None else parse_utc(value)
     except ValueError as exc:
         raise click.BadParameter(str(exc))
+
+
+def _finite(_ctx, _param, value):
+    """Option callback: a number, which must be finite; NaN or an infinity exits 2."""
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value!r} is not a finite number")
+    return value
 
 
 def _utc_text(ctx, param, value):
@@ -408,7 +415,7 @@ def disagreement(inputs, market_a, first_democrat, second_democrat, splice_day, 
 @click.option("--weight", type=click.Choice(["shares", "usd"]), default="shares",
               help="VWAP weight convention.")
 @click.option("--clamp-eps", type=click.FloatRange(0, 0.5, min_open=True, max_open=True),
-              default=1e-6)
+              default=1e-6, callback=_finite)
 @click.option("--vol-window-days", type=click.IntRange(min=1), default=30)
 @click.option("--no-intercept", is_flag=True,
               help="Drop the intercept from the lambda-on-volume regression.")
@@ -454,16 +461,19 @@ def lambda_(inputs, markets_path, market, side, window_hours, step_days, weight,
 
 
 @_command()
-@click.option("--lam", "lam", type=float, required=True,
+@click.option("--lam", "lam", type=float, required=True, callback=_finite,
               help="Price impact in log-odds per million USD.")
 @click.option("--price", type=float, required=True)
-@click.option("--flow", type=float, default=1.0, help="Net signed flow in million USD.")
+@click.option("--flow", type=float, default=1.0, callback=_finite,
+              help="Net signed flow in million USD.")
 @_format(type=click.Choice(["text", "json"]), default="text")
 def impact(lam, price, flow, fmt):
     """Convert a price-impact coefficient into a price move."""
     if not 0 < price < 1:
         raise ConfigError("--price must be inside (0, 1)")
     delta_p = price_impact_delta_p(lam, price, flow)
+    if not math.isfinite(delta_p):
+        raise ConfigError(f"--lam {lam!r} and --flow {flow!r} move the price past the float range")
     if fmt == "json":
         click.echo(json.dumps({"lambda": lam, "price": price, "flow": flow,
                                "deltaP": delta_p}, sort_keys=True))
@@ -530,7 +540,8 @@ def _quarter_bounds(quarter: str, explicit_end: int | None) -> tuple[int, int]:
             raise ValueError
         # A year whose quarter has no ISO date, such as 0 or -5, is a bad quarter too.
         start = parse_utc(f"{year:04d}-{3 * number - 2:02d}-01")
-        end = parse_utc(f"{year + number // 4:04d}-{3 * number % 12 + 1:02d}-01")
+        # The quarter's last day, plus one: so 9999Q4 ends at units.LAST_SECOND + 1.
+        end = parse_utc(f"{year:04d}-{('03-31', '06-30', '09-30', '12-31')[number - 1]}") + DAY
     except ValueError:
         raise ConfigError(f"bad quarter {quarter!r}; expected e.g. 2024Q4")
     cutoff = explicit_end if explicit_end is not None else parse_utc(DEFAULT_WINDOW_END)

@@ -409,12 +409,12 @@ def _read_input(path):
             raise DataError(f"{path}: the file changed while it was read")
 
 
-def _load_json(path):
-    """The JSON document in the input at ``path``, decoded as UTF-8 text with universal
-    newlines: a byte that is not UTF-8 raises ParseError naming its line before the document
-    is parsed, and a bad document ValueError."""
+def _load_text(path, parse=json.loads):
+    """``parse(text)``, the JSON document by default, of the input at ``path`` decoded as UTF-8
+    text with universal newlines: a byte that is not UTF-8 raises ParseError naming its line
+    before the text is parsed, and a bad JSON document ValueError."""
     with _read_input(path) as (fh, _):
-        return _decode(fh, lambda text: json.loads("".join(map(_check_utf8, text, count(1)))))
+        return _decode(fh, lambda text: parse("".join(map(_check_utf8, text, count(1)))))
 
 
 def _parse_fills(lines, block_times) -> list[FillEvent]:
@@ -535,7 +535,7 @@ def load_block_times(path) -> dict[int, int]:
     ``parse_utc`` accepts; anything else raises ParseError naming the key.
     """
     try:
-        raw = _load_json(path)
+        raw = _load_text(path)
     except (ParseError, ValueError) as exc:
         raise ParseError(f"block-times sidecar: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -640,15 +640,14 @@ def markets_from_entries(entries) -> list[MarketSpec]:
 def load_market_config(path) -> list[MarketSpec]:
     """Load the market configuration document.
 
-    One JSON document listing markets; every token id may appear in at most
-    one market, and each market must pair YES and NO explicitly.
+    One JSON object whose ``markets`` list holds the markets: every token id
+    in at most one market, and each market pairing YES and NO explicitly.
     """
     try:
-        doc = _load_json(path)
+        doc = _load_text(path)
     except (ParseError, ValueError) as exc:  # a byte that is not UTF-8; a bad document
         raise ConfigError(f"invalid market config JSON: {exc}") from exc
-    entries = doc.get("markets") if isinstance(doc, dict) else doc
-    return markets_from_entries(entries)
+    return markets_from_entries(doc.get("markets") if isinstance(doc, dict) else None)
 
 
 def write_market_config(path, markets: Sequence[MarketSpec]) -> None:

@@ -22,10 +22,10 @@ import json
 import os
 import time
 import urllib.request
-from pathlib import Path
 from typing import Callable, Sequence
 
-from .errors import ConfigError, DecodeError, FetchError, FillflowError
+from .errors import ConfigError, DecodeError, FetchError, FillflowError, ParseError
+from .events import _load_text
 
 Transport = Callable[[str, int, int], Sequence[dict]]
 
@@ -62,14 +62,12 @@ def http_transport(endpoint: str, from_block: int, to_block: int) -> list[dict]:
 
 def _checkpoint_doc(path) -> dict | None:
     """The checkpoint's fields, or None when no checkpoint exists."""
-    path = Path(path)
-    if not path.exists():
+    try:
+        doc = _load_text(path)
+    except FileNotFoundError:
         return None
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # also a byte that is not UTF-8
-            raise ConfigError(f"checkpoint {path}: invalid JSON: {exc}") from exc
+    except (ParseError, ValueError) as exc:  # a byte that is not UTF-8; a bad document
+        raise ConfigError(f"checkpoint {path}: invalid JSON: {exc}") from exc
     if not (isinstance(doc, dict) and type(doc.get("lastBlock")) is int
             and type(doc.get("spoolBytes", 0)) is int):
         raise ConfigError(f"checkpoint {path}: expected integer lastBlock and spoolBytes")
@@ -79,7 +77,7 @@ def _checkpoint_doc(path) -> dict | None:
 def write_checkpoint(path, last_block: int, spool_bytes: int) -> None:
     """Replace the checkpoint; a crash leaves either the old or the new one whole."""
     doc = {"lastBlock": last_block, "spoolBytes": spool_bytes}
-    partial = Path(f"{path}.partial")
+    partial = f"{path}.partial"
     with open(partial, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")

@@ -30,7 +30,7 @@ from typing import Sequence
 
 from .decompose import DecomposedTransaction, TxKind, VolumeComponents
 from .errors import ConfigError, ParseError
-from .events import COLLATERAL_ID, FillEvent, MarketSpec, _load_json, markets_from_entries
+from .events import COLLATERAL_ID, FillEvent, MarketSpec, _load_text, markets_from_entries
 from .traders import market_labels
 from .units import DAY, MICRO, day_floor, parse_utc
 
@@ -554,19 +554,26 @@ def generate_synthetic_ledger(scenario: SyntheticScenario) -> SyntheticLedger:
 
 _JSON_TYPES = {"boolean": (bool,), "integer": (int,), "number": (int, float)}
 
+# Generator key -> (SyntheticScenario field, JSON type); a key left out takes the field default.
+_GENERATOR_KEYS = {
+    "nTransactions": ("n_transactions", "integer"), "nTraders": ("n_traders", "integer"),
+    "directionalShare": ("directional_share", "number"),
+    "marketMakerShare": ("market_maker_share", "number"),
+    "arbitrageur": ("arbitrageur", "boolean"), "mixedSpread": ("mixed_spread_micro", "integer")}
 
-def _typed(doc: dict, key: str, kind: str, default=None):
-    """``doc[key]`` (``default`` when given and the key is absent), which must be a JSON ``kind``."""
-    value = doc[key] if default is None else doc.get(key, default)
+
+def _typed(doc: dict, key: str, kind: str):
+    """``doc[key]``, which must be a JSON ``kind``; a number is returned as a float."""
+    value = doc[key]
     if type(value) not in _JSON_TYPES[kind]:
         raise ConfigError(f"scenario {key!r} must be a JSON {kind}, got {value!r}")
-    return value
+    return float(value) if kind == "number" else value
 
 
 def load_scenario(path, seed: int | None = None) -> SyntheticScenario:
     """Read a scenario document (market-config format plus generator keys)."""
     try:
-        doc = _load_json(path)
+        doc = _load_text(path)
     except (ParseError, ValueError) as exc:  # a byte that is not UTF-8; a bad document
         raise ConfigError(f"invalid scenario JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -578,11 +585,8 @@ def load_scenario(path, seed: int | None = None) -> SyntheticScenario:
             markets=markets,
             start=parse_utc(doc["start"]),
             end=parse_utc(doc["end"]),
-            n_transactions=_typed(doc, "nTransactions", "integer", 1000),
-            n_traders=_typed(doc, "nTraders", "integer", 40),
-            directional_share=float(_typed(doc, "directionalShare", "number", 0.5)),
-            market_maker_share=float(_typed(doc, "marketMakerShare", "number", 0.3)),
-            arbitrageur=_typed(doc, "arbitrageur", "boolean", False),
+            **{name: _typed(doc, key, kind)
+               for key, (name, kind) in _GENERATOR_KEYS.items() if key in doc},
             whale_schedule=[
                 WhaleEvent(
                     timestamp=parse_utc(w["time"]),
@@ -596,13 +600,12 @@ def load_scenario(path, seed: int | None = None) -> SyntheticScenario:
                 DeviationInjection(
                     timestamp=parse_utc(d["time"]),
                     market=d["market"],
-                    delta_micro=round(float(_typed(d, "delta", "number")) * MICRO),
+                    delta_micro=round(_typed(d, "delta", "number") * MICRO),
                 )
                 for d in doc.get("deviationInjections", [])
             ],
             kind_weights=doc.get("kindWeights"),
             hourly_weights=doc.get("hourlyWeights"),
-            mixed_spread_micro=_typed(doc, "mixedSpread", "integer", 2000),
         )
     except KeyError as exc:
         raise ConfigError(f"scenario missing field {exc.args[0]!r}") from exc

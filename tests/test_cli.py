@@ -151,6 +151,16 @@ class TestDecomposeCommand:
         assert result.exit_code == 2, result.output
         assert "market entry 1: bad launch or resolution" in result.output
 
+    def test_bare_market_list_exits_2(self, runner, fixture_dir, tmp_path):
+        bare = tmp_path / "bare.json"
+        doc = json.loads((fixture_dir / "markets.json").read_text(encoding="utf-8"))
+        bare.write_text(json.dumps(doc["markets"]), encoding="utf-8")
+        result = runner.invoke(main, [
+            "decompose", "--input", str(fixture_dir / "fills.jsonl"),
+            "--markets", str(bare), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "error: market config must contain a 'markets' list\n" in result.output
+
     def test_market_config_not_utf8_exits_2(self, runner, fixture_dir, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_bytes((fixture_dir / "markets.json").read_bytes().replace(b"Biden", b"Bid\xe9n"))
@@ -460,8 +470,8 @@ class TestFlagValidation:
         assert all(float(value) == 0 for key, value in rows[1].items() if key != "interval")
         assert float(rows[0]["combinedVG"]) > 0 and float(rows[2]["combinedVG"]) > 0
 
-    # A year without ISO dates for the quarter's bounds (0, 10000, negative) is bad too.
-    @pytest.mark.parametrize("quarter", ["2024Q5", "Q4", "0Q1", "9999Q4", "-5Q1"])
+    # A year without an ISO date for the quarter's start (0, negative) is bad too.
+    @pytest.mark.parametrize("quarter", ["2024Q5", "Q4", "0Q1", "-5Q1"])
     def test_bad_quarter_exits_2(self, runner, fixture_dir, tmp_path, quarter):
         result = runner.invoke(main, [
             "traders", "--input", str(fixture_dir / "fills.jsonl"),
@@ -469,6 +479,17 @@ class TestFlagValidation:
             "--out", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
         assert f"bad quarter {quarter!r}" in result.output
+
+    def test_last_quarter_ends_at_the_last_second(self, runner, fixture_dir, tmp_path):
+        out = tmp_path / "out"
+        result = run(runner, [
+            "traders", "--input", str(fixture_dir / "fills.jsonl"),
+            "--markets", str(fixture_dir / "markets.json"), "--quarter", "9999Q4",
+            "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        params = json.loads((out / "manifest.json").read_text())["params"]
+        assert params["from"] == 253394352000  # 9999-10-01T00:00:00Z
+        assert params["to"] == 253402300800  # units.LAST_SECOND + 1
 
     def test_quarter_capped_at_sample_end(self, runner, fixture_dir, tmp_path):
         out = tmp_path / "out"
@@ -692,13 +713,14 @@ class TestInputErrorsExit2:
 
     def test_exclude_file_not_utf8_exits_2(self, runner, fixture_dir, tmp_path):
         excludes = tmp_path / "excludes.txt"
-        excludes.write_bytes(b"0xab\xe9\n")
+        excludes.write_bytes(b"0xab\n0xc\xe9d\n")
         result = runner.invoke(main, [
             "traders", "--input", str(fixture_dir / "fills.jsonl"),
             "--markets", str(fixture_dir / "markets.json"),
             "--exclude-addresses", f"@{excludes}", "--out", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
-        assert f"--exclude-addresses file {excludes}: not valid UTF-8" in result.output
+        assert (f"error: --exclude-addresses file {excludes}: line 2: not valid UTF-8 "
+                "(byte 0xe9)\n") in result.output
 
     @pytest.mark.parametrize("problem, message", [("missing", "No such file or directory"),
                                                   ("directory", "Is a directory")])
@@ -731,6 +753,19 @@ class TestImpactCommand:
     def test_bad_price_exits_2(self, runner):
         result = runner.invoke(main, ["impact", "--lam", "0.1", "--price", "1.5"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("args, message", [
+        (["--lam", "nan"], "Invalid value for '--lam': nan is not a finite number"),
+        (["--lam", "1", "--flow", "-inf"],
+         "Invalid value for '--flow': -inf is not a finite number"),
+        (["--lam", "1e308", "--flow", "1e308"],
+         "error: --lam 1e+308 and --flow 1e+308 move the price past the float range"),
+    ], ids=["nan-lam", "infinite-flow", "infinite-price-move"])
+    def test_non_finite_number_exits_2(self, runner, args, message):
+        result = runner.invoke(main, ["impact", *args, "--price", "0.5", "--format", "json"])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert message in result.stderr
 
 
 class TestDeterminism:
@@ -1264,6 +1299,7 @@ BAD_OPTIONS = {
     "bad-number-option": {"--page-size": "0", "--grid-step": "0", "--corr-window-days": "1",
                           "--step-days": "0", "--window-hours": "1", "--vol-window-days": "0",
                           "--clamp-eps": "0", "--max-anomalies": "-1", "--max-staleness": "-1"},
+    "non-finite-number-option": {"--clamp-eps": "nan"},
 }
 
 

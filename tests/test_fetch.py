@@ -168,6 +168,13 @@ class TestCheckpointing:
             fetch_blocks(tmp_path, 0, 200, 50, checkpoint_path=checkpoint,
                          transport=RecordingTransport())
 
+    def test_checkpoint_with_a_bad_byte_names_its_line(self, tmp_path):
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_bytes(b'{"lastBlock": 49,\n "spoolBytes": 0, "note": "\xe9"}\n')
+        with pytest.raises(ConfigError, match=r"invalid JSON: line 2: not valid UTF-8 "
+                                              r"\(byte 0xe9\)$"):
+            read_checkpoint(checkpoint)
+
     @pytest.mark.parametrize("text", ["{not json", "[49]", '{"lastBlock": "49"}',
                                       '{"lastBlock": 49, "spoolBytes": null}'])
     def test_malformed_checkpoint_refused(self, tmp_path, text):

@@ -204,6 +204,18 @@ class TestScenarioFile:
             load_scenario(path)
         assert message in str(err.value)
 
+    def test_generator_keys_left_out_take_the_scenario_defaults(self, tmp_path, markets):
+        omitted = scenario_doc(markets)
+        del omitted["nTransactions"], omitted["arbitrageur"]
+        stated = omitted | {"nTransactions": 1000, "nTraders": 40, "directionalShare": 0.5,
+                            "marketMakerShare": 0.3, "arbitrageur": False, "mixedSpread": 2000}
+        ledgers = []
+        for name, doc in (("omitted", omitted), ("stated", stated)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            ledgers.append(_canonical(generate_synthetic_ledger(load_scenario(path))))
+        assert ledgers[0] == ledgers[1]
+
     def test_missing_fields_rejected(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"seed": 1}))
